@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import proto
-from .engine import DEFAULT_MAX_STEPS, Engine, Strategy, TestDepthPair
+from .engine import DEFAULT_MAX_STEPS, Engine, EngineStats, Strategy, TestDepthPair
 from .lang import Program
 from .solve import DEFAULT_DOMAIN_CAP
 
@@ -37,6 +37,19 @@ class WorkerTally:
     transfers_out: int = 0
     wall_us: int = 0
     truncated: bool = False
+
+    def add(self, st: EngineStats) -> None:
+        """Fold one finished region's stats into this worker's tally."""
+        self.regions += 1
+        self.paths.extend(st.paths)
+        self.frontier += st.frontier
+        self.states_created += st.states_created
+        self.states_suspended += st.states_suspended
+        self.solver_queries += st.solver_queries
+        self.cache_hits += st.cache_hits
+        self.instructions += st.instructions
+        self.wall_us += st.wall_us
+        self.truncated = self.truncated or st.truncated
 
 
 @dataclass
@@ -124,7 +137,6 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
     n = cfg.num_workers
     tallies = [WorkerTally() for _ in range(n)]
     paths: list[str] = []
-    truncated = False
 
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
 
@@ -157,20 +169,8 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
                     break
         wid, msg = rx.recv()
         if isinstance(msg, proto.Finish):
-            st = msg.stats
-            t = tallies[wid]
-            t.regions += 1
-            t.paths.extend(st.paths)
-            t.frontier += st.frontier
-            t.states_created += st.states_created
-            t.states_suspended += st.states_suspended
-            t.solver_queries += st.solver_queries
-            t.cache_hits += st.cache_hits
-            t.instructions += st.instructions
-            t.wall_us += st.wall_us
-            t.truncated = t.truncated or st.truncated
-            truncated = truncated or st.truncated
-            paths.extend(st.paths)
+            tallies[wid].add(msg.stats)
+            paths.extend(msg.stats.paths)
             busy.remove(wid)
             if outstanding == wid:
                 outstanding = None  # the steal target finished instead
@@ -213,5 +213,5 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
         paths=paths,
         pool_size=pool_size,
         undispatched=len(pool),
-        truncated=truncated,
+        truncated=any(t.truncated for t in tallies),
     )

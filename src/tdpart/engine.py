@@ -69,14 +69,6 @@ class Strategy:
     seed: int | None = None
 
 
-DFS = Strategy("dfs")
-BFS = Strategy("bfs")
-
-
-def random_strategy(seed: int) -> Strategy:
-    return Strategy("random", seed)
-
-
 @dataclass(frozen=True)
 class TestDepthPair:
     __test__ = False  # not a test case, despite the name
@@ -154,7 +146,6 @@ class Engine:
         self.domain_cap = domain_cap
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
-        self.deadline: float | None = None  # soft wall-clock cutoff (calibration)
         self._serial = itertools.count()
         # lifetime counters; regions report deltas
         self.queries = 0
@@ -196,18 +187,25 @@ class Engine:
 
     # -- single-state execution up to the next event
 
-    def _advance(self, state: ExecState, final_depth: int, stats: EngineStats):
+    def _advance(
+        self,
+        state: ExecState,
+        final_depth: int,
+        stats: EngineStats,
+        deadline: float | None = None,
+    ):
         """Run a state until it terminates, is censored at final_depth, forks
-        at a symbolic branch, or exhausts the instruction budget.
+        at a symbolic branch, or exhausts the instruction budget or the soft
+        `deadline` (a time.monotonic() value, checked every 1024 instructions).
         Returns 'term' | 'frontier' | 'trunc' | ('fork', substituted_cond)."""
         blocks = self.program.blocks
         while True:
             if stats.instructions >= self.max_steps:
                 return "trunc"
             if (
-                self.deadline is not None
+                deadline is not None
                 and stats.instructions % 1024 == 0
-                and time.monotonic() > self.deadline
+                and time.monotonic() > deadline
             ):
                 return "trunc"
             blk = blocks[state.block]
@@ -247,7 +245,6 @@ class Engine:
         cond: Expr,
         test: Test,
         test_depth: int,
-        final_depth: int,
     ) -> tuple[list[ExecState], ExecState | None]:
         """Fork at a symbolic branch. In the guided phase (depth < test_depth)
         the test picks the taken side and the sibling is suspended unsolved;
@@ -348,7 +345,7 @@ class Engine:
                 frontier.append(state)
             else:
                 _, cond = r
-                actives, susp = self.step_branch(state, cond, test, test_depth, final_depth)
+                actives, susp = self.step_branch(state, cond, test, test_depth)
                 active.extend(actives)
                 if susp is not None:
                     suspended_new.append(susp)
@@ -377,31 +374,44 @@ class Engine:
             return candidates[0]
         return max(candidates, key=lambda s: (s.depth, -s.serial))
 
-    # -- coordinator-side shallow expansion
+    # -- breadth-first layer expansion (pool seeding, depth calibration)
+
+    def bfs_layers(self, final_depth: int, *, deadline: float | None = None):
+        """Expand the tree breadth-first from a fresh initial state, one whole
+        layer at a time. Yields ([initial state], []) first, then, after each
+        layer, (next layer, states of that layer that terminated or reached
+        final_depth). Ends after yielding an empty layer, or without yielding
+        when the instruction budget (one for all layers) or the soft
+        `deadline` (also checked before each state) cuts a layer short."""
+        stats = EngineStats()
+        layer = [self.initial_state()]
+        yield layer, []
+        while layer:
+            nxt: list[ExecState] = []
+            finished: list[ExecState] = []
+            for s in layer:
+                if deadline is not None and time.monotonic() > deadline:
+                    return
+                r = self._advance(s, final_depth, stats, deadline)
+                if r == "trunc":
+                    return
+                if r in ("term", "frontier"):
+                    finished.append(s)
+                else:
+                    _, cond = r
+                    actives, _ = self.step_branch(s, cond, {}, 0)
+                    nxt.extend(actives)
+            layer = nxt
+            yield layer, finished
 
     def bfs_seed(self, num_targets: int, final_depth: int) -> list[ExecState]:
         """Expand whole breadth-first layers from the initial state until the
         finished-plus-frontier state count reaches num_targets or the tree is
         exhausted. Returns the pool states in creation order. A program that
         finishes nothing within the instruction budget yields an empty list."""
-        stats = EngineStats()
         done: list[ExecState] = []
-        layer = [self.initial_state()]
-        while layer and len(layer) + len(done) < num_targets:
-            nxt: list[ExecState] = []
-            truncated = False
-            for s in layer:
-                r = self._advance(s, final_depth, stats)
-                if r == "trunc":
-                    truncated = True
-                    break
-                if r in ("term", "frontier"):
-                    done.append(s)
-                else:
-                    _, cond = r
-                    actives, _ = self.step_branch(s, cond, {}, 0, final_depth)
-                    nxt.extend(actives)
-            if truncated:
-                return []
-            layer = nxt
-        return sorted(done + layer, key=lambda s: s.serial)
+        for layer, finished in self.bfs_layers(final_depth):
+            done.extend(finished)
+            if not layer or len(layer) + len(done) >= num_targets:
+                return sorted(done + layer, key=lambda s: s.serial)
+        return []

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import coord, lang, proto, worker
-from .coord import CoordConfig, WorkerTally, run_coordinator, seed_pool
-from .engine import DEFAULT_MAX_STEPS, Engine, EngineStats, Strategy
+from . import lang, proto, worker
+from .coord import CoordConfig, CoordResult, WorkerTally, run_coordinator
+from .engine import DEFAULT_MAX_STEPS, Engine, Strategy
 from .lang import Program
 from .solve import DEFAULT_DOMAIN_CAP
 from .worker import WorkerConfig, run_worker
@@ -132,11 +132,29 @@ class ScheduleRecorder:
 # ---------------------------------------------------------------------------
 
 
-def run_single(program: Program, cfg: RunConfig) -> RunOutput:
-    t0 = time.perf_counter()
-    pairs = seed_pool(
-        program, 1, cfg.final_depth, domain_cap=cfg.domain_cap, max_steps=cfg.max_steps
+def _run_output(
+    program: Program, cfg: RunConfig, mode: str, result: CoordResult, t0: float
+) -> RunOutput:
+    return RunOutput(
+        program_name=program.name,
+        program_digest=program_digest(program),
+        mode=mode,
+        num_workers=len(result.tallies),
+        strategy=cfg.strategy,
+        final_depth=cfg.final_depth,
+        tallies=result.tallies,
+        paths=result.paths,
+        pool_size=result.pool_size,
+        undispatched=result.undispatched,
+        truncated=result.truncated,
+        wall_ms=int((time.perf_counter() - t0) * 1000),
     )
+
+
+def run_single(program: Program, cfg: RunConfig) -> RunOutput:
+    """The whole tree as one region, the pair (any test, depth 0) explored
+    from the initial state: the pool a one-worker coordinator would seed."""
+    t0 = time.perf_counter()
     eng = Engine(
         program,
         cache_enabled=cfg.cache_enabled,
@@ -144,47 +162,17 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
         domain_cap=cfg.domain_cap,
         solver_delay=cfg.solver_delay,
     )
+    res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
     tally = WorkerTally()
-    suspended = []
-    paths: list[str] = []
-    truncated = False
-    for pair in pairs:
-        root = eng.find_resumable(suspended, pair.test, cfg.resume_order)
-        if root is not None:
-            suspended.remove(root)
-        else:
-            root = eng.initial_state()
-        res = eng.start_execution(
-            root, pair.test, pair.depth, cfg.final_depth, cfg.strategy
-        )
-        suspended.extend(res.suspended_new)
-        st = res.stats
-        tally.regions += 1
-        tally.paths.extend(st.paths)
-        tally.frontier += st.frontier
-        tally.states_created += st.states_created
-        tally.states_suspended += st.states_suspended
-        tally.solver_queries += st.solver_queries
-        tally.cache_hits += st.cache_hits
-        tally.instructions += st.instructions
-        tally.wall_us += st.wall_us
-        tally.truncated = tally.truncated or st.truncated
-        truncated = truncated or st.truncated
-        paths.extend(st.paths)
-    return RunOutput(
-        program_name=program.name,
-        program_digest=program_digest(program),
-        mode="single",
-        num_workers=1,
-        strategy=cfg.strategy,
-        final_depth=cfg.final_depth,
+    tally.add(res.stats)
+    result = CoordResult(
         tallies=[tally],
-        paths=paths,
-        pool_size=len(pairs),
+        paths=res.stats.paths,
+        pool_size=1,
         undispatched=0,
-        truncated=truncated,
-        wall_ms=int((time.perf_counter() - t0) * 1000),
+        truncated=tally.truncated,
     )
+    return _run_output(program, cfg, "single", result, t0)
 
 
 def _worker_cfg(cfg: RunConfig, wid: int, recorder, schedule: Schedule | None) -> WorkerConfig:
@@ -217,59 +205,41 @@ def _coord_cfg(cfg: RunConfig, recorder, schedule: Schedule | None) -> CoordConf
     )
 
 
-def _finish_distributed(
-    program: Program,
-    cfg: RunConfig,
-    mode: str,
-    result: coord.CoordResult,
-    t0: float,
+def _run_distributed(
+    program: Program, cfg: RunConfig, mode: str, hub, transport_for
 ) -> RunOutput:
-    return RunOutput(
-        program_name=program.name,
-        program_digest=program_digest(program),
-        mode=mode,
-        num_workers=cfg.workers,
-        strategy=cfg.strategy,
-        final_depth=cfg.final_depth,
-        tallies=result.tallies,
-        paths=result.paths,
-        pool_size=result.pool_size,
-        undispatched=result.undispatched,
-        truncated=result.truncated,
-        wall_ms=int((time.perf_counter() - t0) * 1000),
-    )
-
-
-def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
+    """The worker lifecycle shared by threads and tcp, which differ only in
+    `hub` and in `transport_for(worker_id)`, called on the worker's own
+    thread. On a coordinator failure every worker is told to terminate, so
+    the threads drain before the error propagates."""
     t0 = time.perf_counter()
-    n = cfg.workers
-    recorder = ScheduleRecorder(n) if cfg.record_schedule else None
+    # run_program allows schedules only in threads mode
+    recorder = ScheduleRecorder(cfg.workers) if cfg.record_schedule else None
     schedule = None
     if cfg.replay_schedule:
         schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text())
-
-    hub = proto.QueueHub(n)
     errors: list[BaseException] = []
-    threads = []
-    for wid in range(n):
-        wcfg = _worker_cfg(cfg, wid, recorder, schedule)
-        transport = hub.transport_for(wid)
 
-        def body(tr=transport, wc=wcfg):
-            try:
-                run_worker(tr, program, wc)
-            except BaseException as e:  # surfaced after join
-                errors.append(e)
+    def body(wid: int) -> None:
+        try:
+            run_worker(transport_for(wid), program, _worker_cfg(cfg, wid, recorder, schedule))
+        except BaseException as e:  # surfaced after join
+            errors.append(e)
 
-        t = threading.Thread(target=body, name=f"tdpart-worker-{wid}", daemon=True)
+    threads = [
+        threading.Thread(target=body, args=(wid,), name=f"tdpart-worker-{wid}", daemon=True)
+        for wid in range(cfg.workers)
+    ]
+    for t in threads:
         t.start()
-        threads.append(t)
-
     try:
+        hub.accept_all()
         result = run_coordinator(hub, program, _coord_cfg(cfg, recorder, schedule))
     except BaseException:
         hub.broadcast(proto.Terminate())  # let worker threads drain
         raise
+    finally:
+        hub.close()
     for t in threads:
         t.join(timeout=60)
         if t.is_alive():
@@ -278,18 +248,19 @@ def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
         raise errors[0]
     if recorder is not None:
         Path(cfg.record_schedule).write_text(recorder.schedule().to_json())
-    return _finish_distributed(program, cfg, "threads", result, t0)
+    return _run_output(program, cfg, mode, result, t0)
+
+
+def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
+    hub = proto.QueueHub(cfg.workers)
+    return _run_distributed(program, cfg, "threads", hub, hub.transport_for)
 
 
 def run_tcp(program: Program, cfg: RunConfig) -> RunOutput:
-    t0 = time.perf_counter()
-    n = cfg.workers
-    hub = proto.SocketHub(n)
+    hub = proto.SocketHub(cfg.workers)
     host, port = hub.address
-    errors: list[BaseException] = []
-    threads = []
 
-    def connect() -> proto.SocketTransport:
+    def connect(wid: int) -> proto.SocketTransport:
         last: Exception | None = None
         for _ in range(200):
             try:
@@ -301,37 +272,7 @@ def run_tcp(program: Program, cfg: RunConfig) -> RunOutput:
                 time.sleep(0.01)
         raise proto.TransportClosed(f"cannot connect to coordinator: {last}")
 
-    for wid in range(n):
-        wcfg = _worker_cfg(cfg, wid, None, None)
-
-        def body(wc=wcfg):
-            try:
-                run_worker(connect(), program, wc)
-            except BaseException as e:
-                errors.append(e)
-
-        t = threading.Thread(target=body, name=f"tdpart-worker-{wid}", daemon=True)
-        t.start()
-        threads.append(t)
-
-    try:
-        hub.accept_all()
-        result = run_coordinator(hub, program, _coord_cfg(cfg, None, None))
-    except BaseException:
-        try:
-            hub.broadcast(proto.Terminate())
-        except proto.ProtocolError:
-            pass
-        raise
-    finally:
-        hub.close()
-    for t in threads:
-        t.join(timeout=60)
-        if t.is_alive():
-            raise proto.ProtocolError(f"worker thread {t.name} failed to stop")
-    if errors:
-        raise errors[0]
-    return _finish_distributed(program, cfg, "tcp", result, t0)
+    return _run_distributed(program, cfg, "tcp", hub, connect)
 
 
 def run_program(program: Program, cfg: RunConfig) -> RunOutput:
@@ -339,11 +280,13 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
         raise ValueError("schedule record/replay is a threads-mode feature")
     if cfg.mode == "single":
         return run_single(program, cfg)
-    if cfg.mode == "threads":
-        return run_threads(program, cfg)
-    if cfg.mode == "tcp":
-        return run_tcp(program, cfg)
-    raise ValueError(f"unknown mode {cfg.mode}")
+    if cfg.mode not in ("threads", "tcp"):
+        raise ValueError(f"unknown mode {cfg.mode}")
+    # with no worker to take the pool, the coordinator would wait out its
+    # recv timeout
+    if cfg.workers < 1:
+        raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
+    return run_threads(program, cfg) if cfg.mode == "threads" else run_tcp(program, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +306,11 @@ def calibrate_depth(
     the last layer whose every state was advanced before time ran out.
     Monotone nondecreasing in the timeout; ~0 yields 0."""
     eng = Engine(program, domain_cap=domain_cap, max_steps=max_steps)
-    deadline = time.monotonic() + timeout_s
-    eng.deadline = deadline
-    stats = EngineStats()
-    layer = [eng.initial_state()]
     completed = 0
-    depth = 0
-    while layer:
-        nxt = []
-        for s in layer:
-            if time.monotonic() > deadline:
-                return completed
-            r = eng._advance(s, -1, stats)
-            if r == "trunc":
-                return completed
-            if r == "term":
-                continue
-            _, cond = r
-            actives, _ = eng.step_branch(s, cond, {}, 0, -1)
-            nxt.extend(actives)
-        completed = depth
-        depth += 1
-        layer = nxt
+    # the k-th yield (from 0) comes once layers 0..k-1 are fully expanded;
+    # final_depth -1 is never reached, so nothing is censored
+    for k, _ in enumerate(eng.bfs_layers(-1, deadline=time.monotonic() + timeout_s)):
+        completed = max(k - 1, 0)
     return completed
 
 
@@ -799,12 +725,6 @@ def _cmd_run(args) -> int:
         workers = 1
     elif workers is None:
         workers = 2
-    if workers < 1:
-        print("error: --workers must be at least 1")
-        return 2
-    if (args.record_schedule or args.replay_schedule) and args.mode != "threads":
-        print("error: schedule record/replay requires --mode threads")
-        return 2
 
     strategy = Strategy("random", args.seed) if args.search == "rand" else Strategy(args.search)
     cfg = RunConfig(

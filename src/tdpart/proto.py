@@ -388,6 +388,9 @@ class QueueHub:
         for w in range(len(self.to_workers)):
             self.send(w, msg)
 
+    def accept_all(self) -> None:
+        pass  # queue transports are connected from the start
+
     def close(self) -> None:
         pass
 

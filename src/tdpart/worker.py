@@ -9,7 +9,7 @@ shallowest active state or answers NoWork.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import proto
 from .engine import DEFAULT_MAX_STEPS, Engine, ExecState
@@ -40,7 +40,6 @@ class WorkerSummary:
     regions: int = 0
     suspended_left: int = 0
     offloads: int = 0
-    stats_sent: list = field(default_factory=list)
 
 
 def choose_offload(active: list[ExecState]) -> ExecState:
@@ -120,7 +119,6 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
         )
         suspended.extend(result.suspended_new)
         summary.regions += 1
-        summary.stats_sent.append(result.stats)
         transport.send(proto.Finish(result.stats))
         region_idx += 1
     summary.suspended_left = len(suspended)

@@ -1,6 +1,7 @@
 """Run modes, reports, verification, corpus generation, and the CLI."""
 
 import hashlib
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,16 @@ def test_distributed_tallies_cover_the_pool():
     assert sorted(p for t in out.tallies for p in t.paths) == sorted(out.paths)
 
 
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_distributed_run_without_workers_fails_at_once(mode):
+    # nothing could take the pool, so the coordinator would wait out its
+    # 120 s recv timeout
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="workers"):
+        fm_run(mode=mode, workers=0)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- depth calibration
 
 
@@ -94,6 +105,19 @@ def test_calibrate_is_monotone_in_the_timeout():
     lo = calibrate_depth(FIND_MIDDLE, 0.0)
     hi = calibrate_depth(FIND_MIDDLE, 5.0)
     assert lo <= hi
+
+
+def test_calibrate_deadline_cuts_a_long_concrete_run():
+    # ~1.8M instructions before the first symbolic branch: only the deadline
+    # check inside a state's advance can stop it in time
+    prog = lang.parse_program(
+        "program spin;\nsym x in [0, 1];\ni = 0;\n"
+        "while (i < 600000) { i = i + 1; }\n"
+        "if (x < 1) { exit(0); } else { exit(1); }\n"
+    )
+    t0 = time.perf_counter()
+    assert calibrate_depth(prog, 0.05) == 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- CSV report
