@@ -53,6 +53,9 @@ class ExecState:
     status: Status
     serial: int  # creation order, engine-wide
     outcome: Outcome | None = None
+    # lex-min model of pc when the solver checked this state at its fork;
+    # None for initial, guided-phase and suspended states
+    model: Test | None = None
 
     @property
     def depth(self) -> int:
@@ -163,11 +166,17 @@ class Engine:
 
     # -- solver access (all SAT/model traffic funnels through here)
 
-    def _query(self, pc: PathCondition) -> tuple[bool, Test | None]:
+    def _query(
+        self, pc: PathCondition, hint: Test | None = None
+    ) -> tuple[bool, Test | None]:
+        """`hint`, used only when the cache misses: the lex-min model of a
+        subset of pc's constraints (solve_model's contract)."""
         self.queries += 1
         if self.cache is not None:
             misses_before = self.cache.misses
-            sat, model = self.cache.query(pc, self.decls, domain_cap=self.domain_cap)
+            sat, model = self.cache.query(
+                pc, self.decls, domain_cap=self.domain_cap, hint=hint
+            )
             if self.cache.misses == misses_before:
                 self.cache_hits += 1
             elif self.solver_delay > 0:
@@ -175,7 +184,7 @@ class Engine:
             return sat, model
         if self.solver_delay > 0:
             time.sleep(self.solver_delay)
-        model = solve.solve_model(pc, self.decls, domain_cap=self.domain_cap)
+        model = solve.solve_model(pc, self.decls, domain_cap=self.domain_cap, hint=hint)
         return model is not None, model
 
     def model_of(self, pc: PathCondition) -> Test:
@@ -248,21 +257,27 @@ class Engine:
     ) -> tuple[list[ExecState], ExecState | None]:
         """Fork at a symbolic branch. In the guided phase (depth < test_depth)
         the test picks the taken side and the sibling is suspended unsolved;
-        below, both sides are solver-checked and only satisfiable children are
-        created. Children are created false-side first. Returns
+        below, both sides are solver-checked, with the parent's model as the
+        hint, and only satisfiable children are created, each keeping its
+        model. Children are created false-side first. Returns
         (active successors, suspended sibling or None)."""
         term = self.program.blocks[state.block].term
         assert isinstance(term, Branch)
 
-        def make(taken: bool, status: Status) -> ExecState:
+        # one pc per side, shared by the query and the child, so each
+        # constraint's text is rendered once
+        pcs = {flag: state.pc.extend(cond, flag) for flag in (False, True)}
+
+        def make(taken: bool, status: Status, model: Test | None = None) -> ExecState:
             self.created += 1
             return ExecState(
                 block=term.on_true if taken else term.on_false,
                 instr=0,
                 env=dict(state.env),
-                pc=state.pc.extend(cond, taken),
+                pc=pcs[taken],
                 status=status,
                 serial=next(self._serial),
+                model=model,
             )
 
         if state.depth < test_depth:
@@ -275,9 +290,9 @@ class Engine:
 
         actives: list[ExecState] = []
         for flag in (False, True):
-            sat, _ = self._query(state.pc.extend(cond, flag))
+            sat, model = self._query(pcs[flag], state.model)
             if sat:
-                actives.append(make(flag, Status.ACTIVE))
+                actives.append(make(flag, Status.ACTIVE, model))
         return actives, None
 
     def _select(self, active: list[ExecState], strategy: Strategy, rng) -> ExecState:

@@ -6,12 +6,21 @@ prunes the domain cube, then ordered backtracking enumerates what is left.
 Enumerating variables in declaration order with ascending values makes the
 first solution the lexicographically smallest one, which is what keeps
 models (and everything seeded from them) deterministic across runs.
+
+A solve may take a hint: the lex-min model of a subset of the path
+condition's constraints (in the engine, the parent state's model). Every
+solution of the whole pc is a solution of that subset, so when the hint
+satisfies the whole pc it is already the pc's lex-min model and is returned
+after one concrete evaluation, with no narrowing or enumeration. A hint
+outside this contract still yields a model, though not necessarily the
+lex-min one; a hint that fails the pc is ignored.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import lang
 from .lang import INT64_MAX, INT64_MIN, Binary, Const, Expr, SymDecl, Unary, Var
@@ -89,13 +98,21 @@ def solve_path(test: Test, cond: Expr, env: dict[str, int] | None = None) -> boo
 # ---------------------------------------------------------------------------
 
 
+def _all_hold(
+    constraints: tuple[Constraint, ...], test: Test, env: dict[str, int] | None = None
+) -> bool:
+    return all(
+        (evaluate_concrete(c.expr, test, env) != 0) == c.taken for c in constraints
+    )
+
+
 @dataclass(frozen=True)
 class Constraint:
     expr: Expr
     taken: bool  # polarity: did execution take the true side
     depth: int  # 1-based symbolic branch depth
 
-    @property
+    @cached_property
     def text(self) -> str:
         t = lang.expr_text(self.expr)
         return t if self.taken else "!" + t
@@ -120,10 +137,7 @@ class PathCondition:
         return out
 
     def satisfied_by(self, test: Test, env: dict[str, int] | None = None) -> bool:
-        return all(
-            (evaluate_concrete(c.expr, test, env) != 0) == c.taken
-            for c in self.constraints
-        )
+        return _all_hold(self.constraints, test, env)
 
     def texts(self) -> list[str]:
         return [c.text for c in self.constraints]
@@ -412,6 +426,7 @@ def _solve(
     constraints: tuple[Constraint, ...],
     decls: tuple[SymDecl, ...],
     domain_cap: int,
+    hint: Test | None = None,
 ) -> Test | None:
     for d in decls:
         if d.size > domain_cap:
@@ -420,6 +435,8 @@ def _solve(
             )
         if d.lo > d.hi:
             return None
+    if hint is not None and _all_hold(constraints, hint):
+        return dict(hint)
     iv: dict[str, _Interval] = {d.name: (d.lo, d.hi) for d in decls}
     try:
         _fixpoint(constraints, iv)
@@ -445,10 +462,7 @@ def _solve(
 
     def backtrack(k: int) -> Test | None:
         if k == len(names):
-            ok = all(
-                (evaluate_concrete(c.expr, env) != 0) == c.taken for c in constraints
-            )
-            return dict(env) if ok else None
+            return dict(env) if _all_hold(constraints, env) else None
         name = names[k]
         lo, hi = iv[name]
         for v in range(lo, hi + 1):
@@ -468,9 +482,13 @@ def solve_model(
     decls: tuple[SymDecl, ...],
     *,
     domain_cap: int = DEFAULT_DOMAIN_CAP,
+    hint: Test | None = None,
 ) -> Test | None:
-    """Witness model, or None when unsatisfiable."""
-    return _solve(pc.constraints, decls, domain_cap)
+    """Witness model, or None when unsatisfiable. `hint` must be the lex-min
+    model of a subset of pc's constraints (see the module docstring): if it
+    satisfies pc it is the answer; otherwise pc is solved from scratch. A
+    hint outside that contract still gives a model, not necessarily lex-min."""
+    return _solve(pc.constraints, decls, domain_cap, hint)
 
 
 def check_sat(
@@ -501,12 +519,14 @@ class QueryCache:
     Keyed on the canonical sorted constraint text, so it is private to one
     (worker, program) pair. Stores the witness model alongside the verdict;
     a later get_model on the same pc is then a hit, not a second solve.
+    `reused` counts the misses that the hint answered.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[bool, Test | None]] = {}
         self.hits = 0
         self.misses = 0
+        self.reused = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -517,14 +537,22 @@ class QueryCache:
         decls: tuple[SymDecl, ...],
         *,
         domain_cap: int = DEFAULT_DOMAIN_CAP,
+        hint: Test | None = None,
     ) -> tuple[bool, Test | None]:
+        """(sat, model), from the memo or by solve_model on a miss. `hint`
+        is used only on a miss and under solve_model's contract: the lex-min
+        model of a subset of pc's constraints."""
         key = pc.key()
         hit = self._entries.get(key)
         if hit is not None:
             self.hits += 1
             return hit
         self.misses += 1
-        model = _solve(pc.constraints, decls, domain_cap)
+        model = _solve(pc.constraints, decls, domain_cap, hint)
+        # a solved model equals the hint only when the hint itself was
+        # returned: a hint failing pc differs from every model of pc
+        if model is not None and model == hint:
+            self.reused += 1
         result = (model is not None, model)
         self._entries[key] = result
         return result

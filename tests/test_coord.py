@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from oracles import decision_sequence, domain_cube
 from tdpart import proto
 from tdpart.coord import CoordConfig, _Receiver, run_coordinator, seed_pool
 from tdpart.engine import EngineStats, Strategy, TestDepthPair
@@ -50,6 +51,32 @@ def test_seed_pool_exhausts_small_trees():
     assert seed_pool(STRAIGHT, 4, 3) == [TestDepthPair({"x": 0}, 0)]
     pairs = seed_pool(ONE_BRANCH, 3, 3)
     assert [p.depth for p in pairs] == [1, 1]
+
+
+SEED_PROGRAMS = ["programs/find_middle.tdp"] + [
+    f"programs/corpus/prog_{i:02d}.tdp" for i in (1, 4, 8, 9, 13, 17)
+]
+
+
+@pytest.mark.parametrize("path", SEED_PROGRAMS)
+def test_seed_pool_pairs_carry_the_lex_min_model_of_their_prefix(path):
+    # seeding forks through step_branch with parent-model hints; each pair's
+    # test must still be the first cube point, in declaration order, that
+    # makes the pair's first `depth` decisions, and the pairs' prefixes must
+    # partition the cube
+    program = parse_program(Path(path).read_text())
+    cube = [(t, decision_sequence(program, t)[0]) for t in domain_cube(program.inputs)]
+    for workers in (2, 4):
+        for final_depth in (3, 6):
+            prefixes = []
+            for pair in seed_pool(program, workers, final_depth):
+                prefix = decision_sequence(program, pair.test)[0][: pair.depth]
+                assert len(prefix) == pair.depth
+                lex_min = next(t for t, bits in cube if bits.startswith(prefix))
+                assert pair.test == lex_min, (path, workers, pair)
+                prefixes.append(prefix)
+            for _, bits in cube:
+                assert sum(bits.startswith(p) for p in prefixes) == 1, (path, bits)
 
 
 # -- scripted workers: each entry is ('recv', type) or ('send', message)

@@ -15,6 +15,7 @@ from tdpart.engine import (
 )
 from tdpart.harness import corpus_shape, generate_program
 from tdpart.lang import Binary, Const, Var, parse_program
+from tdpart.solve import get_model
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 
@@ -57,6 +58,27 @@ def test_find_middle_region_counters():
     assert st.states_suspended == 0
     assert st.frontier == 0
     assert sorted(st.paths) == sorted(FM_PATHS)
+
+
+def test_find_middle_parent_models_answer_misses():
+    eng, _ = full_region(FIND_MIDDLE, 3)
+    # the 10 fork checks all miss; in 4 of them the parent's model already
+    # satisfies the child, so no narrowing or enumeration runs
+    assert eng.cache.misses == 10
+    assert eng.cache.reused == 4
+
+
+def test_solver_checked_children_keep_their_lex_min_model():
+    eng = Engine(FIND_MIDDLE)
+    layers = eng.bfs_layers(3)
+    [root], _ = next(layers)
+    depth1, _ = next(layers)
+    depth2, _ = next(layers)
+    assert root.model is None
+    assert [s.model for s in depth1] == [{"x": -8, "y": -8, "z": -8}, T5]
+    assert [s.model for s in depth2] == [get_model(s.pc, FIND_MIDDLE.inputs) for s in depth2]
+    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
+    assert [s.model for s in res.suspended_new] == [None, None]
 
 
 def test_witness_tests_replay_their_paths():

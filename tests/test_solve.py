@@ -232,6 +232,81 @@ def test_solver_agrees_with_brute_force_seeded():
     assert sats > 50  # the generator must not be degenerate
 
 
+# -- parent-model hints
+
+
+def _pc_of(pairs):
+    pc = PathCondition()
+    for e, taken in pairs:
+        pc = pc.extend(e, taken)
+    return pc
+
+
+def test_parent_model_hint_gives_the_lex_min_model_seeded():
+    rng = random.Random(20261018)
+    checked = reused = 0
+    for _ in range(300):
+        decls, _, pairs = random_system(rng)
+        for i, (e, taken) in enumerate(pairs):
+            parent = pairs[:i]
+            hint = brute_force_model(parent, decls)
+            for flag in (taken, not taken):
+                child = parent + [(e, flag)]
+                expect = brute_force_model(child, decls)
+                got = solve_model(_pc_of(child), decls, hint=hint)
+                assert got == expect, (decls, child, hint)
+                checked += 1
+                reused += hint is not None and got == hint
+    assert checked > 1000 and reused > 100  # both the hint and the solve run
+
+
+def test_hint_violating_the_pc_is_never_returned():
+    rng = random.Random(77)
+    ignored = 0
+    for _ in range(300):
+        decls, pc, pairs = random_system(rng)
+        expect = brute_force_model(pairs, decls)
+        hint = {d.name: rng.randint(d.lo, d.hi) for d in decls}
+        if all((eval_expr(e, hint) != 0) == t for e, t in pairs):
+            continue  # satisfies pc: a valid model, just not a violating hint
+        ignored += 1
+        assert solve_model(pc, decls, hint=hint) == expect
+        cache = QueryCache()
+        assert cache.query(pc, decls, hint=hint) == (expect is not None, expect)
+        assert cache.reused == 0
+    assert ignored > 100
+
+
+def test_hint_is_returned_as_a_copy_and_counted_as_reused():
+    hint = {"x": -8, "y": -7, "z": -8}  # lex-min model of x<y
+    pc = PathCondition().extend(lt(X, Y), True).extend(lt(Y, Z), False)
+    cache = QueryCache()
+    sat, model = cache.query(pc, DECLS_XYZ, hint=hint)
+    assert sat and model == hint and model is not hint
+    assert cache.misses == 1 and cache.reused == 1
+    cache.query(pc, DECLS_XYZ, hint=hint)
+    assert cache.hits == 1 and cache.reused == 1  # hits never consult it
+
+
+def test_domain_cap_is_enforced_with_a_hint():
+    decls = (SymDecl("x", 0, 99),)
+    with pytest.raises(DomainCapError):
+        solve_model(PathCondition(), decls, domain_cap=50, hint={"x": 0})
+    with pytest.raises(DomainCapError):
+        QueryCache().query(PathCondition(), decls, domain_cap=50, hint={"x": 0})
+
+
+def test_empty_domain_is_unsat_with_a_hint():
+    assert solve_model(PathCondition(), (SymDecl("x", 3, 2),), hint={"x": 3}) is None
+
+
+def test_constraint_text_is_rendered_once():
+    pc = PathCondition().extend(Binary("+", X, Const(3)), False)
+    c = pc.constraints[0]
+    assert c.text == "!(x+3)" and c.text is c.text
+    assert pc.key() == "!(x+3)" and pc.texts() == ["!(x+3)"]
+
+
 # -- query cache
 
 
