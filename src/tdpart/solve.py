@@ -3,9 +3,24 @@
 Declared input domains are small by construction (parse enforces a width
 cap), so satisfiability is decided exactly: interval narrowing to a fixpoint
 prunes the domain cube, then ordered backtracking enumerates what is left.
-Enumerating variables in declaration order with ascending values makes the
-first solution the lexicographically smallest one, which is what keeps
-models (and everything seeded from them) deterministic across runs.
+
+Narrowing is HC4-style revise (Benhamou et al., "Revising hull and box
+consistency", ICLP 1999): each constraint is pushed down its expression tree
+to the input intervals. Node intervals are memoised for one fixpoint run and
+dropped whenever an input interval shrinks, so between two shrinks each node
+is evaluated at most once, and a node already inside its target range (or a
+constraint already entailed) stops the descent. On the left-deep chains that
+loops build, narrowing work is linear in the chain length. A product
+narrows through any factor whose interval is a single point. Backtracking
+pins each input but the last to a value and narrows again, skipping the
+value when that refutes the pc; the last input is checked by concrete
+evaluation.
+
+Inputs are enumerated in declaration order with ascending values, so the
+first solution found is the lexicographically smallest one, which is what
+keeps models (and everything seeded from them) deterministic across runs.
+Narrowing only ever removes points that are not solutions, so it never
+changes which solution comes first.
 
 A solve may take a hint: the lex-min model of a subset of the path
 condition's constraints (in the engine, the parent state's model). Every
@@ -165,14 +180,36 @@ class _Unsat(Exception):
     pass
 
 
-def _ieval(e: Expr, iv: dict[str, _Interval]) -> _Interval:
-    """Over-approximation of e's value range; TOP when wrapping is possible."""
+class _Box:
+    """Input intervals plus a memo of node intervals under them (keyed by
+    id(node); the nodes outlive the box). Every write to iv goes through
+    _narrow_var, which drops the memo when an interval actually shrinks."""
+
+    __slots__ = ("iv", "memo", "shrunk")
+
+    def __init__(self, iv: dict[str, _Interval]) -> None:
+        self.iv = iv
+        self.memo: dict[int, _Interval] = {}
+        self.shrunk = False
+
+
+def _interval(e: Expr, box: _Box) -> _Interval:
+    """e's interval under box, evaluated at most once per node per shrink."""
+    if isinstance(e, Var):
+        return box.iv[e.name]
+    r = box.memo.get(id(e))
+    if r is None:
+        r = box.memo[id(e)] = _ieval(e, box)
+    return r
+
+
+def _ieval(e: Expr, box: _Box) -> _Interval:
+    """Over-approximation of e's value range; TOP when wrapping is possible.
+    Evaluates this node only (never a Var): children come from _interval."""
     if isinstance(e, Const):
         return (e.value, e.value)
-    if isinstance(e, Var):
-        return iv[e.name]
     if isinstance(e, Unary):
-        lo, hi = _ieval(e.operand, iv)
+        lo, hi = _interval(e.operand, box)
         if e.op == "neg":
             if -hi < INT64_MIN or -lo > INT64_MAX:
                 return _TOP
@@ -183,8 +220,8 @@ def _ieval(e: Expr, iv: dict[str, _Interval]) -> _Interval:
         if lo == 0 and hi == 0:
             return (1, 1)
         return (0, 1)
-    a = _ieval(e.left, iv)
-    b = _ieval(e.right, iv)
+    a = _interval(e.left, box)
+    b = _interval(e.right, box)
     op = e.op
     if op in lang.ARITH_OPS:
         if op == "+":
@@ -233,187 +270,186 @@ def _ieval(e: Expr, iv: dict[str, _Interval]) -> _Interval:
     raise SolveError(f"unknown operator {op}")
 
 
-def _def_true(e: Expr, iv: dict[str, _Interval]) -> bool:
-    lo, hi = _ieval(e, iv)
+def _def_true(e: Expr, box: _Box) -> bool:
+    lo, hi = _interval(e, box)
     return lo > 0 or hi < 0
 
 
-def _def_false(e: Expr, iv: dict[str, _Interval]) -> bool:
-    return _ieval(e, iv) == (0, 0)
+def _def_false(e: Expr, box: _Box) -> bool:
+    return _interval(e, box) == (0, 0)
 
 
-def _narrow_var(name: str, lo: int, hi: int, iv: dict[str, _Interval]) -> None:
-    cur = iv[name]
+def _narrow_var(name: str, lo: int, hi: int, box: _Box) -> None:
+    cur = box.iv[name]
     nlo, nhi = max(cur[0], lo), min(cur[1], hi)
     if nlo > nhi:
         raise _Unsat
-    iv[name] = (nlo, nhi)
+    if (nlo, nhi) != cur:
+        box.iv[name] = (nlo, nhi)
+        box.memo.clear()
+        box.shrunk = True
 
 
-def _narrow_into(e: Expr, lo: int, hi: int, iv: dict[str, _Interval]) -> None:
+def _narrow_into(e: Expr, lo: int, hi: int, box: _Box) -> None:
     """Force e's value into [lo, hi], propagating bounds down to variables.
     Skips nodes where wrapping could occur; always sound, never complete."""
     if lo > hi:
         raise _Unsat
-    if isinstance(e, Const):
-        if not lo <= e.value <= hi:
-            raise _Unsat
-        return
+    cur = _interval(e, box)
+    if lo <= cur[0] and cur[1] <= hi:
+        return  # already inside: nothing to narrow
+    if cur[1] < lo or hi < cur[0]:
+        raise _Unsat
     if isinstance(e, Var):
-        _narrow_var(e.name, lo, hi, iv)
+        _narrow_var(e.name, lo, hi, box)
         return
     if isinstance(e, Unary):
         if e.op == "neg":
-            a = _ieval(e.operand, iv)
-            if -a[0] > INT64_MAX or -a[1] < INT64_MIN:
+            if cur == _TOP:
                 return  # negation may wrap, leave it alone
-            _narrow_into(e.operand, -hi, -lo, iv)
+            _narrow_into(e.operand, -hi, -lo, box)
         else:  # not: 0/1 valued
             if lo > 0:
-                _require(e.operand, False, iv)
+                _require(e.operand, False, box)
             elif hi < 1:
-                _require(e.operand, True, iv)
+                _require(e.operand, True, box)
         return
     op = e.op
     if op in lang.ARITH_OPS:
-        a = _ieval(e.left, iv)
-        b = _ieval(e.right, iv)
+        a = _interval(e.left, box)
+        b = _interval(e.right, box)
         if op == "+":
             if a[0] + b[0] < INT64_MIN or a[1] + b[1] > INT64_MAX:
                 return
-            _narrow_into(e.left, lo - b[1], hi - b[0], iv)
-            b = _ieval(e.right, iv)
-            a = _ieval(e.left, iv)
-            _narrow_into(e.right, lo - a[1], hi - a[0], iv)
+            _narrow_into(e.left, lo - b[1], hi - b[0], box)
+            a = _interval(e.left, box)
+            _narrow_into(e.right, lo - a[1], hi - a[0], box)
         elif op == "-":
             if a[0] - b[1] < INT64_MIN or a[1] - b[0] > INT64_MAX:
                 return
-            _narrow_into(e.left, lo + b[0], hi + b[1], iv)
-            a = _ieval(e.left, iv)
-            _narrow_into(e.right, a[0] - hi, a[1] - lo, iv)
-        else:  # * : only through a constant factor
+            _narrow_into(e.left, lo + b[0], hi + b[1], box)
+            a = _interval(e.left, box)
+            _narrow_into(e.right, a[0] - hi, a[1] - lo, box)
+        else:  # * : only through a factor whose interval is one point
             corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
             if min(corners) < INT64_MIN or max(corners) > INT64_MAX:
                 return
-            c, other = None, None
-            if isinstance(e.left, Const):
-                c, other = e.left.value, e.right
-            elif isinstance(e.right, Const):
-                c, other = e.right.value, e.left
-            if c is None:
-                return
-            if c == 0:
-                if not lo <= 0 <= hi:
-                    raise _Unsat
-                return
-            if c > 0:
-                _narrow_into(other, -((-lo) // c), hi // c, iv)
+            if a[0] == a[1]:
+                c, other = a[0], e.right
+            elif b[0] == b[1]:
+                c, other = b[0], e.left
             else:
-                _narrow_into(other, -((-hi) // c), lo // c, iv)
+                return
+            # c != 0 here: a 0 factor makes cur (0, 0), settled above
+            if c > 0:
+                _narrow_into(other, -((-lo) // c), hi // c, box)
+            else:
+                _narrow_into(other, -((-hi) // c), lo // c, box)
         return
     # comparison / boolean node used as a value: 0/1
     if lo > 0:
-        _require(e, True, iv)
+        _require(e, True, box)
     elif hi < 1:
-        _require(e, False, iv)
+        _require(e, False, box)
 
 
-def _enforce_cmp(op: str, left: Expr, right: Expr, iv: dict[str, _Interval]) -> None:
+def _enforce_cmp(op: str, left: Expr, right: Expr, box: _Box) -> None:
     if op == ">":
         op, left, right = "<", right, left
     elif op == ">=":
         op, left, right = "<=", right, left
-    a = _ieval(left, iv)
-    b = _ieval(right, iv)
+    a = _interval(left, box)
+    b = _interval(right, box)
     if op == "<":
-        _narrow_into(left, a[0], min(a[1], b[1] - 1), iv)
-        b = _ieval(right, iv)
-        a = _ieval(left, iv)
-        _narrow_into(right, max(b[0], a[0] + 1), b[1], iv)
+        _narrow_into(left, a[0], min(a[1], b[1] - 1), box)
+        b = _interval(right, box)
+        a = _interval(left, box)
+        _narrow_into(right, max(b[0], a[0] + 1), b[1], box)
     elif op == "<=":
-        _narrow_into(left, a[0], min(a[1], b[1]), iv)
-        a = _ieval(left, iv)
-        _narrow_into(right, max(b[0], a[0]), b[1], iv)
+        _narrow_into(left, a[0], min(a[1], b[1]), box)
+        a = _interval(left, box)
+        _narrow_into(right, max(b[0], a[0]), b[1], box)
     elif op == "==":
         lo, hi = max(a[0], b[0]), min(a[1], b[1])
-        _narrow_into(left, lo, hi, iv)
-        _narrow_into(right, lo, hi, iv)
+        _narrow_into(left, lo, hi, box)
+        _narrow_into(right, lo, hi, box)
     elif op == "!=":
-        if a[0] == a[1] == b[0] == b[1]:
-            raise _Unsat
+        # one same point on both sides was refuted in _require already
         if b[0] == b[1]:
             p = b[0]
-            if a[0] == p and a[1] == p:
-                raise _Unsat
             if a[0] == p:
-                _narrow_into(left, p + 1, a[1], iv)
+                _narrow_into(left, p + 1, a[1], box)
             elif a[1] == p:
-                _narrow_into(left, a[0], p - 1, iv)
+                _narrow_into(left, a[0], p - 1, box)
         elif a[0] == a[1]:
             p = a[0]
             if b[0] == p:
-                _narrow_into(right, p + 1, b[1], iv)
+                _narrow_into(right, p + 1, b[1], box)
             elif b[1] == p:
-                _narrow_into(right, b[0], p - 1, iv)
+                _narrow_into(right, b[0], p - 1, box)
 
 
-def _require(e: Expr, want: bool, iv: dict[str, _Interval]) -> None:
-    """Narrow iv so that e is truthy (want) or zero (not want)."""
-    if isinstance(e, Const):
-        if (e.value != 0) != want:
+def _require(e: Expr, want: bool, box: _Box) -> None:
+    """Narrow the box so that e is truthy (want) or zero (not want)."""
+    lo, hi = _interval(e, box)
+    if lo > 0 or hi < 0:  # definitely truthy
+        if want:
+            return
+        raise _Unsat
+    if lo == 0 and hi == 0:  # definitely zero
+        if want:
             raise _Unsat
         return
     if isinstance(e, Var):
-        lo, hi = iv[e.name]
-        if want:
-            if lo == 0 and hi == 0:
-                raise _Unsat
-            if lo == 0:
-                iv[e.name] = (1, hi)
-            elif hi == 0:
-                iv[e.name] = (lo, -1)
-        else:
-            _narrow_var(e.name, 0, 0, iv)
+        if not want:
+            _narrow_var(e.name, 0, 0, box)
+        elif lo == 0:
+            _narrow_var(e.name, 1, hi, box)
+        elif hi == 0:
+            _narrow_var(e.name, lo, -1, box)
         return
     if isinstance(e, Unary):
         # both !e and -e flip/keep truthiness structurally
-        _require(e.operand, (not want) if e.op == "not" else want, iv)
+        _require(e.operand, (not want) if e.op == "not" else want, box)
         return
     op = e.op
     if op in lang.CMP_OPS:
-        _enforce_cmp(op if want else _NEGATED_CMP[op], e.left, e.right, iv)
+        _enforce_cmp(op if want else _NEGATED_CMP[op], e.left, e.right, box)
         return
     if op == "and":
         if want:
-            _require(e.left, True, iv)
-            _require(e.right, True, iv)
+            _require(e.left, True, box)
+            _require(e.right, True, box)
         else:
-            if _def_true(e.left, iv):
-                _require(e.right, False, iv)
-            elif _def_true(e.right, iv):
-                _require(e.left, False, iv)
+            if _def_true(e.left, box):
+                _require(e.right, False, box)
+            elif _def_true(e.right, box):
+                _require(e.left, False, box)
         return
     if op == "or":
         if want:
-            if _def_false(e.left, iv):
-                _require(e.right, True, iv)
-            elif _def_false(e.right, iv):
-                _require(e.left, True, iv)
+            if _def_false(e.left, box):
+                _require(e.right, True, box)
+            elif _def_false(e.right, box):
+                _require(e.left, True, box)
         else:
-            _require(e.left, False, iv)
-            _require(e.right, False, iv)
+            _require(e.left, False, box)
+            _require(e.right, False, box)
         return
     # arithmetic used as a condition
     if not want:
-        _narrow_into(e, 0, 0, iv)
+        _narrow_into(e, 0, 0, box)
 
 
 def _fixpoint(constraints: tuple[Constraint, ...], iv: dict[str, _Interval]) -> None:
+    """Narrow iv in place until a whole pass shrinks nothing (at most 100
+    passes); raises _Unsat when some constraint cannot hold inside it."""
+    box = _Box(iv)
     for _ in range(100):
-        before = dict(iv)
+        box.shrunk = False
         for c in constraints:
-            _require(c.expr, c.taken, iv)
-        if iv == before:
+            _require(c.expr, c.taken, box)
+        if not box.shrunk:
             return
 
 
@@ -442,39 +478,34 @@ def _solve(
         _fixpoint(constraints, iv)
     except _Unsat:
         return None
-
     names = [d.name for d in decls]
-    env: Test = {}
+    if not names:
+        return {} if _all_hold(constraints, {}) else None
 
-    def consistent() -> bool:
-        pt = {n: ((env[n], env[n]) if n in env else iv[n]) for n in names}
-        try:
-            for c in constraints:
-                lo, hi = _ieval(c.expr, pt)
-                if c.taken:
-                    if lo == 0 and hi == 0:
-                        return False
-                elif lo > 0 or hi < 0:
-                    return False
-        except _Unsat:  # pragma: no cover - _ieval does not raise
-            return False
-        return True
-
-    def backtrack(k: int) -> Test | None:
-        if k == len(names):
-            return dict(env) if _all_hold(constraints, env) else None
+    def backtrack(k: int, iv: dict[str, _Interval]) -> Test | None:
+        # names[:k] are pinned to points in iv
         name = names[k]
         lo, hi = iv[name]
+        if k == len(names) - 1:
+            env = {n: iv[n][0] for n in names}
+            for v in range(lo, hi + 1):
+                env[name] = v
+                if _all_hold(constraints, env):
+                    return env
+            return None
         for v in range(lo, hi + 1):
-            env[name] = v
-            if consistent():
-                found = backtrack(k + 1)
-                if found is not None:
-                    return found
-        del env[name]
+            sub = dict(iv)
+            sub[name] = (v, v)
+            try:
+                _fixpoint(constraints, sub)
+            except _Unsat:
+                continue
+            found = backtrack(k + 1, sub)
+            if found is not None:
+                return found
         return None
 
-    return backtrack(0)
+    return backtrack(0, iv)
 
 
 def solve_model(

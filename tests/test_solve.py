@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_model, brute_force_sat, eval_expr
+from oracles import brute_force_model, brute_force_sat, domain_cube, eval_expr
+from tdpart import solve as solve_mod
 from tdpart.lang import INT64_MAX, INT64_MIN, Binary, Const, SymDecl, Unary, Var
 from tdpart.solve import (
     DomainCapError,
     PathCondition,
     QueryCache,
     SolveError,
+    _fixpoint,
+    _Unsat,
     check_sat,
     decode_test,
     encode_test,
@@ -305,6 +308,140 @@ def test_constraint_text_is_rendered_once():
     c = pc.constraints[0]
     assert c.text == "!(x+3)" and c.text is c.text
     assert pc.key() == "!(x+3)" and pc.texts() == ["!(x+3)"]
+
+
+# -- narrowing: soundness, lex-min at product scale, linear work
+
+
+def _inside(test, iv):
+    return all(iv[n][0] <= v <= iv[n][1] for n, v in test.items())
+
+
+def test_fixpoint_keeps_every_solution_seeded():
+    # from the full box, as before backtracking, and with the first input
+    # pinned to each of its values, as at backtracking's first level
+    rng = random.Random(4401)
+    refuted = narrowed = kept = 0
+    for _ in range(400):
+        decls, pc, pairs = random_system(rng)
+        solutions = [t for t in domain_cube(decls)
+                     if all((eval_expr(e, t) != 0) == taken for e, taken in pairs)]
+        full = {d.name: (d.lo, d.hi) for d in decls}
+        first = decls[0]
+        starts = [full] + [{**full, first.name: (v, v)}
+                           for v in range(first.lo, first.hi + 1)]
+        for start in starts:
+            inside = [t for t in solutions if _inside(t, start)]
+            iv = dict(start)
+            try:
+                _fixpoint(pc.constraints, iv)
+            except _Unsat:
+                assert not inside, (decls, pairs, start)
+                refuted += 1
+                continue
+            assert all(_inside(t, iv) for t in inside), (pairs, start, iv)
+            again = dict(iv)
+            _fixpoint(pc.constraints, again)
+            assert again == iv  # a fixpoint: one more run shrinks nothing
+            narrowed += iv != start
+            kept += iv == start
+    assert refuted > 800 and narrowed > 80 and kept > 200  # all three occur
+
+
+def random_product_system(rng):
+    """Three inputs in [-10, 10] and 1-3 constraints, each over a product of
+    two inputs (a square included) compared with a constant, an input or
+    an input plus a constant."""
+    names = ["x", "y", "z"]
+    decls = tuple(SymDecl(n, -10, 10) for n in names)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = Binary("*", Var(rng.choice(names)), Var(rng.choice(names)))
+        r = rng.random()
+        if r < 0.5:
+            rhs = Const(rng.randint(-40, 40))
+        elif r < 0.75:
+            rhs = Var(rng.choice(names))
+        else:
+            rhs = Binary("+", Var(rng.choice(names)), Const(rng.randint(-9, 9)))
+        op = rng.choice(["<", "<=", ">", ">=", "==", "!="])
+        pairs.append((Binary(op, lhs, rhs), rng.random() < 0.5))
+    return decls, pairs
+
+
+def test_product_systems_get_the_lex_min_model_seeded():
+    rng = random.Random(4402)
+    unsat = sat = reused = 0
+    for _ in range(200):
+        decls, pairs = random_product_system(rng)
+        parent, (e, taken) = pairs[:-1], pairs[-1]
+        hint = brute_force_model(parent, decls)
+        for flag in (taken, not taken):
+            child = parent + [(e, flag)]
+            expect = brute_force_model(child, decls)
+            assert solve_model(_pc_of(child), decls) == expect, child
+            got = solve_model(_pc_of(child), decls, hint=hint)
+            assert got == expect, (child, hint)
+            sat += expect is not None
+            unsat += expect is None
+            reused += hint is not None and got == hint
+    assert sat > 100 and unsat > 50 and reused > 50
+
+
+def test_product_with_no_factor_pair_in_range_is_refuted(monkeypatch):
+    decls = (SymDecl("x", -200, 200), SymDecl("y", -200, 200))
+    pc = PathCondition().extend(Binary("==", Binary("*", X, Y), Const(7919)), True)
+    calls = {"_ieval": 0, "_all_hold": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(solve_mod, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(solve_mod, name, counting)
+    assert solve_model(pc, decls) is None  # 7919 is prime and > 200
+    # each pinned x narrows y to nothing: a few node evaluations per value
+    # of x, and no point of the 401x401 cube is evaluated concretely
+    assert calls["_all_hold"] == 0 and calls["_ieval"] <= 10 * 401, calls
+
+
+def test_truthy_variable_narrowing_propagates():
+    iv = {"x": (0, 3), "y": (0, 3)}
+    pc = PathCondition().extend(Binary("==", Y, X), True).extend(X, True)
+    _fixpoint(pc.constraints, iv)
+    assert iv == {"x": (1, 3), "y": (1, 3)}
+
+
+def test_point_factor_narrows_a_product():
+    iv = {"x": (3, 3), "y": (-10, 10)}
+    pc = PathCondition().extend(Binary("==", Binary("*", Y, X), Const(12)), True)
+    _fixpoint(pc.constraints, iv)
+    assert iv == {"x": (3, 3), "y": (4, 4)}
+
+
+def _interval_evaluations(monkeypatch, links):
+    chain = X
+    for _ in range(links):
+        chain = Binary("+", chain, Const(3))
+    pc = PathCondition().extend(lt(chain, Const(20)), True).extend(lt(Y, X), True)
+    decls = (SymDecl("x", -400, 400), SymDecl("y", -400, 400))
+    calls = [0]
+    ieval = solve_mod._ieval
+
+    def counting(e, box):
+        calls[0] += 1
+        return ieval(e, box)
+
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "_ieval", counting)
+        assert solve_model(pc, decls) == {"x": -399, "y": -400}
+    return calls[0]
+
+
+def test_narrowing_work_is_linear_in_chain_length(monkeypatch):
+    # x+3+...+3 < 20: a left-deep chain as loops build it. Re-evaluating
+    # child intervals at each level of the descent makes this quadratic.
+    short = _interval_evaluations(monkeypatch, 50)
+    long = _interval_evaluations(monkeypatch, 100)
+    assert long <= 2.5 * short, (short, long)
 
 
 # -- query cache
