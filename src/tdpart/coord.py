@@ -18,9 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import proto
-from .engine import DEFAULT_MAX_STEPS, Engine, EngineStats, Strategy, TestDepthPair
+from .engine import Engine, EngineStats, Strategy, TestDepthPair
 from .lang import Program
-from .solve import DEFAULT_DOMAIN_CAP
 
 
 @dataclass
@@ -59,8 +58,6 @@ class CoordConfig:
     strategy: Strategy
     time_budget: float | None = None
     recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
-    domain_cap: int = DEFAULT_DOMAIN_CAP
-    max_steps: int = DEFAULT_MAX_STEPS
     # threads-mode determinism hooks
     recv_recorder: object | None = None  # callable (worker_id, tag_name)
     recv_schedule: list | None = None  # [(worker_id, tag_name), ...]
@@ -75,20 +72,13 @@ class CoordResult:
     truncated: bool
 
 
-def seed_pool(
-    program: Program,
-    num_workers: int,
-    final_depth: int,
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> list[TestDepthPair]:
+def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[TestDepthPair]:
     """One test-depth pair per state of a shallow BFS expansion. Each pair
     carries the lexicographically smallest model of the state's pc, so the
     pool is a pure function of (program, num_workers, final_depth)."""
-    eng = Engine(program, domain_cap=domain_cap, max_steps=max_steps)
+    eng = Engine(program)
     states = eng.bfs_seed(num_workers, final_depth)
-    return [TestDepthPair(eng.model_of(s.pc), s.depth) for s in states]
+    return [TestDepthPair(eng.model_of(s.pc, s.model), s.depth) for s in states]
 
 
 def _tag(msg: proto.Message) -> str:
@@ -124,15 +114,7 @@ class _Receiver:
 
 
 def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
-    pool: deque[TestDepthPair] = deque(
-        seed_pool(
-            program,
-            cfg.num_workers,
-            cfg.final_depth,
-            domain_cap=cfg.domain_cap,
-            max_steps=cfg.max_steps,
-        )
-    )
+    pool: deque[TestDepthPair] = deque(seed_pool(program, cfg.num_workers, cfg.final_depth))
     pool_size = len(pool)
     n = cfg.num_workers
     tallies = [WorkerTally() for _ in range(n)]

@@ -140,13 +140,11 @@ class Engine:
         *,
         cache_enabled: bool = True,
         max_steps: int = DEFAULT_MAX_STEPS,
-        domain_cap: int = solve.DEFAULT_DOMAIN_CAP,
         solver_delay: float = 0.0,
     ):
         self.program = program
         self.decls = program.inputs
         self.max_steps = max_steps
-        self.domain_cap = domain_cap
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
         self._serial = itertools.count()
@@ -174,9 +172,7 @@ class Engine:
         self.queries += 1
         if self.cache is not None:
             misses_before = self.cache.misses
-            sat, model = self.cache.query(
-                pc, self.decls, domain_cap=self.domain_cap, hint=hint
-            )
+            sat, model = self.cache.query(pc, self.decls, hint=hint)
             if self.cache.misses == misses_before:
                 self.cache_hits += 1
             elif self.solver_delay > 0:
@@ -184,11 +180,12 @@ class Engine:
             return sat, model
         if self.solver_delay > 0:
             time.sleep(self.solver_delay)
-        model = solve.solve_model(pc, self.decls, domain_cap=self.domain_cap, hint=hint)
+        model = solve.solve_model(pc, self.decls, hint=hint)
         return model is not None, model
 
-    def model_of(self, pc: PathCondition) -> Test:
-        sat, model = self._query(pc)
+    def model_of(self, pc: PathCondition, hint: Test | None = None) -> Test:
+        """Model of pc; `hint` as in _query, typically the state's own model."""
+        sat, model = self._query(pc, hint)
         if not sat:
             raise solve.SolveError("model requested for unsatisfiable path condition")
         assert model is not None
@@ -351,7 +348,7 @@ class Engine:
                 stats.truncated = True
                 break
             if r == "term":
-                witness = self.model_of(state.pc)
+                witness = self.model_of(state.pc, state.model)
                 completed.append(
                     CompletedPath(state.path, state.outcome, witness, tuple(state.pc.texts()))
                 )
@@ -375,18 +372,13 @@ class Engine:
 
     # -- resume matching
 
-    def find_resumable(
-        self, suspended: list[ExecState], test: Test, order: str = "deepest"
-    ) -> ExecState | None:
+    def find_resumable(self, suspended: list[ExecState], test: Test) -> ExecState | None:
         """Suspended state to reuse for a new pair instead of replaying from
         the root. States satisfying the test form a chain along its replay
-        path, so 'deepest' (the default) minimizes re-replay; 'list' takes
-        the first match in list order."""
+        path, so the deepest one minimizes re-replay."""
         candidates = [s for s in suspended if s.pc.satisfied_by(test)]
         if not candidates:
             return None
-        if order == "list":
-            return candidates[0]
         return max(candidates, key=lambda s: (s.depth, -s.serial))
 
     # -- breadth-first layer expansion (pool seeding, depth calibration)

@@ -26,9 +26,8 @@ from pathlib import Path
 
 from . import lang, proto, worker
 from .coord import CoordConfig, CoordResult, WorkerTally, run_coordinator
-from .engine import DEFAULT_MAX_STEPS, Engine, Strategy
+from .engine import Engine, Strategy
 from .lang import Program
-from .solve import DEFAULT_DOMAIN_CAP
 from .worker import WorkerConfig, run_worker
 
 # ---------------------------------------------------------------------------
@@ -43,12 +42,9 @@ class RunConfig:
     strategy: Strategy = Strategy("dfs")
     final_depth: int = 0
     offload_threshold: int = worker.DEFAULT_OFFLOAD_THRESHOLD
-    resume_order: str = "deepest"
     cache_enabled: bool = True
     solver_delay: float = 0.0  # seconds per uncached solver query
     time_budget: float | None = None  # soft deadline, seconds
-    max_steps: int = DEFAULT_MAX_STEPS
-    domain_cap: int = DEFAULT_DOMAIN_CAP
     record_schedule: str | None = None
     replay_schedule: str | None = None
 
@@ -85,6 +81,10 @@ def path_digest(paths: list[str]) -> str:
 
 @dataclass
 class Schedule:
+    """Recorded in place during a run: the coordinator appends from its own
+    thread and each worker only to its own poll list, created before any
+    thread starts, so no locking is needed."""
+
     coordinator: list[tuple[int, str]]  # message arrival order at the coordinator
     polls: dict[int, list[tuple[int, int]]]  # worker -> (region, step) poll hits
 
@@ -99,32 +99,24 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        raw = json.loads(text)
-        return cls(
-            coordinator=[(int(w), str(t)) for w, t in raw["coordinator"]],
-            polls={
-                int(w): [(int(r), int(s)) for r, s in v]
-                for w, v in raw.get("polls", {}).items()
-            },
-        )
-
-
-class ScheduleRecorder:
-    """Coordinator appends from its own thread; each worker appends only to
-    its own poll list, so no locking is needed."""
-
-    def __init__(self, num_workers: int):
-        self.coordinator: list[tuple[int, str]] = []
-        self.polls: dict[int, list[tuple[int, int]]] = {w: [] for w in range(num_workers)}
+        """Raises ValueError for anything but a schedule written by to_json."""
+        try:
+            raw = json.loads(text)
+            return cls(
+                coordinator=[(int(w), str(t)) for w, t in raw["coordinator"]],
+                polls={
+                    int(w): [(int(r), int(s)) for r, s in v]
+                    for w, v in raw.get("polls", {}).items()
+                },
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise ValueError(f"malformed schedule: {e!r}") from None
 
     def record_recv(self, worker_id: int, tag: str) -> None:
         self.coordinator.append((worker_id, tag))
 
     def record_poll(self, worker_id: int, region: int, step: int) -> None:
         self.polls[worker_id].append((region, step))
-
-    def schedule(self) -> Schedule:
-        return Schedule(list(self.coordinator), {w: list(v) for w, v in self.polls.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +147,7 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     """The whole tree as one region, the pair (any test, depth 0) explored
     from the initial state: the pool a one-worker coordinator would seed."""
     t0 = time.perf_counter()
-    eng = Engine(
-        program,
-        cache_enabled=cfg.cache_enabled,
-        max_steps=cfg.max_steps,
-        domain_cap=cfg.domain_cap,
-        solver_delay=cfg.solver_delay,
-    )
+    eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
     res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
     tally = WorkerTally()
     tally.add(res.stats)
@@ -182,10 +168,7 @@ def _worker_cfg(cfg: RunConfig, wid: int, recorder, schedule: Schedule | None) -
     return WorkerConfig(
         worker_id=wid,
         offload_threshold=cfg.offload_threshold,
-        resume_order=cfg.resume_order,
         cache_enabled=cfg.cache_enabled,
-        max_steps=cfg.max_steps,
-        domain_cap=cfg.domain_cap,
         solver_delay=cfg.solver_delay,
         poll_recorder=recorder.record_poll if recorder is not None else None,
         poll_schedule=poll_schedule,
@@ -198,8 +181,6 @@ def _coord_cfg(cfg: RunConfig, recorder, schedule: Schedule | None) -> CoordConf
         final_depth=cfg.final_depth,
         strategy=cfg.strategy,
         time_budget=cfg.time_budget,
-        domain_cap=cfg.domain_cap,
-        max_steps=cfg.max_steps,
         recv_recorder=recorder.record_recv if recorder is not None else None,
         recv_schedule=schedule.coordinator if schedule is not None else None,
     )
@@ -214,7 +195,7 @@ def _run_distributed(
     the threads drain before the error propagates."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
-    recorder = ScheduleRecorder(cfg.workers) if cfg.record_schedule else None
+    recorder = Schedule([], {w: [] for w in range(cfg.workers)}) if cfg.record_schedule else None
     schedule = None
     if cfg.replay_schedule:
         schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text())
@@ -247,7 +228,7 @@ def _run_distributed(
     if errors:
         raise errors[0]
     if recorder is not None:
-        Path(cfg.record_schedule).write_text(recorder.schedule().to_json())
+        Path(cfg.record_schedule).write_text(recorder.to_json())
     return _run_output(program, cfg, mode, result, t0)
 
 
@@ -294,18 +275,12 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 
-def calibrate_depth(
-    program: Program,
-    timeout_s: float,
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> int:
+def calibrate_depth(program: Program, timeout_s: float) -> int:
     """Deepest fully completed BFS layer within the soft timeout: expand the
     execution tree breadth-first (unbounded depth) and return the depth of
     the last layer whose every state was advanced before time ran out.
     Monotone nondecreasing in the timeout; ~0 yields 0."""
-    eng = Engine(program, domain_cap=domain_cap, max_steps=max_steps)
+    eng = Engine(program)
     completed = 0
     # the k-th yield (from 0) comes once layers 0..k-1 are fully expanded;
     # final_depth -1 is never reached, so nothing is censored
@@ -680,7 +655,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--time-budget", type=float, default=None)
     run.add_argument("--no-cache", action="store_true")
     run.add_argument("--solver-delay-ms", type=float, default=0.0)
-    run.add_argument("--resume-order", choices=["deepest", "list"], default="deepest")
     run.add_argument("--record-schedule", default=None)
     run.add_argument("--replay-schedule", default=None)
 
@@ -733,7 +707,6 @@ def _cmd_run(args) -> int:
         strategy=strategy,
         final_depth=final_depth,
         offload_threshold=args.offload_threshold,
-        resume_order=args.resume_order,
         cache_enabled=not args.no_cache,
         solver_delay=args.solver_delay_ms / 1000.0,
         time_budget=args.time_budget,

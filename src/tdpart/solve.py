@@ -528,7 +528,7 @@ def check_sat(
     *,
     domain_cap: int = DEFAULT_DOMAIN_CAP,
 ) -> bool:
-    return _solve(pc.constraints, decls, domain_cap) is not None
+    return solve_model(pc, decls, domain_cap=domain_cap) is not None
 
 
 def get_model(
@@ -538,7 +538,7 @@ def get_model(
     domain_cap: int = DEFAULT_DOMAIN_CAP,
 ) -> Test:
     """Lexicographically smallest satisfying assignment, in declaration order."""
-    m = _solve(pc.constraints, decls, domain_cap)
+    m = solve_model(pc, decls, domain_cap=domain_cap)
     if m is None:
         raise SolveError("model requested for unsatisfiable path condition")
     return m
@@ -579,7 +579,7 @@ class QueryCache:
             self.hits += 1
             return hit
         self.misses += 1
-        model = _solve(pc.constraints, decls, domain_cap, hint)
+        model = solve_model(pc, decls, domain_cap=domain_cap, hint=hint)
         # a solved model equals the hint only when the hint itself was
         # returned: a hint failing pc differs from every model of pc
         if model is not None and model == hint:

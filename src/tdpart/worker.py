@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import proto
-from .engine import DEFAULT_MAX_STEPS, Engine, ExecState
+from .engine import Engine, ExecState
 from .lang import Program
-from .solve import DEFAULT_DOMAIN_CAP
 
 DEFAULT_OFFLOAD_THRESHOLD = 4
 
@@ -23,10 +22,7 @@ DEFAULT_OFFLOAD_THRESHOLD = 4
 class WorkerConfig:
     worker_id: int = 0
     offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD
-    resume_order: str = "deepest"  # 'deepest' | 'list'
     cache_enabled: bool = True
-    max_steps: int = DEFAULT_MAX_STEPS
-    domain_cap: int = DEFAULT_DOMAIN_CAP
     solver_delay: float = 0.0
     recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
     # threads-mode determinism hooks: record notes (region, step) pairs where
@@ -57,7 +53,7 @@ def _make_poll(transport, eng: Engine, cfg: WorkerConfig, region_idx: int, summa
         if len(active) > cfg.offload_threshold:
             victim = choose_offload(active)
             active.remove(victim)
-            transport.send(proto.Offload(eng.model_of(victim.pc), victim.depth))
+            transport.send(proto.Offload(eng.model_of(victim.pc, victim.model), victim.depth))
             summary.offloads += 1
         else:
             transport.send(proto.NoWork())
@@ -87,13 +83,7 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
     """Serve tasks until Terminate. Returns a local summary (the coordinator
     only ever sees the Finish messages)."""
     cfg = cfg or WorkerConfig()
-    eng = Engine(
-        program,
-        cache_enabled=cfg.cache_enabled,
-        max_steps=cfg.max_steps,
-        domain_cap=cfg.domain_cap,
-        solver_delay=cfg.solver_delay,
-    )
+    eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
     suspended: list[ExecState] = []
     summary = WorkerSummary()
     region_idx = 0
@@ -108,7 +98,7 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
         if not isinstance(msg, proto.Task):
             raise proto.ProtocolError(f"unexpected {type(msg).__name__} while idle")
 
-        root = eng.find_resumable(suspended, msg.test, cfg.resume_order)
+        root = eng.find_resumable(suspended, msg.test)
         if root is not None:
             suspended.remove(root)
         else:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import decision_sequence, enumerate_paths
+from tdpart import solve
 from tdpart.engine import (
     Engine,
     ReplayDivergenceError,
@@ -146,12 +147,11 @@ def test_resume_prefers_deepest_then_list_order():
     res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
     suspended = list(res.suspended_new)
     t_01 = {"x": -8, "y": -8, "z": -7}  # drives 0 then 1
-    pick = eng.find_resumable(suspended, t_01, "deepest")
+    pick = eng.find_resumable(suspended, t_01)
     assert pick is not None and pick.path == "01"
-    assert eng.find_resumable(suspended, t_01, "list").path in {"1", "01"}
     # T5 drives 1 at depth 1: only the "1" sibling matches
-    assert eng.find_resumable(suspended, T5, "deepest").path == "1"
-    assert eng.find_resumable(suspended, {"x": -8, "y": -8, "z": -8}, "deepest") is None
+    assert eng.find_resumable(suspended, T5).path == "1"
+    assert eng.find_resumable(suspended, {"x": -8, "y": -8, "z": -8}) is None
 
 
 def test_resumed_state_finishes_the_region():
@@ -159,7 +159,7 @@ def test_resumed_state_finishes_the_region():
     res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
     suspended = list(res.suspended_new)
     t_01 = {"x": -8, "y": -8, "z": -7}
-    pick = eng.find_resumable(suspended, t_01, "deepest")
+    pick = eng.find_resumable(suspended, t_01)
     suspended.remove(pick)
     res2 = eng.start_execution(pick, t_01, 2, 3, Strategy("dfs"))
     assert {c.path for c in res2.completed} == {"01"}
@@ -334,6 +334,20 @@ def test_cache_disabled_never_hits():
     assert eng.cache is None
     assert res.stats.cache_hits == 0
     assert res.stats.solver_queries == 16
+
+
+def test_cache_off_witnesses_reuse_the_state_model(monkeypatch):
+    # every witness pc was solved at its fork and the state kept that model,
+    # so with the cache off no witness needs narrowing either
+    calls = []
+    real = solve._fixpoint
+    monkeypatch.setattr(solve, "_fixpoint", lambda cs, iv: calls.append(1) or real(cs, iv))
+    counts = {}
+    for cache_enabled in (True, False):
+        calls.clear()
+        _, res = full_region(FIND_MIDDLE, 3, cache_enabled=cache_enabled)
+        counts[cache_enabled] = (len(calls), res.stats.solver_queries, res.stats.cache_hits)
+    assert counts == {True: (18, 16, 6), False: (18, 16, 0)}
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 26])

@@ -367,6 +367,20 @@ def test_cli_rejects_schedule_without_threads(tmp_path, capsys):
     assert "threads" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text", ["{}", "[]", '{"coordinator": [[0]]}', '{"coordinator": [], "polls": null}', "{"]
+)
+def test_cli_rejects_a_malformed_replay_schedule(tmp_path, capsys, text):
+    sched = tmp_path / "s.json"
+    sched.write_text(text)
+    rc = run_cli(
+        "run", "--program", str(FM_PATH), "--max-depth", "3",
+        "--mode", "threads", "--replay-schedule", str(sched),
+    )
+    assert rc == 2
+    assert "error:" in capsys.readouterr().out
+
+
 def test_cli_report_verify_cycle(tmp_path, capsys):
     report = tmp_path / "oracle.csv"
     assert run_cli(

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from tdpart import proto
-from tdpart.engine import ExecState, Status, Strategy
+from tdpart.engine import Engine, ExecState, Status, Strategy
+from tdpart.harness import RunConfig, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 from tdpart.solve import PathCondition
@@ -86,6 +87,7 @@ def test_worker_resumes_suspended_states_across_tasks():
     h.send(Task(Strategy("dfs"), T5, 2, 3))
     third = h.recv()
     assert sorted(third.stats.paths) == ["100", "101"]
+    assert third.stats.states_created == 4  # one guided fork, one solver fork
     assert third.stats.states_suspended == 1  # the "11" sibling
 
     summary = h.finish()
@@ -93,28 +95,32 @@ def test_worker_resumes_suspended_states_across_tasks():
     assert summary.suspended_left == 1
 
 
-def test_worker_list_resume_order_still_reuses_suspended_state():
+def test_a_dispatched_test_matches_at_most_one_suspended_state(monkeypatch):
     # A worker's suspended list stays prefix-free: a state is only suspended
     # while replaying past its sibling, and any listed ancestor would have
     # been resumed (and removed) by that same replay first. A test therefore
-    # matches at most one listed state, so list order must behave exactly
-    # like deepest-first here; order choice only matters for synthetic lists.
-    cfg = WorkerConfig(resume_order="list")
-    h = WorkerHarness(FIND_MIDDLE, cfg)
-    h.send(Task(Strategy("dfs"), T3, 2, 3))
-    first = h.recv()
-    assert first.stats.states_suspended == 2  # list holds ["1", "01"]
-    h.send(Task(Strategy("dfs"), T01, 2, 3))
-    second = h.recv()
-    assert second.stats.paths == ["01"]
-    assert second.stats.states_created == 0  # reused, not replayed
-    h.send(Task(Strategy("dfs"), T5, 2, 3))
-    third = h.recv()
-    assert sorted(third.stats.paths) == ["100", "101"]
-    assert third.stats.states_created == 4  # one guided fork, one solver fork
-    summary = h.finish()
-    assert summary.regions == 3
-    assert summary.suspended_left == 1
+    # matches at most one listed state, so the deepest match is the only one.
+    lookups = []
+    real = Engine.find_resumable
+
+    def counting(self, suspended, test):
+        picked = real(self, suspended, test)
+        lookups.append((sum(s.pc.satisfied_by(test) for s in suspended), picked))
+        return picked
+
+    monkeypatch.setattr(Engine, "find_resumable", counting)
+    strategies = (Strategy("dfs"), Strategy("bfs"), Strategy("random", 5))
+    for path in sorted(Path("programs/corpus").glob("*.tdp")):
+        program = parse_program(path.read_text())
+        for workers in (2, 4):
+            for strategy in strategies:
+                cfg = RunConfig(
+                    mode="threads", workers=workers, strategy=strategy,
+                    final_depth=26, offload_threshold=1,
+                )
+                assert not run_program(program, cfg).truncated
+    assert max(n for n, _ in lookups) <= 1
+    assert sum(picked is not None for _, picked in lookups) >= 20
 
 
 def test_worker_offloads_above_threshold_at_forced_poll():
