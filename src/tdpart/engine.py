@@ -6,6 +6,14 @@ suspended without solving), and everything below is explored symbolically
 until each state terminates or reaches final_depth. Only branches whose
 condition stays non-constant after substitution through the symbolic store
 count toward depth; a fully concrete branch just follows its edge.
+
+The store holds a concrete value as a plain int and keeps an Expr only for
+a value that depends on a symbolic input. Each block's assignments and
+branch condition are compiled into closures over the store the first time
+an engine reaches the block. Two concrete operands fold to an int at once;
+a symbolic operand rebuilds the node around Const leaves, the very tree
+substitution builds, so constraint texts, cache keys and witnesses do not
+depend on how an expression was evaluated.
 """
 
 from __future__ import annotations
@@ -13,14 +21,21 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import solve
-from .lang import Binary, Branch, Const, Error, Exit, Expr, Jump, Program, Unary, Var
+from .lang import (
+    Binary, Branch, Const, Error, Exit, Expr, Jump, Program, Terminator, Unary, Var,
+)
 from .solve import PathCondition, QueryCache, Test
 
 DEFAULT_MAX_STEPS = 10_000_000
+
+# a variable store: an int when concrete, an Expr when input-dependent
+Store = dict[str, int | Expr]
+Compiled = Callable[[Store], int | Expr]
 
 
 class ReplayDivergenceError(Exception):
@@ -48,7 +63,7 @@ class Outcome:
 class ExecState:
     block: int
     instr: int
-    env: dict[str, Expr]
+    env: Store
     pc: PathCondition
     status: Status
     serial: int  # creation order, engine-wide
@@ -109,25 +124,136 @@ class RegionResult:
     stats: EngineStats
 
 
-def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
-    """Replace assigned variables by their stored expressions and fold any
-    all-constant node. Variables absent from env (the symbolic inputs) stay."""
-    if isinstance(e, Const):
+# Closure factories, kept apart from _compile so that its calls, one per
+# node, do not allocate the closures' cells. Like substitution, a closure
+# returns its own node when no operand changed.
+
+
+def _load(var: Var) -> Compiled:
+    name = var.name
+
+    def load(env):
+        try:
+            return env[name]
+        except KeyError:  # a symbolic input read before its assignment
+            return var
+
+    return load
+
+
+def _unary(e: Unary, operand: Compiled) -> Compiled:
+    fold = solve.UNARY_OPS[e.op]
+
+    def unary(env):
+        v = operand(env)
+        if type(v) is int:
+            return fold(v)
+        return e if v is e.operand else Unary(e.op, v)
+
+    return unary
+
+
+def _fixed_left(e: Binary, lnode: Expr, right: Compiled) -> Compiled:
+    fold = solve.BINARY_OPS[e.op]
+    lvalue = lnode.value if type(lnode) is Const else None
+
+    def fixed_left(env):
+        r = right(env)
+        if type(r) is not int:
+            return e if r is e.right and lnode is e.left else Binary(e.op, lnode, r)
+        return Binary(e.op, lnode, Const(r)) if lvalue is None else fold(lvalue, r)
+
+    return fixed_left
+
+
+def _fixed_right(e: Binary, left: Compiled, rnode: Expr) -> Compiled:
+    fold = solve.BINARY_OPS[e.op]
+    rvalue = rnode.value if type(rnode) is Const else None
+
+    def fixed_right(env):
+        l = left(env)
+        if type(l) is not int:
+            return e if l is e.left and rnode is e.right else Binary(e.op, l, rnode)
+        return Binary(e.op, Const(l), rnode) if rvalue is None else fold(l, rvalue)
+
+    return fixed_right
+
+
+def _binary(e: Binary, left: Compiled, right: Compiled) -> Compiled:
+    fold = solve.BINARY_OPS[e.op]
+
+    def binary(env):
+        l = left(env)
+        r = right(env)
+        if type(l) is int:
+            if type(r) is int:
+                return fold(l, r)
+            return Binary(e.op, Const(l), r)
+        if type(r) is int:
+            return Binary(e.op, l, Const(r))
+        return e if l is e.left and r is e.right else Binary(e.op, l, r)
+
+    return binary
+
+
+def _compile(e: Expr, assigned: Set[str]) -> Expr | Compiled:
+    """e compiled against a store binding at most the names in `assigned`.
+    When e reads none of them, returns what substitution gives for every
+    such store: a Const if e folds, else e itself unless a constant part of
+    it folded. Otherwise returns a closure store -> int | Expr."""
+    kind = type(e)
+    if kind is Const:
         return e
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    if isinstance(e, Unary):
-        o = substitute(e.operand, env)
-        if isinstance(o, Const):
-            return Const(solve.evaluate_concrete(Unary(e.op, o), {}))
+    if kind is Var:
+        return _load(e) if e.name in assigned else e
+    if kind is Unary:
+        o = _compile(e.operand, assigned)
+        if callable(o):
+            return _unary(e, o)
+        if type(o) is Const:
+            return Const(solve.UNARY_OPS[e.op](o.value))
         return e if o is e.operand else Unary(e.op, o)
-    left = substitute(e.left, env)
-    right = substitute(e.right, env)
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(solve.evaluate_concrete(Binary(e.op, left, right), {}))
+    left = _compile(e.left, assigned)
+    right = _compile(e.right, assigned)
+    if callable(left):
+        if callable(right):
+            return _binary(e, left, right)
+        return _fixed_right(e, left, right)
+    if callable(right):
+        return _fixed_left(e, left, right)
+    if type(left) is Const and type(right) is Const:
+        return Const(solve.BINARY_OPS[e.op](left.value, right.value))
     if left is e.left and right is e.right:
         return e
     return Binary(e.op, left, right)
+
+
+def compile_expr(e: Expr, assigned: Set[str]) -> int | Expr | Compiled:
+    """e compiled against a store mapping at most the names in `assigned`
+    to plain ints (concrete values) or Exprs over the symbolic inputs;
+    names not in the store stay symbolic. Returns e's value when it does
+    not depend on the store, else a closure store -> int | Expr. A value is
+    an int when every operand is concrete, else the tree substitution
+    builds: no logic short-circuit, no re-association."""
+    c = _compile(e, assigned)
+    return c.value if type(c) is Const else c
+
+
+def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
+    """Replace assigned variables by their stored expressions and fold any
+    all-constant node. Variables absent from env (the symbolic inputs) stay."""
+    store = {k: v.value if isinstance(v, Const) else v for k, v in env.items()}
+    c = compile_expr(e, frozenset(store))
+    r = c(store) if callable(c) else c
+    return Const(r) if type(r) is int else r
+
+
+@dataclass(slots=True)
+class _CompiledBlock:
+    # compile_expr results: a closure, or a value that needs no store
+    body: tuple[tuple[str, int | Expr | Compiled], ...]  # (assigned name, expr)
+    cond: int | Expr | Compiled | None  # branch condition; None for other terminators
+    term: Terminator
 
 
 class Engine:
@@ -147,6 +273,9 @@ class Engine:
         self.max_steps = max_steps
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
+        # blocks compiled on first visit, for this engine's lifetime
+        self._assigned = {a.name for b in program.blocks for a in b.body}
+        self._compiled: list[_CompiledBlock | None] = [None] * len(program.blocks)
         self._serial = itertools.count()
         # lifetime counters; regions report deltas
         self.queries = 0
@@ -193,6 +322,16 @@ class Engine:
 
     # -- single-state execution up to the next event
 
+    def _compile_block(self, idx: int) -> _CompiledBlock:
+        blk = self.program.blocks[idx]
+        assigned, term = self._assigned, blk.term
+        cb = self._compiled[idx] = _CompiledBlock(
+            tuple([(a.name, compile_expr(a.expr, assigned)) for a in blk.body]),
+            compile_expr(term.cond, assigned) if type(term) is Branch else None,
+            term,
+        )
+        return cb
+
     def _advance(
         self,
         state: ExecState,
@@ -203,47 +342,56 @@ class Engine:
         """Run a state until it terminates, is censored at final_depth, forks
         at a symbolic branch, or exhausts the instruction budget or the soft
         `deadline` (a time.monotonic() value, checked every 1024 instructions).
-        Returns 'term' | 'frontier' | 'trunc' | ('fork', substituted_cond)."""
-        blocks = self.program.blocks
-        while True:
-            if stats.instructions >= self.max_steps:
-                return "trunc"
-            if (
-                deadline is not None
-                and stats.instructions % 1024 == 0
-                and time.monotonic() > deadline
-            ):
-                return "trunc"
-            blk = blocks[state.block]
-            if state.instr < len(blk.body):
-                a = blk.body[state.instr]
-                state.env[a.name] = substitute(a.expr, state.env)
-                state.instr += 1
-                stats.instructions += 1
-                continue
-            term = blk.term
-            stats.instructions += 1
-            if isinstance(term, Jump):
-                state.block = term.target
-                state.instr = 0
-                continue
-            if isinstance(term, Exit):
+        Each assignment and each terminator is one instruction.
+        Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
+        compiled = self._compiled
+        env = state.env
+        limit = self.max_steps
+        count = stats.instructions
+        try:
+            while True:
+                cb = compiled[state.block] or self._compile_block(state.block)
+                body = cb.body
+                i = state.instr
+                while True:
+                    if count >= limit or (
+                        deadline is not None
+                        and count % 1024 == 0
+                        and time.monotonic() > deadline
+                    ):
+                        state.instr = i
+                        return "trunc"
+                    count += 1
+                    if i == len(body):
+                        break
+                    name, value = body[i]
+                    env[name] = value(env) if callable(value) else value
+                    i += 1
+                term = cb.term
+                if cb.cond is not None:
+                    cond = cb.cond(env) if callable(cb.cond) else cb.cond
+                    if type(cond) is int:
+                        state.block = term.on_true if cond else term.on_false
+                        state.instr = 0
+                        continue
+                    state.instr = i
+                    if state.depth == final_depth:
+                        state.status = Status.FRONTIER
+                        return "frontier"
+                    return ("fork", cond)
+                if isinstance(term, Jump):
+                    state.block = term.target
+                    state.instr = 0
+                    continue
+                state.instr = i
                 state.status = Status.TERMINATED
-                state.outcome = Outcome("exit", code=term.code)
+                if isinstance(term, Exit):
+                    state.outcome = Outcome("exit", code=term.code)
+                else:
+                    state.outcome = Outcome("error", label=term.label)
                 return "term"
-            if isinstance(term, Error):
-                state.status = Status.TERMINATED
-                state.outcome = Outcome("error", label=term.label)
-                return "term"
-            cond = substitute(term.cond, state.env)
-            if isinstance(cond, Const):
-                state.block = term.on_true if cond.value != 0 else term.on_false
-                state.instr = 0
-                continue
-            if state.depth == final_depth:
-                state.status = Status.FRONTIER
-                return "frontier"
-            return ("fork", cond)
+        finally:
+            stats.instructions = count
 
     def step_branch(
         self,

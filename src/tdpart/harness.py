@@ -199,6 +199,12 @@ def _run_distributed(
     schedule = None
     if cfg.replay_schedule:
         schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text())
+        # a message from a worker the run does not have would never come
+        for wid in [w for w, _ in schedule.coordinator] + list(schedule.polls):
+            if not 0 <= wid < cfg.workers:
+                raise ValueError(
+                    f"malformed schedule: worker {wid} in a run of {cfg.workers} workers"
+                )
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
@@ -267,6 +273,9 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     # recv timeout
     if cfg.workers < 1:
         raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
+    # at 0 a lone region root could be handed off whole, and back again
+    if cfg.offload_threshold < 1:
+        raise ValueError(f"--offload-threshold must be at least 1, got {cfg.offload_threshold}")
     return run_threads(program, cfg) if cfg.mode == "threads" else run_tcp(program, cfg)
 
 

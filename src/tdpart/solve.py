@@ -62,6 +62,26 @@ def wrap(v: int) -> int:
     return (v - INT64_MIN) % 2**64 + INT64_MIN
 
 
+# One table per arity: what each operator makes of concrete operands.
+BINARY_OPS = {
+    "+": lambda a, b: wrap(a + b),
+    "-": lambda a, b: wrap(a - b),
+    "*": lambda a, b: wrap(a * b),
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "and": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "or": lambda a, b: 1 if a != 0 or b != 0 else 0,
+}
+UNARY_OPS = {
+    "neg": lambda a: wrap(-a),
+    "not": lambda a: 0 if a else 1,
+}
+
+
 def evaluate_concrete(e: Expr, test: Test, env: dict[str, int] | None = None) -> int:
     """Evaluate under env first, then the test. Unbound names are a caller bug."""
     if isinstance(e, Const):
@@ -73,34 +93,10 @@ def evaluate_concrete(e: Expr, test: Test, env: dict[str, int] | None = None) ->
             return test[e.name]
         raise SolveError(f"unbound variable {e.name}")
     if isinstance(e, Unary):
-        v = evaluate_concrete(e.operand, test, env)
-        return wrap(-v) if e.op == "neg" else (0 if v else 1)
-    a = evaluate_concrete(e.left, test, env)
-    b = evaluate_concrete(e.right, test, env)
-    op = e.op
-    if op == "+":
-        return wrap(a + b)
-    if op == "-":
-        return wrap(a - b)
-    if op == "*":
-        return wrap(a * b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "and":
-        return int(a != 0 and b != 0)
-    if op == "or":
-        return int(a != 0 or b != 0)
-    raise SolveError(f"unknown operator {op}")
+        return UNARY_OPS[e.op](evaluate_concrete(e.operand, test, env))
+    return BINARY_OPS[e.op](
+        evaluate_concrete(e.left, test, env), evaluate_concrete(e.right, test, env)
+    )
 
 
 def solve_path(test: Test, cond: Expr, env: dict[str, int] | None = None) -> bool:

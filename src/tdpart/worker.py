@@ -4,7 +4,7 @@ A worker keeps its engine (query cache, serial counter) and its suspended
 states across tasks. On a new task it first tries to resume a suspended
 state the test satisfies; otherwise it replays from the program root.
 Between scheduler steps it polls for ProvideWork and either hands off its
-shallowest active state or answers NoWork.
+shallowest active state below the guided phase or answers NoWork.
 """
 
 from __future__ import annotations
@@ -38,20 +38,29 @@ class WorkerSummary:
     offloads: int = 0
 
 
-def choose_offload(active: list[ExecState]) -> ExecState:
-    """Shallowest active state, earliest-created on ties: cheapest for the
-    thief to re-replay and the largest subtree to hand over."""
-    return min(active, key=lambda s: (s.depth, s.serial))
+def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | None:
+    """Shallowest active state at or below the region's test depth,
+    earliest-created on ties: cheapest for the thief to re-replay and the
+    largest subtree to hand over. A guided-phase state (depth < test_depth)
+    is never chosen: its pair would name a wider region than the task's,
+    taking in sibling subtrees other regions own. None if all are guided."""
+    below = [s for s in active if s.depth >= test_depth]
+    return min(below, key=lambda s: (s.depth, s.serial)) if below else None
 
 
-def _make_poll(transport, eng: Engine, cfg: WorkerConfig, region_idx: int, summary: WorkerSummary):
+def _make_poll(
+    transport, eng: Engine, cfg: WorkerConfig, test_depth: int, region_idx: int,
+    summary: WorkerSummary,
+):
     def handle(msg, active: list[ExecState]) -> None:
         if not isinstance(msg, proto.ProvideWork):
             raise proto.ProtocolError(
                 f"unexpected {type(msg).__name__} during a region"
             )
+        victim = None
         if len(active) > cfg.offload_threshold:
-            victim = choose_offload(active)
+            victim = choose_offload(active, test_depth)
+        if victim is not None:
             active.remove(victim)
             transport.send(proto.Offload(eng.model_of(victim.pc, victim.model), victim.depth))
             summary.offloads += 1
@@ -103,7 +112,7 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
             suspended.remove(root)
         else:
             root = eng.initial_state()
-        poll = _make_poll(transport, eng, cfg, region_idx, summary)
+        poll = _make_poll(transport, eng, cfg, msg.test_depth, region_idx, summary)
         result = eng.start_execution(
             root, msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
         )

@@ -12,10 +12,11 @@ from tdpart.engine import (
     ReplayDivergenceError,
     Status,
     Strategy,
+    compile_expr,
     substitute,
 )
 from tdpart.harness import corpus_shape, generate_program
-from tdpart.lang import Binary, Const, Var, parse_program
+from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
 from tdpart.solve import get_model
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
@@ -225,6 +226,127 @@ def test_substitute_folds_constants():
     assert substitute(Binary("-", Var("x"), Var("x")), {}) == Binary(
         "-", Var("x"), Var("x")
     )
+
+
+# -- compiled evaluator against a reference fold written here
+
+_LO, _HI = -(2**63), 2**63 - 1
+
+
+def _ref_wrap(v: int) -> int:
+    return ((v + 2**63) % 2**64) - 2**63
+
+
+def _ref_binary(op: str, a: int, b: int) -> int:
+    if op in ARITH_OPS:
+        return _ref_wrap(a + b if op == "+" else a - b if op == "-" else a * b)
+    if op == "and":
+        return int(bool(a) and bool(b))
+    if op == "or":
+        return int(bool(a) or bool(b))
+    return int({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
+                "==": a == b, "!=": a != b}[op])
+
+
+def _ref_fold(e, store):
+    """Substitute store values (int -> Const) and fold all-constant nodes
+    bottom-up; unbound names stay Vars. Nothing else is simplified."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        v = store.get(e.name, e)
+        return Const(v) if isinstance(v, int) else v
+    if isinstance(e, Unary):
+        o = _ref_fold(e.operand, store)
+        if isinstance(o, Const):
+            v = o.value
+            return Const(_ref_wrap(-v) if e.op == "neg" else int(v == 0))
+        return Unary(e.op, o)
+    left, right = _ref_fold(e.left, store), _ref_fold(e.right, store)
+    if isinstance(left, Const) and isinstance(right, Const):
+        return Const(_ref_binary(e.op, left.value, right.value))
+    return Binary(e.op, left, right)
+
+
+_EDGE = (_LO, _LO + 1, _HI, _HI - 1, -1, 0, 1, 2, 2**32)
+_NAMES = ("a", "b", "c", "x", "y")
+_OPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
+
+
+def _random_expr(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Const(rng.choice(_EDGE) if rng.random() < 0.6 else rng.randint(-9, 9))
+        return Var(rng.choice(_NAMES))
+    if rng.random() < 0.15:
+        return Unary(rng.choice(("neg", "not")), _random_expr(rng, depth - 1))
+    return Binary(rng.choice(_OPS), _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+
+
+def _random_store(rng: random.Random) -> dict:
+    # each name is a concrete int, an input-dependent Expr, or unbound
+    store = {}
+    for name in _NAMES:
+        kind = rng.randrange(3)
+        if kind == 0:
+            store[name] = rng.choice(_EDGE)
+        elif kind == 1:
+            store[name] = Binary(rng.choice(_OPS), Var("x"), Const(rng.choice(_EDGE)))
+    return store
+
+
+def _evaluate(e, assigned, store):
+    c = compile_expr(e, assigned)
+    return c(store) if callable(c) else c
+
+
+def test_compiled_evaluator_matches_reference_fold():
+    rng = random.Random(1234)
+    kinds = {int: 0, "expr": 0}
+    for _ in range(3000):
+        e = _random_expr(rng, rng.randint(1, 5))
+        store = _random_store(rng)
+        # names the program may assign, bound or not yet bound in this store
+        assigned = frozenset(n for n in _NAMES if n in store or rng.random() < 0.5)
+        got = _evaluate(e, assigned, store)
+        want = _ref_fold(e, store)
+        if type(got) is int:
+            kinds[int] += 1
+            assert isinstance(want, Const) and got == want.value, (e, store)
+            assert _LO <= got <= _HI
+        else:
+            kinds["expr"] += 1
+            assert not isinstance(got, Const) and got == want, (e, store)
+            if want == e:  # nothing substituted or folded: e itself, as substitute
+                assert got is e
+    assert min(kinds.values()) > 500  # both outcomes exercised
+
+
+def test_compiled_evaluator_wraps_at_the_int64_edges():
+    store = {"m": _HI, "n": _LO}
+    assigned = frozenset(store)
+    assert _evaluate(Binary("+", Var("m"), Const(1)), assigned, store) == _LO
+    assert _evaluate(Binary("-", Var("n"), Const(1)), assigned, store) == _HI
+    assert _evaluate(Unary("neg", Var("n")), assigned, store) == _LO
+    assert _evaluate(Binary("*", Var("m"), Const(2)), assigned, store) == -2
+    # no short-circuit: a symbolic right operand keeps the node
+    got = _evaluate(Binary("and", Const(0), Var("x")), assigned, store)
+    assert got == Binary("and", Const(0), Var("x"))
+
+
+def test_concrete_assignments_store_plain_ints():
+    src = (
+        "program p;\nsym x in [0, 3];\n"
+        "t = 2 + 3;\n"
+        "u = x + t;\n"
+        "if (u < 7) { exit(1); } else { exit(2); }\n"
+    )
+    eng = Engine(parse_program(src))
+    res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
+    (state,) = res.frontier
+    assert type(state.env["t"]) is int and state.env["t"] == 5
+    assert state.env["u"] == Binary("+", Var("x"), Const(5))
+    assert res.stats.instructions == 3
 
 
 def test_truncation_on_step_budget():

@@ -1,6 +1,7 @@
 """Run modes, reports, verification, corpus generation, and the CLI."""
 
 import hashlib
+import json
 import time
 from pathlib import Path
 
@@ -86,6 +87,27 @@ def test_distributed_run_without_workers_fails_at_once(mode):
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="workers"):
         fm_run(mode=mode, workers=0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_distributed_run_rejects_offload_threshold_zero_at_once(mode):
+    # at 0 a worker would hand off its lone region root, re-offered forever
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="offload-threshold"):
+        fm_run(mode=mode, workers=2, offload_threshold=0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "raw", [{"coordinator": [[2, "Finish"]], "polls": {}}, {"coordinator": [], "polls": {"-1": []}}]
+)
+def test_replay_rejects_a_schedule_naming_a_worker_the_run_lacks(tmp_path, raw):
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="malformed schedule"):
+        fm_run(mode="threads", workers=2, replay_schedule=str(sched))
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -379,6 +401,20 @@ def test_cli_rejects_a_malformed_replay_schedule(tmp_path, capsys, text):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_replay_schedule_that_does_not_fit_the_run(tmp_path, capsys):
+    # worker 7 never sends, so the coordinator would wait out its recv timeout
+    sched = tmp_path / "s.json"
+    sched.write_text('{"coordinator": [[7, "Finish"]], "polls": {}}')
+    t0 = time.perf_counter()
+    rc = run_cli(
+        "run", "--program", str(FM_PATH), "--max-depth", "3",
+        "--mode", "threads", "--replay-schedule", str(sched),
+    )
+    assert rc == 2
+    assert "error: malformed schedule" in capsys.readouterr().out
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cli_report_verify_cycle(tmp_path, capsys):

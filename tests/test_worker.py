@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tdpart import proto
+from tdpart.coord import CoordConfig, run_coordinator
 from tdpart.engine import Engine, ExecState, Status, Strategy
 from tdpart.harness import RunConfig, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
@@ -167,6 +168,103 @@ def test_offloaded_subtree_is_exactly_the_missing_part():
     assert victim_paths | thief_paths == {"000", "001", "01", "100", "101", "11"}
 
 
+def test_forced_polls_in_the_guided_phase_never_widen_the_region():
+    # even at threshold 0, the guided-phase states at steps 0 and 1 (depths
+    # 0 and 1 < test depth 2) stay put: an Offload of one would name the
+    # whole tree, or the "0" subtree, instead of the task's "01" region
+    cfg = WorkerConfig(offload_threshold=0, poll_schedule=frozenset({(0, 0), (0, 1)}))
+    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h.send(Task(Strategy("dfs"), T01, 2, 3))
+    h.send(ProvideWork())
+    h.send(ProvideWork())
+    assert h.recv() == NoWork()
+    assert h.recv() == NoWork()
+    fin = h.recv()
+    assert fin.stats.paths == ["01"]
+    assert h.finish().offloads == 0
+
+
+class SelfServedPolls:
+    """Worker transport that answers the worker's own scheduled polls: a
+    recv between a Task and its Finish can only be a poll_schedule hit, and
+    it gets a ProvideWork at once, whatever the coordinator is doing. The
+    answers (Offload or NoWork) still reach the coordinator, unasked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.in_region = False
+
+    def send(self, msg):
+        if isinstance(msg, Finish):
+            self.in_region = False
+        self.inner.send(msg)
+
+    def recv(self, timeout=None):
+        if self.in_region:
+            return ProvideWork()
+        msg = self.inner.recv(timeout)
+        self.in_region = isinstance(msg, Task)
+        return msg
+
+    def poll(self):
+        return self.inner.poll()
+
+    def close(self):
+        self.inner.close()
+
+
+def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozenset):
+    """A threads-style run whose workers poll exactly at `polls`
+    ((region, step) pairs, as in a replayed schedule), offloading at
+    threshold 1. Returns (completed paths, frontier count, offloads)."""
+    hub = QueueHub(workers)
+    summaries, errors = [], []
+
+    def body(wid: int) -> None:
+        cfg = WorkerConfig(worker_id=wid, offload_threshold=1, poll_schedule=polls)
+        try:
+            summaries.append(run_worker(SelfServedPolls(hub.transport_for(wid)), program, cfg))
+        except BaseException as e:  # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=body, args=(w,), daemon=True) for w in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        # a worker that raised would otherwise leave it waiting 120 s
+        cfg = CoordConfig(workers, final_depth, Strategy("dfs"), recv_timeout=20)
+        result = run_coordinator(hub, program, cfg)
+    finally:
+        hub.close()
+    for t in threads:
+        t.join(timeout=20)
+        assert not t.is_alive()
+    assert not errors, errors
+    frontier = sum(t.frontier for t in result.tallies)
+    return sorted(result.paths), frontier, sum(s.offloads for s in summaries)
+
+
+def test_forced_polls_keep_the_path_multiset():
+    # polls at step 0 and through the guided phase of every region (and a
+    # few steps past it, where offloads happen) over threads x2/x4: each
+    # Offload must name a sub-pair of its task, so the completed paths and
+    # the frontier equal single mode's
+    polls = frozenset((r, s) for r in range(2000) for s in range(6))
+    programs = sorted(Path("programs/corpus").glob("*.tdp")) + sorted(
+        Path("perfbench/programs").glob("*.tdp")
+    )
+    offloads = 0
+    for path in programs:
+        program = parse_program(path.read_text())
+        single = run_program(program, RunConfig(final_depth=8))
+        want = (sorted(single.paths), single.tallies[0].frontier)
+        for workers in (2, 4):
+            paths, frontier, n = run_with_forced_polls(program, workers, 8, polls)
+            assert (paths, frontier) == want, (path.name, workers)
+            offloads += n
+    assert offloads > 0
+
+
 def test_unexpected_message_mid_region_raises():
     cfg = WorkerConfig(poll_schedule=frozenset({(0, 0)}))
     h = WorkerHarness(FIND_MIDDLE, cfg)
@@ -200,6 +298,15 @@ def test_choose_offload_prefers_shallow_then_early():
     assert choose_offload([deep, shallow_late, shallow_early]) is shallow_early
     assert choose_offload([deep, shallow_late]) is shallow_late
     assert choose_offload([deep]) is deep
+
+
+def test_choose_offload_skips_guided_phase_states():
+    guided = _state("0", serial=1)
+    below = _state("011", serial=8)
+    at_depth = _state("01", serial=9)
+    assert choose_offload([guided, below, at_depth], test_depth=2) is at_depth
+    assert choose_offload([guided, below], test_depth=2) is below
+    assert choose_offload([guided], test_depth=2) is None
 
 
 def test_worker_cache_persists_across_regions():
