@@ -192,7 +192,9 @@ def _run_distributed(
     """The worker lifecycle shared by threads and tcp, which differ only in
     `hub` and in `transport_for(worker_id)`, called on the worker's own
     thread. On a coordinator failure every worker is told to terminate, so
-    the threads drain before the error propagates."""
+    the threads drain before the error propagates. A worker that raises
+    closes its transport, so the coordinator fails at once, and the run
+    raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
     recorder = Schedule([], {w: [] for w in range(cfg.workers)}) if cfg.record_schedule else None
@@ -208,10 +210,14 @@ def _run_distributed(
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
+        transport = None
         try:
-            run_worker(transport_for(wid), program, _worker_cfg(cfg, wid, recorder, schedule))
+            transport = transport_for(wid)
+            run_worker(transport, program, _worker_cfg(cfg, wid, recorder, schedule))
         except BaseException as e:  # surfaced after join
             errors.append(e)
+            if transport is not None:
+                transport.close()  # the coordinator's recv fails now
 
     threads = [
         threading.Thread(target=body, args=(wid,), name=f"tdpart-worker-{wid}", daemon=True)
@@ -222,8 +228,10 @@ def _run_distributed(
     try:
         hub.accept_all()
         result = run_coordinator(hub, program, _coord_cfg(cfg, recorder, schedule))
-    except BaseException:
+    except BaseException as e:
         hub.broadcast(proto.Terminate())  # let worker threads drain
+        if errors:
+            raise errors[0] from e
         raise
     finally:
         hub.close()

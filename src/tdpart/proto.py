@@ -272,7 +272,7 @@ class QueueTransport:
     with the worker id so the coordinator can multiplex one inbox."""
 
     def __init__(self, worker_id: int, inbox: "queue.Queue[bytes]",
-                 to_coord: "queue.Queue[tuple[int, bytes]]"):
+                 to_coord: "queue.Queue[tuple[int, bytes | None]]"):
         self.worker_id = worker_id
         self._inbox = inbox
         self._out = to_coord
@@ -295,7 +295,8 @@ class QueueTransport:
         return decode(frame)
 
     def close(self) -> None:
-        pass
+        """Tell the coordinator this worker is gone, as a socket's EOF does."""
+        self._out.put((self.worker_id, None))
 
 
 def read_frame(sock: socket.socket) -> bytes | None:
@@ -361,12 +362,39 @@ class SocketTransport:
 # ---------------------------------------------------------------------------
 
 
-class QueueHub:
+class _Inbox:
+    """The shared inbox of a hub: (worker_id, frame) pairs, where a None
+    frame says the worker closed its end. A worker that was sent Terminate
+    closes its end when it stops, so only other closes are failures. Each
+    hub defines its own send and recv over these (perfbench's tracer wraps
+    them per class)."""
+
+    def __init__(self) -> None:
+        self.inbox: "queue.Queue[tuple[int, bytes | None]]" = queue.Queue()
+        self._terminated: set[int] = set()
+
+    def _sent(self, worker_id: int, msg: Message) -> None:
+        if isinstance(msg, Terminate):
+            self._terminated.add(worker_id)
+
+    def _recv(self, timeout: float | None) -> tuple[int, Message]:
+        while True:
+            try:
+                worker_id, frame = self.inbox.get(timeout=timeout)
+            except queue.Empty:
+                raise RecvTimeout("coordinator recv timed out") from None
+            if frame is not None:
+                return worker_id, decode(frame)
+            if worker_id not in self._terminated:
+                raise TransportClosed(f"worker {worker_id} disconnected")
+
+
+class QueueHub(_Inbox):
     """Coordinator end for threads mode: one outbound queue per worker, one
     shared inbox carrying (worker_id, frame)."""
 
     def __init__(self, num_workers: int):
-        self.inbox: "queue.Queue[tuple[int, bytes]]" = queue.Queue()
+        super().__init__()
         self.to_workers: list["queue.Queue[bytes]"] = [
             queue.Queue() for _ in range(num_workers)
         ]
@@ -375,14 +403,11 @@ class QueueHub:
         return QueueTransport(worker_id, self.to_workers[worker_id], self.inbox)
 
     def send(self, worker_id: int, msg: Message) -> None:
+        self._sent(worker_id, msg)
         self.to_workers[worker_id].put(encode(msg))
 
     def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
-        try:
-            worker_id, frame = self.inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise RecvTimeout("coordinator recv timed out") from None
-        return worker_id, decode(frame)
+        return self._recv(timeout)
 
     def broadcast(self, msg: Message) -> None:
         for w in range(len(self.to_workers)):
@@ -395,19 +420,19 @@ class QueueHub:
         pass
 
 
-class SocketHub:
+class SocketHub(_Inbox):
     """Coordinator end for tcp mode. Accepts num_workers connections on a
     loopback listener; a reader thread per connection feeds the shared inbox.
     Worker ids are assigned in accept order."""
 
     def __init__(self, num_workers: int, host: str = "127.0.0.1", port: int = 0):
+        super().__init__()
         self.num_workers = num_workers
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(num_workers)
         self.address: tuple[str, int] = self._listener.getsockname()
-        self.inbox: "queue.Queue[tuple[int, bytes | None]]" = queue.Queue()
         self._conns: list[socket.socket] = []
         self._readers: list[threading.Thread] = []
 
@@ -434,19 +459,14 @@ class SocketHub:
         self.inbox.put((worker_id, None))
 
     def send(self, worker_id: int, msg: Message) -> None:
+        self._sent(worker_id, msg)
         try:
             self._conns[worker_id].sendall(encode(msg))
         except OSError as e:
             raise TransportClosed(f"send to worker {worker_id} failed: {e}") from None
 
     def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
-        try:
-            worker_id, frame = self.inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise RecvTimeout("coordinator recv timed out") from None
-        if frame is None:
-            raise TransportClosed(f"worker {worker_id} disconnected")
-        return worker_id, decode(frame)
+        return self._recv(timeout)
 
     def broadcast(self, msg: Message) -> None:
         for w in range(len(self._conns)):

@@ -11,30 +11,43 @@ dropped whenever an input interval shrinks, so between two shrinks each node
 is evaluated at most once, and a node already inside its target range (or a
 constraint already entailed) stops the descent. On the left-deep chains that
 loops build, narrowing work is linear in the chain length. A product
-narrows through any factor whose interval is a single point. Backtracking
-pins each input but the last to a value and narrows again, skipping the
-value when that refutes the pc; the last input is checked by concrete
-evaluation.
+narrows through any factor whose interval is a single point, and a square
+of one input through integer square roots.
+
+The fixpoint is an AC-3 worklist (Mackworth, 1977) over the pc's constraints:
+a revise that shrinks input v queues again every constraint that reads v, up
+to 100 revisions per constraint. It is incremental along the path, as a
+test-depth pair's region is explored one branch at a time: each pc keeps its
+narrowed box, and a child's box starts from a copy of its parent's with only
+the new constraint queued (an ancestor without a box gets one first, the
+same way). Backtracking pins each input but the last to a value, queues the
+constraints that read it and narrows again, skipping the value when that
+refutes the pc; the last input is checked by concrete evaluation.
 
 Inputs are enumerated in declaration order with ascending values, so the
 first solution found is the lexicographically smallest one, which is what
 keeps models (and everything seeded from them) deterministic across runs.
 Narrowing only ever removes points that are not solutions, so it never
-changes which solution comes first.
+changes which solution comes first, however much of it is done.
 
 A solve may take a hint: the lex-min model of a subset of the path
 condition's constraints (in the engine, the parent state's model). Every
 solution of the whole pc is a solution of that subset, so when the hint
 satisfies the whole pc it is already the pc's lex-min model and is returned
-after one concrete evaluation, with no narrowing or enumeration. A hint
-outside this contract still yields a model, though not necessarily the
-lex-min one; a hint that fails the pc is ignored.
+with no narrowing or enumeration. A pc keeps the model its last solve or
+cache hit returned; a hint equal to the parent pc's model is known to
+satisfy the parent's constraints and is checked against the new one only,
+any other hint against the whole pc. A hint outside this contract still
+yields a model, though not necessarily the lex-min one; a hint that fails
+the pc is ignored.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import lang
@@ -128,10 +141,20 @@ class Constraint:
         t = lang.expr_text(self.expr)
         return t if self.taken else "!" + t
 
+    @cached_property
+    def inputs(self) -> frozenset[str]:
+        return frozenset(lang.reads(self.expr))
+
 
 @dataclass(frozen=True)
 class PathCondition:
     constraints: tuple[Constraint, ...] = ()
+    # the pc this one extends, whose narrowed box a solve starts from
+    parent: PathCondition | None = field(default=None, compare=False, repr=False)
+    # solver state, filled in by the first solve that needs it: the narrowed
+    # box, and the model solve_model or a QueryCache hit returned
+    _narrowed: _Narrowed | None = field(default=None, init=False, compare=False, repr=False)
+    _model: Test | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -139,12 +162,12 @@ class PathCondition:
 
     def extend(self, expr: Expr, taken: bool) -> "PathCondition":
         c = Constraint(expr, taken, len(self.constraints) + 1)
-        return PathCondition(self.constraints + (c,))
+        return PathCondition(self.constraints + (c,), self)
 
     def variables(self) -> set[str]:
         out: set[str] = set()
         for c in self.constraints:
-            out |= lang.reads(c.expr)
+            out.update(c.inputs)
         return out
 
     def satisfied_by(self, test: Test, env: dict[str, int] | None = None) -> bool:
@@ -179,14 +202,15 @@ class _Unsat(Exception):
 class _Box:
     """Input intervals plus a memo of node intervals under them (keyed by
     id(node); the nodes outlive the box). Every write to iv goes through
-    _narrow_var, which drops the memo when an interval actually shrinks."""
+    _narrow_var, which drops the memo when an interval actually shrinks and
+    notes the input in `shrunk`."""
 
     __slots__ = ("iv", "memo", "shrunk")
 
     def __init__(self, iv: dict[str, _Interval]) -> None:
         self.iv = iv
         self.memo: dict[int, _Interval] = {}
-        self.shrunk = False
+        self.shrunk: list[str] = []
 
 
 def _interval(e: Expr, box: _Box) -> _Interval:
@@ -224,6 +248,8 @@ def _ieval(e: Expr, box: _Box) -> _Interval:
             lo, hi = a[0] + b[0], a[1] + b[1]
         elif op == "-":
             lo, hi = a[0] - b[1], a[1] - b[0]
+        elif a is b and _is_square(e):  # a square reads one interval twice
+            lo, hi = _square(a)
         else:
             corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
             lo, hi = min(corners), max(corners)
@@ -266,6 +292,36 @@ def _ieval(e: Expr, box: _Box) -> _Interval:
     raise SolveError(f"unknown operator {op}")
 
 
+def _is_square(e: Binary) -> bool:
+    """A product of one input with itself."""
+    left, right = e.left, e.right
+    return isinstance(left, Var) and isinstance(right, Var) and left.name == right.name
+
+
+def _square(a: _Interval) -> _Interval:
+    lo, hi = a
+    if lo >= 0:
+        return (lo * lo, hi * hi)
+    if hi <= 0:
+        return (hi * hi, lo * lo)
+    return (0, max(lo * lo, hi * hi))
+
+
+def _narrow_square(name: str, lo: int, hi: int, box: _Box) -> None:
+    """Force name*name into [lo, hi]: r <= |name| <= s, with r and s the
+    integer square roots rounded inwards; the box keeps the hull of the
+    negative and the positive part."""
+    s = math.isqrt(hi)  # hi >= 0: the square's interval overlaps [lo, hi]
+    r = math.isqrt(lo - 1) + 1 if lo > 0 else 0
+    cur_lo, cur_hi = box.iv[name]
+    neg = (max(cur_lo, -s), min(cur_hi, -r))
+    pos = (max(cur_lo, r), min(cur_hi, s))
+    parts = [p for p in (neg, pos) if p[0] <= p[1]]
+    if not parts:
+        raise _Unsat
+    _narrow_var(name, parts[0][0], parts[-1][1], box)
+
+
 def _def_true(e: Expr, box: _Box) -> bool:
     lo, hi = _interval(e, box)
     return lo > 0 or hi < 0
@@ -283,7 +339,7 @@ def _narrow_var(name: str, lo: int, hi: int, box: _Box) -> None:
     if (nlo, nhi) != cur:
         box.iv[name] = (nlo, nhi)
         box.memo.clear()
-        box.shrunk = True
+        box.shrunk.append(name)
 
 
 def _narrow_into(e: Expr, lo: int, hi: int, box: _Box) -> None:
@@ -334,6 +390,9 @@ def _narrow_into(e: Expr, lo: int, hi: int, box: _Box) -> None:
                 c, other = a[0], e.right
             elif b[0] == b[1]:
                 c, other = b[0], e.left
+            elif a is b and _is_square(e):
+                _narrow_square(e.left.name, lo, hi, box)
+                return
             else:
                 return
             # c != 0 here: a 0 factor makes cur (0, 0), settled above
@@ -437,16 +496,94 @@ def _require(e: Expr, want: bool, box: _Box) -> None:
         _narrow_into(e, 0, 0, box)
 
 
-def _fixpoint(constraints: tuple[Constraint, ...], iv: dict[str, _Interval]) -> None:
-    """Narrow iv in place until a whole pass shrinks nothing (at most 100
-    passes); raises _Unsat when some constraint cannot hold inside it."""
+def _fixpoint(
+    constraints: tuple[Constraint, ...],
+    iv: dict[str, _Interval],
+    queue: Iterable[int] | None = None,
+    watch: dict[str, tuple[int, ...]] | None = None,
+) -> None:
+    """Narrow iv in place by revising the queued constraints (indices into
+    constraints; all of them by default), first in first out, until none is
+    pending. A revise that shrinks input v queues again every constraint
+    that reads v, as `watch` lists them (the watch list of constraints by
+    default). Stops after 100 revisions per constraint, the work of 100 full
+    passes; raises _Unsat when some constraint cannot hold inside the box."""
+    if watch is None:
+        watch = _watch_list({}, constraints, 0)
+    pending = list(range(len(constraints)) if queue is None else queue)
     box = _Box(iv)
-    for _ in range(100):
-        box.shrunk = False
-        for c in constraints:
-            _require(c.expr, c.taken, box)
-        if not box.shrunk:
-            return
+    shrunk = box.shrunk
+    budget = 100 * len(constraints)
+    while pending and budget:
+        budget -= 1
+        c = constraints[pending.pop(0)]
+        _require(c.expr, c.taken, box)
+        if shrunk:
+            for name in shrunk:
+                for k in watch[name]:
+                    if k not in pending:
+                        pending.append(k)
+            shrunk.clear()
+
+
+def _watch_list(
+    watch: dict[str, tuple[int, ...]], constraints: tuple[Constraint, ...], start: int
+) -> dict[str, tuple[int, ...]]:
+    """Input -> indices of the constraints that read it: a copy of `watch`,
+    which covers constraints[:start], extended with the rest."""
+    watch = dict(watch)
+    for k in range(start, len(constraints)):
+        for name in constraints[k].inputs:
+            watch[name] = watch.get(name, ()) + (k,)
+    return watch
+
+
+class _Narrowed:
+    """A pc's box narrowed under one declaration tuple: the input intervals,
+    or None when narrowing refuted the pc, and the watch list of its
+    constraints."""
+
+    __slots__ = ("decls", "iv", "watch")
+
+    def __init__(self, decls, iv, watch) -> None:
+        self.decls: tuple[SymDecl, ...] = decls
+        self.iv: dict[str, _Interval] | None = iv
+        self.watch: dict[str, tuple[int, ...]] = watch
+
+
+def _narrowed(pc: PathCondition, decls: tuple[SymDecl, ...]) -> _Narrowed:
+    """pc's narrowed box, cached on pc. A pc without one starts from a copy
+    of its parent's box and revises only the constraints it adds; a parent
+    without one gets it first, the same way, up the chain to the nearest
+    pc that has a box or, failing that, to the declared domains."""
+    chain: list[PathCondition] = []
+    node: PathCondition | None = pc
+    n: _Narrowed | None = None
+    while node is not None:
+        n = node._narrowed
+        if n is not None and n.decls == decls:
+            break
+        chain.append(node)
+        node = node.parent
+        n = None
+    for node in reversed(chain):
+        constraints = node.constraints
+        if n is None:
+            start, iv = 0, {d.name: (d.lo, d.hi) for d in decls}
+            watch = _watch_list({}, constraints, 0)
+        else:
+            start = len(node.parent.constraints)
+            iv = dict(n.iv) if n.iv is not None else None
+            watch = _watch_list(n.watch, constraints, start)
+        if iv is not None:
+            try:
+                _fixpoint(constraints, iv, range(start, len(constraints)), watch)
+            except _Unsat:
+                iv = None
+        n = _Narrowed(decls, iv, watch)
+        object.__setattr__(node, "_narrowed", n)
+    assert n is not None
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +591,21 @@ def _fixpoint(constraints: tuple[Constraint, ...], iv: dict[str, _Interval]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _solve(
-    constraints: tuple[Constraint, ...],
-    decls: tuple[SymDecl, ...],
-    domain_cap: int,
-    hint: Test | None = None,
-) -> Test | None:
-    for d in decls:
-        if d.size > domain_cap:
-            raise DomainCapError(
-                f"domain cap exceeded for {d.name} ({d.size} > {domain_cap})"
-            )
-        if d.lo > d.hi:
-            return None
-    if hint is not None and _all_hold(constraints, hint):
-        return dict(hint)
-    iv: dict[str, _Interval] = {d.name: (d.lo, d.hi) for d in decls}
-    try:
-        _fixpoint(constraints, iv)
-    except _Unsat:
+def _hint_holds(pc: PathCondition, hint: Test) -> bool:
+    """Does hint satisfy pc? The parent's own model is known to satisfy the
+    parent's constraints, so only the ones pc adds are checked."""
+    parent = pc.parent
+    if parent is not None and parent._model is not None and hint == parent._model:
+        return _all_hold(pc.constraints[len(parent.constraints):], hint)
+    return _all_hold(pc.constraints, hint)
+
+
+def _search(pc: PathCondition, decls: tuple[SymDecl, ...]) -> Test | None:
+    """The lex-min model inside pc's narrowed box, by backtracking."""
+    box = _narrowed(pc, decls)
+    if box.iv is None:
         return None
+    constraints, watch = pc.constraints, box.watch
     names = [d.name for d in decls]
     if not names:
         return {} if _all_hold(constraints, {}) else None
@@ -489,11 +621,12 @@ def _solve(
                 if _all_hold(constraints, env):
                     return env
             return None
+        readers = watch.get(name, ())
         for v in range(lo, hi + 1):
             sub = dict(iv)
             sub[name] = (v, v)
             try:
-                _fixpoint(constraints, sub)
+                _fixpoint(constraints, sub, readers, watch)
             except _Unsat:
                 continue
             found = backtrack(k + 1, sub)
@@ -501,7 +634,7 @@ def _solve(
                 return found
         return None
 
-    return backtrack(0, iv)
+    return backtrack(0, box.iv)
 
 
 def solve_model(
@@ -513,9 +646,23 @@ def solve_model(
 ) -> Test | None:
     """Witness model, or None when unsatisfiable. `hint` must be the lex-min
     model of a subset of pc's constraints (see the module docstring): if it
-    satisfies pc it is the answer; otherwise pc is solved from scratch. A
-    hint outside that contract still gives a model, not necessarily lex-min."""
-    return _solve(pc.constraints, decls, domain_cap, hint)
+    satisfies pc it is the answer; otherwise pc is solved from its narrowed
+    box. A hint outside that contract still gives a model, not necessarily
+    lex-min."""
+    for d in decls:
+        if d.size > domain_cap:
+            raise DomainCapError(
+                f"domain cap exceeded for {d.name} ({d.size} > {domain_cap})"
+            )
+        if d.lo > d.hi:
+            return None
+    if hint is not None and _hint_holds(pc, hint):
+        model: Test | None = dict(hint)
+    else:
+        model = _search(pc, decls)
+    if model is not None:
+        object.__setattr__(pc, "_model", model)
+    return model
 
 
 def check_sat(
@@ -573,6 +720,8 @@ class QueryCache:
         hit = self._entries.get(key)
         if hit is not None:
             self.hits += 1
+            if hit[1] is not None:
+                object.__setattr__(pc, "_model", hit[1])
             return hit
         self.misses += 1
         model = solve_model(pc, decls, domain_cap=domain_cap, hint=hint)

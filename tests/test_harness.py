@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from tdpart import lang
 from tdpart.coord import WorkerTally
-from tdpart.engine import Strategy
+from tdpart.engine import Engine, Strategy
 from tdpart.harness import (
     REPORT_HEADER,
     ReportData,
@@ -30,10 +31,12 @@ from tdpart.harness import (
     verify_reports,
     write_report,
 )
+from tdpart.proto import TransportClosed
 
 FM_PATH = Path("programs/find_middle.tdp")
 FIND_MIDDLE = lang.parse_program(FM_PATH.read_text())
 FM_PATHS = ["000", "001", "01", "100", "101", "11"]
+LOOPS = lang.parse_program(Path("perfbench/programs/loops.tdp").read_text())
 
 
 def fm_run(**kw) -> RunOutput:
@@ -97,6 +100,36 @@ def test_distributed_run_rejects_offload_threshold_zero_at_once(mode):
     with pytest.raises(ValueError, match="offload-threshold"):
         fm_run(mode=mode, workers=2, offload_threshold=0)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_raising_worker_fails_the_run_at_once(monkeypatch, mode):
+    # the worker closes its transport, so the coordinator does not wait out
+    # its 120 s recv timeout, and the run reports the worker's own error
+    real = Engine.start_execution
+
+    def start_execution(self, *args, **kw):
+        if threading.current_thread().name.startswith("tdpart-worker"):
+            raise RuntimeError("worker fault")
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Engine, "start_execution", start_execution)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker fault") as info:
+        fm_run(mode=mode, workers=2)
+    assert time.perf_counter() - t0 < 5.0
+    assert isinstance(info.value.__cause__, TransportClosed)
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_deadline_mid_run_stops_workers_cleanly(mode):
+    # past the deadline a worker that finishes is terminated while the other
+    # is still busy; its closing transport is no failure
+    single = set(run_program(LOOPS, RunConfig(final_depth=15)).paths)
+    for _ in range(2):
+        out = run_program(LOOPS, RunConfig(mode=mode, workers=2, final_depth=15,
+                                           time_budget=0.02, solver_delay=0.0005))
+        assert len(set(out.paths)) == len(out.paths) and set(out.paths) <= single
 
 
 @pytest.mark.parametrize(

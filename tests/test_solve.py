@@ -1,6 +1,7 @@
 """Concrete evaluation, path conditions, the interval solver, the cache."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from tdpart.solve import (
     QueryCache,
     SolveError,
     _fixpoint,
+    _narrowed,
     _Unsat,
     check_sat,
     decode_test,
@@ -442,6 +444,159 @@ def test_narrowing_work_is_linear_in_chain_length(monkeypatch):
     short = _interval_evaluations(monkeypatch, 50)
     long = _interval_evaluations(monkeypatch, 100)
     assert long <= 2.5 * short, (short, long)
+
+
+# -- incremental narrowing along the path
+
+
+def _solutions(pairs, decls):
+    return [t for t in domain_cube(decls)
+            if all((eval_expr(e, t) != 0) == taken for e, taken in pairs)]
+
+
+def test_child_box_from_the_parent_box_is_sound_seeded():
+    rng = random.Random(4403)
+    refuted = narrowed = kept = 0
+    for _ in range(600):
+        decls, pc, pairs = random_system(rng)
+        chain = [pc]
+        while chain[-1].parent is not None:
+            chain.append(chain[-1].parent)
+        for i, child in enumerate(reversed(chain[:-1])):
+            parent = child.parent
+            before = _narrowed(parent, decls).iv
+            box = _narrowed(child, decls)
+            assert child.parent._narrowed.iv is before  # the parent's box is reused
+            solutions = _solutions(pairs[: i + 1], decls)
+            if box.iv is None:
+                assert not solutions, (decls, pairs[: i + 1])
+                refuted += 1
+                break  # and so is every descendant
+            assert all(_inside(t, box.iv) for t in solutions), (pairs[: i + 1], box.iv)
+            assert all(before[n][0] <= lo and hi <= before[n][1]
+                       for n, (lo, hi) in box.iv.items())
+            again = dict(box.iv)
+            _fixpoint(child.constraints, again)
+            assert again == box.iv  # a full run from the child's box shrinks nothing
+            narrowed += box.iv != before
+            kept += box.iv == before
+    assert refuted > 200 and narrowed > 80 and kept > 300  # all three occur
+
+
+def test_incremental_solves_give_the_lex_min_model_seeded():
+    # along each chain, every child is solved after its parent, as the
+    # engine does, so each solve starts from the parent's box; with the
+    # parent's model as the hint, only the newest constraint is checked
+    rng = random.Random(4404)
+    checked = reused = 0
+    for _ in range(300):
+        decls, _, pairs = random_system(rng)
+        for use_hint in (False, True):
+            pc, model = PathCondition(), None
+            solve_model(pc, decls)
+            for i, (e, taken) in enumerate(pairs):
+                expect_flags = {}
+                for flag in (not taken, taken):
+                    child = pc.extend(e, flag)
+                    expect = brute_force_model(pairs[:i] + [(e, flag)], decls)
+                    got = solve_model(child, decls, hint=model if use_hint else None)
+                    assert got == expect, (decls, pairs[:i], (e, flag), model)
+                    checked += 1
+                    reused += use_hint and model is not None and got == model
+                    expect_flags[flag] = (child, got)
+                pc, model = expect_flags[taken]
+                if model is None:
+                    break
+    assert checked > 1000 and reused > 100
+
+
+def _chain_lt(links):
+    chain = X
+    for _ in range(links):
+        chain = Binary("+", chain, Const(3))
+    return lt(chain, Const(20))
+
+
+def _last_child_ievals(monkeypatch, depth):
+    """_ieval calls of the last solve on a pc of `depth` extends by fresh
+    copies of x+3+...+3 < 20, each ancestor solved first."""
+    decls = (SymDecl("x", -400, 400),)
+    pc = PathCondition()
+    for _ in range(depth - 1):
+        pc = pc.extend(_chain_lt(10), True)
+        assert solve_model(pc, decls) == {"x": -400}
+    child = pc.extend(_chain_lt(10), True)
+    calls = [0]
+    ieval = solve_mod._ieval
+
+    def counting(e, box):
+        calls[0] += 1
+        return ieval(e, box)
+
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "_ieval", counting)
+        assert solve_model(child, decls) == {"x": -400}
+    return calls[0]
+
+
+def test_child_solve_work_does_not_grow_with_depth(monkeypatch):
+    # the child revises only its new constraint, which the parent's box
+    # already entails: one walk down its chain, whatever the depth
+    counts = [_last_child_ievals(monkeypatch, d) for d in (1, 2, 8, 15)]
+    assert counts[1] == counts[2] == counts[3] <= counts[0], counts
+
+
+def test_revision_bound_ends_a_slow_fixpoint(monkeypatch):
+    # each revise shrinks x or y by one, so without the bound this runs
+    # ~65,000 revisions before refuting the pc
+    pc = PathCondition().extend(lt(X, Y), True).extend(lt(Y, X), True)
+    iv = {"x": (-32768, 32767), "y": (-32768, 32767)}
+    revisions = [0]
+    require = solve_mod._require
+
+    def counting(*args):
+        revisions[0] += 1
+        return require(*args)
+
+    monkeypatch.setattr(solve_mod, "_require", counting)
+    t0 = time.perf_counter()
+    _fixpoint(pc.constraints, iv)
+    assert time.perf_counter() - t0 < 1.0
+    assert revisions[0] == 100 * 2
+    assert iv["x"][0] > -32768 and iv["y"][1] < 32767  # sound progress, then stop
+
+
+# -- the square rule
+
+
+def test_square_narrowing_keeps_exactly_the_roots_hull():
+    # x*x in [lo, hi] for every x box in [-6, 6] and target in [-3, 40]:
+    # the narrowed box is the hull of the x whose square lies in the target
+    sq = Binary("*", X, X)
+    for xl in range(-6, 7):
+        for xh in range(xl, 7):
+            for lo in range(-3, 41, 3):
+                for hi in range(lo, 41, 4):
+                    pc = (PathCondition().extend(Binary(">=", sq, Const(lo)), True)
+                          .extend(Binary("<=", sq, Const(hi)), True))
+                    roots = [v for v in range(xl, xh + 1) if lo <= v * v <= hi]
+                    iv = {"x": (xl, xh)}
+                    try:
+                        _fixpoint(pc.constraints, iv)
+                    except _Unsat:
+                        assert not roots, (xl, xh, lo, hi)
+                        continue
+                    assert roots and iv["x"] == (min(roots), max(roots)), (xl, xh, lo, hi, iv)
+
+
+def test_sum_of_squares_is_refuted_quickly():
+    # 999999 = 3^3 * 7 * 11 * 13 * 37 is not a sum of two squares
+    decls = (SymDecl("x", 1, 1000), SymDecl("y", 1, 1000))
+    total = Binary("+", Binary("*", X, X), Binary("*", Y, Y))
+    pc = PathCondition().extend(Binary("==", total, Const(999999)), True)
+    t0 = time.perf_counter()
+    assert solve_model(pc, decls) is None
+    assert time.perf_counter() - t0 < 0.5
 
 
 # -- query cache
