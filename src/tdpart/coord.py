@@ -86,13 +86,32 @@ def _tag(msg: proto.Message) -> str:
 
 
 class _Receiver:
-    """Wraps hub.recv with optional record/replay of the delivery order."""
+    """Wraps hub.recv with optional record/replay of the delivery order.
+
+    Each worker's messages reach the coordinator in the order it sent them,
+    so replay takes them per worker, oldest first. A worker's oldest
+    unconsumed message must carry the tag the schedule names next for that
+    worker; any other tag means the schedule does not fit the run, and
+    replay fails at once instead of waiting for a message that never
+    comes."""
 
     def __init__(self, hub, cfg: CoordConfig):
         self.hub = hub
         self.cfg = cfg
-        self.buffer: list[tuple[int, proto.Message]] = []
         self.schedule = deque(cfg.recv_schedule) if cfg.recv_schedule is not None else None
+        if self.schedule is not None:
+            self.pending: dict[int, deque[proto.Message]] = {}
+            self.expect: dict[int, deque[str]] = {}  # tags still due, per worker
+            for wid, tag in self.schedule:
+                self.expect.setdefault(wid, deque()).append(tag)
+
+    def _check(self, wid: int, msg: proto.Message) -> None:
+        due = self.expect.get(wid)
+        if due and _tag(msg) != due[0]:
+            raise proto.ProtocolError(
+                f"replay schedule expects {due[0]} from worker {wid}, "
+                f"but its next message is {_tag(msg)}"
+            )
 
     def recv(self) -> tuple[int, proto.Message]:
         if self.schedule is None:
@@ -102,15 +121,18 @@ class _Receiver:
             return wid, msg
         if not self.schedule:
             raise proto.ProtocolError("replay schedule exhausted mid-run")
-        want_wid, want_tag = self.schedule.popleft()
-        for i, (wid, msg) in enumerate(self.buffer):
-            if wid == want_wid and _tag(msg) == want_tag:
-                return self.buffer.pop(i)
-        while True:
+        want, _ = self.schedule.popleft()
+        queue = self.pending.setdefault(want, deque())
+        while not queue:
             wid, msg = self.hub.recv(self.cfg.recv_timeout)
-            if wid == want_wid and _tag(msg) == want_tag:
-                return wid, msg
-            self.buffer.append((wid, msg))
+            other = self.pending.setdefault(wid, deque())
+            if not other:
+                self._check(wid, msg)
+            other.append(msg)
+        msg = queue.popleft()
+        self._check(want, msg)
+        self.expect[want].popleft()
+        return want, msg
 
 
 def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:

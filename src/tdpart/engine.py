@@ -14,6 +14,13 @@ an engine reaches the block. Two concrete operands fold to an int at once;
 a symbolic operand rebuilds the node around Const leaves, the very tree
 substitution builds, so constraint texts, cache keys and witnesses do not
 depend on how an expression was evaluated.
+
+A block an engine has entered concretely HOT times is then run by one
+generated Python function: it returns the successor block's index after
+updating the store with inlined int64 arithmetic, or bails, leaving the
+store untouched, when a name the block reads is not a plain int, and the
+closure tier runs the block instead. The closures stay the reference;
+both tiers count every instruction and truncate at the same one.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from enum import Enum
 
 from . import solve
 from .lang import (
-    Binary, Branch, Const, Error, Exit, Expr, Jump, Program, Terminator, Unary, Var,
+    ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
+    Const, Error, Exit, Expr, Jump, Program, Terminator, Unary, Var, reads,
 )
 from .solve import PathCondition, QueryCache, Test
 
@@ -248,6 +256,107 @@ def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
     return Const(r) if type(r) is int else r
 
 
+# Generated tier: a block entered concretely HOT times in an engine is
+# compiled into one Python function over plain ints.
+
+HOT = 64
+_NEST = 50  # deepest parenthesis nesting before a value goes to a local
+
+
+class _BlockSource:
+    """Python source for one block. Program names occur only as repr()'d
+    store keys; each value lives in a local: v<k> for a value loaded from
+    the store, t<k> for one computed in the block."""
+
+    def __init__(self):
+        self.loads: dict[str, str] = {}  # store name -> local holding it
+        self.current: dict[str, str] = {}  # name -> local with its value now
+        self.lines: list[str] = []
+
+    def local(self, text: str) -> str:
+        t = f"t{len(self.lines)}"
+        self.lines.append(f"    {t} = {text}")
+        return t
+
+    def read(self, name: str) -> str:
+        if name not in self.current:
+            self.current[name] = self.loads[name] = f"v{len(self.loads)}"
+        return self.current[name]
+
+    def raw(self, e: Expr, depth: int = 0) -> str:
+        """e's value modulo 2**64: + - * and neg wrap only where consumed."""
+        if depth < _NEST and type(e) is Binary and e.op in ARITH_OPS:
+            return f"({self.raw(e.left, depth + 1)} {e.op} {self.raw(e.right, depth + 1)})"
+        if depth < _NEST and type(e) is Unary and e.op == "neg":
+            return f"(-{self.raw(e.operand, depth + 1)})"
+        return self.value(e)
+
+    def value(self, e: Expr) -> str:
+        """e's int64 value, exactly as solve.BINARY_OPS/UNARY_OPS fold it."""
+        kind = type(e)
+        if kind is Const:
+            return f"({e.value})"
+        if kind is Var:
+            return self.read(e.name)
+        if (kind is Binary and e.op in ARITH_OPS) or (kind is Unary and e.op == "neg"):
+            t = self.local(self.raw(e))
+            self.lines.append(f"    if not {INT64_MIN} <= {t} <= {INT64_MAX}: {t} = wrap({t})")
+            return t
+        return self.local(f"1 if {self.truth(e)} else 0")
+
+    def truth(self, e: Expr, depth: int = 0) -> str:
+        """A Python test that holds iff e's int64 value is nonzero."""
+        if depth < _NEST and type(e) is Binary and e.op in LOGIC_OPS:
+            return f"({self.truth(e.left, depth + 1)} {e.op} {self.truth(e.right, depth + 1)})"
+        if type(e) is Binary and e.op in CMP_OPS:
+            return f"({self.value(e.left)} {e.op} {self.value(e.right)})"
+        if depth < _NEST and type(e) is Unary and e.op == "not":
+            return f"(not {self.truth(e.operand, depth + 1)})"
+        return self.value(e)
+
+
+def generate_block(blk: BasicBlock, assigned: Set[str]) -> Callable[[Store], int] | None:
+    """A function run(env) that runs blk on a store binding every name blk
+    reads to an int: it writes the assigned names back in first-assignment
+    order and returns the successor block's index. It returns -1, with env
+    untouched, when a name blk reads is unbound or holds an Expr. None when
+    blk gets no function: it exits, or it reads a name that no assignment
+    in `assigned` binds, which therefore always holds an Expr."""
+    term = blk.term
+    if type(term) is not Branch and type(term) is not Jump:
+        return None
+    exprs = [a.expr for a in blk.body] + ([term.cond] if type(term) is Branch else [])
+    src = _BlockSource()
+    try:
+        if any(reads(e) - assigned for e in exprs):
+            return None
+        for a in blk.body:
+            src.current[a.name] = src.value(a.expr)
+        if type(term) is Jump:
+            ret = f"return {term.target}"
+        else:
+            ret = f"return {term.on_true} if {src.truth(term.cond)} else {term.on_false}"
+    except RecursionError:  # too deep to generate; the closures run it
+        return None
+    loads = list(src.loads.items())
+    out = ["def run(env):"]
+    if loads:
+        out.append("    try:")
+        out += [f"        {v} = env[{name!r}]" for name, v in loads]
+        out.append("    except KeyError:\n        return -1")
+        types = " or ".join(f"type({v}) is not int" for _, v in loads)
+        out.append(f"    if {types}:\n        return -1")
+    out += src.lines
+    written = dict.fromkeys(a.name for a in blk.body)
+    out += [f"    env[{name!r}] = {src.current[name]}" for name in written]
+    out.append(f"    {ret}")
+    namespace = {"wrap": solve.wrap}
+    exec(compile("\n".join(out) + "\n", "<tdpart block>", "exec"), namespace)
+    # popped, so the function and its globals form no cycle that only the
+    # garbage collector could free once the engine is gone
+    return namespace.pop("run")
+
+
 @dataclass(slots=True)
 class _CompiledBlock:
     # compile_expr results: a closure, or a value that needs no store
@@ -276,6 +385,13 @@ class Engine:
         # blocks compiled on first visit, for this engine's lifetime
         self._assigned = {a.name for b in program.blocks for a in b.body}
         self._compiled: list[_CompiledBlock | None] = [None] * len(program.blocks)
+        # generated tier: entries per block, and once a block is hot its
+        # function with the instructions one run accounts for (None before,
+        # and for a block that gets no function)
+        self._heat = [0] * len(program.blocks)
+        self._runs: list[tuple[Callable[[Store], int], int] | None] = (
+            [None] * len(program.blocks)
+        )
         self._serial = itertools.count()
         # lifetime counters; regions report deltas
         self.queries = 0
@@ -344,22 +460,42 @@ class Engine:
         `deadline` (a time.monotonic() value, checked every 1024 instructions).
         Each assignment and each terminator is one instruction.
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
-        compiled = self._compiled
+        compiled, runs, heat = self._compiled, self._runs, self._heat
         env = state.env
         limit = self.max_steps
         count = stats.instructions
+        b, i = state.block, state.instr
         try:
             while True:
-                cb = compiled[state.block] or self._compile_block(state.block)
+                # generated tier: chain hot blocks' functions while the whole
+                # block fits the budget and the deadline check it spans passes
+                while i == 0:
+                    hot = runs[b]
+                    if hot is None:
+                        heat[b] += 1
+                        if heat[b] == HOT:
+                            self._generate(b)
+                        break
+                    run, steps = hot
+                    if count + steps > limit or (
+                        deadline is not None
+                        and -count % 1024 < steps
+                        and time.monotonic() > deadline
+                    ):
+                        break
+                    nxt = run(env)
+                    if nxt < 0:
+                        break
+                    count += steps
+                    b = nxt
+                cb = compiled[b] or self._compile_block(b)
                 body = cb.body
-                i = state.instr
                 while True:
                     if count >= limit or (
                         deadline is not None
                         and count % 1024 == 0
                         and time.monotonic() > deadline
                     ):
-                        state.instr = i
                         return "trunc"
                     count += 1
                     if i == len(body):
@@ -371,19 +507,17 @@ class Engine:
                 if cb.cond is not None:
                     cond = cb.cond(env) if callable(cb.cond) else cb.cond
                     if type(cond) is int:
-                        state.block = term.on_true if cond else term.on_false
-                        state.instr = 0
+                        b = term.on_true if cond else term.on_false
+                        i = 0
                         continue
-                    state.instr = i
                     if state.depth == final_depth:
                         state.status = Status.FRONTIER
                         return "frontier"
                     return ("fork", cond)
                 if isinstance(term, Jump):
-                    state.block = term.target
-                    state.instr = 0
+                    b = term.target
+                    i = 0
                     continue
-                state.instr = i
                 state.status = Status.TERMINATED
                 if isinstance(term, Exit):
                     state.outcome = Outcome("exit", code=term.code)
@@ -391,7 +525,14 @@ class Engine:
                     state.outcome = Outcome("error", label=term.label)
                 return "term"
         finally:
+            state.block, state.instr = b, i
             stats.instructions = count
+
+    def _generate(self, idx: int) -> None:
+        blk = self.program.blocks[idx]
+        run = generate_block(blk, self._assigned)
+        if run is not None:
+            self._runs[idx] = (run, len(blk.body) + 1)
 
     def step_branch(
         self,

@@ -330,18 +330,40 @@ def test_receiver_replay_reorders_buffered_messages():
         rx.recv()
 
 
-def test_receiver_replay_distinguishes_tags_from_same_worker():
-    hub = QueueHub(1)
-    hub.inbox.put((0, proto.encode(NoWork())))
-    hub.inbox.put((0, proto.encode(fin(["q"]))))
-    cfg = CoordConfig(
-        num_workers=1, final_depth=1, strategy=Strategy("dfs"),
-        recv_timeout=5, recv_schedule=[(0, "Finish"), (0, "NoWork")],
-    )
-    rx = _Receiver(hub, cfg)
-    wid, msg = rx.recv()
-    assert isinstance(msg, Finish) and msg.stats.paths == ["q"]
+def test_receiver_replay_takes_each_workers_messages_in_order():
+    def receiver(schedule, order=(0, 1, 0)):
+        hub = QueueHub(2)
+        msgs = {0: [NoWork(), fin(["q"])], 1: [fin(["p"])]}
+        for wid in order:  # each worker's own messages stay in order
+            hub.inbox.put((wid, proto.encode(msgs[wid].pop(0))))
+        cfg = CoordConfig(
+            num_workers=2, final_depth=1, strategy=Strategy("dfs"),
+            recv_timeout=5, recv_schedule=schedule,
+        )
+        return _Receiver(hub, cfg)
+
+    rx = receiver([(0, "NoWork"), (0, "Finish"), (1, "Finish")])
     assert rx.recv() == (0, NoWork())
+    wid, msg = rx.recv()
+    assert wid == 0 and msg.stats.paths == ["q"]
+    wid, msg = rx.recv()
+    assert wid == 1 and msg.stats.paths == ["p"]
+    # worker 0 sent NoWork before its Finish, so a schedule taking the
+    # Finish first can never be met: replay fails on the first message
+    rx = receiver([(0, "Finish"), (0, "NoWork"), (1, "Finish")])
+    with pytest.raises(proto.ProtocolError, match="expects Finish from worker 0"):
+        rx.recv()
+    # so does an out-of-order message from a worker replay is not waiting
+    # on: worker 0's NoWork arrives while replay waits for worker 1
+    rx = receiver([(1, "Finish"), (0, "Finish")])
+    with pytest.raises(proto.ProtocolError, match="expects Finish from worker 0"):
+        rx.recv()
+    # and a message buffered behind an older one is checked when taken
+    rx = receiver([(1, "Finish"), (0, "NoWork"), (0, "NoWork")], order=(0, 0, 1))
+    assert rx.recv()[0] == 1
+    assert rx.recv() == (0, NoWork())
+    with pytest.raises(proto.ProtocolError, match="expects NoWork from worker 0"):
+        rx.recv()
 
 
 # -- end to end over queues with real workers

@@ -5,7 +5,8 @@ The digests in golden_engine.json were produced by this module's
 closures (`python tests/test_golden.py > tests/golden_engine.json`, run
 from the repository root). Any interpreter change that alters a completed
 path, outcome, witness, constraint text, frontier path, instruction count,
-query count or cache hit count fails here.
+query count or cache hit count fails here, with the generated tier off
+until blocks are hot and with every block generated on its first entry.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from tdpart import engine
 from tdpart.engine import Engine, Strategy
 from tdpart.lang import parse_program
 
@@ -49,6 +51,15 @@ CASES = [(p, d, s) for p in PROGRAMS for d in DEPTHS for s in STRATEGIES]
 
 @pytest.mark.parametrize("path,depth,strategy", CASES, ids=[_key(*c) for c in CASES])
 def test_engine_output_matches_golden(path, depth, strategy):
+    golden = json.loads(GOLDEN.read_text())
+    assert engine_digest(path, depth, strategy) == golden[_key(path, depth, strategy)]
+
+
+@pytest.mark.parametrize("path,depth,strategy", CASES, ids=[_key(*c) for c in CASES])
+def test_engine_output_matches_golden_with_every_block_generated(
+    monkeypatch, path, depth, strategy
+):
+    monkeypatch.setattr(engine, "HOT", 1)  # each block's first entry generates it
     golden = json.loads(GOLDEN.read_text())
     assert engine_digest(path, depth, strategy) == golden[_key(path, depth, strategy)]
 

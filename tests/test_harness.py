@@ -503,3 +503,18 @@ def test_cli_gen(tmp_path, capsys):
         "prog_00.tdp", "prog_01.tdp", "prog_02.tdp",
     ]
     assert run_cli("gen", "--seed", "4", "--count", "0", "--out", str(tmp_path)) == 2
+
+
+def test_cli_rejects_a_replay_schedule_out_of_a_workers_order(tmp_path, capsys):
+    # worker 0 answers its Task with Finish, never with NoWork first; each
+    # worker's messages arrive in order, so replay fails on the first one
+    sched = tmp_path / "s.json"
+    sched.write_text('{"coordinator": [[0, "NoWork"], [0, "Finish"], [1, "Finish"]], "polls": {}}')
+    t0 = time.perf_counter()
+    rc = run_cli(
+        "run", "--program", str(FM_PATH), "--max-depth", "3",
+        "--mode", "threads", "--replay-schedule", str(sched),
+    )
+    assert rc == 2
+    assert "error:" in capsys.readouterr().out
+    assert time.perf_counter() - t0 < 1.0
