@@ -58,9 +58,6 @@ class CoordConfig:
     strategy: Strategy
     time_budget: float | None = None
     recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
-    # threads-mode determinism hooks
-    recv_recorder: object | None = None  # callable (worker_id, tag_name)
-    recv_schedule: list | None = None  # [(worker_id, tag_name), ...]
 
 
 @dataclass
@@ -79,60 +76,6 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     eng = Engine(program)
     states = eng.bfs_seed(num_workers, final_depth)
     return [TestDepthPair(eng.model_of(s.pc, s.model), s.depth) for s in states]
-
-
-def _tag(msg: proto.Message) -> str:
-    return type(msg).__name__
-
-
-class _Receiver:
-    """Wraps hub.recv with optional record/replay of the delivery order.
-
-    Each worker's messages reach the coordinator in the order it sent them,
-    so replay takes them per worker, oldest first. A worker's oldest
-    unconsumed message must carry the tag the schedule names next for that
-    worker; any other tag means the schedule does not fit the run, and
-    replay fails at once instead of waiting for a message that never
-    comes."""
-
-    def __init__(self, hub, cfg: CoordConfig):
-        self.hub = hub
-        self.cfg = cfg
-        self.schedule = deque(cfg.recv_schedule) if cfg.recv_schedule is not None else None
-        if self.schedule is not None:
-            self.pending: dict[int, deque[proto.Message]] = {}
-            self.expect: dict[int, deque[str]] = {}  # tags still due, per worker
-            for wid, tag in self.schedule:
-                self.expect.setdefault(wid, deque()).append(tag)
-
-    def _check(self, wid: int, msg: proto.Message) -> None:
-        due = self.expect.get(wid)
-        if due and _tag(msg) != due[0]:
-            raise proto.ProtocolError(
-                f"replay schedule expects {due[0]} from worker {wid}, "
-                f"but its next message is {_tag(msg)}"
-            )
-
-    def recv(self) -> tuple[int, proto.Message]:
-        if self.schedule is None:
-            wid, msg = self.hub.recv(self.cfg.recv_timeout)
-            if self.cfg.recv_recorder is not None:
-                self.cfg.recv_recorder(wid, _tag(msg))
-            return wid, msg
-        if not self.schedule:
-            raise proto.ProtocolError("replay schedule exhausted mid-run")
-        want, _ = self.schedule.popleft()
-        queue = self.pending.setdefault(want, deque())
-        while not queue:
-            wid, msg = self.hub.recv(self.cfg.recv_timeout)
-            other = self.pending.setdefault(wid, deque())
-            if not other:
-                self._check(wid, msg)
-            other.append(msg)
-        msg = queue.popleft()
-        self._check(want, msg)
-        self.expect[want].popleft()
-        return want, msg
 
 
 def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
@@ -160,7 +103,6 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
     while free and pool and not past_deadline():
         dispatch(pool.popleft(), free.popleft())
 
-    rx = _Receiver(hub, cfg)
     while True:
         if not busy and (not pool or past_deadline()):
             break
@@ -171,7 +113,7 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
                     outstanding = victim
                     declined.add(victim)
                     break
-        wid, msg = rx.recv()
+        wid, msg = hub.recv(cfg.recv_timeout)
         if isinstance(msg, proto.Finish):
             tallies[wid].add(msg.stats)
             paths.extend(msg.stats.paths)
@@ -203,12 +145,8 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
             else:
                 pool.append(pair)
         else:
-            raise proto.ProtocolError(f"unexpected {_tag(msg)} at coordinator")
+            raise proto.ProtocolError(f"unexpected {type(msg).__name__} at coordinator")
 
-    if rx.schedule:
-        raise proto.ProtocolError(
-            f"replay schedule has {len(rx.schedule)} unused entries"
-        )
     for w in range(n):
         if w not in exited:
             hub.send(w, proto.Terminate())

@@ -607,8 +607,8 @@ class Engine:
         """Explore the region (test, test_depth) from `root` (either the
         initial state or a resumed suspended state on the test's path).
 
-        `poll`, when given, is called as poll(active_states, step) between
-        select steps; a work-stealing worker uses it to hand off a state."""
+        `poll`, when given, is called as poll(active_states) before each
+        select step; a work-stealing worker uses it to hand off a state."""
         t0 = time.perf_counter()
         stats = EngineStats()
         q0, h0, c0 = self.queries, self.cache_hits, self.created
@@ -624,11 +624,9 @@ class Engine:
         completed: list[CompletedPath] = []
         frontier: list[ExecState] = []
         suspended_new: list[ExecState] = []
-        step = 0
         while active:
             if poll is not None:
-                poll(active, step)
-            step += 1
+                poll(active)
             if not active:
                 break
             state = self._select(active, strategy, rng)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import faulthandler
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import random
 import socket
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,11 +113,99 @@ class Schedule:
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             raise ValueError(f"malformed schedule: {e!r}") from None
 
-    def record_recv(self, worker_id: int, tag: str) -> None:
-        self.coordinator.append((worker_id, tag))
 
-    def record_poll(self, worker_id: int, region: int, step: int) -> None:
-        self.polls[worker_id].append((region, step))
+def _tag(msg: proto.Message) -> str:
+    return type(msg).__name__
+
+
+class ScheduleHub:
+    """The coordinator's side of record/replay, wrapped around a hub.
+    Recording appends each arriving message's (worker, tag) to `arrivals`;
+    replay hands messages over in the order `arrivals` names. Each worker's
+    messages arrive in the order it sent them, so replay takes them per
+    worker, oldest first, and buffers the rest. It fails at once, instead of
+    waiting out the recv timeout, when a worker's oldest message is not the
+    tag due next from it, or when it waits on a worker owing no answer (each
+    Task gets one Finish, each ProvideWork one NoWork or Offload)."""
+
+    def __init__(self, hub, arrivals: list[tuple[int, str]], replay: bool):
+        self.hub = hub
+        self.arrivals = arrivals
+        self.due = deque(arrivals) if replay else None
+        self.pending: dict[int, deque[proto.Message]] = defaultdict(deque)
+        self.expect: dict[int, deque[str]] = defaultdict(deque)  # tags due, per worker
+        self.owed: Counter = Counter()  # answers due, per worker
+        for wid, tag in self.due or ():
+            self.expect[wid].append(tag)
+
+    def send(self, wid: int, msg: proto.Message) -> None:
+        if isinstance(msg, (proto.Task, proto.ProvideWork)):
+            self.owed[wid] += 1
+        self.hub.send(wid, msg)
+
+    def _check(self, wid: int, msg: proto.Message) -> None:
+        due = self.expect[wid]
+        if due and _tag(msg) != due[0]:
+            raise proto.ProtocolError(
+                f"replay schedule expects {due[0]} from worker {wid}, "
+                f"but its next message is {_tag(msg)}"
+            )
+
+    def recv(self, timeout: float | None) -> tuple[int, proto.Message]:
+        if self.due is None:
+            wid, msg = self.hub.recv(timeout)
+            self.arrivals.append((wid, _tag(msg)))
+            return wid, msg
+        if not self.due:
+            raise proto.ProtocolError("replay schedule exhausted mid-run")
+        want, _ = self.due.popleft()
+        queue = self.pending[want]
+        while not queue:
+            if not self.owed[want]:
+                raise proto.ProtocolError(
+                    f"replay schedule expects {self.expect[want][0]} from worker "
+                    f"{want}, which owes no answer"
+                )
+            wid, msg = self.hub.recv(timeout)
+            self.owed[wid] -= 1
+            if not self.pending[wid]:
+                self._check(wid, msg)
+            self.pending[wid].append(msg)
+        msg = queue.popleft()
+        self._check(want, msg)
+        self.expect[want].popleft()
+        return want, msg
+
+
+class ScheduleTransport:
+    """A worker's side of record/replay, wrapped around its transport. It
+    numbers the worker's polls (region, step) itself: the region counts the
+    Tasks received, the step the polls since the last one. Recording appends
+    each poll that found a message to `polls`; replay does a blocking recv
+    exactly at the points in `polls` and finds nothing anywhere else."""
+
+    def __init__(self, inner, polls, replay: bool):
+        self.inner = inner
+        self.send, self.close = inner.send, inner.close
+        self.polls = polls  # a list to record into, or a set to replay
+        self.replay = replay
+        self.region, self.step = -1, 0
+
+    def recv(self, timeout: float | None) -> proto.Message:
+        msg = self.inner.recv(timeout)
+        if isinstance(msg, proto.Task):
+            self.region, self.step = self.region + 1, 0
+        return msg
+
+    def poll(self) -> proto.Message | None:
+        point = (self.region, self.step)
+        self.step += 1
+        if self.replay:
+            return self.inner.recv() if point in self.polls else None
+        msg = self.inner.poll()
+        if msg is not None:
+            self.polls.append(point)
+        return msg
 
 
 # ---------------------------------------------------------------------------
@@ -161,31 +250,6 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     return _run_output(program, cfg, "single", result, t0)
 
 
-def _worker_cfg(cfg: RunConfig, wid: int, recorder, schedule: Schedule | None) -> WorkerConfig:
-    poll_schedule = None
-    if schedule is not None:
-        poll_schedule = frozenset(schedule.polls.get(wid, []))
-    return WorkerConfig(
-        worker_id=wid,
-        offload_threshold=cfg.offload_threshold,
-        cache_enabled=cfg.cache_enabled,
-        solver_delay=cfg.solver_delay,
-        poll_recorder=recorder.record_poll if recorder is not None else None,
-        poll_schedule=poll_schedule,
-    )
-
-
-def _coord_cfg(cfg: RunConfig, recorder, schedule: Schedule | None) -> CoordConfig:
-    return CoordConfig(
-        num_workers=cfg.workers,
-        final_depth=cfg.final_depth,
-        strategy=cfg.strategy,
-        time_budget=cfg.time_budget,
-        recv_recorder=recorder.record_recv if recorder is not None else None,
-        recv_schedule=schedule.coordinator if schedule is not None else None,
-    )
-
-
 def _run_distributed(
     program: Program, cfg: RunConfig, mode: str, hub, transport_for
 ) -> RunOutput:
@@ -197,9 +261,9 @@ def _run_distributed(
     raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
-    recorder = Schedule([], {w: [] for w in range(cfg.workers)}) if cfg.record_schedule else None
+    replay = bool(cfg.replay_schedule)
     schedule = None
-    if cfg.replay_schedule:
+    if replay:
         schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text())
         # a message from a worker the run does not have would never come
         for wid in [w for w, _ in schedule.coordinator] + list(schedule.polls):
@@ -207,14 +271,23 @@ def _run_distributed(
                 raise ValueError(
                     f"malformed schedule: worker {wid} in a run of {cfg.workers} workers"
                 )
+    elif cfg.record_schedule:
+        schedule = Schedule([], {w: [] for w in range(cfg.workers)})
+    coord_hub = hub if schedule is None else ScheduleHub(hub, schedule.coordinator, replay)
+    wcfg = WorkerConfig(cfg.offload_threshold, cfg.cache_enabled, cfg.solver_delay)
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
         transport = None
         try:
             transport = transport_for(wid)
-            run_worker(transport, program, _worker_cfg(cfg, wid, recorder, schedule))
+            if schedule is not None:
+                polls = schedule.polls.get(wid, [])
+                transport = ScheduleTransport(transport, set(polls) if replay else polls, replay)
+            run_worker(transport, program, wcfg)
         except BaseException as e:  # surfaced after join
+            if isinstance(e, proto.RecvTimeout):  # a stall: show where each thread is
+                faulthandler.dump_traceback(all_threads=True)
             errors.append(e)
             if transport is not None:
                 transport.close()  # the coordinator's recv fails now
@@ -227,8 +300,15 @@ def _run_distributed(
         t.start()
     try:
         hub.accept_all()
-        result = run_coordinator(hub, program, _coord_cfg(cfg, recorder, schedule))
+        ccfg = CoordConfig(cfg.workers, cfg.final_depth, cfg.strategy, cfg.time_budget)
+        result = run_coordinator(coord_hub, program, ccfg)
+        if replay and coord_hub.due:
+            raise proto.ProtocolError(
+                f"replay schedule has {len(coord_hub.due)} unused entries"
+            )
     except BaseException as e:
+        if isinstance(e, proto.RecvTimeout):
+            faulthandler.dump_traceback(all_threads=True)
         hub.broadcast(proto.Terminate())  # let worker threads drain
         if errors:
             raise errors[0] from e
@@ -241,8 +321,8 @@ def _run_distributed(
             raise proto.ProtocolError(f"worker thread {t.name} failed to stop")
     if errors:
         raise errors[0]
-    if recorder is not None:
-        Path(cfg.record_schedule).write_text(recorder.to_json())
+    if cfg.record_schedule:
+        Path(cfg.record_schedule).write_text(schedule.to_json())
     return _run_output(program, cfg, mode, result, t0)
 
 

@@ -3,7 +3,7 @@
 A worker keeps its engine (query cache, serial counter) and its suspended
 states across tasks. On a new task it first tries to resume a suspended
 state the test satisfies; otherwise it replays from the program root.
-Between scheduler steps it polls for ProvideWork and either hands off its
+Between select steps it polls for ProvideWork and either hands off its
 shallowest active state below the guided phase or answers NoWork.
 """
 
@@ -20,15 +20,10 @@ DEFAULT_OFFLOAD_THRESHOLD = 4
 
 @dataclass
 class WorkerConfig:
-    worker_id: int = 0
     offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD
     cache_enabled: bool = True
     solver_delay: float = 0.0
     recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
-    # threads-mode determinism hooks: record notes (region, step) pairs where
-    # a mid-region ProvideWork was observed; replay forces polls exactly there
-    poll_recorder: object | None = None  # callable (worker_id, region, step)
-    poll_schedule: frozenset | None = None  # {(region, step), ...}
 
 
 @dataclass
@@ -49,10 +44,12 @@ def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | 
 
 
 def _make_poll(
-    transport, eng: Engine, cfg: WorkerConfig, test_depth: int, region_idx: int,
-    summary: WorkerSummary,
+    transport, eng: Engine, cfg: WorkerConfig, test_depth: int, summary: WorkerSummary
 ):
-    def handle(msg, active: list[ExecState]) -> None:
+    def poll(active: list[ExecState]) -> None:
+        msg = transport.poll()
+        if msg is None:
+            return
         if not isinstance(msg, proto.ProvideWork):
             raise proto.ProtocolError(
                 f"unexpected {type(msg).__name__} during a region"
@@ -67,24 +64,6 @@ def _make_poll(
         else:
             transport.send(proto.NoWork())
 
-    if cfg.poll_schedule is not None:
-        schedule = cfg.poll_schedule
-
-        def poll(active: list[ExecState], step: int) -> None:
-            if (region_idx, step) not in schedule:
-                return
-            handle(transport.recv(cfg.recv_timeout), active)
-
-        return poll
-
-    def poll(active: list[ExecState], step: int) -> None:
-        msg = transport.poll()
-        if msg is None:
-            return
-        if cfg.poll_recorder is not None:
-            cfg.poll_recorder(cfg.worker_id, region_idx, step)
-        handle(msg, active)
-
     return poll
 
 
@@ -95,7 +74,6 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
     eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
     suspended: list[ExecState] = []
     summary = WorkerSummary()
-    region_idx = 0
     while True:
         msg = transport.recv(cfg.recv_timeout)
         if isinstance(msg, proto.Terminate):
@@ -112,14 +90,13 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
             suspended.remove(root)
         else:
             root = eng.initial_state()
-        poll = _make_poll(transport, eng, cfg, msg.test_depth, region_idx, summary)
+        poll = _make_poll(transport, eng, cfg, msg.test_depth, summary)
         result = eng.start_execution(
             root, msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
         )
         suspended.extend(result.suspended_new)
         summary.regions += 1
         transport.send(proto.Finish(result.stats))
-        region_idx += 1
     summary.suspended_left = len(suspended)
     transport.close()
     return summary

@@ -17,6 +17,7 @@ from tdpart import lang
 from tdpart.engine import Engine, Strategy
 from tdpart.harness import (
     RunConfig,
+    ScheduleTransport,
     generate_program,
     path_digest,
     report_text,
@@ -201,9 +202,9 @@ def run_forced_steal(program, final_depth: int, step: int, threshold: int):
 
     def body():
         try:
-            box["summary"] = run_worker(hub.transport_for(0), program, WorkerConfig(
+            transport = ScheduleTransport(hub.transport_for(0), {(0, step)}, replay=True)
+            box["summary"] = run_worker(transport, program, WorkerConfig(
                 offload_threshold=threshold,
-                poll_schedule=frozenset({(0, step)}),
             ))
         except BaseException as e:  # surfaced by the caller
             box["error"] = e

@@ -8,8 +8,9 @@ import pytest
 
 from oracles import decision_sequence, domain_cube
 from tdpart import proto
-from tdpart.coord import CoordConfig, _Receiver, run_coordinator, seed_pool
+from tdpart.coord import CoordConfig, run_coordinator, seed_pool
 from tdpart.engine import EngineStats, Strategy, TestDepthPair
+from tdpart.harness import ScheduleHub
 from tdpart.lang import parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 
@@ -297,73 +298,84 @@ def test_strategy_and_final_depth_travel_in_tasks():
     assert task.test_depth == 0
 
 
-# -- receiver record/replay
+# -- schedule hub record/replay
+
+
+def scheduled_hub(arrivals, replay, prompts):
+    """A ScheduleHub over a fresh QueueHub whose coordinator has sent each
+    worker the requests in `prompts` (worker -> count), so each worker owes
+    that many answers."""
+    hub = QueueHub(2)
+    sh = ScheduleHub(hub, arrivals, replay)
+    for wid, n in prompts.items():
+        for _ in range(n):
+            sh.send(wid, ProvideWork())
+    return hub, sh
 
 
 def test_receiver_records_arrival_order():
-    hub = QueueHub(2)
+    recorded = []
+    hub, sh = scheduled_hub(recorded, False, {0: 1, 1: 1})
     hub.inbox.put((1, proto.encode(NoWork())))
     hub.inbox.put((0, proto.encode(fin())))
-    recorded = []
-    cfg = CoordConfig(
-        num_workers=2, final_depth=1, strategy=Strategy("dfs"),
-        recv_timeout=5, recv_recorder=lambda w, t: recorded.append((w, t)),
-    )
-    rx = _Receiver(hub, cfg)
-    assert rx.recv()[0] == 1
-    assert rx.recv()[0] == 0
+    assert sh.recv(5)[0] == 1
+    assert sh.recv(5)[0] == 0
     assert recorded == [(1, "NoWork"), (0, "Finish")]
 
 
 def test_receiver_replay_reorders_buffered_messages():
-    hub = QueueHub(2)
+    hub, sh = scheduled_hub([(0, "NoWork"), (1, "NoWork")], True, {0: 1, 1: 1})
     hub.inbox.put((1, proto.encode(NoWork())))
     hub.inbox.put((0, proto.encode(NoWork())))
-    cfg = CoordConfig(
-        num_workers=2, final_depth=1, strategy=Strategy("dfs"),
-        recv_timeout=5, recv_schedule=[(0, "NoWork"), (1, "NoWork")],
-    )
-    rx = _Receiver(hub, cfg)
-    assert rx.recv() == (0, NoWork())
-    assert rx.recv() == (1, NoWork())
+    assert sh.recv(5) == (0, NoWork())
+    assert sh.recv(5) == (1, NoWork())
     with pytest.raises(proto.ProtocolError, match="exhausted"):
-        rx.recv()
+        sh.recv(5)
 
 
 def test_receiver_replay_takes_each_workers_messages_in_order():
     def receiver(schedule, order=(0, 1, 0)):
-        hub = QueueHub(2)
+        hub, sh = scheduled_hub(schedule, True, {0: 2, 1: 1})
         msgs = {0: [NoWork(), fin(["q"])], 1: [fin(["p"])]}
         for wid in order:  # each worker's own messages stay in order
             hub.inbox.put((wid, proto.encode(msgs[wid].pop(0))))
-        cfg = CoordConfig(
-            num_workers=2, final_depth=1, strategy=Strategy("dfs"),
-            recv_timeout=5, recv_schedule=schedule,
-        )
-        return _Receiver(hub, cfg)
+        return sh
 
     rx = receiver([(0, "NoWork"), (0, "Finish"), (1, "Finish")])
-    assert rx.recv() == (0, NoWork())
-    wid, msg = rx.recv()
+    assert rx.recv(5) == (0, NoWork())
+    wid, msg = rx.recv(5)
     assert wid == 0 and msg.stats.paths == ["q"]
-    wid, msg = rx.recv()
+    wid, msg = rx.recv(5)
     assert wid == 1 and msg.stats.paths == ["p"]
     # worker 0 sent NoWork before its Finish, so a schedule taking the
     # Finish first can never be met: replay fails on the first message
     rx = receiver([(0, "Finish"), (0, "NoWork"), (1, "Finish")])
     with pytest.raises(proto.ProtocolError, match="expects Finish from worker 0"):
-        rx.recv()
+        rx.recv(5)
     # so does an out-of-order message from a worker replay is not waiting
     # on: worker 0's NoWork arrives while replay waits for worker 1
     rx = receiver([(1, "Finish"), (0, "Finish")])
     with pytest.raises(proto.ProtocolError, match="expects Finish from worker 0"):
-        rx.recv()
+        rx.recv(5)
     # and a message buffered behind an older one is checked when taken
     rx = receiver([(1, "Finish"), (0, "NoWork"), (0, "NoWork")], order=(0, 0, 1))
-    assert rx.recv()[0] == 1
-    assert rx.recv() == (0, NoWork())
+    assert rx.recv(5)[0] == 1
+    assert rx.recv(5) == (0, NoWork())
     with pytest.raises(proto.ProtocolError, match="expects NoWork from worker 0"):
-        rx.recv()
+        rx.recv(5)
+
+
+def test_receiver_replay_refuses_to_wait_on_a_worker_owing_no_answer():
+    # worker 1 was sent one request and has answered it; a schedule that
+    # waits for a second answer can never be met, so replay fails at once
+    # instead of waiting out the recv timeout
+    hub, sh = scheduled_hub([(1, "NoWork"), (1, "NoWork")], True, {1: 1})
+    hub.inbox.put((1, proto.encode(NoWork())))
+    assert sh.recv(60) == (1, NoWork())
+    t0 = time.perf_counter()
+    with pytest.raises(proto.ProtocolError, match="worker 1, which owes no answer"):
+        sh.recv(60)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- end to end over queues with real workers
@@ -377,7 +389,7 @@ def test_coordinator_with_real_workers_completes_the_tree():
     for wid in range(2):
         t = threading.Thread(
             target=run_worker,
-            args=(hub.transport_for(wid), FIND_MIDDLE, WorkerConfig(worker_id=wid)),
+            args=(hub.transport_for(wid), FIND_MIDDLE, WorkerConfig()),
             daemon=True,
         )
         t.start()

@@ -420,19 +420,30 @@ def test_bfs_seed_mixes_terminated_and_deeper_states():
 def test_poll_hook_sees_every_step():
     seen = []
     eng = Engine(FIND_MIDDLE)
+    real = eng._select
+    selects = []
+
+    def select(*args):
+        selects.append(None)
+        return real(*args)
+
+    eng._select = select
     eng.start_execution(
         eng.initial_state(), {}, 0, 3, Strategy("dfs"),
-        poll=lambda active, step: seen.append((len(active), step)),
+        poll=lambda active: seen.append(len(active)),
     )
-    assert [s for _, s in seen] == list(range(len(seen)))
-    assert seen[0][0] == 1
+    # one call before each select step, none after the last
+    assert len(seen) == len(selects) > 0
+    assert seen[0] == 1
 
 
 def test_poll_can_steal_a_state_mid_region():
     stolen = []
+    calls = []
 
-    def poll(active, step):
-        if step == 3 and len(active) > 1:
+    def poll(active):
+        calls.append(None)
+        if len(calls) == 4 and len(active) > 1:  # the fourth step, step 3
             victim = min(active, key=lambda s: (s.depth, s.serial))
             active.remove(victim)
             stolen.append(victim)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tdpart import lang
+from tdpart import harness, lang, proto
 from tdpart.coord import WorkerTally
 from tdpart.engine import Engine, Strategy
 from tdpart.harness import (
@@ -142,6 +142,21 @@ def test_replay_rejects_a_schedule_naming_a_worker_the_run_lacks(tmp_path, raw):
     with pytest.raises(ValueError, match="malformed schedule"):
         fm_run(mode="threads", workers=2, replay_schedule=str(sched))
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+@pytest.mark.parametrize("side", ["run_worker", "run_coordinator"])
+def test_a_recv_timeout_dumps_every_threads_stack(monkeypatch, capfd, mode, side):
+    # a stall that ends in the recv timeout says where each thread stood
+    def stalled(*args, **kw):
+        raise proto.RecvTimeout(f"{side} recv timed out")
+
+    monkeypatch.setattr(harness, side, stalled)
+    with pytest.raises(proto.RecvTimeout, match=side):
+        fm_run(mode=mode, workers=2)
+    err = capfd.readouterr().err
+    assert "most recent call first" in err
+    assert "harness.py" in err and "_run_distributed" in err
 
 
 # -- depth calibration
@@ -310,6 +325,57 @@ def test_record_then_replay_reproduces_the_report(tmp_path):
             replay_schedule=str(sched),
         )
         assert stable(replayed) == want
+
+
+REPLAY_DIR = Path(__file__).parent / "replay"
+
+
+def test_a_schedule_recorded_earlier_replays_byte_identically(tmp_path, capsys):
+    # recorded with an earlier build of this code: a threads x2 run of prog_05
+    # whose workers found a steal request at four polls, one of them in a
+    # later region, with the report minus its wall_ms rows
+    sched = REPLAY_DIR / "prog_05_threads2.schedule.json"
+    assert any(r > 0 for hits in Schedule.from_json(sched.read_text()).polls.values()
+               for r, _ in hits)
+    want = (REPLAY_DIR / "prog_05_threads2.report.csv").read_text()
+    for i in range(2):
+        report = tmp_path / f"r{i}.csv"
+        rc = run_cli(
+            "run", "--program", "programs/corpus/prog_05.tdp", "--max-depth", "26",
+            "--mode", "threads", "--workers", "2", "--offload-threshold", "1",
+            "--replay-schedule", str(sched), "--report", str(report),
+        )
+        assert rc == 0, capsys.readouterr().out
+        lines = report.read_text().splitlines(keepends=True)
+        assert "".join(l for l in lines if ",wall_ms," not in l) == want
+
+
+def test_cli_refuses_at_once_a_replay_schedule_no_worker_can_meet(tmp_path, capsys):
+    # each worker answers its one Task with Finish and is then idle: after
+    # worker 0's Finish the coordinator asks worker 1 for work, and nothing
+    # ever asks worker 0 again, so its scheduled NoWork can never come
+    sched = tmp_path / "s.json"
+    sched.write_text('{"coordinator": [[0,"Finish"],[0,"NoWork"],[1,"Finish"],[1,"NoWork"]],'
+                     ' "polls": {}}')
+    box = {}
+    argv = ["run", "--program", str(FM_PATH), "--max-depth", "3", "--mode", "threads",
+            "--workers", "2", "--replay-schedule", str(sched)]
+    th = threading.Thread(target=lambda: box.setdefault("rc", run_cli(*argv)), daemon=True)
+    th.start()
+    th.join(timeout=1.0)  # a run that waits on the message would take 120 s
+    assert not th.is_alive()
+    assert box["rc"] == 2
+    assert "owes no answer" in capsys.readouterr().out
+
+
+def test_replay_rejects_a_schedule_with_entries_left_after_the_run(tmp_path):
+    sched = tmp_path / "s.json"
+    fm_run(mode="threads", workers=2, record_schedule=str(sched))
+    recorded = Schedule.from_json(sched.read_text())
+    recorded.coordinator.append((0, "Finish"))
+    sched.write_text(recorded.to_json())
+    with pytest.raises(proto.ProtocolError, match="1 unused entries"):
+        fm_run(mode="threads", workers=2, replay_schedule=str(sched))
 
 
 def test_schedule_flags_require_threads_mode(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from tdpart import proto
 from tdpart.coord import CoordConfig, run_coordinator
 from tdpart.engine import Engine, ExecState, Status, Strategy
-from tdpart.harness import RunConfig, run_program
+from tdpart.harness import RunConfig, ScheduleTransport, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 from tdpart.solve import PathCondition
@@ -22,16 +22,21 @@ T01 = {"x": -8, "y": -8, "z": -7}
 
 
 class WorkerHarness:
-    """run_worker in a thread, driven message by message from the test."""
+    """run_worker in a thread, driven message by message from the test.
+    With `polls`, the worker polls exactly at those (region, step) points,
+    as in a replayed schedule."""
 
-    def __init__(self, program, cfg: WorkerConfig | None = None):
+    def __init__(self, program, cfg: WorkerConfig | None = None, polls=None):
         self.hub = QueueHub(1)
         self.summary = None
         self.error = None
+        transport = self.hub.transport_for(0)
+        if polls is not None:
+            transport = ScheduleTransport(transport, polls, replay=True)
 
         def body():
             try:
-                self.summary = run_worker(self.hub.transport_for(0), program, cfg)
+                self.summary = run_worker(transport, program, cfg)
             except BaseException as e:
                 self.error = e
 
@@ -125,8 +130,7 @@ def test_a_dispatched_test_matches_at_most_one_suspended_state(monkeypatch):
 
 
 def test_worker_offloads_above_threshold_at_forced_poll():
-    cfg = WorkerConfig(offload_threshold=2, poll_schedule=frozenset({(0, 2)}))
-    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())  # consumed by the scheduled poll at step 3
     off = h.recv()
@@ -138,9 +142,22 @@ def test_worker_offloads_above_threshold_at_forced_poll():
     assert summary.offloads == 1
 
 
+def test_a_forced_poll_lands_in_the_region_its_index_names():
+    # the transport numbers regions by the Tasks it receives: a poll forced
+    # at (1, 2) happens in the second Task's region, so the first region runs
+    # without polling (a recv there would take Task 2 as a steal request)
+    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(1, 2)})
+    h.send(Task(Strategy("dfs"), {}, 0, 3))
+    h.send(Task(Strategy("dfs"), {}, 0, 3))
+    h.send(ProvideWork())
+    assert len(h.recv().stats.paths) == 6
+    assert h.recv() == Offload(T3, 1)
+    assert sorted(h.recv().stats.paths) == ["100", "101", "11"]
+    assert h.finish().offloads == 1
+
+
 def test_worker_answers_no_work_at_or_below_threshold():
-    cfg = WorkerConfig(offload_threshold=4, poll_schedule=frozenset({(0, 0)}))
-    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=4), polls={(0, 0)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     assert h.recv() == NoWork()
@@ -151,8 +168,7 @@ def test_worker_answers_no_work_at_or_below_threshold():
 
 
 def test_offloaded_subtree_is_exactly_the_missing_part():
-    cfg = WorkerConfig(offload_threshold=2, poll_schedule=frozenset({(0, 2)}))
-    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     off = h.recv()
@@ -172,8 +188,7 @@ def test_forced_polls_in_the_guided_phase_never_widen_the_region():
     # even at threshold 0, the guided-phase states at steps 0 and 1 (depths
     # 0 and 1 < test depth 2) stay put: an Offload of one would name the
     # whole tree, or the "0" subtree, instead of the task's "01" region
-    cfg = WorkerConfig(offload_threshold=0, poll_schedule=frozenset({(0, 0), (0, 1)}))
-    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=0), polls={(0, 0), (0, 1)})
     h.send(Task(Strategy("dfs"), T01, 2, 3))
     h.send(ProvideWork())
     h.send(ProvideWork())
@@ -185,10 +200,11 @@ def test_forced_polls_in_the_guided_phase_never_widen_the_region():
 
 
 class SelfServedPolls:
-    """Worker transport that answers the worker's own scheduled polls: a
-    recv between a Task and its Finish can only be a poll_schedule hit, and
-    it gets a ProvideWork at once, whatever the coordinator is doing. The
-    answers (Offload or NoWork) still reach the coordinator, unasked."""
+    """Worker transport, beneath a replaying ScheduleTransport, that answers
+    the worker's own scheduled polls: a recv between a Task and its Finish
+    can only be a scheduled poll, and it gets a ProvideWork at once, whatever
+    the coordinator is doing. The answers (Offload or NoWork) still reach
+    the coordinator, unasked."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -221,9 +237,9 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
     summaries, errors = [], []
 
     def body(wid: int) -> None:
-        cfg = WorkerConfig(worker_id=wid, offload_threshold=1, poll_schedule=polls)
+        transport = ScheduleTransport(SelfServedPolls(hub.transport_for(wid)), polls, replay=True)
         try:
-            summaries.append(run_worker(SelfServedPolls(hub.transport_for(wid)), program, cfg))
+            summaries.append(run_worker(transport, program, WorkerConfig(offload_threshold=1)))
         except BaseException as e:  # surfaced below
             errors.append(e)
 
@@ -266,8 +282,7 @@ def test_forced_polls_keep_the_path_multiset():
 
 
 def test_unexpected_message_mid_region_raises():
-    cfg = WorkerConfig(poll_schedule=frozenset({(0, 0)}))
-    h = WorkerHarness(FIND_MIDDLE, cfg)
+    h = WorkerHarness(FIND_MIDDLE, polls={(0, 0)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(Terminate())  # arrives at the scheduled poll instead of ProvideWork
     h.thread.join(timeout=20)
