@@ -1,4 +1,4 @@
-"""The generated tier (one Python function per hot block) against the
+"""The generated tier (one Python function per hot loop) against the
 closure tier (compile_expr), which stays the reference."""
 
 import random
@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from tdpart import engine
-from tdpart.engine import Engine, Strategy, compile_expr, generate_block
-from tdpart.harness import gen_corpus
+from tdpart.engine import Engine, Strategy, compile_expr, find_loop, generate_block
+from tdpart.harness import RunConfig, gen_corpus, run_program
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
     Jump, Unary, Var, parse_program, reads,
@@ -36,14 +36,16 @@ def _closure_run(blk, assigned, env):
     return blk.term.on_true if cond else blk.term.on_false
 
 
-def _random_expr(rng, depth):
+def _random_expr(rng, depth, names=_NAMES):
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.4:
             return Const(rng.choice(_EDGE) if rng.random() < 0.7 else rng.randint(-9, 9))
-        return Var(rng.choice(_NAMES))
+        return Var(rng.choice(names))
     if rng.random() < 0.2:
-        return Unary(rng.choice(("neg", "not")), _random_expr(rng, depth - 1))
-    return Binary(rng.choice(_OPS), _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return Unary(rng.choice(("neg", "not")), _random_expr(rng, depth - 1, names))
+    return Binary(
+        rng.choice(_OPS), _random_expr(rng, depth - 1, names), _random_expr(rng, depth - 1, names)
+    )
 
 
 def _random_block(rng):
@@ -62,7 +64,7 @@ def test_generated_blocks_match_the_closure_tier_seeded():
     seen_ops, new_names = set(), 0
     for _ in range(3000):
         blk = _random_block(rng)
-        run = generate_block(blk, assigned)
+        run = generate_block({0: blk}, assigned)
         assert run is not None
         # bind every name read before the block assigns it, and some others,
         # so the order in which new names are written back shows
@@ -77,7 +79,8 @@ def test_generated_blocks_match_the_closure_tier_seeded():
         want_env = dict(store)
         want = _closure_run(blk, assigned, want_env)
         got_env = dict(store)
-        assert run(got_env) == want, blk
+        steps = len(blk.body) + 1
+        assert run(got_env, 0, steps) == (want, steps), blk
         assert list(got_env.items()) == list(want_env.items()), blk
         assert all(type(v) is int and _LO <= v <= _HI for v in got_env.values())
         new_names += len(got_env) > len(store)
@@ -96,7 +99,7 @@ def test_generated_blocks_wrap_at_the_int64_edges():
     def run(expr, **store):
         blk = BasicBlock((Assign("r", expr),), Jump(0))
         env = dict(store)
-        assert generate_block(blk, frozenset(store) | {"r"})(env) == 0
+        assert generate_block({0: blk}, frozenset(store) | {"r"})(env, 0, 2) == (0, 2)
         return env["r"]
 
     m, n = Var("m"), Var("n")
@@ -115,25 +118,25 @@ def test_a_block_reading_a_non_int_bails_with_env_untouched():
         (Assign("a", Binary("+", Var("a"), Const(1))), Assign("b", Var("a"))),
         Branch(Binary("<", Var("b"), Var("c")), 1, 2),
     )
-    run = generate_block(blk, frozenset("abc"))
+    run = generate_block({0: blk}, frozenset("abc"))
     symbolic = Binary("+", Var("x"), Const(1))
     for store in ({"a": 1}, {"a": 1, "c": symbolic}, {"a": symbolic, "c": 3}, {}):
         env = dict(store)
-        assert run(env) == -1
+        assert run(env, 0, 3) == (0, 0)
         assert env == store and all(env[k] is store[k] for k in store)
     env = {"a": 1, "c": 3}
-    assert run(env) == 1 and env == {"a": 2, "c": 3, "b": 2}
+    assert run(env, 0, 3) == (1, 3) and env == {"a": 2, "c": 3, "b": 2}
 
 
 def test_blocks_that_get_no_function():
     assigned = frozenset("a")
     read_input = Binary("<", Var("a"), Var("x"))
-    assert generate_block(BasicBlock((), Exit(0)), assigned) is None
-    assert generate_block(BasicBlock((Assign("a", Const(1)),), Error("e")), assigned) is None
-    assert generate_block(BasicBlock((), Branch(read_input, 1, 2)), assigned) is None
-    assert generate_block(BasicBlock((Assign("a", Var("x")),), Jump(1)), assigned) is None
+    assert generate_block({0: BasicBlock((), Exit(0))}, assigned) is None
+    assert generate_block({0: BasicBlock((Assign("a", Const(1)),), Error("e"))}, assigned) is None
+    assert generate_block({0: BasicBlock((), Branch(read_input, 1, 2))}, assigned) is None
+    assert generate_block({0: BasicBlock((Assign("a", Var("x")),), Jump(1))}, assigned) is None
     # an input the program assigns is read like any other name
-    assert generate_block(BasicBlock((), Branch(read_input, 1, 2)), assigned | {"x"})
+    assert generate_block({0: BasicBlock((), Branch(read_input, 1, 2))}, assigned | {"x"})
 
 
 def test_program_names_that_are_python_identifiers_of_the_generated_code(monkeypatch):
@@ -150,6 +153,106 @@ def test_program_names_that_are_python_identifiers_of_the_generated_code(monkeyp
         res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
         (state,) = res.frontier
         assert state.env == {"env": 100, "wrap": 5, "v0": 500, "a0": 1, "t0": _LO + 99}
+
+
+# names that are also the loop function's own identifiers
+_LOOP_NAMES = ("b", "room", "left", "env", "v0", "k")
+
+
+def _random_loop(rng):
+    """A cycle through blocks 0..m-1 (m in 1-4, so m = 1 is a self-loop);
+    a branch may leave it, from any block, or jump within it."""
+    m = rng.randint(1, 4)
+    blocks = {}
+    for i in range(m):
+        body = tuple(
+            Assign(rng.choice(_LOOP_NAMES), _random_expr(rng, rng.randint(0, 3), _LOOP_NAMES))
+            for _ in range(rng.randint(0, 4))
+        )
+        nxt = (i + 1) % m
+        if rng.random() < 0.3:
+            term = Jump(nxt)
+        else:
+            cond = _random_expr(rng, rng.randint(0, 3), _LOOP_NAMES)
+            other = rng.randint(7, 9) if rng.random() < 0.6 else rng.randrange(m)
+            term = Branch(cond, nxt, other) if rng.random() < 0.5 else Branch(cond, other, nxt)
+        blocks[i] = BasicBlock(body, term)
+    return blocks
+
+
+def _closure_loop(blocks, assigned, env, b, room):
+    """Run member blocks through the closure tier while the next one fits."""
+    n = 0
+    while b in blocks and len(blocks[b].body) + 1 <= room - n:
+        n += len(blocks[b].body) + 1
+        b = _closure_run(blocks[b], assigned, env)
+    return b, n
+
+
+def test_generated_loops_match_the_closure_tier_seeded():
+    rng = random.Random(12)
+    assigned = frozenset(_LOOP_NAMES)
+    symbolic = Binary("*", Var("x"), Const(3))
+    ran = bails = multi = new_names = stopped = 0
+    for _ in range(1500):
+        blocks = _random_loop(rng)
+        run = generate_block(blocks, assigned)
+        used = set()
+        for blk in blocks.values():
+            used |= {a.name for a in blk.body}.union(*(reads(a.expr) for a in blk.body))
+            used |= reads(blk.term.cond) if type(blk.term) is Branch else set()
+        for _ in range(4):
+            store, spoil = {}, rng.choice((0, 0.1, 0.3))
+            for name in rng.sample(_LOOP_NAMES, len(_LOOP_NAMES)):
+                r = rng.random()
+                if r >= spoil:
+                    store[name] = rng.choice(_EDGE) if rng.random() < 0.5 else rng.randint(-5, 5)
+                elif r < spoil / 2:
+                    store[name] = symbolic
+            b = rng.randrange(len(blocks))
+            room = rng.choice((0, rng.randint(0, 12), rng.randint(0, 300)))
+            got_env = dict(store)
+            got = run(got_env, b, room)
+            if got[1] == 0:
+                bails += 1
+                assert got == (b, 0)
+                assert list(got_env.items()) == list(store.items())
+                assert all(got_env[k] is store[k] for k in store)
+                # only an unbound or non-int name, or no room, makes it bail
+                assert (
+                    room < len(blocks[b].body) + 1
+                    or any(type(store.get(n)) is not int for n in used)
+                )
+                continue
+            want_env = dict(store)
+            assert got == _closure_loop(blocks, assigned, want_env, b, room), blocks
+            assert list(got_env.items()) == list(want_env.items()), blocks
+            assert all(type(v) is int and _LO <= v <= _HI for k, v in got_env.items()
+                       if k in used)
+            ran += 1
+            multi += got[1] > len(blocks[b].body) + 1
+            new_names += len(got_env) > len(store)
+            stopped += got[0] in blocks
+    assert min(ran, bails) > 1500 and multi > 1000 and new_names > 20 and stopped > 1000
+
+
+def test_find_loop_takes_the_whole_nest_and_only_generable_blocks():
+    nest = parse_program(
+        "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
+        "while (k < 9) { j = 0; while (j < k) { j = j + 1; s = s + j; } k = k + 1; }\n"
+        "if (x < s) { exit(1); }\nexit(2);\n"
+    )
+    assigned = frozenset("jks")
+    loops = {i: find_loop(nest.blocks, i, assigned) for i in range(len(nest.blocks))}
+    members = {i for i, loop in loops.items() if loop}
+    assert len(members) >= 4  # both headers and both bodies
+    assert all(loops[i] == sorted(members) for i in members)
+    # a loop that branches on an input has no generable cycle
+    on_input = parse_program(
+        "program p;\nsym x in [0, 3];\nk = 0;\n"
+        "while (k < 9) { k = k + 1; if (x < k) { k = k + 2; } }\nexit(2);\n"
+    )
+    assert not any(find_loop(on_input.blocks, i, {"k"}) for i in range(len(on_input.blocks)))
 
 
 # -- whole explorations, every block generated at once against none
@@ -212,7 +315,8 @@ def test_a_block_is_generated_on_its_hot_entry_once_per_engine(monkeypatch):
             f"while (k < {n}) {{ k = k + 1; }}\nif (x < k) {{ exit(1); }}\nexit(2);\n"
         )
 
-    for n, generated in ((engine.HOT - 2, 0), (engine.HOT - 1, 1), (engine.HOT, 2)):
+    # the header gets hot first, and generates its loop with the body
+    for n, generated in ((engine.HOT - 2, 0), (engine.HOT - 1, 1), (engine.HOT, 1)):
         for _ in range(2):  # a new engine generates again
             calls.clear()
             eng = Engine(loop(n))
@@ -220,7 +324,66 @@ def test_a_block_is_generated_on_its_hot_entry_once_per_engine(monkeypatch):
             assert len(calls) == generated, n
     # the same engine's next region reuses its functions
     eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("bfs"))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def _run_region(prog):
+    eng = Engine(prog)
+    eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+    return eng
+
+
+_HOT_LOOP = (
+    "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
+    "while (k < 200) { k = k + 1; s = s + k; }\nif (x < s) { exit(1); }\nexit(2);\n"
+)
+
+
+def test_a_second_engine_compiles_no_new_code_object():
+    prog = parse_program(_HOT_LOOP)
+    first = _run_region(prog)
+    misses = engine._code.cache_info().misses
+    second = _run_region(prog)
+    assert engine._code.cache_info().misses == misses
+    (run1,), (run2,) = ({r for r in e._runs if r} for e in (first, second))
+    # each engine has its own function over its own globals
+    assert run1 is not run2 and run1.__code__ is run2.__code__
+    assert run1.__globals__ is not run2.__globals__
+
+
+def test_the_code_cache_stays_within_its_bound():
+    bound = engine._code.cache_parameters()["maxsize"]
+    for c in range(bound + 20):
+        generate_block({0: BasicBlock((Assign("r", Const(c)),), Jump(0))}, {"r"})
+    assert engine._code.cache_info().currsize <= bound
+
+
+def test_a_hot_block_on_no_cycle_gets_no_function(monkeypatch):
+    calls = []
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
+    prog = parse_program("program p;\nsym x in [0, 3];\nk = 1;\nif (x < k) { exit(1); }\nexit(2);\n")
+    eng = Engine(prog)
+    for _ in range(engine.HOT + 3):  # block 0 is entered once per region
+        eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+    assert eng._heat[0] > engine.HOT
+    assert eng._runs == [None] * len(prog.blocks) and calls == []
+
+
+@pytest.mark.parametrize("mode,workers", [("single", 1), ("threads", 2)])
+@pytest.mark.parametrize("depth", [6, 12])
+def test_the_loop_analysis_runs_only_on_a_hot_block(monkeypatch, tmp_path, mode, workers, depth):
+    # lazy, never per engine: a corpus exploration makes several engines.
+    # Only the single engine at depth 12 enters a corpus block HOT times:
+    # `while (y < 6) { y = y + 1; }` in two programs, whose y is symbolic.
+    calls = []
+    monkeypatch.setattr(engine, "find_loop", lambda blocks, idx, assigned: calls.append(idx) or [])
+    for path in [Path("programs/find_middle.tdp")] + gen_corpus(7, 20, tmp_path):
+        calls.clear()
+        cfg = RunConfig(mode=mode, workers=workers, final_depth=depth)
+        assert not run_program(parse_program(path.read_text()), cfg).truncated
+        hot = (mode, depth) == ("single", 12) and path.stem in ("prog_05", "prog_15")
+        assert calls == ([4] if hot else []), path
 
 
 @pytest.mark.parametrize("start", [1, 1000, 1023, 1024, 3000])
