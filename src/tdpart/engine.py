@@ -8,12 +8,11 @@ condition stays non-constant after substitution through the symbolic store
 count toward depth; a fully concrete branch just follows its edge.
 
 The store holds a concrete value as a plain int and keeps an Expr only for
-a value that depends on a symbolic input. Each block's assignments and
-branch condition are compiled into closures over the store the first time
-an engine reaches the block. Two concrete operands fold to an int at once;
-a symbolic operand rebuilds the node around Const leaves, the very tree
-substitution builds, so constraint texts, cache keys and witnesses do not
-depend on how an expression was evaluated.
+a value that depends on a symbolic input. One recursive evaluator runs each
+assignment and branch condition over the store: two concrete operands fold
+to an int at once; a symbolic operand rebuilds the node around Const
+leaves, so constraint texts, cache keys and witnesses depend only on the
+expression and the store.
 
 Once an engine has entered a block concretely HOT times, it finds the
 loop around it (the blocks reachable from it that can reach it back) and
@@ -21,9 +20,9 @@ runs the whole loop through one generated Python function: a `while` over
 the loop's blocks, on locals holding plain ints, with inlined int64
 arithmetic, that returns where control leaves the loop. It bails, leaving
 the store untouched, when a name the loop uses is not a plain int, and the
-closure tier runs the block instead. Generated source is compiled once per
+evaluator runs the block instead. Generated source is compiled once per
 process; each engine makes its own function from the shared code. The
-closures stay the reference; both tiers count every instruction and
+evaluator stays the reference; both tiers count every instruction and
 truncate at the same one.
 """
 
@@ -35,13 +34,12 @@ import random
 import time
 from collections.abc import Callable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from enum import Enum
 from types import CodeType
 
 from . import solve
 from .lang import (
     ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
-    Const, Error, Exit, Expr, Jump, Program, Terminator, Unary, Var, reads,
+    Const, Exit, Expr, Jump, Program, Unary, Var, reads,
 )
 from .solve import PathCondition, QueryCache, Test
 
@@ -49,18 +47,10 @@ DEFAULT_MAX_STEPS = 10_000_000
 
 # a variable store: an int when concrete, an Expr when input-dependent
 Store = dict[str, int | Expr]
-Compiled = Callable[[Store], int | Expr]
 
 
 class ReplayDivergenceError(Exception):
     """The dispatched test does not satisfy the region root's path condition."""
-
-
-class Status(Enum):
-    ACTIVE = "active"
-    SUSPENDED = "suspended"
-    FRONTIER = "frontier"
-    TERMINATED = "terminated"
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,6 @@ class ExecState:
     instr: int
     env: Store
     pc: PathCondition
-    status: Status
     serial: int  # creation order, engine-wide
     outcome: Outcome | None = None
     # lex-min model of pc when the solver checked this state at its fork;
@@ -138,128 +127,33 @@ class RegionResult:
     stats: EngineStats
 
 
-# Closure factories, kept apart from _compile so that its calls, one per
-# node, do not allocate the closures' cells. Like substitution, a closure
-# returns its own node when no operand changed.
+_BINARY, _UNARY = solve.BINARY_OPS, solve.UNARY_OPS
 
 
-def _load(var: Var) -> Compiled:
-    name = var.name
-
-    def load(env):
-        try:
-            return env[name]
-        except KeyError:  # a symbolic input read before its assignment
-            return var
-
-    return load
-
-
-def _unary(e: Unary, operand: Compiled) -> Compiled:
-    fold = solve.UNARY_OPS[e.op]
-
-    def unary(env):
-        v = operand(env)
-        if type(v) is int:
-            return fold(v)
-        return e if v is e.operand else Unary(e.op, v)
-
-    return unary
-
-
-def _fixed_left(e: Binary, lnode: Expr, right: Compiled) -> Compiled:
-    fold = solve.BINARY_OPS[e.op]
-    lvalue = lnode.value if type(lnode) is Const else None
-
-    def fixed_left(env):
-        r = right(env)
-        if type(r) is not int:
-            return e if r is e.right and lnode is e.left else Binary(e.op, lnode, r)
-        return Binary(e.op, lnode, Const(r)) if lvalue is None else fold(lvalue, r)
-
-    return fixed_left
-
-
-def _fixed_right(e: Binary, left: Compiled, rnode: Expr) -> Compiled:
-    fold = solve.BINARY_OPS[e.op]
-    rvalue = rnode.value if type(rnode) is Const else None
-
-    def fixed_right(env):
-        l = left(env)
-        if type(l) is not int:
-            return e if l is e.left and rnode is e.right else Binary(e.op, l, rnode)
-        return Binary(e.op, Const(l), rnode) if rvalue is None else fold(l, rvalue)
-
-    return fixed_right
-
-
-def _binary(e: Binary, left: Compiled, right: Compiled) -> Compiled:
-    fold = solve.BINARY_OPS[e.op]
-
-    def binary(env):
-        l = left(env)
-        r = right(env)
-        if type(l) is int:
-            if type(r) is int:
-                return fold(l, r)
-            return Binary(e.op, Const(l), r)
-        if type(r) is int:
-            return Binary(e.op, l, Const(r))
-        return e if l is e.left and r is e.right else Binary(e.op, l, r)
-
-    return binary
-
-
-def _compile(e: Expr, assigned: Set[str]) -> Expr | Compiled:
-    """e compiled against a store binding at most the names in `assigned`.
-    When e reads none of them, returns what substitution gives for every
-    such store: a Const if e folds, else e itself unless a constant part of
-    it folded. Otherwise returns a closure store -> int | Expr."""
+def evaluate(e: Expr, env: Store) -> int | Expr:
+    """e's value over a store of plain ints (concrete values) and Exprs over
+    the symbolic inputs; a name absent from the store, a symbolic input,
+    stays its Var. An int when every operand is concrete, else the node
+    rebuilt around Const leaves: no logic short-circuit, no re-association.
+    A node none of whose operands changed comes back as the same object."""
     kind = type(e)
     if kind is Const:
-        return e
+        return e.value
     if kind is Var:
-        return _load(e) if e.name in assigned else e
+        return env.get(e.name, e)
     if kind is Unary:
-        o = _compile(e.operand, assigned)
-        if callable(o):
-            return _unary(e, o)
-        if type(o) is Const:
-            return Const(solve.UNARY_OPS[e.op](o.value))
+        o = evaluate(e.operand, env)
+        if type(o) is int:
+            return _UNARY[e.op](o)
         return e if o is e.operand else Unary(e.op, o)
-    left = _compile(e.left, assigned)
-    right = _compile(e.right, assigned)
-    if callable(left):
-        if callable(right):
-            return _binary(e, left, right)
-        return _fixed_right(e, left, right)
-    if callable(right):
-        return _fixed_left(e, left, right)
-    if type(left) is Const and type(right) is Const:
-        return Const(solve.BINARY_OPS[e.op](left.value, right.value))
-    if left is e.left and right is e.right:
-        return e
-    return Binary(e.op, left, right)
-
-
-def compile_expr(e: Expr, assigned: Set[str]) -> int | Expr | Compiled:
-    """e compiled against a store mapping at most the names in `assigned`
-    to plain ints (concrete values) or Exprs over the symbolic inputs;
-    names not in the store stay symbolic. Returns e's value when it does
-    not depend on the store, else a closure store -> int | Expr. A value is
-    an int when every operand is concrete, else the tree substitution
-    builds: no logic short-circuit, no re-association."""
-    c = _compile(e, assigned)
-    return c.value if type(c) is Const else c
-
-
-def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
-    """Replace assigned variables by their stored expressions and fold any
-    all-constant node. Variables absent from env (the symbolic inputs) stay."""
-    store = {k: v.value if isinstance(v, Const) else v for k, v in env.items()}
-    c = compile_expr(e, frozenset(store))
-    r = c(store) if callable(c) else c
-    return Const(r) if type(r) is int else r
+    left, right = evaluate(e.left, env), evaluate(e.right, env)
+    if type(left) is int:
+        if type(right) is int:
+            return _BINARY[e.op](left, right)
+        left = e.left if type(e.left) is Const else Const(left)
+    elif type(right) is int:
+        right = e.right if type(e.right) is Const else Const(right)
+    return e if left is e.left and right is e.right else Binary(e.op, left, right)
 
 
 # Generated tier: once a block has been entered concretely HOT times in an
@@ -398,7 +292,8 @@ def generate_block(
     assigns (in one order with the other such names) before reading it.
     None when a member gets no function: it exits, or it reads a name that
     no assignment in `assigned` binds, which therefore always holds an
-    Expr. With one member and room len(body) + 1, run runs that block."""
+    Expr. With one member and room len(body) + 1, run runs that block.
+    Whatever run leaves, the evaluator runs, and it is the reference."""
     src = _LoopSource()
     cases, firsts, written = [], [], {}
     try:
@@ -416,7 +311,7 @@ def generate_block(
             cases.append((idx, len(blk.body) + 1, src.lines[start:], nxt))
             firsts.append([n for n in src.written if n not in src.exposed])
             written.update(src.written)
-    except RecursionError:  # too deep to generate; the closures run it
+    except RecursionError:  # too deep to generate; the evaluator runs it
         return None
     # names every entry block binds before reading them may be unbound
     fresh = firsts[0] if all(f == firsts[0] for f in firsts) else []
@@ -447,14 +342,6 @@ def generate_block(
     return namespace.pop("run")
 
 
-@dataclass(slots=True)
-class _CompiledBlock:
-    # compile_expr results: a closure, or a value that needs no store
-    body: tuple[tuple[str, int | Expr | Compiled], ...]  # (assigned name, expr)
-    cond: int | Expr | Compiled | None  # branch condition; None for other terminators
-    term: Terminator
-
-
 class Engine:
     """Per-worker execution engine; the query cache and creation-order serial
     numbers live for the engine's lifetime, spanning all its regions."""
@@ -472,9 +359,7 @@ class Engine:
         self.max_steps = max_steps
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
-        # blocks compiled on first visit, for this engine's lifetime
         self._assigned = {a.name for b in program.blocks for a in b.body}
-        self._compiled: list[_CompiledBlock | None] = [None] * len(program.blocks)
         # generated tier: entries per block, and once a block is hot the
         # function of the loop around it, shared by the loop's blocks (None
         # before, and for a block on no generable loop)
@@ -493,8 +378,7 @@ class Engine:
     def initial_state(self) -> ExecState:
         self.created += 1
         return ExecState(
-            block=0, instr=0, env={}, pc=PathCondition(),
-            status=Status.ACTIVE, serial=next(self._serial),
+            block=0, instr=0, env={}, pc=PathCondition(), serial=next(self._serial)
         )
 
     # -- solver access (all SAT/model traffic funnels through here)
@@ -528,16 +412,6 @@ class Engine:
 
     # -- single-state execution up to the next event
 
-    def _compile_block(self, idx: int) -> _CompiledBlock:
-        blk = self.program.blocks[idx]
-        assigned, term = self._assigned, blk.term
-        cb = self._compiled[idx] = _CompiledBlock(
-            tuple([(a.name, compile_expr(a.expr, assigned)) for a in blk.body]),
-            compile_expr(term.cond, assigned) if type(term) is Branch else None,
-            term,
-        )
-        return cb
-
     def _advance(
         self,
         state: ExecState,
@@ -551,9 +425,9 @@ class Engine:
         Each assignment and each terminator is one instruction. A hot
         loop's function runs whole blocks within the budget left, cut under
         a deadline at the next multiple of 1024, so a block that would span
-        a time check runs in the closure tier, which makes it.
+        a time check runs in the evaluator, which makes it.
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
-        compiled, runs, heat = self._compiled, self._runs, self._heat
+        blocks, runs, heat = self.program.blocks, self._runs, self._heat
         env = state.env
         limit = self.max_steps
         count = stats.instructions
@@ -576,8 +450,8 @@ class Engine:
                     if n == 0:
                         break
                     count += n
-                cb = compiled[b] or self._compile_block(b)
-                body = cb.body
+                blk = blocks[b]
+                body = blk.body
                 while True:
                     if count >= limit or (
                         deadline is not None
@@ -588,25 +462,23 @@ class Engine:
                     count += 1
                     if i == len(body):
                         break
-                    name, value = body[i]
-                    env[name] = value(env) if callable(value) else value
+                    a = body[i]
+                    env[a.name] = evaluate(a.expr, env)
                     i += 1
-                term = cb.term
-                if cb.cond is not None:
-                    cond = cb.cond(env) if callable(cb.cond) else cb.cond
+                term = blk.term
+                if type(term) is Branch:
+                    cond = evaluate(term.cond, env)
                     if type(cond) is int:
                         b = term.on_true if cond else term.on_false
                         i = 0
                         continue
                     if state.depth == final_depth:
-                        state.status = Status.FRONTIER
                         return "frontier"
                     return ("fork", cond)
                 if isinstance(term, Jump):
                     b = term.target
                     i = 0
                     continue
-                state.status = Status.TERMINATED
                 if isinstance(term, Exit):
                     state.outcome = Outcome("exit", code=term.code)
                 else:
@@ -645,31 +517,27 @@ class Engine:
         # constraint's text is rendered once
         pcs = {flag: state.pc.extend(cond, flag) for flag in (False, True)}
 
-        def make(taken: bool, status: Status, model: Test | None = None) -> ExecState:
+        def make(taken: bool, model: Test | None = None) -> ExecState:
             self.created += 1
             return ExecState(
                 block=term.on_true if taken else term.on_false,
                 instr=0,
                 env=dict(state.env),
                 pc=pcs[taken],
-                status=status,
                 serial=next(self._serial),
                 model=model,
             )
 
         if state.depth < test_depth:
             taken = solve.solve_path(test, cond)
-            first = make(False, Status.ACTIVE if not taken else Status.SUSPENDED)
-            second = make(True, Status.ACTIVE if taken else Status.SUSPENDED)
-            if taken:
-                return [second], first
-            return [first], second
+            first, second = make(False), make(True)
+            return ([second], first) if taken else ([first], second)
 
         actives: list[ExecState] = []
         for flag in (False, True):
             sat, model = self._query(pcs[flag], state.model)
             if sat:
-                actives.append(make(flag, Status.ACTIVE, model))
+                actives.append(make(flag, model))
         return actives, None
 
     def _select(self, active: list[ExecState], strategy: Strategy, rng) -> ExecState:
@@ -708,7 +576,6 @@ class Engine:
             raise ReplayDivergenceError(
                 f"test {test} does not satisfy region root pc {root.pc.texts()}"
             )
-        root.status = Status.ACTIVE
         rng = random.Random(strategy.seed) if strategy.kind == "random" else None
 
         active = [root]

@@ -353,6 +353,14 @@ def run_tcp(program: Program, cfg: RunConfig) -> RunOutput:
 def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     if cfg.mode != "threads" and (cfg.record_schedule or cfg.replay_schedule):
         raise ValueError("schedule record/replay is a threads-mode feature")
+    # in every mode, what a Task carries must fit its wire fields
+    kind, seed = cfg.strategy.kind, cfg.strategy.seed
+    if kind not in ("dfs", "bfs", "random"):
+        raise ValueError(f"unknown strategy {kind}")
+    if kind == "random" and (seed is None or not 0 <= seed < 2**64):
+        raise ValueError(f"--seed must be in [0, 2**64) for random search, got {seed}")
+    if not 0 <= cfg.final_depth < 2**32:
+        raise ValueError(f"--max-depth must be in [0, 2**32), got {cfg.final_depth}")
     if cfg.mode == "single":
         return run_single(program, cfg)
     if cfg.mode not in ("threads", "tcp"):
@@ -786,9 +794,6 @@ def _cmd_run(args) -> int:
         final_depth = args.max_depth
     else:
         print("error: one of --max-depth or --calibrate-timeout is required")
-        return 2
-    if final_depth < 0:
-        print("error: --max-depth must be nonnegative")
         return 2
 
     workers = args.workers

@@ -95,26 +95,23 @@ UNARY_OPS = {
 }
 
 
-def evaluate_concrete(e: Expr, test: Test, env: dict[str, int] | None = None) -> int:
-    """Evaluate under env first, then the test. Unbound names are a caller bug."""
+def evaluate_concrete(e: Expr, test: Test) -> int:
+    """Evaluate under the test. An unbound name, which a malformed Task from
+    the wire can carry, raises SolveError."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
-        if env is not None and e.name in env:
-            return env[e.name]
         if e.name in test:
             return test[e.name]
         raise SolveError(f"unbound variable {e.name}")
     if isinstance(e, Unary):
-        return UNARY_OPS[e.op](evaluate_concrete(e.operand, test, env))
-    return BINARY_OPS[e.op](
-        evaluate_concrete(e.left, test, env), evaluate_concrete(e.right, test, env)
-    )
+        return UNARY_OPS[e.op](evaluate_concrete(e.operand, test))
+    return BINARY_OPS[e.op](evaluate_concrete(e.left, test), evaluate_concrete(e.right, test))
 
 
-def solve_path(test: Test, cond: Expr, env: dict[str, int] | None = None) -> bool:
+def solve_path(test: Test, cond: Expr) -> bool:
     """Which way a concrete test drives a branch condition."""
-    return evaluate_concrete(cond, test, env) != 0
+    return evaluate_concrete(cond, test) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +119,8 @@ def solve_path(test: Test, cond: Expr, env: dict[str, int] | None = None) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _all_hold(
-    constraints: tuple[Constraint, ...], test: Test, env: dict[str, int] | None = None
-) -> bool:
-    return all(
-        (evaluate_concrete(c.expr, test, env) != 0) == c.taken for c in constraints
-    )
+def _all_hold(constraints: tuple[Constraint, ...], test: Test) -> bool:
+    return all((evaluate_concrete(c.expr, test) != 0) == c.taken for c in constraints)
 
 
 @dataclass(frozen=True)
@@ -164,14 +157,8 @@ class PathCondition:
         c = Constraint(expr, taken, len(self.constraints) + 1)
         return PathCondition(self.constraints + (c,), self)
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for c in self.constraints:
-            out.update(c.inputs)
-        return out
-
-    def satisfied_by(self, test: Test, env: dict[str, int] | None = None) -> bool:
-        return _all_hold(self.constraints, test, env)
+    def satisfied_by(self, test: Test) -> bool:
+        return _all_hold(self.constraints, test)
 
     def texts(self) -> list[str]:
         return [c.text for c in self.constraints]

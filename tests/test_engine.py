@@ -10,10 +10,8 @@ from tdpart import solve
 from tdpart.engine import (
     Engine,
     ReplayDivergenceError,
-    Status,
     Strategy,
-    compile_expr,
-    substitute,
+    evaluate,
 )
 from tdpart.harness import corpus_shape, generate_program
 from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
@@ -96,7 +94,6 @@ def test_censoring_at_final_depth_two():
     _, res = full_region(FIND_MIDDLE, 2)
     assert {c.path for c in res.completed} == {"01", "11"}
     assert {s.path for s in res.frontier} == {"00", "10"}
-    assert all(s.status is Status.FRONTIER for s in res.frontier)
     assert res.stats.frontier == 2
 
 
@@ -105,7 +102,6 @@ def test_guided_region_t3_completes_000_001():
     res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
     assert {c.path for c in res.completed} == {"000", "001"}
     assert {(s.path, s.depth) for s in res.suspended_new} == {("1", 1), ("01", 2)}
-    assert all(s.status is Status.SUSPENDED for s in res.suspended_new)
     # the guided phase never touches the solver: one symbolic fork below the
     # pinned prefix (2 checks) plus 2 terminal witnesses
     assert res.stats.solver_queries == 2 + 2
@@ -219,16 +215,16 @@ def test_assignment_can_deactivate_taint():
 
 
 def test_substitute_folds_constants():
-    env = {"t": Const(2), "u": Var("x")}
-    assert substitute(Binary("+", Var("t"), Const(1)), env) == Const(3)
-    got = substitute(Binary("*", Const(0), Var("u")), env)
+    env = {"t": 2, "u": Var("x")}
+    assert evaluate(Binary("+", Var("t"), Const(1)), env) == 3
+    got = evaluate(Binary("*", Const(0), Var("u")), env)
     assert got == Binary("*", Const(0), Var("x"))  # not folded: one leaf is a var
-    assert substitute(Binary("-", Var("x"), Var("x")), {}) == Binary(
+    assert evaluate(Binary("-", Var("x"), Var("x")), {}) == Binary(
         "-", Var("x"), Var("x")
     )
 
 
-# -- compiled evaluator against a reference fold written here
+# -- evaluator against a reference fold written here
 
 _LO, _HI = -(2**63), 2**63 - 1
 
@@ -295,20 +291,13 @@ def _random_store(rng: random.Random) -> dict:
     return store
 
 
-def _evaluate(e, assigned, store):
-    c = compile_expr(e, assigned)
-    return c(store) if callable(c) else c
-
-
 def test_compiled_evaluator_matches_reference_fold():
     rng = random.Random(1234)
     kinds = {int: 0, "expr": 0}
     for _ in range(3000):
         e = _random_expr(rng, rng.randint(1, 5))
         store = _random_store(rng)
-        # names the program may assign, bound or not yet bound in this store
-        assigned = frozenset(n for n in _NAMES if n in store or rng.random() < 0.5)
-        got = _evaluate(e, assigned, store)
+        got = evaluate(e, store)
         want = _ref_fold(e, store)
         if type(got) is int:
             kinds[int] += 1
@@ -317,20 +306,19 @@ def test_compiled_evaluator_matches_reference_fold():
         else:
             kinds["expr"] += 1
             assert not isinstance(got, Const) and got == want, (e, store)
-            if want == e:  # nothing substituted or folded: e itself, as substitute
+            if want == e:  # nothing substituted or folded: e itself
                 assert got is e
     assert min(kinds.values()) > 500  # both outcomes exercised
 
 
 def test_compiled_evaluator_wraps_at_the_int64_edges():
     store = {"m": _HI, "n": _LO}
-    assigned = frozenset(store)
-    assert _evaluate(Binary("+", Var("m"), Const(1)), assigned, store) == _LO
-    assert _evaluate(Binary("-", Var("n"), Const(1)), assigned, store) == _HI
-    assert _evaluate(Unary("neg", Var("n")), assigned, store) == _LO
-    assert _evaluate(Binary("*", Var("m"), Const(2)), assigned, store) == -2
+    assert evaluate(Binary("+", Var("m"), Const(1)), store) == _LO
+    assert evaluate(Binary("-", Var("n"), Const(1)), store) == _HI
+    assert evaluate(Unary("neg", Var("n")), store) == _LO
+    assert evaluate(Binary("*", Var("m"), Const(2)), store) == -2
     # no short-circuit: a symbolic right operand keeps the node
-    got = _evaluate(Binary("and", Const(0), Var("x")), assigned, store)
+    got = evaluate(Binary("and", Const(0), Var("x")), store)
     assert got == Binary("and", Const(0), Var("x"))
 
 

@@ -479,6 +479,37 @@ def test_cli_rejects_bad_worker_count(capsys):
     assert "--workers" in capsys.readouterr().out
 
 
+# a Task carries the seed in 8 unsigned bytes and each depth in 4
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--search", "rand", "--seed", "-1"), "--seed"),
+        (("--search", "rand", "--seed", str(2**64)), "--seed"),
+        (("--max-depth", str(2**32)), "--max-depth"),
+    ],
+)
+def test_cli_rejects_values_the_wire_cannot_carry(capsys, mode, argv, flag):
+    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3", "--mode", mode, *argv)
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and flag in out
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+@pytest.mark.parametrize(
+    "strategy", [Strategy("random", 2**64), Strategy("random", -1), Strategy("random")]
+)
+def test_run_program_rejects_a_seed_the_wire_cannot_carry(monkeypatch, mode, strategy):
+    def start(*_):
+        raise AssertionError("a run started")
+
+    for run in ("run_single", "run_threads", "run_tcp"):
+        monkeypatch.setattr(harness, run, start)
+    with pytest.raises(ValueError, match="seed"):
+        fm_run(mode=mode, workers=2, strategy=strategy)
+
+
 def test_cli_rejects_schedule_without_threads(tmp_path, capsys):
     rc = run_cli(
         "run", "--program", str(FM_PATH), "--max-depth", "1",

@@ -89,7 +89,6 @@ def test_path_condition_basics():
     assert pc.depth == 2
     assert pc.texts() == ["!(x<y)", "(x<z)"]
     assert pc.path_bits() == "01"
-    assert pc.variables() == {"x", "y", "z"}
     assert pc.satisfied_by({"x": 0, "y": 0, "z": 1})
     assert not pc.satisfied_by({"x": 0, "y": 1, "z": 1})
 

@@ -1,5 +1,5 @@
 """The generated tier (one Python function per hot loop) against the
-closure tier (compile_expr), which stays the reference."""
+evaluator (evaluate), which stays the reference."""
 
 import random
 import time
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tdpart import engine
-from tdpart.engine import Engine, Strategy, compile_expr, find_loop, generate_block
+from tdpart.engine import Engine, Strategy, evaluate, find_loop, generate_block
 from tdpart.harness import RunConfig, gen_corpus, run_program
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
@@ -23,15 +23,13 @@ _OPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
 NEVER = float("inf")
 
 
-def _closure_run(blk, assigned, env):
-    """Run blk through the closure tier; the successor block's index."""
+def _evaluator_run(blk, env):
+    """Run blk through the evaluator; the successor block's index."""
     for a in blk.body:
-        c = compile_expr(a.expr, assigned)
-        env[a.name] = c(env) if callable(c) else c
+        env[a.name] = evaluate(a.expr, env)
     if type(blk.term) is Jump:
         return blk.term.target
-    c = compile_expr(blk.term.cond, assigned)
-    cond = c(env) if callable(c) else c
+    cond = evaluate(blk.term.cond, env)
     assert type(cond) is int
     return blk.term.on_true if cond else blk.term.on_false
 
@@ -77,7 +75,7 @@ def test_generated_blocks_match_the_closure_tier_seeded():
         store = {n: rng.choice(_EDGE) if rng.random() < 0.7 else rng.randint(-5, 5)
                  for n in _NAMES if n in needed or rng.random() < 0.5}
         want_env = dict(store)
-        want = _closure_run(blk, assigned, want_env)
+        want = _evaluator_run(blk, want_env)
         got_env = dict(store)
         steps = len(blk.body) + 1
         assert run(got_env, 0, steps) == (want, steps), blk
@@ -180,12 +178,12 @@ def _random_loop(rng):
     return blocks
 
 
-def _closure_loop(blocks, assigned, env, b, room):
-    """Run member blocks through the closure tier while the next one fits."""
+def _evaluator_loop(blocks, env, b, room):
+    """Run member blocks through the evaluator while the next one fits."""
     n = 0
     while b in blocks and len(blocks[b].body) + 1 <= room - n:
         n += len(blocks[b].body) + 1
-        b = _closure_run(blocks[b], assigned, env)
+        b = _evaluator_run(blocks[b], env)
     return b, n
 
 
@@ -225,7 +223,7 @@ def test_generated_loops_match_the_closure_tier_seeded():
                 )
                 continue
             want_env = dict(store)
-            assert got == _closure_loop(blocks, assigned, want_env, b, room), blocks
+            assert got == _evaluator_loop(blocks, want_env, b, room), blocks
             assert list(got_env.items()) == list(want_env.items()), blocks
             assert all(type(v) is int and _LO <= v <= _HI for k, v in got_env.items()
                        if k in used)

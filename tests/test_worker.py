@@ -7,7 +7,7 @@ import pytest
 
 from tdpart import proto
 from tdpart.coord import CoordConfig, run_coordinator
-from tdpart.engine import Engine, ExecState, Status, Strategy
+from tdpart.engine import Engine, ExecState, Strategy
 from tdpart.harness import RunConfig, ScheduleTransport, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
@@ -302,8 +302,7 @@ def _state(depth_bits: str, serial: int) -> ExecState:
     pc = PathCondition()
     for b in depth_bits:
         pc = pc.extend(Binary("<", Var("x"), Const(serial)), b == "1")
-    return ExecState(block=0, instr=0, env={}, pc=pc,
-                     status=Status.ACTIVE, serial=serial)
+    return ExecState(block=0, instr=0, env={}, pc=pc, serial=serial)
 
 
 def test_choose_offload_prefers_shallow_then_early():
