@@ -875,7 +875,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "run":
         return _cmd_run(args)
     return _cmd_gen(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

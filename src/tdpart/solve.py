@@ -14,6 +14,19 @@ loops build, narrowing work is linear in the chain length. A product
 narrows through any factor whose interval is a single point, and a square
 of one input through integer square roots.
 
+A comparison L op R whose sides are both affine (sums of inputs times
+constants, plus a constant; not both a bare input or constant) skips the
+tree. Each node's affine form is memoised and built from its operands'
+forms, so a chain one link longer costs one step. `+ - *` and neg commute
+with wrapping to int64, so a node's wrapped value is congruent mod 2**64 to
+its form's value, and equals it whenever that value lies in int64. So where
+L's and R's ranges under the box both lie in int64, the comparison is
+exactly L - R op 0 over the whole box, and it is revised by bounds
+consistency on that sum in work linear in the number of inputs (but for
+!=, whose revise cuts at most one end point). At a point, it is checked as
+two integer sums when both lie in int64. Otherwise it is revised and
+checked on the tree, which wraps as the program does.
+
 The fixpoint is an AC-3 worklist (Mackworth, 1977) over the pc's constraints:
 a revise that shrinks input v queues again every constraint that reads v, up
 to 100 revisions per constraint. It is incremental along the path, as a
@@ -44,11 +57,12 @@ the pc is ignored.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import lang
 from .lang import INT64_MAX, INT64_MIN, Binary, Const, Expr, SymDecl, Unary, Var
@@ -115,12 +129,129 @@ def solve_path(test: Test, cond: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Affine forms
+# ---------------------------------------------------------------------------
+
+# An affine form (c, ((x, a), ...)) stands for c + sum of a*x, with a term
+# for every input the node reads (a coefficient may be 0, as in x - x).
+# Constants and coefficients are kept wrapped to int64: a node's wrapped
+# value is congruent to its form's value mod 2**64, which wrapping the
+# form's numbers keeps.
+_Affine = tuple[int, tuple[tuple[str, int], ...]]
+
+
+def _affine(e: Expr) -> _Affine | None:
+    """e's affine form, or None when e is not affine (a product of two
+    non-constant operands, a comparison or a boolean). Memoised on e."""
+    try:
+        return e._solve_affine
+    except AttributeError:
+        pass
+    f = None
+    if isinstance(e, Binary):
+        op = e.op
+        if op in lang.ARITH_OPS:
+            a = _affine(e.left)
+            b = _affine(e.right) if a is not None else None
+            if b is not None:
+                if op != "*":
+                    f = _sum(a, b if op == "+" else _scaled(b, -1))
+                elif not b[1]:  # times a constant
+                    f = _scaled(a, b[0])
+                elif not a[1]:
+                    f = _scaled(b, a[0])
+    elif isinstance(e, Var):
+        f = (0, ((e.name, 1),))
+    elif isinstance(e, Const):
+        f = (e.value, ())
+    elif e.op == "neg":
+        a = _affine(e.operand)
+        f = None if a is None else _scaled(a, -1)
+    object.__setattr__(e, "_solve_affine", f)
+    return f
+
+
+def _scaled(a: _Affine, k: int) -> _Affine:
+    c, terms = a
+    return (wrap(c * k), tuple((x, wrap(v * k)) for x, v in terms))
+
+
+def _sum(a: _Affine, b: _Affine) -> _Affine:
+    c = wrap(a[0] + b[0])
+    if not b[1]:  # a chain link adding a constant reuses the terms
+        return (c, a[1])
+    if not a[1]:
+        return (c, b[1])
+    coef = dict(a[1])
+    for x, v in b[1]:
+        coef[x] = wrap(coef.get(x, 0) + v)
+    return (c, tuple(coef.items()))
+
+
+def _linear(e: Binary) -> tuple[_Affine, _Affine, _Affine] | None:
+    """For a comparison L op R with affine sides, not both a bare input or
+    constant: the forms of L, R and L - R. None otherwise. Memoised on e."""
+    try:
+        return e._solve_linear
+    except AttributeError:
+        pass
+    left, right = e.left, e.right
+    lin = None
+    if not (isinstance(left, (Var, Const)) and isinstance(right, (Var, Const))):
+        a = _affine(left)
+        b = _affine(right) if a is not None else None
+        if b is not None:
+            # L - R in unbounded integers: with both sides in int64, their
+            # difference may not be
+            coef = dict(a[1])
+            for x, v in b[1]:
+                coef[x] = coef.get(x, 0) - v
+            lin = (a, b, (a[0] - b[0], tuple(coef.items())))
+    object.__setattr__(e, "_solve_linear", lin)
+    return lin
+
+
+def _exact_value(a: _Affine, test: Test) -> int | None:
+    """a's value at test when it lies in int64, so that it equals the value
+    of the node a is the form of; None otherwise."""
+    v, terms = a
+    for x, k in terms:
+        v += k * test[x]
+    return v if INT64_MIN <= v <= INT64_MAX else None
+
+
+# ---------------------------------------------------------------------------
 # Path conditions
 # ---------------------------------------------------------------------------
 
+_NEGATED_CMP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+# each comparison's function and the range L - R must lie in (None for !=)
+_CMP = {
+    "<": (operator.lt, (None, -1)),
+    "<=": (operator.le, (None, 0)),
+    ">": (operator.gt, (1, None)),
+    ">=": (operator.ge, (0, None)),
+    "==": (operator.eq, (0, 0)),
+    "!=": (operator.ne, None),
+}
+
 
 def _all_hold(constraints: tuple[Constraint, ...], test: Test) -> bool:
-    return all((evaluate_concrete(c.expr, test) != 0) == c.taken for c in constraints)
+    for c in constraints:
+        lin = c.lin
+        if lin is not None:
+            holds, _, left, right, _ = lin
+            try:
+                lv, rv = _exact_value(left, test), _exact_value(right, test)
+            except KeyError:  # an unbound input: the tree raises SolveError
+                lv = rv = None
+            if lv is not None and rv is not None:
+                if not holds(lv, rv):
+                    return False
+                continue
+        if (evaluate_concrete(c.expr, test) != 0) != c.taken:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -128,15 +259,33 @@ class Constraint:
     expr: Expr
     taken: bool  # polarity: did execution take the true side
     depth: int  # 1-based symbolic branch depth
+    # when expr is a linear comparison L op R (see _linear): the comparison
+    # that must hold, polarity applied, as its function and the range L - R
+    # must lie in (None for !=), then the forms of L, R and L - R
+    lin: tuple | None = field(init=False, compare=False, repr=False)
+    _text: str | None = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        e, lin = self.expr, None
+        if isinstance(e, Binary) and e.op in lang.CMP_OPS:
+            forms = _linear(e)
+            if forms is not None:
+                op = e.op if self.taken else _NEGATED_CMP[e.op]
+                lin = _CMP[op] + forms
+        object.__setattr__(self, "lin", lin)
+
+    @property
     def text(self) -> str:
-        t = lang.expr_text(self.expr)
-        return t if self.taken else "!" + t
+        t = self._text
+        if t is None:
+            t = lang.expr_text(self.expr)
+            t = t if self.taken else "!" + t
+            object.__setattr__(self, "_text", t)
+        return t
 
-    @cached_property
+    @property
     def inputs(self) -> frozenset[str]:
-        return frozenset(lang.reads(self.expr))
+        return lang.reads(self.expr)
 
 
 @dataclass(frozen=True)
@@ -148,6 +297,8 @@ class PathCondition:
     # box, and the model solve_model or a QueryCache hit returned
     _narrowed: _Narrowed | None = field(default=None, init=False, compare=False, repr=False)
     _model: Test | None = field(default=None, init=False, compare=False, repr=False)
+    # the constraint texts in sorted order, filled in by key()
+    _sorted: list[str] | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -168,8 +319,19 @@ class PathCondition:
         return "".join("1" if c.taken else "0" for c in self.constraints)
 
     def key(self) -> str:
-        """Canonical cache key: order-independent over the constraint set."""
-        return "\n".join(sorted(self.texts()))
+        """Canonical cache key: order-independent over the constraint set.
+        It is "\n".join(sorted(self.texts())); a pc keeps its sorted texts,
+        and a child whose parent has them inserts its new text into a copy."""
+        texts = self._sorted
+        if texts is None:
+            parent = self.parent
+            if parent is not None and parent._sorted is not None:
+                texts = parent._sorted.copy()
+                bisect.insort(texts, self.constraints[-1].text)
+            else:
+                texts = sorted(self.texts())
+            object.__setattr__(self, "_sorted", texts)
+        return "\n".join(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +340,6 @@ class PathCondition:
 
 _Interval = tuple[int, int]
 _TOP: _Interval = (INT64_MIN, INT64_MAX)
-
-_NEGATED_CMP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-
 
 class _Unsat(Exception):
     pass
@@ -483,6 +642,59 @@ def _require(e: Expr, want: bool, box: _Box) -> None:
         _narrow_into(e, 0, 0, box)
 
 
+def _range(a: _Affine, iv: dict[str, _Interval]) -> _Interval:
+    lo = hi = a[0]
+    for x, k in a[1]:
+        xlo, xhi = iv[x]
+        if k > 0:
+            lo += k * xlo
+            hi += k * xhi
+        else:
+            lo += k * xhi
+            hi += k * xlo
+    return lo, hi
+
+
+def _revise_linear(lin: tuple, box: _Box) -> bool:
+    """Revise a linear comparison by bounds consistency on L - R, in
+    O(inputs). Returns False, leaving the box alone, for != (whose revise
+    cuts at most one end point) and when L's or R's range leaves int64
+    inside the box: the tree then revises it."""
+    _, want, left, right, diff = lin
+    if want is None:
+        return False
+    iv = box.iv
+    lo, hi = _range(left, iv)
+    if lo < INT64_MIN or hi > INT64_MAX:
+        return False
+    if right[1]:
+        rlo, rhi = _range(right, iv)
+        if rlo < INT64_MIN or rhi > INT64_MAX:
+            return False
+        lo, hi = _range(diff, iv)
+    else:  # L - R has L's terms
+        lo, hi = lo - right[0], hi - right[0]
+    want_lo, want_hi = want
+    if (want_hi is not None and lo > want_hi) or (want_lo is not None and hi < want_lo):
+        raise _Unsat
+    if (want_lo is None or lo >= want_lo) and (want_hi is None or hi <= want_hi):
+        return True  # entailed
+    for x, k in diff[1]:
+        if not k:
+            continue
+        xlo, xhi = iv[x]
+        kmin, kmax = (k * xlo, k * xhi) if k > 0 else (k * xhi, k * xlo)
+        # k*x >= above and k*x <= below, the rest of the sum at its extremes
+        above = None if want_lo is None else want_lo - hi + kmax
+        below = None if want_hi is None else want_hi - lo + kmin
+        if k < 0:  # dividing by k swaps the two bounds
+            above, below = below, above
+        new_lo = xlo if above is None else -(-above // k)  # ceil
+        new_hi = xhi if below is None else below // k  # floor
+        _narrow_var(x, new_lo, new_hi, box)
+    return True
+
+
 def _fixpoint(
     constraints: tuple[Constraint, ...],
     iv: dict[str, _Interval],
@@ -504,7 +716,8 @@ def _fixpoint(
     while pending and budget:
         budget -= 1
         c = constraints[pending.pop(0)]
-        _require(c.expr, c.taken, box)
+        if c.lin is None or not _revise_linear(c.lin, box):
+            _require(c.expr, c.taken, box)
         if shrunk:
             for name in shrunk:
                 for k in watch[name]:

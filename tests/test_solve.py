@@ -1,5 +1,6 @@
 """Concrete evaluation, path conditions, the interval solver, the cache."""
 
+import collections
 import random
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_model, brute_force_sat, domain_cube, eval_expr
+from tdpart import lang
 from tdpart import solve as solve_mod
 from tdpart.lang import INT64_MAX, INT64_MIN, Binary, Const, SymDecl, Unary, Var
 from tdpart.solve import (
@@ -445,6 +447,34 @@ def test_narrowing_work_is_linear_in_chain_length(monkeypatch):
     assert long <= 2.5 * short, (short, long)
 
 
+def _tree_interval_evaluations(monkeypatch, links):
+    # x*y+3+...+3 < 20 is not affine, so the tree revises it: the lex-min
+    # model needs x > 0, and each x below 1 is refuted by narrowing
+    chain = Binary("*", X, Y)
+    for _ in range(links):
+        chain = Binary("+", chain, Const(3))
+    pc = PathCondition().extend(lt(chain, Const(20)), True).extend(lt(Y, X), True)
+    assert pc.constraints[0].lin is None
+    decls = (SymDecl("x", -400, 400), SymDecl("y", -400, 400))
+    calls = [0]
+    ieval = solve_mod._ieval
+
+    def counting(e, box):
+        calls[0] += 1
+        return ieval(e, box)
+
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "_ieval", counting)
+        assert solve_model(pc, decls) == {"x": 1, "y": -400}
+    return calls[0]
+
+
+def test_tree_narrowing_work_is_linear_in_chain_length(monkeypatch):
+    short = _tree_interval_evaluations(monkeypatch, 50)
+    long = _tree_interval_evaluations(monkeypatch, 100)
+    assert long <= 2.5 * short, (short, long)
+
+
 # -- incremental narrowing along the path
 
 
@@ -545,6 +575,42 @@ def test_child_solve_work_does_not_grow_with_depth(monkeypatch):
     assert counts[1] == counts[2] == counts[3] <= counts[0], counts
 
 
+def _square_chain_lt(links):
+    chain = Binary("*", X, X)
+    for _ in range(links):
+        chain = Binary("+", chain, Const(3))
+    return lt(chain, Const(1000))
+
+
+def _last_tree_child_ievals(monkeypatch, depth):
+    """As _last_child_ievals, on fresh copies of x*x+3+...+3 < 1000, which
+    the tree revises (x*x is not affine): x^2 < 970 narrows x to [-31, 31]."""
+    decls = (SymDecl("x", -400, 400),)
+    pc = PathCondition()
+    for _ in range(depth - 1):
+        pc = pc.extend(_square_chain_lt(10), True)
+        assert solve_model(pc, decls) == {"x": -31}
+    child = pc.extend(_square_chain_lt(10), True)
+    assert child.constraints[-1].lin is None
+    calls = [0]
+    ieval = solve_mod._ieval
+
+    def counting(e, box):
+        calls[0] += 1
+        return ieval(e, box)
+
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "_ieval", counting)
+        assert solve_model(child, decls) == {"x": -31}
+    return calls[0]
+
+
+def test_tree_child_solve_work_does_not_grow_with_depth(monkeypatch):
+    counts = [_last_tree_child_ievals(monkeypatch, d) for d in (1, 2, 8, 15)]
+    assert counts[1] == counts[2] == counts[3] <= counts[0], counts
+    assert counts[1] > 0  # the chain was walked
+
+
 def test_revision_bound_ends_a_slow_fixpoint(monkeypatch):
     # each revise shrinks x or y by one, so without the bound this runs
     # ~65,000 revisions before refuting the pc
@@ -596,6 +662,200 @@ def test_sum_of_squares_is_refuted_quickly():
     t0 = time.perf_counter()
     assert solve_model(pc, decls) is None
     assert time.perf_counter() - t0 < 0.5
+
+
+# -- linear comparisons: the affine form at the int64 edge
+
+_EDGE_CONSTS = (INT64_MAX, INT64_MIN, INT64_MAX - 5, INT64_MIN + 3, 2**62, -(2**62))
+
+
+def _edge_const(rng):
+    r = rng.random()
+    if r < 0.35:
+        return rng.choice(_EDGE_CONSTS) + rng.randint(-2, 2) * (r < 0.15)
+    if r < 0.65:
+        return rng.randint(-(2**40), 2**40)
+    return rng.randint(-6, 6)
+
+
+def _edge_side(rng, names, depth=0):
+    """Affine sides: constants near +-2**63, coefficients up to 2**40,
+    repeated inputs and neg."""
+    x = Var(rng.choice(names))
+    r = rng.random()
+    if depth >= 3 or r < 0.2:
+        return x if rng.random() < 0.6 else Const(wrap(_edge_const(rng)))
+    if r < 0.3:
+        return Unary("neg", _edge_side(rng, names, depth + 1))
+    if r < 0.45:
+        k = Const(rng.choice([rng.randint(-(2**40), 2**40), rng.randint(-4, 4)]))
+        sub = _edge_side(rng, names, depth + 1)
+        return Binary("*", k, sub) if rng.random() < 0.5 else Binary("*", sub, k)
+    if r < 0.55:
+        return Binary("-", Binary("+", x, x), x)  # x + x - x
+    return Binary(rng.choice(["+", "-"]), _edge_side(rng, names, depth + 1),
+                  _edge_side(rng, names, depth + 1))
+
+
+def _edge_domain(rng, name):
+    base = rng.choice([0, 0, 2**62, INT64_MAX - 4, INT64_MIN + 4, 2**23])
+    lo = base + rng.randint(-4, 0)
+    return SymDecl(name, lo, min(lo + rng.randint(0, 5), INT64_MAX))
+
+
+def random_edge_system(rng):
+    names = ["x", "y", "z"][: rng.randint(1, 3)]
+    decls = tuple(_edge_domain(rng, n) for n in names)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["<", "<=", ">", ">=", "==", "!="])
+        e = Binary(op, _edge_side(rng, names), _edge_side(rng, names))
+        pairs.append((e, rng.random() < 0.5))
+    return decls, pairs
+
+
+def _unwrapped(e, t):
+    """e's value in unbounded integers: where it leaves int64, e wraps."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return t[e.name]
+    if isinstance(e, Unary):
+        return -_unwrapped(e.operand, t)
+    a, b = _unwrapped(e.left, t), _unwrapped(e.right, t)
+    return a + b if e.op == "+" else a - b if e.op == "-" else a * b
+
+
+def test_linear_narrowing_at_the_int64_edge_keeps_every_solution_seeded(monkeypatch):
+    rng = random.Random(4405)
+    revised = collections.Counter()
+    revise = solve_mod._revise_linear
+
+    def counting(lin, box):
+        done = revise(lin, box)
+        revised[done] += 1
+        return done
+
+    monkeypatch.setattr(solve_mod, "_revise_linear", counting)
+    sat = unsat = 0
+    for _ in range(400):
+        decls, pairs = random_edge_system(rng)
+        pc = _pc_of(pairs)
+        solutions = _solutions(pairs, decls)
+        iv = {d.name: (d.lo, d.hi) for d in decls}
+        try:
+            _fixpoint(pc.constraints, iv)
+        except _Unsat:
+            assert not solutions, (decls, pairs)
+        else:
+            assert all(_inside(t, iv) for t in solutions), (decls, pairs, iv)
+        expect = solutions[0] if solutions else None
+        assert expect == brute_force_model(pairs, decls)
+        assert solve_model(pc, decls) == expect, (decls, pairs)
+        sat += expect is not None
+        unsat += expect is None
+    # both verdicts occur, and both the affine revise and the tree fallback
+    assert sat > 100 and unsat > 100, (sat, unsat)
+    assert revised[True] > 200 and revised[False] > 100, revised
+
+
+def test_linear_check_equals_the_tree_where_a_side_wraps_seeded():
+    rng = random.Random(4406)
+    wrapped = exact = 0
+    for _ in range(300):
+        decls, pairs = random_edge_system(rng)
+        for e, taken in pairs:
+            c = PathCondition().extend(e, taken).constraints[0]
+            for t in domain_cube(decls):
+                assert solve_mod._all_hold((c,), t) == ((eval_expr(e, t) != 0) == taken), (e, t)
+                sides = (_unwrapped(e.left, t), _unwrapped(e.right, t))
+                if any(not INT64_MIN <= v <= INT64_MAX for v in sides):
+                    wrapped += 1
+                elif c.lin is not None:
+                    exact += 1
+    assert wrapped > 1000 and exact > 1000, (wrapped, exact)
+
+
+def test_a_linear_inequality_narrows_to_its_solutions_hull_seeded():
+    # bounds consistency on one integer inequality is exact: each bound it
+    # leaves is met by a solution with every other input at its extreme
+    rng = random.Random(4408)
+    refuted = narrowed = 0
+    for _ in range(300):
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        decls = tuple(SymDecl(n, lo, lo + rng.randint(0, 6))
+                      for n in names for lo in [rng.randint(-5, 3)])
+        side = Const(rng.randint(-8, 8))
+        for n in names:
+            term = Binary("*", Const(rng.choice([-3, -2, -1, 1, 2, 3])), Var(n))
+            side = Binary("+", side, term)
+        e = Binary(rng.choice(["<", "<=", ">", ">="]), side, Const(rng.randint(-6, 6)))
+        taken = rng.random() < 0.5
+        pc = PathCondition().extend(e, taken)
+        assert pc.constraints[0].lin is not None
+        solutions = _solutions([(e, taken)], decls)
+        iv = {d.name: (d.lo, d.hi) for d in decls}
+        try:
+            _fixpoint(pc.constraints, iv)
+        except _Unsat:
+            assert not solutions, (decls, e, taken)
+            refuted += 1
+            continue
+        hull = {n: (min(t[n] for t in solutions), max(t[n] for t in solutions)) for n in names}
+        assert iv == hull, (decls, e, taken, iv)
+        narrowed += any(iv[d.name] != (d.lo, d.hi) for d in decls)
+    assert refuted > 50 and narrowed > 50, (refuted, narrowed)
+
+
+def test_a_hint_missing_an_input_raises_solve_error():
+    decls = (SymDecl("x", -4, 4), SymDecl("y", -4, 4))
+    x_minus_x = Binary("-", X, X)  # x's coefficient is 0, x is still read
+    for e in (lt(Binary("+", X, Y), Const(3)), lt(Binary("+", x_minus_x, Y), Const(3))):
+        pc = PathCondition().extend(e, True)
+        assert pc.constraints[0].lin is not None
+        with pytest.raises(SolveError, match="unbound variable x"):
+            solve_model(pc, decls, hint={"y": 0})
+
+
+# -- incrementality: what a constraint derives is built from its parts
+
+
+def test_extending_a_chain_computes_the_new_node_only(monkeypatch):
+    three, twenty = Const(3), Const(20)
+    chain = X
+    for _ in range(100):
+        chain = Binary("+", chain, three)
+    pc = PathCondition().extend(lt(chain, twenty), True)
+    assert pc.key() == "(" * 101 + "x" + "+3)" * 100 + "<20)"
+    assert pc.constraints[0].inputs == {"x"}
+    computed = collections.Counter()
+    for mod, name, memo in ((lang, "expr_text", "_text"), (lang, "reads", "_reads"),
+                            (solve_mod, "_affine", "_solve_affine")):
+        def counting(e, _f=getattr(mod, name), _name=name, _memo=memo):
+            computed[_name] += not hasattr(e, _memo)
+            return _f(e)
+        monkeypatch.setattr(mod, name, counting)
+    longer = Binary("+", chain, three)
+    child = pc.extend(lt(longer, twenty), True)
+    assert child.key().endswith("+3)<20)") and child.constraints[1].inputs == {"x"}
+    # the new comparison and the new link; only the link has an affine form
+    assert computed == {"expr_text": 2, "reads": 2, "_affine": 1}, computed
+    assert child.constraints[1].lin[4] == (283, (("x", 1),))  # x + 303 - 20
+
+
+def test_key_is_the_sorted_texts_seeded():
+    rng = random.Random(4407)
+    pool = [random_constraint_expr(rng, ["x", "y"]) for _ in range(6)]
+    repeated = 0
+    for _ in range(300):
+        pc = PathCondition()
+        for _ in range(rng.randint(1, 8)):
+            pc = pc.extend(rng.choice(pool), rng.random() < 0.5)
+            if rng.random() < 0.6:  # some parents keep sorted texts, some not
+                assert pc.key() == "\n".join(sorted(pc.texts()))
+        assert pc.key() == "\n".join(sorted(pc.texts()))
+        repeated += len(set(pc.texts())) < len(pc.texts())
+    assert repeated > 50
 
 
 # -- query cache
