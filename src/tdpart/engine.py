@@ -20,21 +20,19 @@ runs the whole loop through one generated Python function: a `while` over
 the loop's blocks, on locals holding plain ints, with inlined int64
 arithmetic, that returns where control leaves the loop. It bails, leaving
 the store untouched, when a name the loop uses is not a plain int, and the
-evaluator runs the block instead. Generated source is compiled once per
-process; each engine makes its own function from the shared code. The
-evaluator stays the reference; both tiers count every instruction and
-truncate at the same one.
+evaluator runs the block instead. A loop's source is built and compiled
+once per process (solve.generated_code); each engine makes its own
+function from the shared code. The evaluator stays the reference; both
+tiers count every instruction and truncate at the same one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
 from collections.abc import Callable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from types import CodeType
 
 from . import solve
 from .lang import (
@@ -164,13 +162,6 @@ HOT = 64
 _NEST = 50  # deepest parenthesis nesting before a value goes to a local
 
 
-@functools.lru_cache(maxsize=1024)
-def _code(source: str) -> CodeType:
-    """Generated source's bytecode, compiled once per process: every engine
-    running the same program generates the same source."""
-    return compile(source, "<tdpart loop>", "exec")
-
-
 def _generable(blk: BasicBlock, assigned: Set[str]) -> bool:
     """blk jumps or branches, and reads only names an assignment binds."""
     term = blk.term
@@ -293,26 +284,42 @@ def generate_block(
     None when a member gets no function: it exits, or it reads a name that
     no assignment in `assigned` binds, which therefore always holds an
     Expr. With one member and room len(body) + 1, run runs that block.
-    Whatever run leaves, the evaluator runs, and it is the reference."""
-    src = _LoopSource()
-    cases, firsts, written = [], [], {}
+    Whatever run leaves, the evaluator runs, and it is the reference.
+    The source is built and compiled once per process for the same
+    members and `assigned`; each call makes a function over its own
+    globals."""
+    key = (tuple(members.items()), frozenset(assigned))
     try:
-        for idx, blk in members.items():
-            if not _generable(blk, assigned):
-                return None
-            src.exposed, src.written, start = set(), {}, len(src.lines)
-            for a in blk.body:
-                src.assign(a.name, a.expr)
-            term = blk.term
-            if type(term) is Jump:
-                nxt = f"b = {term.target}"
-            else:
-                nxt = f"b = {term.on_true} if {src.truth(term.cond)} else {term.on_false}"
-            cases.append((idx, len(blk.body) + 1, src.lines[start:], nxt))
-            firsts.append([n for n in src.written if n not in src.exposed])
-            written.update(src.written)
+        code = solve.generated_code(key, lambda: _loop_source(members, assigned))
     except RecursionError:  # too deep to generate; the evaluator runs it
         return None
+    if code is None:
+        return None
+    namespace = {"wrap": solve.wrap}
+    exec(code, namespace)
+    # popped, so the function and its globals form no cycle that only the
+    # garbage collector could free once the engine is gone
+    return namespace.pop("run")
+
+
+def _loop_source(members: Mapping[int, BasicBlock], assigned: Set[str]) -> str | None:
+    """The source of generate_block's function, or None when it makes none."""
+    src = _LoopSource()
+    cases, firsts, written = [], [], {}
+    for idx, blk in members.items():
+        if not _generable(blk, assigned):
+            return None
+        src.exposed, src.written, start = set(), {}, len(src.lines)
+        for a in blk.body:
+            src.assign(a.name, a.expr)
+        term = blk.term
+        if type(term) is Jump:
+            nxt = f"b = {term.target}"
+        else:
+            nxt = f"b = {term.on_true} if {src.truth(term.cond)} else {term.on_false}"
+        cases.append((idx, len(blk.body) + 1, src.lines[start:], nxt))
+        firsts.append([n for n in src.written if n not in src.exposed])
+        written.update(src.written)
     # names every entry block binds before reading them may be unbound
     fresh = firsts[0] if all(f == firsts[0] for f in firsts) else []
     loads = [(name, v) for name, v in src.names.items() if name not in fresh]
@@ -335,11 +342,7 @@ def generate_block(
     # new names are fresh ones, which every member assigns in one order
     out += [f"    env[{name!r}] = {src.names[name]}" for name in written]
     out.append("    return b, room - left")
-    namespace = {"wrap": solve.wrap}
-    exec(_code("\n".join(out) + "\n"), namespace)
-    # popped, so the function and its globals form no cycle that only the
-    # garbage collector could free once the engine is gone
-    return namespace.pop("run")
+    return "\n".join(out) + "\n"
 
 
 class Engine:
@@ -359,7 +362,7 @@ class Engine:
         self.max_steps = max_steps
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
-        self._assigned = {a.name for b in program.blocks for a in b.body}
+        self._assigned = frozenset(a.name for b in program.blocks for a in b.body)
         # generated tier: entries per block, and once a block is hot the
         # function of the loop around it, shared by the loop's blocks (None
         # before, and for a block on no generable loop)

@@ -32,7 +32,8 @@ class _Node:
 
     __slots__ = (
         "_text", "_reads",  # expr_text and reads, below
-        "_solve_affine", "_solve_linear",  # owned by solve: _affine and _linear
+        # owned by solve: _affine, _linear and _revise
+        "_solve_affine", "_solve_linear", "_solve_revise",
     )
 
 

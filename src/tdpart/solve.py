@@ -27,6 +27,19 @@ consistency on that sum in work linear in the number of inputs (but for
 two integer sums when both lie in int64. Otherwise it is revised and
 checked on the tree, which wraps as the program does.
 
+Any other comparison with an operand of + - * or neg, once revised HOT
+times in one polarity, is revised by one generated Python function, kept
+on the node, one per polarity. A forward pass puts every node's interval
+in locals, with the tree's guard where a range may leave int64; a backward
+pass applies the tree's rules (sums, differences, point factors, squares,
+negation, the six comparisons) and narrows inputs only through the box, so
+the worklist below sees every shrink as before. Its code is compiled once
+per process, keyed on the constraint's text and polarity, in a cache of
+generated code that is bounded and shared with the engine's loops, so a
+comparison whose code is compiled already runs it from its first revise.
+Comparisons holding and/or/not or another comparison, and trees too deep
+to generate, stay on the tree, which is the reference.
+
 The fixpoint is an AC-3 worklist (Mackworth, 1977) over the pc's constraints:
 a revise that shrinks input v queues again every constraint that reads v, up
 to 100 revisions per constraint. It is incremental along the path, as a
@@ -41,7 +54,8 @@ Inputs are enumerated in declaration order with ascending values, so the
 first solution found is the lexicographically smallest one, which is what
 keeps models (and everything seeded from them) deterministic across runs.
 Narrowing only ever removes points that are not solutions, so it never
-changes which solution comes first, however much of it is done.
+changes which solution comes first, however much of it is done, by
+whichever tier, or where the revision bound stops it.
 
 A solve may take a hint: the lex-min model of a subset of the path
 condition's constraints (in the engine, the parent state's model). Every
@@ -61,8 +75,11 @@ import bisect
 import math
 import operator
 import struct
-from collections.abc import Iterable
+import threading
+from collections import deque
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
+from types import CodeType
 
 from . import lang
 from .lang import INT64_MAX, INT64_MIN, Binary, Const, Expr, SymDecl, Unary, Var
@@ -126,6 +143,41 @@ def evaluate_concrete(e: Expr, test: Test) -> int:
 def solve_path(test: Test, cond: Expr) -> bool:
     """Which way a concrete test drives a branch condition."""
     return evaluate_concrete(cond, test) != 0
+
+
+# ---------------------------------------------------------------------------
+# Generated code
+# ---------------------------------------------------------------------------
+
+# One bounded cache of compiled generated code, shared by the solver's
+# revise functions and the engine's loops. A key determines the source its
+# generator builds; past CODE_BOUND keys the least recently used one is
+# dropped, so the cache never holds every constraint or loop a process saw.
+CODE_BOUND = 1024
+_codes: dict[Hashable, CodeType | None] = {}
+_codes_lock = threading.Lock()
+
+
+def generated_code(
+    key: Hashable, source: Callable[[], str | None] | None
+) -> CodeType | None:
+    """The bytecode of source(), the Python source that key determines, or
+    None when source() returns None. source() runs, and its text is
+    compiled, once per process per key while the key stays cached. With
+    source None, only a cached result is returned (None if there is none)."""
+    with _codes_lock:
+        if key in _codes:
+            code = _codes[key] = _codes.pop(key)  # now the most recently used
+            return code
+    if source is None:
+        return None
+    text = source()
+    code = None if text is None else compile(text, "<tdpart generated>", "exec")
+    with _codes_lock:
+        _codes[key] = code
+        if len(_codes) > CODE_BOUND:
+            del _codes[next(iter(_codes))]
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +694,242 @@ def _require(e: Expr, want: bool, box: _Box) -> None:
         _narrow_into(e, 0, 0, box)
 
 
+# ---------------------------------------------------------------------------
+# Generated revise
+# ---------------------------------------------------------------------------
+
+# A comparison with an arithmetic operand, once revised HOT times in one
+# polarity, is revised by one generated Python function from then on.
+HOT = 64
+
+
+class _ReviseSource:
+    """Python source of the HC4 revise of a comparison whose operands are
+    made of + - * neg, inputs and constants. A forward pass puts each
+    node's interval in locals; a backward pass pushes the comparison down
+    the tree by the rules of _narrow_into and reaches the box only through
+    _narrow_var and _narrow_square. Each occurrence k of a node other than
+    a constant (which stays a literal) keeps its interval in a<k>, b<k>
+    and a flag d<k>, set when the backward pass narrows it. A + - * or neg
+    node also has w<k>, set when its range may leave int64, which stops
+    the narrowing there, as in _narrow_into. An occurrence is the tuple
+    (lo, hi, k, node, operands), with lo and hi as source text."""
+
+    def __init__(self) -> None:
+        self.forward: list[str] = []
+        self.backward: list[str] = []
+        self.count = 0
+
+    def visit(self, e: Expr) -> tuple | None:
+        """e's occurrence, after the forward lines that compute it; None
+        when e has a node other than + - * neg, an input or a constant."""
+        kind = type(e)
+        if kind is Const:
+            v = f"({e.value})"
+            return (v, v, None, e, ())
+        self.count += 1
+        k = self.count
+        a, b = f"a{k}", f"b{k}"
+        fwd = self.forward
+        if kind is Var:
+            fwd.append(f"{a}, {b} = iv[{e.name!r}]; d{k} = 0")
+            return (a, b, k, e, ())
+        if kind is Unary and e.op == "neg":
+            o = self.visit(e.operand)
+            if o is None:
+                return None
+            fwd.append(f"{a} = -{o[1]}; {b} = -{o[0]}")
+            operands: tuple = (o,)
+        elif kind is Binary and e.op in lang.ARITH_OPS:
+            left = self.visit(e.left)
+            right = self.visit(e.right) if left is not None else None
+            if right is None:
+                return None
+            operands = (left, right)
+            (al, bl, *_), (ar, br, *_) = operands
+            if e.op == "+":
+                fwd.append(f"{a} = {al} + {ar}; {b} = {bl} + {br}")
+            elif e.op == "-":
+                fwd.append(f"{a} = {al} - {br}; {b} = {bl} - {ar}")
+            elif _is_square(e):
+                fwd.append(f"if {al} >= 0: {a} = {al} * {al}; {b} = {bl} * {bl}")
+                fwd.append(f"elif {bl} <= 0: {a} = {bl} * {bl}; {b} = {al} * {al}")
+                fwd.append(f"else: {a} = 0; {b} = max({al} * {al}, {bl} * {bl})")
+            else:
+                fwd.append(f"p = {al} * {ar}; q = {al} * {br}; r = {bl} * {ar}; s = {bl} * {br}")
+                fwd.append("if p > q: p, q = q, p")
+                fwd.append("if r > s: r, s = s, r")
+                fwd.append(f"{a} = p if p < r else r; {b} = q if q > s else s")
+        else:
+            return None
+        fwd.append(f"d{k} = w{k} = 0")
+        fwd.append(
+            f"if {a} < {INT64_MIN} or {b} > {INT64_MAX}: "
+            f"{a} = {INT64_MIN}; {b} = {INT64_MAX}; w{k} = 1"
+        )
+        return (a, b, k, e, operands)
+
+    def narrow(self, o: tuple, lo: str | None, hi: str | None, indent: str = "") -> None:
+        """Lines that narrow occurrence o into [lo, hi] (None: unbounded)."""
+        a, b, k = o[0], o[1], o[2]
+        out = self.backward
+        if k is None:  # a constant: in [lo, hi] or refuted
+            tests = [t for t in (lo and f"{lo} > {a}", hi and f"{hi} < {a}") if t]
+            out.append(f"{indent}if {' or '.join(tests)}: raise _Unsat")
+            return
+        if lo is not None:
+            out.append(f"{indent}if {lo} > {a}: {a} = {lo}; d{k} = 1")
+        if hi is not None:
+            out.append(f"{indent}if {hi} < {b}: {b} = {hi}; d{k} = 1")
+        out.append(f"{indent}if {a} > {b}: raise _Unsat")
+
+    def project(self, o: tuple) -> None:
+        """The backward lines of o's subtree, parents first: each node that
+        its parent narrowed narrows its operands."""
+        a, b, k, e, operands = o
+        if k is None:
+            return
+        out = self.backward
+        if type(e) is Var:
+            out.append(f"if d{k}: _narrow_var({e.name!r}, {a}, {b}, box)")
+            return
+        head = f"if d{k} and not w{k}:"
+        ind = "    "
+        if type(e) is Unary:
+            out.append(head)
+            self.narrow(operands[0], f"-{b}", f"-{a}", ind)
+        elif e.op == "+":
+            (al, bl, *_), (ar, br, *_) = operands
+            out.append(head)
+            self.narrow(operands[0], f"{a} - {br}", f"{b} - {ar}", ind)
+            self.narrow(operands[1], f"{a} - {bl}", f"{b} - {al}", ind)
+        elif e.op == "-":
+            (al, bl, *_), (ar, br, *_) = operands
+            out.append(head)
+            self.narrow(operands[0], f"{a} + {ar}", f"{b} + {br}", ind)
+            self.narrow(operands[1], f"{al} - {b}", f"{bl} - {a}", ind)
+        else:  # * : through a factor whose interval is one point, which
+            # is not 0 (that would make this node (0, 0), never narrowed)
+            left, right = operands
+            out.append(head)
+            # a square's two factors are one input: one test covers both
+            factors = ((left, right, "if"),) if _is_square(e) else (
+                (left, right, "if"), (right, left, "elif"))
+            for point, other, key in factors:
+                c = point[0]
+                out.append(f"{ind}{key} {c} == {point[1]}:")
+                out.append(f"{ind}    if {c} > 0:")
+                self._divide(other, c, True, a, b, ind + "        ")
+                out.append(f"{ind}    else:")
+                self._divide(other, c, False, a, b, ind + "        ")
+            if _is_square(e):
+                out.append(f"{ind}else: _narrow_square({e.left.name!r}, {a}, {b}, box)")
+        for p in operands:
+            self.project(p)
+
+    def _divide(self, o: tuple, c: str, positive: bool, a: str, b: str, indent: str) -> None:
+        """Narrow o so that o * c lies in [a, b], c != 0 of the given sign."""
+        if positive:
+            self.narrow(o, f"-((-{a}) // {c})", f"{b} // {c}", indent)
+        else:
+            self.narrow(o, f"-((-{b}) // {c})", f"{a} // {c}", indent)
+
+
+def _revise_source(e: Binary, want: bool) -> str | None:
+    """Source of revise(box), the revise _require(e, want, box) makes by
+    the same rules, for e a comparison of two operands made of + - * neg,
+    inputs and constants; None for any other e. It evaluates each node's
+    interval once per call, where the tree evaluates one again after a
+    narrowing, so either may leave a box the other narrows further; both
+    keep every solution."""
+    op = e.op if want else _NEGATED_CMP[e.op]
+    left, right = e.left, e.right
+    if op in (">", ">="):
+        op, left, right = ("<" if op == ">" else "<="), right, left
+    src = _ReviseSource()
+    lo = src.visit(left)
+    ro = src.visit(right) if lo is not None else None
+    if ro is None:
+        return None
+    (al, bl, *_), (ar, br, *_) = lo, ro
+    out = src.backward
+    if op == "<":
+        out.append(f"if {bl} < {ar}: return")
+        out.append(f"if {al} >= {br}: raise _Unsat")
+        src.narrow(lo, None, f"{br} - 1")
+        src.narrow(ro, f"{al} + 1", None)
+    elif op == "<=":
+        out.append(f"if {bl} <= {ar}: return")
+        out.append(f"if {al} > {br}: raise _Unsat")
+        src.narrow(lo, None, br)
+        src.narrow(ro, al, None)
+    elif op == "==":
+        out.append(f"if {bl} < {ar} or {br} < {al}: raise _Unsat")
+        src.narrow(lo, ar, br)
+        src.narrow(ro, al, bl)
+    else:  # != : cut an end point equal to the other side's one point
+        out.append(f"if {bl} < {ar} or {br} < {al}: return")
+        for (pl, ph, _, _, _), other, key in ((ro, lo, "if"), (lo, ro, "elif")):
+            ol, oh = other[0], other[1]
+            out.append(f"{key} {pl} == {ph}:")
+            if key == "if":  # both one point, the same one: they overlap
+                out.append(f"    if {al} == {bl}: raise _Unsat")
+            out.append(f"    if {ol} == {pl}:")
+            src.narrow(other, f"{ol} + 1", None, "        ")
+            out.append(f"    elif {oh} == {pl}:")
+            src.narrow(other, None, f"{oh} - 1", "        ")
+    src.project(lo)
+    src.project(ro)
+    body = ["iv = box.iv"] + src.forward + src.backward
+    return "def revise(box):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _generated_revise(e: Binary, want: bool, make: bool) -> Callable[[_Box], None] | None:
+    """e's generated revise in polarity want, over this module's globals:
+    made now if `make`, else only if its code is already compiled. None
+    when there is no such code, or none can be made (see _revise_source)."""
+    try:
+        key = (lang.expr_text(e), want)
+        code = generated_code(key, (lambda: _revise_source(e, want)) if make else None)
+    except RecursionError:  # too deep to generate; the tree revises it
+        return None
+    if code is None:
+        return None
+    namespace: dict = {}
+    exec(code, globals(), namespace)
+    return namespace["revise"]
+
+
+def _revise(e: Expr, want: bool, box: _Box) -> None:
+    """One revise of e in polarity want: on the tree or, for a comparison
+    with an arithmetic operand, through its generated function. That
+    function is made on the HOT-th revise in that polarity, and taken at
+    the first when the process compiled its code before (for an equal
+    comparison on another path, say)."""
+    try:
+        tier = e._solve_revise
+    except AttributeError:
+        # per polarity: the revises so far, then the generated function
+        tier = [0, 0] if type(e) is Binary and e.op in lang.CMP_OPS and not (
+            type(e.left) in (Var, Const) and type(e.right) in (Var, Const)
+        ) else None
+        object.__setattr__(e, "_solve_revise", tier)
+    if tier is not None:
+        run = tier[want]
+        if type(run) is not int:
+            return run(box)
+        tier[want] = run + 1
+        hot = run + 1 >= HOT
+        if run == 0 or hot:
+            made = _generated_revise(e, want, hot)
+            if made is not None:
+                tier[want] = made
+                return made(box)
+            if hot:  # none can be made
+                object.__setattr__(e, "_solve_revise", None)
+    _require(e, want, box)
+
+
 def _range(a: _Affine, iv: dict[str, _Interval]) -> _Interval:
     lo = hi = a[0]
     for x, k in a[1]:
@@ -704,24 +992,31 @@ def _fixpoint(
     """Narrow iv in place by revising the queued constraints (indices into
     constraints; all of them by default), first in first out, until none is
     pending. A revise that shrinks input v queues again every constraint
-    that reads v, as `watch` lists them (the watch list of constraints by
-    default). Stops after 100 revisions per constraint, the work of 100 full
-    passes; raises _Unsat when some constraint cannot hold inside the box."""
+    that reads v and is not pending, as `watch` lists them (the watch list
+    of constraints by default). Stops after 100 revisions per constraint,
+    the work of 100 full passes; raises _Unsat when some constraint cannot
+    hold inside the box."""
     if watch is None:
         watch = _watch_list({}, constraints, 0)
-    pending = list(range(len(constraints)) if queue is None else queue)
+    pending = deque(range(len(constraints)) if queue is None else queue)
+    queued = [False] * len(constraints)
+    for k in pending:
+        queued[k] = True
     box = _Box(iv)
     shrunk = box.shrunk
     budget = 100 * len(constraints)
     while pending and budget:
         budget -= 1
-        c = constraints[pending.pop(0)]
+        k = pending.popleft()
+        queued[k] = False
+        c = constraints[k]
         if c.lin is None or not _revise_linear(c.lin, box):
-            _require(c.expr, c.taken, box)
+            _revise(c.expr, c.taken, box)
         if shrunk:
             for name in shrunk:
                 for k in watch[name]:
-                    if k not in pending:
+                    if not queued[k]:
+                        queued[k] = True
                         pending.append(k)
             shrunk.clear()
 

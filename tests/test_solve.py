@@ -320,6 +320,67 @@ def _inside(test, iv):
     return all(iv[n][0] <= v <= iv[n][1] for n, v in test.items())
 
 
+@pytest.fixture(params=["tree", "generated"])
+def tier(request, monkeypatch):
+    """Revise comparisons on the tree alone, or through generated functions
+    from each comparison's first revise on. Yields the functions made."""
+    made = []
+    if request.param == "tree":
+        monkeypatch.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
+    else:
+        monkeypatch.setattr(solve_mod, "HOT", 1)
+        generated = solve_mod._generated_revise
+
+        def making(e, want, make):
+            run = generated(e, want, make)
+            made.append(run)
+            return run
+
+        monkeypatch.setattr(solve_mod, "_generated_revise", making)
+    yield request.param
+    if request.param == "generated":
+        assert made and None not in made  # every revise ran generated
+
+
+def _non_inputs(e):
+    """The nodes of e that _ieval evaluates: all but the inputs."""
+    if isinstance(e, Var):
+        return 0
+    if isinstance(e, Const):
+        return 1
+    if isinstance(e, Unary):
+        return 1 + _non_inputs(e.operand)
+    return 1 + _non_inputs(e.left) + _non_inputs(e.right)
+
+
+def _count_node_evaluations(m):
+    """Node evaluations on both tiers, patched in through m: each _ieval
+    call, and for each call of a generated revise the nodes its forward
+    pass evaluates, as many as _ieval would on the tree."""
+    calls = [0]
+    ieval, generated = solve_mod._ieval, solve_mod._generated_revise
+
+    def counting(e, box):
+        calls[0] += 1
+        return ieval(e, box)
+
+    def making(e, want, make):
+        run = generated(e, want, make)
+        if run is None:
+            return None
+        n = _non_inputs(e)
+
+        def counted(box):
+            calls[0] += n
+            return run(box)
+
+        return counted
+
+    m.setattr(solve_mod, "_ieval", counting)
+    m.setattr(solve_mod, "_generated_revise", making)
+    return calls
+
+
 def test_fixpoint_keeps_every_solution_seeded():
     # from the full box, as before backtracking, and with the first input
     # pinned to each of its values, as at backtracking's first level
@@ -391,19 +452,22 @@ def test_product_systems_get_the_lex_min_model_seeded():
     assert sat > 100 and unsat > 50 and reused > 50
 
 
-def test_product_with_no_factor_pair_in_range_is_refuted(monkeypatch):
+def test_product_with_no_factor_pair_in_range_is_refuted(monkeypatch, tier):
     decls = (SymDecl("x", -200, 200), SymDecl("y", -200, 200))
     pc = PathCondition().extend(Binary("==", Binary("*", X, Y), Const(7919)), True)
-    calls = {"_ieval": 0, "_all_hold": 0}
-    for name in calls:
-        def counting(*args, _name=name, _f=getattr(solve_mod, name)):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(solve_mod, name, counting)
+    evaluations = _count_node_evaluations(monkeypatch)
+    checks = [0]
+    all_hold = solve_mod._all_hold
+
+    def counting(*args):
+        checks[0] += 1
+        return all_hold(*args)
+
+    monkeypatch.setattr(solve_mod, "_all_hold", counting)
     assert solve_model(pc, decls) is None  # 7919 is prime and > 200
     # each pinned x narrows y to nothing: a few node evaluations per value
     # of x, and no point of the 401x401 cube is evaluated concretely
-    assert calls["_all_hold"] == 0 and calls["_ieval"] <= 10 * 401, calls
+    assert checks[0] == 0 and evaluations[0] <= 10 * 401, (checks, evaluations)
 
 
 def test_truthy_variable_narrowing_propagates():
@@ -448,28 +512,22 @@ def test_narrowing_work_is_linear_in_chain_length(monkeypatch):
 
 
 def _tree_interval_evaluations(monkeypatch, links):
-    # x*y+3+...+3 < 20 is not affine, so the tree revises it: the lex-min
-    # model needs x > 0, and each x below 1 is refuted by narrowing
+    # x*y+3+...+3 < 20 is not affine, so the tree or its generated revise
+    # revises it: the lex-min model needs x > 0, and each x below 1 is
+    # refuted by narrowing
     chain = Binary("*", X, Y)
     for _ in range(links):
         chain = Binary("+", chain, Const(3))
     pc = PathCondition().extend(lt(chain, Const(20)), True).extend(lt(Y, X), True)
     assert pc.constraints[0].lin is None
     decls = (SymDecl("x", -400, 400), SymDecl("y", -400, 400))
-    calls = [0]
-    ieval = solve_mod._ieval
-
-    def counting(e, box):
-        calls[0] += 1
-        return ieval(e, box)
-
     with monkeypatch.context() as m:
-        m.setattr(solve_mod, "_ieval", counting)
+        calls = _count_node_evaluations(m)
         assert solve_model(pc, decls) == {"x": 1, "y": -400}
     return calls[0]
 
 
-def test_tree_narrowing_work_is_linear_in_chain_length(monkeypatch):
+def test_tree_narrowing_work_is_linear_in_chain_length(monkeypatch, tier):
     short = _tree_interval_evaluations(monkeypatch, 50)
     long = _tree_interval_evaluations(monkeypatch, 100)
     assert long <= 2.5 * short, (short, long)
@@ -606,6 +664,8 @@ def _last_tree_child_ievals(monkeypatch, depth):
 
 
 def test_tree_child_solve_work_does_not_grow_with_depth(monkeypatch):
+    # the tree's own work: no comparison runs a generated revise
+    monkeypatch.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
     counts = [_last_tree_child_ievals(monkeypatch, d) for d in (1, 2, 8, 15)]
     assert counts[1] == counts[2] == counts[3] <= counts[0], counts
     assert counts[1] > 0  # the chain was walked
@@ -634,7 +694,7 @@ def test_revision_bound_ends_a_slow_fixpoint(monkeypatch):
 # -- the square rule
 
 
-def test_square_narrowing_keeps_exactly_the_roots_hull():
+def test_square_narrowing_keeps_exactly_the_roots_hull(tier):
     # x*x in [lo, hi] for every x box in [-6, 6] and target in [-3, 40]:
     # the narrowed box is the hull of the x whose square lies in the target
     sq = Binary("*", X, X)
@@ -654,7 +714,7 @@ def test_square_narrowing_keeps_exactly_the_roots_hull():
                     assert roots and iv["x"] == (min(roots), max(roots)), (xl, xh, lo, hi, iv)
 
 
-def test_sum_of_squares_is_refuted_quickly():
+def test_sum_of_squares_is_refuted_quickly(tier):
     # 999999 = 3^3 * 7 * 11 * 13 * 37 is not a sum of two squares
     decls = (SymDecl("x", 1, 1000), SymDecl("y", 1, 1000))
     total = Binary("+", Binary("*", X, X), Binary("*", Y, Y))
@@ -815,6 +875,175 @@ def test_a_hint_missing_an_input_raises_solve_error():
         assert pc.constraints[0].lin is not None
         with pytest.raises(SolveError, match="unbound variable x"):
             solve_model(pc, decls, hint={"y": 0})
+
+
+# -- the generated revise against brute force, and both tiers' models
+
+
+def _random_operand(rng, names, depth):
+    """+ - * and neg over inputs, squares and constants, _EDGE_CONSTS among
+    them so that values wrap."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.6:
+            return Var(rng.choice(names))
+        return Const(rng.choice(_EDGE_CONSTS) if rng.random() < 0.3 else rng.randint(-6, 6))
+    if r < 0.35:
+        return Unary("neg", _random_operand(rng, names, depth - 1))
+    if r < 0.5:
+        x = Var(rng.choice(names))
+        return Binary("*", x, x)
+    return Binary(rng.choice(["+", "-", "*"]), _random_operand(rng, names, depth - 1),
+                  _random_operand(rng, names, depth - 1))
+
+
+def _random_comparison(rng, names):
+    """A comparison with at least one operand that is not an input or a
+    constant: what gets a generated revise."""
+    while True:
+        e = Binary(rng.choice(["<", "<=", ">", ">=", "==", "!="]),
+                   _random_operand(rng, names, rng.randint(1, 3)),
+                   _random_operand(rng, names, rng.randint(1, 3)))
+        if not all(isinstance(o, (Var, Const)) for o in (e.left, e.right)):
+            return e
+
+
+def _wraps(e, test):
+    """Does some node of e leave int64 at test, so that it wraps?"""
+    if isinstance(e, (Var, Const)):
+        return False
+    operands = (e.operand,) if isinstance(e, Unary) else (e.left, e.right)
+    return any(_wraps(o, test) for o in operands) or (
+        e.op not in lang.CMP_OPS and not INT64_MIN <= _unwrapped(e, test) <= INT64_MAX)
+
+
+_SMALL = (SymDecl("x", -5, 5), SymDecl("y", -5, 5), SymDecl("z", -3, 3))
+
+
+def test_generated_revise_keeps_every_solution_seeded():
+    # random sub-boxes of small domains, inputs pinned to points among them
+    rng = random.Random(4407)
+    counts = collections.Counter()
+    for _ in range(1000):
+        e = _random_comparison(rng, ["x", "y", "z"])
+        want = rng.random() < 0.5
+        run = solve_mod._generated_revise(e, want, True)
+        assert run is not None
+        sub = []
+        for d in _SMALL:
+            lo, hi = sorted((rng.randint(d.lo, d.hi), rng.randint(d.lo, d.hi)))
+            sub.append(SymDecl(d.name, lo, lo if rng.random() < 0.3 else hi))
+        iv = {d.name: (d.lo, d.hi) for d in sub}
+        points = list(domain_cube(tuple(sub)))
+        solutions = [t for t in points if (eval_expr(e, t) != 0) == want]
+        counts["wrapping"] += any(_wraps(e, t) for t in points)
+        counts["pinned"] += any(lo == hi for lo, hi in iv.values())
+        box = solve_mod._Box(dict(iv))
+        try:
+            run(box)
+        except _Unsat:
+            assert not solutions, (e, want, iv)  # refutes only empty boxes
+            counts["refuted"] += 1
+            continue
+        assert all(_inside(t, box.iv) for t in solutions), (e, want, iv, box.iv)
+        for name, (lo, hi) in iv.items():  # never widens
+            assert lo <= box.iv[name][0] <= box.iv[name][1] <= hi, (e, want, iv, box.iv)
+        # each shrunk input is noted, so the worklist queues its readers
+        assert set(box.shrunk) == {n for n in iv if box.iv[n] != iv[n]}
+        counts["narrowed" if box.iv != iv else "kept"] += 1
+    # every outcome occurs, on wrapping trees and on pinned inputs too
+    assert counts["refuted"] > 200 and counts["narrowed"] > 60 and counts["kept"] > 400, counts
+    assert counts["wrapping"] > 200 and counts["pinned"] > 600, counts
+
+
+def test_generated_revise_narrows_like_the_tree_on_simple_shapes_seeded():
+    # where each input occurs once and no interval is evaluated again after
+    # a narrowing changes it, the two tiers' boxes must be the same
+    shapes = [
+        lambda k: (X, Binary("+", Y, Const(k))),
+        lambda k: (Binary("-", X, Const(k)), Y),
+        lambda k: (Unary("neg", X), Y),
+        lambda k: (X, Binary("*", Y, Const(k or 2))),
+        lambda k: (Binary("*", X, Y), Const(k)),
+        lambda k: (Binary("*", X, X), Const(k * 3)),
+    ]
+    rng = random.Random(4409)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        left, right = rng.choice(shapes)(rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            left, right = right, left
+        e = Binary(rng.choice(["<", "<=", ">", ">=", "==", "!="]), left, right)
+        want = rng.random() < 0.5
+        iv = {}
+        for name in ("x", "y"):
+            lo, hi = sorted((rng.randint(-4, 4), rng.randint(-4, 4)))
+            iv[name] = (lo, lo) if rng.random() < 0.3 else (lo, hi)
+        boxes = []
+        for revise in (solve_mod._generated_revise(e, want, True),
+                       lambda box: solve_mod._require(e, want, box)):
+            box = solve_mod._Box(dict(iv))
+            try:
+                revise(box)
+            except _Unsat:
+                box = None
+            boxes.append(box and box.iv)
+        assert boxes[0] == boxes[1], (e, want, iv, boxes)
+        outcomes["refuted" if boxes[0] is None else "narrowed" if boxes[0] != iv else "kept"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_search_gives_the_same_model_on_both_tiers_seeded(monkeypatch):
+    rng = random.Random(4408)
+    decls = (SymDecl("x", -4, 4), SymDecl("y", -4, 4), SymDecl("z", -2, 2))
+    sat = unsat = 0
+    for _ in range(150):
+        seed = rng.random()
+        models = []
+        for tier in ("generated", "tree"):
+            # fresh nodes for each tier: a node keeps its generated revise
+            r = random.Random(seed)
+            pairs = [(_random_comparison(r, ["x", "y", "z"]), r.random() < 0.5)
+                     for _ in range(r.randint(1, 3))]
+            with monkeypatch.context() as m:
+                if tier == "generated":
+                    m.setattr(solve_mod, "HOT", 1)
+                else:
+                    m.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
+                models.append(solve_mod._search(_pc_of(pairs), decls))
+        expect = brute_force_model(pairs, decls)
+        assert models == [expect, expect], pairs
+        sat += expect is not None
+        unsat += expect is None
+    assert sat > 30 and unsat > 30, (sat, unsat)
+
+
+def test_a_comparison_runs_generated_from_its_hot_revise(monkeypatch):
+    monkeypatch.setattr(solve_mod, "_codes", {})  # nothing compiled yet
+    iv = {"x": (-9, 9), "y": (-9, 9), "z": (-9, 9)}
+
+    def tier_after(e, want, revises):
+        for _ in range(revises):
+            solve_mod._revise(e, want, solve_mod._Box(dict(iv)))
+        return e._solve_revise
+
+    def product():
+        return Binary("==", Binary("*", X, Y), Binary("+", Z, Const(1)))
+
+    hot = solve_mod.HOT
+    # the tree revises it, counted per polarity, until the HOT-th revise
+    assert tier_after(product(), True, hot - 1) == [0, hot - 1]
+    tier = tier_after(product(), True, hot)
+    assert tier[0] == 0 and callable(tier[1])
+    # an equal comparison on a fresh node runs the compiled code from its
+    # first revise, in that polarity only
+    assert callable(tier_after(product(), True, 1)[1])
+    assert tier_after(product(), False, 1) == [1, 0]
+    # a comparison over a comparison, logic and two inputs stay on the tree
+    nested = Binary("==", lt(X, Y), Binary("+", Z, Const(1)))
+    assert tier_after(nested, True, hot) is None
+    assert tier_after(Binary("or", lt(X, Y), lt(Y, Z)), True, 1) is None
+    assert tier_after(lt(X, Y), True, 1) is None
 
 
 # -- incrementality: what a constraint derives is built from its parts

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tdpart import engine
+from tdpart import engine, solve
 from tdpart.engine import Engine, Strategy, evaluate, find_loop, generate_block
 from tdpart.harness import RunConfig, gen_corpus, run_program
 from tdpart.lang import (
@@ -337,12 +337,16 @@ _HOT_LOOP = (
 )
 
 
-def test_a_second_engine_compiles_no_new_code_object():
+def test_a_second_engine_compiles_no_new_code_object(monkeypatch):
     prog = parse_program(_HOT_LOOP)
     first = _run_region(prog)
-    misses = engine._code.cache_info().misses
+    built, compiled = [], []
+    source = engine._loop_source
+    monkeypatch.setattr(engine, "_loop_source", lambda *a: built.append(a) or source(*a))
+    monkeypatch.setattr(solve, "compile", lambda *a: compiled.append(a) or compile(*a),
+                        raising=False)
     second = _run_region(prog)
-    assert engine._code.cache_info().misses == misses
+    assert built == [] and compiled == []  # no source built, none compiled
     (run1,), (run2,) = ({r for r in e._runs if r} for e in (first, second))
     # each engine has its own function over its own globals
     assert run1 is not run2 and run1.__code__ is run2.__code__
@@ -350,10 +354,15 @@ def test_a_second_engine_compiles_no_new_code_object():
 
 
 def test_the_code_cache_stays_within_its_bound():
-    bound = engine._code.cache_parameters()["maxsize"]
+    # loops and revise functions share the cache and its bound
+    bound = solve.CODE_BOUND
     for c in range(bound + 20):
         generate_block({0: BasicBlock((Assign("r", Const(c)),), Jump(0))}, {"r"})
-    assert engine._code.cache_info().currsize <= bound
+        e = Binary("<", Binary("*", Var("x"), Var("x")), Const(c))
+        assert solve._generated_revise(e, c % 2 == 0, True) is not None
+        assert len(solve._codes) <= bound
+    assert any(type(k[0]) is str for k in solve._codes)  # a revise's key
+    assert any(type(k[0]) is tuple for k in solve._codes)  # a loop's key
 
 
 def test_a_hot_block_on_no_cycle_gets_no_function(monkeypatch):
