@@ -11,7 +11,6 @@ sockets, best-effort nondeterministic.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import faulthandler
 import hashlib
@@ -741,7 +740,9 @@ def gen_corpus(seed: int, count: int, out_dir: str | Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the CLI parses arguments; importing tdpart does not
+
     ap = argparse.ArgumentParser(prog="tdpart")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

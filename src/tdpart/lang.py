@@ -10,6 +10,8 @@ canonical printer emits. parse(print(p)) == p for any valid program p.
 from __future__ import annotations
 
 import re
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 INT64_MIN = -(2**63)
@@ -207,16 +209,21 @@ class ParseError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# One match per token: whitespace and comments before it are skipped by the
+# pattern itself, and `end` takes the character nothing else takes (a bad
+# character) or, at the end of the text, nothing.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<punct><=|>=|==|!=|[-+*<>=!;(){}\[\],:])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<int>[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"[^"\n]*")
+      | (?P<punct><=|>=|==|!=|[-+*<>=!;(){}\[\],:])
+      | (?P<end>.?)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 KEYWORDS = {
@@ -224,84 +231,87 @@ KEYWORDS = {
     "block", "branch", "jump", "and", "or",
 }
 
+# a keyword's or a punctuator's kind is its own text
+_OWN_KIND = {t: t for t in (*KEYWORDS, "<=", ">=", "==", "!=", *"-+*<>=!;(){}[],:")}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'int' | 'ident' | 'string' | 'punct' | 'kw' | 'eof'
-    text: str
-    line: int
-    col: int
+# (kind, text, offset); kind is 'int' | 'ident' | 'string' | 'eof', or the
+# text itself for a keyword or a punctuator
+Token = tuple[str, str, int]
 
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "ident" and text in KEYWORDS:
-                kind = "kw"
-            toks.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+        text = m[kind]
+        if kind == "end":
+            break
+        toks.append((_OWN_KIND.get(text, kind), text, m.start(kind)))
+    if text:
+        raise ParseError(f"unexpected character {text!r}",
+                         *_line_col(_line_starts(src), m.start(kind)))
+    toks.append(("eof", "", len(src)))
     return toks
+
+
+def _line_starts(src: str) -> list[int]:
+    """The offset of each line's first character. A column counts
+    characters from there, so a tab is one column."""
+    return [0, *(m.end() for m in re.finditer("\n", src))]
+
+
+def _line_col(starts: list[int], pos: int) -> tuple[int, int]:
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# binary operator -> precedence level, loosest first; all group left-to-right
+_LEVEL = {"or": 1, "and": 2, **dict.fromkeys(CMP_OPS, 3), "+": 4, "-": 4, "*": 5}
+_PREFIX = {"!": "not", "-": "neg"}
+
 
 class _Parser:
-    def __init__(self, toks: list[Token], domain_cap: int):
-        self.toks = toks
+    """Recursive descent over the token list. The structured form is
+    lowered to blocks as it is parsed."""
+
+    def __init__(self, src: str, domain_cap: int):
+        self.toks = tokenize(src)
+        self.starts = _line_starts(src)
         self.i = 0
         self.domain_cap = domain_cap
 
     # -- token helpers
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
+    def line(self, pos: int) -> int:
+        return bisect_right(self.starts, pos)
 
-    def _fail(self, msg: str) -> ParseError:
-        t = self.cur
-        return ParseError(msg, t.line, t.col)
+    def error(self, msg: str, pos: int | None = None) -> ParseError:
+        """A ParseError at pos, by default at the current token."""
+        if pos is None:
+            pos = self.toks[self.i][2]
+        return ParseError(msg, *_line_col(self.starts, pos))
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        t = self.cur
-        if t.kind == kind and (text is None or t.text == text):
-            self.i += 1
-            return t
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.accept(kind, text)
-        if t is None:
-            want = text if text is not None else kind
-            raise self._fail(f"expected {want!r}, got {self.cur.text!r}")
+    def expect(self, kind: str) -> Token:
+        t = self.toks[self.i]
+        if t[0] != kind:
+            raise self.error(f"expected {kind!r}, got {t[1]!r}")
+        self.i += 1
         return t
 
     # -- top level
 
     def parse(self) -> Program:
-        self.expect("kw", "program")
-        name = self.expect("ident").text
-        self.expect("punct", ";")
+        self.expect("program")
+        name = self.expect("ident")[1]
+        self.expect(";")
         inputs = []
-        while self.cur.kind == "kw" and self.cur.text == "sym":
+        while self.toks[self.i][0] == "sym":
             inputs.append(self.sym_decl())
-        if self.cur.kind == "kw" and self.cur.text == "block":
+        if self.toks[self.i][0] == "block":
             blocks = self.block_form()
         else:
             blocks = self.structured_form()
@@ -309,268 +319,217 @@ class _Parser:
         return Program(name, tuple(inputs), tuple(blocks))
 
     def sym_decl(self) -> SymDecl:
-        kw = self.expect("kw", "sym")
-        name = self.expect("ident").text
-        self.expect("kw", "in")
-        self.expect("punct", "[")
+        pos = self.expect("sym")[2]
+        name = self.expect("ident")[1]
+        self.expect("in")
+        self.expect("[")
         lo = self.int_literal()
-        self.expect("punct", ",")
+        self.expect(",")
         hi = self.int_literal()
-        self.expect("punct", "]")
-        self.expect("punct", ";")
+        self.expect("]")
+        self.expect(";")
         if hi - lo + 1 > self.domain_cap:
-            raise ParseError(
-                f"domain cap exceeded for {name} ({hi - lo + 1} > {self.domain_cap})",
-                kw.line, kw.col,
+            raise self.error(
+                f"domain cap exceeded for {name} ({hi - lo + 1} > {self.domain_cap})", pos
             )
         return SymDecl(name, lo, hi)
 
     def int_literal(self) -> int:
-        neg = self.accept("punct", "-") is not None
-        t = self.expect("int")
-        v = -int(t.text) if neg else int(t.text)
+        neg = self.toks[self.i][0] == "-"
+        self.i += neg
+        _, text, pos = self.expect("int")
+        v = -int(text) if neg else int(text)
         if not INT64_MIN <= v <= INT64_MAX:
-            raise ParseError(f"integer literal out of range: {v}", t.line, t.col)
+            raise self.error(f"integer literal out of range: {v}", pos)
         return v
 
-    # -- expressions (precedence: or < and < comparison < addsub < mul < unary)
+    # -- expressions: prefix operators bind tightest, then _LEVEL
 
-    def expr(self) -> Expr:
-        return self.expr_or()
-
-    def expr_or(self) -> Expr:
-        e = self.expr_and()
-        while self.accept("kw", "or"):
-            e = Binary("or", e, self.expr_and())
-        return e
-
-    def expr_and(self) -> Expr:
-        e = self.expr_cmp()
-        while self.accept("kw", "and"):
-            e = Binary("and", e, self.expr_cmp())
-        return e
-
-    def expr_cmp(self) -> Expr:
-        e = self.expr_add()
-        while self.cur.kind == "punct" and self.cur.text in CMP_OPS:
-            op = self.cur.text
+    def expr(self, min_level: int = 1) -> Expr:
+        """An operand, then each binary operator of at least min_level."""
+        toks = self.toks
+        kind, text, pos = toks[self.i]
+        prefix = []
+        while kind in _PREFIX:
+            prefix.append(_PREFIX[kind])
             self.i += 1
-            e = Binary(op, e, self.expr_add())
-        return e
-
-    def expr_add(self) -> Expr:
-        e = self.expr_mul()
-        while self.cur.kind == "punct" and self.cur.text in ("+", "-"):
-            op = self.cur.text
+            kind, text, pos = toks[self.i]
+        if kind == "int":
             self.i += 1
-            e = Binary(op, e, self.expr_mul())
-        return e
-
-    def expr_mul(self) -> Expr:
-        e = self.expr_unary()
-        while self.accept("punct", "*"):
-            e = Binary("*", e, self.expr_unary())
-        return e
-
-    def expr_unary(self) -> Expr:
-        if self.accept("punct", "!"):
-            return Unary("not", self.expr_unary())
-        if self.accept("punct", "-"):
-            return Unary("neg", self.expr_unary())
-        return self.expr_atom()
-
-    def expr_atom(self) -> Expr:
-        t = self.cur
-        if t.kind == "int":
-            self.i += 1
-            v = int(t.text)
+            v = int(text)
             if v > INT64_MAX:
-                raise ParseError(f"integer literal out of range: {v}", t.line, t.col)
-            return Const(v)
-        if t.kind == "ident":
+                raise self.error(f"integer literal out of range: {v}", pos)
+            e = Const(v)
+        elif kind == "ident":
             self.i += 1
-            return Var(t.text)
-        if self.accept("punct", "("):
+            e = Var(text)
+        elif kind == "(":
+            self.i += 1
             e = self.expr()
-            self.expect("punct", ")")
-            return e
-        raise self._fail(f"expected expression, got {t.text!r}")
+            self.expect(")")
+        else:
+            raise self.error(f"expected expression, got {text!r}")
+        while prefix:
+            e = Unary(prefix.pop(), e)
+        while True:
+            op = toks[self.i][0]
+            level = _LEVEL.get(op, 0)
+            if level < min_level:
+                return e
+            self.i += 1
+            e = Binary(op, e, self.expr(level + 1))
 
-    # -- structured form, lowered to blocks on the fly
+    def cond(self) -> Expr:
+        self.expect("(")
+        e = self.expr()
+        self.expect(")")
+        return e
+
+    def assign(self, name: str, pos: int) -> Assign:
+        """The rest of `<name> = <expr>;`."""
+        self.expect("=")
+        e = self.expr()
+        self.expect(";")
+        return Assign(name, e, self.line(pos))
+
+    def stop(self, kind: str, pos: int) -> Exit | Error:
+        """The rest of `exit(<int>);` or `error("<label>");`."""
+        self.expect("(")
+        if kind == "exit":
+            term = Exit(self.int_literal(), self.line(pos))
+        else:
+            term = Error(self.expect("string")[1][1:-1], self.line(pos))
+        self.expect(")")
+        self.expect(";")
+        return term
+
+    # -- structured form, lowered to blocks as it is parsed
 
     def structured_form(self) -> list[BasicBlock]:
-        builder = _BlockBuilder()
-        stmts = []
-        while self.cur.kind != "eof":
-            stmts.append(self.stmt())
-        entry = builder.new_block()
-        open_end = self._lower_stmts(stmts, entry, builder)
-        if open_end is not None:
-            builder.seal(open_end, Exit(0))
-        return builder.finish()
+        b = _BlockBuilder()
+        cur = b.new_block()
+        while self.toks[self.i][0] != "eof":
+            cur = self.stmt(b, cur)
+        if cur is not None:
+            b.seal(cur, Exit(0))
+        return b.finish()
 
-    def stmt(self):
-        t = self.cur
-        if t.kind == "kw" and t.text == "if":
-            self.i += 1
-            self.expect("punct", "(")
-            cond = self.expr()
-            self.expect("punct", ")")
-            then = self.stmt_block()
-            other = []
-            if self.accept("kw", "else"):
-                other = self.stmt_block()
-            return ("if", cond, then, other, t.line)
-        if t.kind == "kw" and t.text == "while":
-            self.i += 1
-            self.expect("punct", "(")
-            cond = self.expr()
-            self.expect("punct", ")")
-            body = self.stmt_block()
-            return ("while", cond, body, t.line)
-        if t.kind == "kw" and t.text == "exit":
-            self.i += 1
-            self.expect("punct", "(")
-            code = self.int_literal()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return ("exit", code, t.line)
-        if t.kind == "kw" and t.text == "error":
-            self.i += 1
-            self.expect("punct", "(")
-            s = self.expect("string")
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return ("error", s.text[1:-1], t.line)
-        if t.kind == "ident":
-            self.i += 1
-            self.expect("punct", "=")
-            e = self.expr()
-            self.expect("punct", ";")
-            return ("assign", t.text, e, t.line)
-        raise self._fail(f"expected statement, got {t.text!r}")
-
-    def stmt_block(self) -> list:
-        self.expect("punct", "{")
-        stmts = []
-        while not (self.cur.kind == "punct" and self.cur.text == "}"):
-            stmts.append(self.stmt())
-        self.expect("punct", "}")
-        return stmts
-
-    def _lower_stmts(self, stmts: list, cur: int, b: "_BlockBuilder") -> int | None:
-        """Lower statements into block `cur`; returns the open trailing block,
-        or None if control already left via exit/error."""
-        for s in stmts:
+    def stmt(self, b: _BlockBuilder, cur: int | None) -> int | None:
+        """Parse one statement and lower it into block cur; returns the open
+        block after it, or None once control has left through exit or error.
+        A statement after that is dead: it is parsed and dropped."""
+        kind, text, pos = self.toks[self.i]
+        self.i += 1
+        if kind == "ident":
+            a = self.assign(text, pos)
+            if cur is not None:
+                b.bodies[cur].append(a)
+            return cur
+        if kind == "exit" or kind == "error":
+            term = self.stop(kind, pos)
+            if cur is not None:
+                b.seal(cur, term)
+            return None
+        if kind == "if":
+            cond = self.cond()
+            tb = fb = None
+            if cur is not None:
+                tb, fb = b.new_block(), b.new_block()
+                b.seal(cur, Branch(cond, tb, fb, self.line(pos)))
+            t_end = self.stmt_block(b, tb)
+            f_end = fb
+            if self.toks[self.i][0] == "else":
+                self.i += 1
+                f_end = self.stmt_block(b, fb)
             if cur is None:
-                break  # dead code after exit/error, dropped
-            kind = s[0]
-            if kind == "assign":
-                _, name, e, line = s
-                b.emit(cur, Assign(name, e, line))
-            elif kind == "exit":
-                b.seal(cur, Exit(s[1], s[2]))
-                cur = None
-            elif kind == "error":
-                b.seal(cur, Error(s[1], s[2]))
-                cur = None
-            elif kind == "if":
-                _, cond, then, other, line = s
-                tb = b.new_block()
-                fb = b.new_block()
-                b.seal(cur, Branch(cond, tb, fb, line))
-                t_end = self._lower_stmts(then, tb, b)
-                f_end = self._lower_stmts(other, fb, b)
-                join = b.new_block()
-                if t_end is not None:
-                    b.seal(t_end, Jump(join, line))
-                if f_end is not None:
-                    b.seal(f_end, Jump(join, line))
-                cur = join
-            elif kind == "while":
-                _, cond, body, line = s
-                header = b.new_block()
-                b.seal(cur, Jump(header, line))
-                body_blk = b.new_block()
-                after = b.new_block()
-                b.seal(header, Branch(cond, body_blk, after, line))
-                body_end = self._lower_stmts(body, body_blk, b)
-                if body_end is not None:
-                    b.seal(body_end, Jump(header, line))
-                cur = after
+                return None
+            join = b.new_block()
+            for end in (t_end, f_end):
+                if end is not None:
+                    b.seal(end, Jump(join, self.line(pos)))
+            return join
+        if kind == "while":
+            cond = self.cond()
+            if cur is None:
+                self.stmt_block(b, None)
+                return None
+            line = self.line(pos)
+            header = b.new_block()
+            b.seal(cur, Jump(header, line))
+            body, after = b.new_block(), b.new_block()
+            b.seal(header, Branch(cond, body, after, line))
+            end = self.stmt_block(b, body)
+            if end is not None:
+                b.seal(end, Jump(header, line))
+            return after
+        self.i -= 1
+        raise self.error(f"expected statement, got {text!r}")
+
+    def stmt_block(self, b: _BlockBuilder, cur: int | None) -> int | None:
+        self.expect("{")
+        while self.toks[self.i][0] != "}":
+            cur = self.stmt(b, cur)
+        self.i += 1
         return cur
 
     # -- explicit block form
 
     def block_form(self) -> list[BasicBlock]:
         labels: dict[str, int] = {}
-        raw: list[tuple[list[Assign], tuple]] = []
-        while self.cur.kind == "kw" and self.cur.text == "block":
+        raw: list[tuple[list[Assign], Terminator | tuple]] = []
+        toks = self.toks
+        while toks[self.i][0] == "block":
             self.i += 1
-            lbl = self.expect("ident")
-            if lbl.text in labels:
-                raise ParseError(f"duplicate block label {lbl.text}", lbl.line, lbl.col)
-            labels[lbl.text] = len(raw)
-            self.expect("punct", ":")
+            _, label, lpos = self.expect("ident")
+            if label in labels:
+                raise self.error(f"duplicate block label {label}", lpos)
+            labels[label] = len(raw)
+            self.expect(":")
             body: list[Assign] = []
-            term = None
-            while term is None:
-                t = self.cur
-                if t.kind == "ident":
-                    self.i += 1
-                    self.expect("punct", "=")
-                    e = self.expr()
-                    self.expect("punct", ";")
-                    body.append(Assign(t.text, e, t.line))
-                elif t.kind == "kw" and t.text == "branch":
-                    self.i += 1
+            while True:
+                kind, text, pos = toks[self.i]
+                self.i += 1
+                if kind == "ident":
+                    body.append(self.assign(text, pos))
+                    continue
+                if kind == "branch":
                     cond = self.expr()
-                    bt = self.expect("ident")
-                    bf = self.expect("ident")
-                    self.expect("punct", ";")
-                    term = ("branch", cond, bt, bf, t.line)
-                elif t.kind == "kw" and t.text == "jump":
-                    self.i += 1
-                    tgt = self.expect("ident")
-                    self.expect("punct", ";")
-                    term = ("jump", tgt, t.line)
-                elif t.kind == "kw" and t.text == "exit":
-                    self.i += 1
-                    self.expect("punct", "(")
-                    code = self.int_literal()
-                    self.expect("punct", ")")
-                    self.expect("punct", ";")
-                    term = ("exit", code, t.line)
-                elif t.kind == "kw" and t.text == "error":
-                    self.i += 1
-                    self.expect("punct", "(")
-                    s = self.expect("string")
-                    self.expect("punct", ")")
-                    self.expect("punct", ";")
-                    term = ("error", s.text[1:-1], t.line)
+                    term = (cond, self.expect("ident"), self.expect("ident"), self.line(pos))
+                    self.expect(";")
+                elif kind == "jump":
+                    term = (None, self.expect("ident"), None, self.line(pos))
+                    self.expect(";")
+                elif kind == "exit" or kind == "error":
+                    term = self.stop(kind, pos)
                 else:
-                    raise self._fail(f"expected instruction, got {t.text!r}")
+                    self.i -= 1
+                    raise self.error(f"expected instruction, got {text!r}")
+                break
             raw.append((body, term))
 
         def resolve(tok: Token) -> int:
-            if tok.text not in labels:
-                raise ParseError(f"branch target {tok.text} undeclared", tok.line, tok.col)
-            return labels[tok.text]
+            if tok[1] not in labels:
+                raise self.error(f"branch target {tok[1]} undeclared", tok[2])
+            return labels[tok[1]]
 
         blocks = []
         for body, term in raw:
-            if term[0] == "branch":
-                t = Branch(term[1], resolve(term[2]), resolve(term[3]), term[4])
-            elif term[0] == "jump":
-                t = Jump(resolve(term[1]), term[2])
-            elif term[0] == "exit":
-                t = Exit(term[1], term[2])
-            else:
-                t = Error(term[1], term[2])
-            blocks.append(BasicBlock(tuple(body), t))
-        if not blocks:
-            raise self._fail("expected at least one block")
+            if type(term) is tuple:
+                cond, on_true, on_false, line = term
+                if cond is None:
+                    term = Jump(resolve(on_true), line)
+                else:
+                    term = Branch(cond, resolve(on_true), resolve(on_false), line)
+            blocks.append(BasicBlock(tuple(body), term))
         return blocks
+
+
+def _targets(t: Terminator) -> tuple[int, ...]:
+    if isinstance(t, Branch):
+        return (t.on_true, t.on_false)
+    if isinstance(t, Jump):
+        return (t.target,)
+    return ()
 
 
 class _BlockBuilder:
@@ -586,51 +545,45 @@ class _BlockBuilder:
         self.terms.append(None)
         return len(self.bodies) - 1
 
-    def emit(self, idx: int, instr: Assign) -> None:
-        self.bodies[idx].append(instr)
-
     def seal(self, idx: int, term: Terminator) -> None:
         assert self.terms[idx] is None
         self.terms[idx] = term
 
     def finish(self) -> list[BasicBlock]:
-        for i, t in enumerate(self.terms):
-            if t is None:
-                # open join block nothing jumps out of (e.g. both if arms exit)
-                self.terms[i] = Exit(0)
+        # an open join block nothing jumps out of (e.g. both if arms exit)
+        terms = [Exit(0) if t is None else t for t in self.terms]
         # keep only blocks reachable from entry, preserving index order
-        succ = {
-            i: ([t.on_true, t.on_false] if isinstance(t, Branch)
-                else [t.target] if isinstance(t, Jump) else [])
-            for i, t in enumerate(self.terms)
-        }
         seen = {0}
         work = [0]
         while work:
-            for s in succ[work.pop()]:
+            for s in _targets(terms[work.pop()]):
                 if s not in seen:
                     seen.add(s)
                     work.append(s)
         order = sorted(seen)
-        remap = {old: new for new, old in enumerate(order)}
-        out = []
-        for old in order:
-            t = self.terms[old]
-            if isinstance(t, Branch):
-                t = Branch(t.cond, remap[t.on_true], remap[t.on_false], t.line)
-            elif isinstance(t, Jump):
-                t = Jump(remap[t.target], t.line)
-            out.append(BasicBlock(tuple(self.bodies[old]), t))
-        return out
+        if len(order) < len(terms):
+            remap = {old: new for new, old in enumerate(order)}
+            for old in order:
+                t = terms[old]
+                if isinstance(t, Branch):
+                    terms[old] = Branch(t.cond, remap[t.on_true], remap[t.on_false], t.line)
+                elif isinstance(t, Jump):
+                    terms[old] = Jump(remap[t.target], t.line)
+        return [BasicBlock(tuple(self.bodies[old]), terms[old]) for old in order]
 
 
 def parse_program(text: str, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> Program:
     """Parse either concrete syntax into a basic-block Program.
 
-    Raises ParseError with line:col on malformed input. Domain widths are
-    checked against the cap here; all other checks live in validate().
+    Raises ParseError with line:col on malformed input, and on input nested
+    too deeply for the parser's recursion. Domain widths are checked against
+    the cap here; all other checks live in validate().
     """
-    return _Parser(tokenize(text), domain_cap).parse()
+    parser = _Parser(text, domain_cap)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("nested too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +610,7 @@ def validate(program: Program, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> list[
 
     n = len(program.blocks)
     for i, blk in enumerate(program.blocks):
-        t = blk.term
-        targets = ([t.on_true, t.on_false] if isinstance(t, Branch)
-                   else [t.target] if isinstance(t, Jump) else [])
-        for tgt in targets:
+        for tgt in _targets(blk.term):
             if not 0 <= tgt < n:
                 diags.append(f"branch target b{tgt} undeclared (block b{i})")
 
@@ -668,59 +618,75 @@ def validate(program: Program, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> list[
     return diags
 
 
+def _names_and_depth(e: Expr) -> tuple[set[str], int]:
+    """The names an expression reads and its depth, walked one level at a
+    time, so that no depth of expression overflows the stack here."""
+    names = set()
+    depth = 0
+    level = [e]
+    while level:
+        depth += 1
+        below = []
+        for e in level:
+            kind = type(e)
+            if kind is Binary:
+                below.append(e.left)
+                below.append(e.right)
+            elif kind is Var:
+                names.add(e.name)
+            elif kind is Unary:
+                below.append(e.operand)
+        level = below
+    return names, depth
+
+
 def _check_definite_assignment(program: Program) -> list[str]:
     """Must-analysis: every read must be dominated by an assignment or sym decl.
     Conservative (intersection over predecessors), so a variable assigned on
-    only one arm of an if is flagged when read after the join."""
-    n = len(program.blocks)
+    only one arm of an if is flagged when read after the join.
+
+    An expression deeper than the recursion limit is reported too: printing
+    and executing it walk it recursively."""
+    blocks = program.blocks
+    n = len(blocks)
     syms = {d.name for d in program.inputs}
-    everything = set(syms)
-    for blk in program.blocks:
-        for a in blk.body:
-            everything.add(a.name)
+    assigned = [{a.name for a in blk.body} for blk in blocks]
+    everything = syms.union(*assigned)
 
     preds: list[set[int]] = [set() for _ in range(n)]
-    for i, blk in enumerate(program.blocks):
-        t = blk.term
-        targets = ([t.on_true, t.on_false] if isinstance(t, Branch)
-                   else [t.target] if isinstance(t, Jump) else [])
-        for tgt in targets:
+    for i, blk in enumerate(blocks):
+        for tgt in _targets(blk.term):
             if 0 <= tgt < n:
                 preds[tgt].add(i)
 
-    def block_out(idx: int, avail_in: set[str]) -> set[str]:
-        avail = set(avail_in)
-        for a in program.blocks[idx].body:
-            avail.add(a.name)
-        return avail
-
     avail_in: list[set[str]] = [set(everything) for _ in range(n)]
-    avail_in[0] = set(syms)
+    avail_in[0] = syms
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            if i == 0:
-                new = set(syms)
-            else:
-                p = preds[i]
-                if not p:
-                    continue
-                new = set.intersection(*(block_out(j, avail_in[j]) for j in p))
-            if new != avail_in[i]:
-                avail_in[i] = new
-                changed = True
+        for i in range(1, n):
+            if preds[i]:
+                new = set.intersection(*(avail_in[j] | assigned[j] for j in preds[i]))
+                if new != avail_in[i]:
+                    avail_in[i] = new
+                    changed = True
 
+    limit = sys.getrecursionlimit()
     diags = []
-    for i, blk in enumerate(program.blocks):
+    for i, blk in enumerate(blocks):
         avail = set(avail_in[i])
-        for a in blk.body:
-            for v in sorted(reads(a.expr) - avail):
-                diags.append(f"{v} possibly unassigned (block b{i})")
-            avail.add(a.name)
+        uses = [(a.expr, a.name) for a in blk.body]
         if isinstance(blk.term, Branch):
-            for v in sorted(reads(blk.term.cond) - avail):
+            uses.append((blk.term.cond, None))
+        for e, name in uses:
+            names, depth = _names_and_depth(e)
+            if depth > limit:
+                diags.append(
+                    f"expression {depth} deep, past the recursion limit {limit} (block b{i})"
+                )
+            for v in sorted(names - avail):
                 diags.append(f"{v} possibly unassigned (block b{i})")
+            avail.add(name)
     return diags
 
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -615,3 +618,10 @@ def test_cli_rejects_a_replay_schedule_out_of_a_workers_order(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().out
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_importing_tdpart_leaves_argparse_to_the_cli():
+    code = "import sys, tdpart; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path("src").resolve())})
+    assert done.stdout.strip() == "False", done.stderr

@@ -1,9 +1,12 @@
 """Parser, validator, and canonical printer."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdpart import lang
 from tdpart.harness import corpus_shape, generate_program
@@ -77,6 +80,8 @@ def test_precedence_and_expr_text():
     # or binds loosest, then and, then comparisons
     assert isinstance(cond, Binary) and cond.op == "or"
     assert isinstance(cond.left, Binary) and cond.left.op == "and"
+    p = parse_program("program p;\nsym x in [-3, 3];\nt = x < 1 or x > 2 and x == 3;\n")
+    assert expr_text(p.blocks[0].body[0].expr) == "((x<1) or ((x>2) and (x==3)))"
 
 
 def test_if_without_else():
@@ -209,6 +214,18 @@ def test_loop_carried_assignment_is_definite():
     assert validate(parse_program(src)) == []
 
 
+def test_instructions_carry_their_source_line():
+    p = parse_program(
+        "program p;\nsym x in [0, 3];\nt =\n  x;\n"
+        "while (x < 3) {\n  x = x + 1;\n}\nif (x < 2) { exit(1); }\nerror(\"e\");\n"
+    )
+    lines = [([a.line for a in b.body], type(b.term).__name__, b.term.line) for b in p.blocks]
+    assert lines == [
+        ([3], "Jump", 5), ([], "Branch", 5), ([6], "Jump", 5),
+        ([], "Branch", 8), ([], "Exit", 8), ([], "Jump", 8), ([], "Error", 9),
+    ]
+
+
 def test_expr_equality_ignores_source_line():
     a = parse_program("program p;\nsym x in [0, 1];\nexit(0);\n")
     b = parse_program("program p;\n\n\nsym x in [0, 1];\n\nexit(0);\n")
@@ -216,10 +233,11 @@ def test_expr_equality_ignores_source_line():
 
 
 def test_unary_not_and_negation_nest():
-    p = parse_program("program p;\nsym x in [-2, 2];\nt = !!x;\nu = --x;\nexit(0);\n")
-    t, u = p.blocks[0].body
+    p = parse_program("program p;\nsym x in [-2, 2];\nt = !!x;\nu = --x;\nv = -!x * 2;\nexit(0);\n")
+    t, u, v = p.blocks[0].body
     assert t.expr == Unary("not", Unary("not", Var("x")))
     assert u.expr == Unary("neg", Unary("neg", Var("x")))
+    assert v.expr == Binary("*", Unary("neg", Unary("not", Var("x"))), Const(2))
     assert expr_text(t.expr) == "!!x"
     assert expr_text(u.expr) == "--x"
 
@@ -231,3 +249,161 @@ def test_generated_corpus_round_trips():
         p = parse_program(src)
         assert validate(p) == [], src
         assert parse_program(print_program(p)) == p
+
+
+# -- lexical edge cases: exact positions; a column counts characters, so a
+# tab is one column, and "\r" is whitespace
+
+
+@pytest.mark.parametrize(
+    "src,where",
+    [
+        ("program p;\n\t$x = 1;\n", "2:2: unexpected character '$'"),  # tab before it
+        ("program p;\nx =\t1 $;\n", "2:7: unexpected character '$'"),
+        ("program p;\r\nsym x in [0, 1];\r\nt = x $ 1;\r\nexit(0);\r\n",
+         "3:7: unexpected character '$'"),  # CRLF line ends
+        ("program p;\r\nsym x in [0, 1];\r\n  exit(x);\r\n", "3:8: expected 'int', got 'x'"),
+        ("program p;\nexit(0) # done", "2:15: expected ';', got ''"),  # comment at EOF
+        ("program p; # c\n@\n", "2:1: unexpected character '@'"),  # right after a comment
+        ("program p; # c @\n$", "2:1: unexpected character '$'"),
+        ('program p;\nerror("abc);\n', "2:7: unexpected character '\"'"),  # unterminated
+        ("program p;\nt = 9223372036854775808;\nexit(0);\n",
+         "2:5: integer literal out of range: 9223372036854775808"),
+        ("program p;\nsym x in [-9223372036854775809, 0];\nexit(0);\n",
+         "2:12: integer literal out of range: -9223372036854775809"),
+        ("program p;\nexit(9223372036854775808);\n",
+         "2:6: integer literal out of range: 9223372036854775808"),
+        ("", "1:1: expected 'program', got ''"),  # empty input
+        ("  \n\t# only a comment\n", "3:1: expected 'program', got ''"),
+        ("program p;\x0bexit(0);\n", "1:11: unexpected character '\\x0b'"),
+        ("program if;\n", "1:9: expected 'ident', got 'if'"),
+        ("program p;\nblock b0:\n exit(0);\n x", "4:2: expected 'eof', got 'x'"),
+        ("program p;\nblock b0:\n  jump b9;\nblock b1:\n  exit(0);\n",
+         "3:8: branch target b9 undeclared"),
+        ("program p;\nblock b0:\n  jump b0;\nblock b0:\n  exit(0);\n",
+         "4:7: duplicate block label b0"),
+    ],
+)
+def test_parse_error_position(src, where):
+    with pytest.raises(ParseError) as ei:
+        parse_program(src)
+    assert str(ei.value) == where
+    line, col, _ = where.split(":", 2)
+    assert (ei.value.line, ei.value.col) == (int(line), int(col))
+
+
+def test_crlf_and_trailing_comment_parse_like_lf():
+    lf = "program p;\nsym x in [0, 1];\nif (x < 1) { exit(1); }\nexit(0);\n"
+    p = parse_program(lf)
+    assert parse_program(lf.replace("\n", "\r\n")) == p
+    assert parse_program(lf + "# done") == p
+    assert parse_program(lf.rstrip("\n") + " # no newline at EOF") == p
+
+
+def test_hash_inside_an_error_string_is_not_a_comment():
+    p = parse_program('program p;\nerror("a # b");\n')
+    assert p.blocks[0].term.label == "a # b"
+    assert print_program(p).endswith('  error("a # b");\n')
+
+
+def test_max_int64_literal_parses():
+    p = parse_program("program p;\nt = 9223372036854775807;\nexit(-9223372036854775808);\n")
+    assert p.blocks[0].body[0].expr == Const(2**63 - 1)
+    assert p.blocks[0].term.code == -(2**63)
+
+
+# -- nesting: what parsed and validated before the front end was rewritten
+# still does, one step past the old limits (at the top level of a fresh
+# interpreter: 122 parentheses, 983 unary minuses, a 995-term chain) too;
+# deeper input is a ParseError or a diagnostic, never a RecursionError
+
+
+def _parens(n):
+    return "program p;\nsym x in [0, 1];\nt = " + "(" * n + "x" + ")" * n + ";\nexit(0);\n"
+
+
+def _negations(n):
+    return "program p;\nsym x in [0, 1];\nt = " + "-" * n + "x;\nexit(0);\n"
+
+
+def _chain(n):
+    return "program p;\nsym x in [0, 1];\nt = x" + " + x" * (n - 1) + ";\nexit(0);\n"
+
+
+def _nested_ifs(n):
+    return "program p;\nsym x in [0, 1];\n" + "if (x < 1) {" * n + "t = 1;" + "}" * n + "\n"
+
+
+@pytest.mark.parametrize("make,n", [
+    (_parens, 122), (_parens, 123),
+    (_negations, 983), (_negations, 984),
+    (_chain, 995), (_chain, 996),
+])
+def test_nesting_at_the_old_limits_parses_and_validates(make, n):
+    assert validate(parse_program(make(n))) == []
+
+
+def test_parentheses_nested_too_deeply_are_a_parse_error():
+    n = 4 * sys.getrecursionlimit()
+    with pytest.raises(ParseError) as ei:
+        parse_program(_parens(n))
+    assert "nested too deeply to parse" in str(ei.value)
+    assert ei.value.line == 3 and 5 <= ei.value.col <= 5 + n
+
+
+def test_statements_nested_too_deeply_are_a_parse_error():
+    with pytest.raises(ParseError) as ei:
+        parse_program(_nested_ifs(2 * sys.getrecursionlimit()))
+    assert "nested too deeply to parse" in str(ei.value)
+    assert ei.value.line == 3
+
+
+@pytest.mark.parametrize("make", [_negations, _chain])
+def test_an_expression_deeper_than_the_recursion_limit_is_a_diagnostic(make):
+    n = max(1500, sys.getrecursionlimit() + 1)
+    program = parse_program(make(n))
+    depth = n + 1 if make is _negations else n
+    assert validate(program) == [
+        f"expression {depth} deep, past the recursion limit {sys.getrecursionlimit()} (block b0)"
+    ]
+
+
+def test_validate_does_not_fill_the_reads_memo():
+    p = parse_program(FIND_MIDDLE)
+    assert validate(p) == []
+    cond = p.blocks[0].term.cond
+    assert not hasattr(cond, "_reads")
+    assert lang.reads(cond) == {"x", "y"}
+
+
+# -- random token soup: a ParseError or a program that round-trips
+
+
+_VOCAB = (
+    "program", "sym", "in", "if", "else", "while", "exit", "error", "block",
+    "branch", "jump", "and", "or", "p", "x", "y", "b0", "b1", "0", "1", "7",
+    "9223372036854775807", "9223372036854775808", '"e"', '"#"', '"', "<=",
+    ">=", "==", "!=", "-", "+", "*", "<", ">", "=", "!", ";", "(", ")", "{",
+    "}", "[", "]", ",", ":", "#", "$", "\t", "\r\n", "\n",
+)
+# whole statements, so that some of the texts parse
+_PHRASES = (
+    "t = x + 1 ;", "x = -x * y ;", "exit ( 0 ) ;", 'error ( "e" ) ;', "if ( x < y ) {",
+    "} else {", "while ( x > 0 and !y ) {", "}", "block b0 :", "block b1 :",
+    "branch x <= 1 or y b0 b1 ;", "jump b1 ;",
+)
+_HEADER = "program p;\nsym x in [0, 3];\nsym y in [-2, 2];\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.one_of(
+    st.lists(st.sampled_from(_VOCAB + _PHRASES), max_size=40),
+    st.lists(st.sampled_from(_PHRASES), max_size=12),
+))
+def test_random_tokens_parse_and_round_trip_or_raise_parse_error(header, words):
+    text = (_HEADER if header else "") + " ".join(words)
+    try:
+        p = parse_program(text)
+    except ParseError:
+        return
+    assert parse_program(print_program(p)) == p
