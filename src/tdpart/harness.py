@@ -250,14 +250,14 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
 
 
 def _run_distributed(
-    program: Program, cfg: RunConfig, mode: str, hub, transport_for
+    program: Program, cfg: RunConfig, mode: str, hub, transports: list
 ) -> RunOutput:
     """The worker lifecycle shared by threads and tcp, which differ only in
-    `hub` and in `transport_for(worker_id)`, called on the worker's own
-    thread. On a coordinator failure every worker is told to terminate, so
-    the threads drain before the error propagates. A worker that raises
-    closes its transport, so the coordinator fails at once, and the run
-    raises the worker's error."""
+    `hub` and in `transports`, one per worker id, all made before any
+    worker thread starts. On a coordinator failure every worker is told to
+    terminate, so the threads drain before the error propagates. A worker
+    that raises closes its transport, so the coordinator fails at once, and
+    the run raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
     replay = bool(cfg.replay_schedule)
@@ -277,9 +277,8 @@ def _run_distributed(
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
-        transport = None
+        transport = transports[wid]
         try:
-            transport = transport_for(wid)
             if schedule is not None:
                 polls = schedule.polls.get(wid, [])
                 transport = ScheduleTransport(transport, set(polls) if replay else polls, replay)
@@ -288,8 +287,7 @@ def _run_distributed(
             if isinstance(e, proto.RecvTimeout):  # a stall: show where each thread is
                 faulthandler.dump_traceback(all_threads=True)
             errors.append(e)
-            if transport is not None:
-                transport.close()  # the coordinator's recv fails now
+            transport.close()  # the coordinator's recv fails now
 
     threads = [
         threading.Thread(target=body, args=(wid,), name=f"tdpart-worker-{wid}", daemon=True)
@@ -298,7 +296,6 @@ def _run_distributed(
     for t in threads:
         t.start()
     try:
-        hub.accept_all()
         ccfg = CoordConfig(cfg.workers, cfg.final_depth, cfg.strategy, cfg.time_budget)
         result = run_coordinator(coord_hub, program, ccfg)
         if replay and coord_hub.due:
@@ -327,26 +324,26 @@ def _run_distributed(
 
 def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
     hub = proto.QueueHub(cfg.workers)
-    return _run_distributed(program, cfg, "threads", hub, hub.transport_for)
+    transports = [hub.transport_for(w) for w in range(cfg.workers)]
+    return _run_distributed(program, cfg, "threads", hub, transports)
 
 
 def run_tcp(program: Program, cfg: RunConfig) -> RunOutput:
     hub = proto.SocketHub(cfg.workers)
-    host, port = hub.address
-
-    def connect(wid: int) -> proto.SocketTransport:
-        last: Exception | None = None
-        for _ in range(200):
-            try:
-                s = socket.create_connection((host, port), timeout=10)
-                s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return proto.SocketTransport(s)
-            except OSError as e:
-                last = e
-                time.sleep(0.01)
-        raise proto.TransportClosed(f"cannot connect to coordinator: {last}")
-
-    return _run_distributed(program, cfg, "tcp", hub, connect)
+    transports: list[proto.SocketTransport] = []
+    try:
+        # in worker-id order, before the hub accepts: hub id k is tdpart-worker-k
+        for _ in range(cfg.workers):
+            s = socket.create_connection(hub.address, timeout=10)
+            transports.append(proto.SocketTransport(s))
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        hub.accept_all()
+    except BaseException:
+        for t in transports:
+            t.close()
+        hub.close()
+        raise
+    return _run_distributed(program, cfg, "tcp", hub, transports)
 
 
 def run_program(program: Program, cfg: RunConfig) -> RunOutput:

@@ -19,6 +19,11 @@ INT64_MAX = 2**63 - 1
 
 DEFAULT_DOMAIN_CAP = 65536
 
+# validate rejects expressions deeper than the recursion limit less this: the
+# caller's frames (~35 under pytest) and the ~20 from run_program down to the
+# evaluator, printer and constraint-text walks, which recurse once per level
+EXPR_DEPTH_HEADROOM = 100
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -645,8 +650,8 @@ def _check_definite_assignment(program: Program) -> list[str]:
     Conservative (intersection over predecessors), so a variable assigned on
     only one arm of an if is flagged when read after the join.
 
-    An expression deeper than the recursion limit is reported too: printing
-    and executing it walk it recursively."""
+    An expression deeper than the recursion limit less EXPR_DEPTH_HEADROOM
+    is reported too: printing and executing it walk it recursively."""
     blocks = program.blocks
     n = len(blocks)
     syms = {d.name for d in program.inputs}
@@ -671,7 +676,7 @@ def _check_definite_assignment(program: Program) -> list[str]:
                     avail_in[i] = new
                     changed = True
 
-    limit = sys.getrecursionlimit()
+    limit = sys.getrecursionlimit() - EXPR_DEPTH_HEADROOM
     diags = []
     for i, blk in enumerate(blocks):
         avail = set(avail_in[i])
@@ -682,7 +687,7 @@ def _check_definite_assignment(program: Program) -> list[str]:
             names, depth = _names_and_depth(e)
             if depth > limit:
                 diags.append(
-                    f"expression {depth} deep, past the recursion limit {limit} (block b{i})"
+                    f"expression {depth} deep, past the depth limit {limit} (block b{i})"
                 )
             for v in sorted(names - avail):
                 diags.append(f"{v} possibly unassigned (block b{i})")

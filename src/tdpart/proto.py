@@ -15,7 +15,7 @@ import queue
 import select
 import socket
 import struct
-import threading
+import time
 from dataclasses import dataclass
 
 from . import solve
@@ -362,22 +362,28 @@ class SocketTransport:
 # ---------------------------------------------------------------------------
 
 
-class _Inbox:
-    """The shared inbox of a hub: (worker_id, frame) pairs, where a None
-    frame says the worker closed its end. A worker that was sent Terminate
-    closes its end when it stops, so only other closes are failures. Each
-    hub defines its own send and recv over these (perfbench's tracer wraps
-    them per class)."""
+class QueueHub:
+    """Coordinator end for threads mode: one outbound queue per worker, one
+    shared inbox carrying (worker_id, frame), where a None frame says the
+    worker closed its end. A worker that was sent Terminate closes its end
+    when it stops, so only other closes are failures."""
 
-    def __init__(self) -> None:
+    def __init__(self, num_workers: int):
+        self.to_workers: list["queue.Queue[bytes]"] = [
+            queue.Queue() for _ in range(num_workers)
+        ]
         self.inbox: "queue.Queue[tuple[int, bytes | None]]" = queue.Queue()
         self._terminated: set[int] = set()
 
-    def _sent(self, worker_id: int, msg: Message) -> None:
+    def transport_for(self, worker_id: int) -> QueueTransport:
+        return QueueTransport(worker_id, self.to_workers[worker_id], self.inbox)
+
+    def send(self, worker_id: int, msg: Message) -> None:
         if isinstance(msg, Terminate):
             self._terminated.add(worker_id)
+        self.to_workers[worker_id].put(encode(msg))
 
-    def _recv(self, timeout: float | None) -> tuple[int, Message]:
+    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
         while True:
             try:
                 worker_id, frame = self.inbox.get(timeout=timeout)
@@ -388,45 +394,23 @@ class _Inbox:
             if worker_id not in self._terminated:
                 raise TransportClosed(f"worker {worker_id} disconnected")
 
-
-class QueueHub(_Inbox):
-    """Coordinator end for threads mode: one outbound queue per worker, one
-    shared inbox carrying (worker_id, frame)."""
-
-    def __init__(self, num_workers: int):
-        super().__init__()
-        self.to_workers: list["queue.Queue[bytes]"] = [
-            queue.Queue() for _ in range(num_workers)
-        ]
-
-    def transport_for(self, worker_id: int) -> QueueTransport:
-        return QueueTransport(worker_id, self.to_workers[worker_id], self.inbox)
-
-    def send(self, worker_id: int, msg: Message) -> None:
-        self._sent(worker_id, msg)
-        self.to_workers[worker_id].put(encode(msg))
-
-    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
-        return self._recv(timeout)
-
     def broadcast(self, msg: Message) -> None:
         for w in range(len(self.to_workers)):
             self.send(w, msg)
-
-    def accept_all(self) -> None:
-        pass  # queue transports are connected from the start
 
     def close(self) -> None:
         pass
 
 
-class SocketHub(_Inbox):
-    """Coordinator end for tcp mode. Accepts num_workers connections on a
-    loopback listener; a reader thread per connection feeds the shared inbox.
-    Worker ids are assigned in accept order."""
+class SocketHub:
+    """Coordinator end for tcp mode: a loopback listener for num_workers
+    connections. Worker ids follow accept order, which is connect order
+    when the workers connect one at a time before accept_all. There is no
+    reader thread: recv waits with select on the connections still open and
+    reads one frame straight off a ready one. A worker's close, seen there
+    as EOF, fails recv unless the worker was sent Terminate."""
 
     def __init__(self, num_workers: int, host: str = "127.0.0.1", port: int = 0):
-        super().__init__()
         self.num_workers = num_workers
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -434,39 +418,48 @@ class SocketHub(_Inbox):
         self._listener.listen(num_workers)
         self.address: tuple[str, int] = self._listener.getsockname()
         self._conns: list[socket.socket] = []
-        self._readers: list[threading.Thread] = []
+        self._open: dict[socket.socket, int] = {}  # connections not yet at EOF
+        self._terminated: set[int] = set()
 
     def accept_all(self, timeout: float = 30.0) -> None:
         self._listener.settimeout(timeout)
         for wid in range(self.num_workers):
             conn, _ = self._listener.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(DEFAULT_RECV_TIMEOUT)  # bounds a stall inside a frame
             self._conns.append(conn)
-            t = threading.Thread(target=self._reader, args=(wid, conn), daemon=True)
-            t.start()
-            self._readers.append(t)
+            self._open[conn] = wid
         self._listener.close()
 
-    def _reader(self, worker_id: int, conn: socket.socket) -> None:
-        try:
-            while True:
-                frame = read_frame(conn)
-                if frame is None:
-                    break
-                self.inbox.put((worker_id, frame))
-        except (OSError, ProtocolError):
-            pass
-        self.inbox.put((worker_id, None))
-
     def send(self, worker_id: int, msg: Message) -> None:
-        self._sent(worker_id, msg)
+        if isinstance(msg, Terminate):
+            self._terminated.add(worker_id)
         try:
             self._conns[worker_id].sendall(encode(msg))
         except OSError as e:
             raise TransportClosed(f"send to worker {worker_id} failed: {e}") from None
 
     def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
-        return self._recv(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready, _, _ = select.select(list(self._open), [], [], wait)
+            if not ready:
+                raise RecvTimeout("coordinator recv timed out")
+            conn = ready[0]
+            worker_id = self._open[conn]
+            try:
+                # a worker sends whole frames, so the rest of one follows
+                frame = read_frame(conn)
+            except socket.timeout:
+                raise RecvTimeout(f"worker {worker_id} stalled inside a frame") from None
+            except (OSError, ProtocolError):
+                frame = None
+            if frame is not None:
+                return worker_id, decode(frame)
+            del self._open[conn]
+            if worker_id not in self._terminated:
+                raise TransportClosed(f"worker {worker_id} disconnected")
 
     def broadcast(self, msg: Message) -> None:
         for w in range(len(self._conns)):
@@ -476,7 +469,7 @@ class SocketHub(_Inbox):
                 pass
 
     def close(self) -> None:
-        for c in self._conns:
+        for c in [self._listener] + self._conns:
             try:
                 c.close()
             except OSError:

@@ -1,12 +1,13 @@
 """Golden regression: exact single-mode engine output, pinned by sha256.
 
 The digests in golden_engine.json were produced by this module's
-`engine_digest` at commit 6bfc1bf, before blocks were compiled into
-closures (`python tests/test_golden.py > tests/golden_engine.json`, run
-from the repository root). Any interpreter change that alters a completed
-path, outcome, witness, constraint text, frontier path, instruction count,
-query count or cache hit count fails here, with the generated tier off
-until blocks are hot and with every block generated on its first entry.
+`engine_digest` at commit 6bfc1bf, when every block still ran through the
+recursive evaluator (`python tests/test_golden.py > tests/golden_engine.json`,
+run from the repository root). Any interpreter change that alters a
+completed path, outcome, witness, constraint text, frontier path,
+instruction count, query count or cache hit count fails here, with the
+generated tier off until blocks are hot and with every block generated on
+its first entry.
 """
 
 import hashlib

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,64 @@ def test_a_deadline_mid_run_stops_workers_cleanly(mode):
         out = run_program(LOOPS, RunConfig(mode=mode, workers=2, final_depth=15,
                                            time_budget=0.02, solver_delay=0.0005))
         assert len(set(out.paths)) == len(out.paths) and set(out.paths) <= single
+
+
+def _deep(depth):
+    """An assignment and a symbolic branch condition, each `depth` deep."""
+    return (
+        "program deep;\nsym x in [0, 1];\n"
+        f"t = {'-' * (depth - 1)}x;\n"
+        f"if (x{' + 1' * (depth - 2)} > {depth - 2}) {{ exit(1); }}\nexit(0);\n"
+    )
+
+
+def test_the_deepest_expression_validate_accepts_runs_in_every_mode():
+    depth = sys.getrecursionlimit() - lang.EXPR_DEPTH_HEADROOM
+    program = lang.parse_program(_deep(depth))
+    assert lang.validate(program) == []
+    for mode in ("single", "threads", "tcp"):
+        out = run_program(program, RunConfig(mode=mode, workers=2, final_depth=4))
+        assert sorted(out.paths) == ["0", "1"], mode
+    deeper = lang.parse_program(_deep(depth + 1))
+    too_deep = f"expression {depth + 1} deep, past the depth limit {depth} (block b0)"
+    assert lang.validate(deeper) == [too_deep, too_deep]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_tcp_run_starts_one_thread_per_worker(monkeypatch, workers):
+    # the coordinator reads the worker sockets itself, on its own thread
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert sorted(fm_run(mode="tcp", workers=workers).paths) == FM_PATHS
+    assert sorted(started) == [f"tdpart-worker-{k}" for k in range(workers)]
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_each_tally_counts_the_regions_its_worker_thread_ran(monkeypatch, mode):
+    # worker id k is thread tdpart-worker-k: in tcp mode the workers connect
+    # in id order before the hub accepts
+    ran = Counter()
+    real = Engine.start_execution
+
+    def start_execution(self, *args, **kw):
+        ran[threading.current_thread().name] += 1
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Engine, "start_execution", start_execution)
+    for _ in range(3):
+        ran.clear()
+        # steals under a solver delay spread the regions unevenly
+        out = run_program(LOOPS, RunConfig(mode=mode, workers=4, final_depth=15,
+                                           offload_threshold=1, solver_delay=0.0005))
+        names = [f"tdpart-worker-{k}" for k in range(4)]
+        assert set(ran) <= set(names)
+        assert [t.regions for t in out.tallies] == [ran[n] for n in names]
 
 
 @pytest.mark.parametrize(

@@ -312,10 +312,12 @@ def test_max_int64_literal_parses():
     assert p.blocks[0].term.code == -(2**63)
 
 
-# -- nesting: what parsed and validated before the front end was rewritten
-# still does, one step past the old limits (at the top level of a fresh
-# interpreter: 122 parentheses, 983 unary minuses, a 995-term chain) too;
-# deeper input is a ParseError or a diagnostic, never a RecursionError
+# -- nesting: what parsed before the front end was rewritten still does, one
+# step past the old limits (at the top level of a fresh interpreter: 122
+# parentheses, 983 unary minuses, a 995-term chain) too; deeper input is a
+# ParseError or a diagnostic, never a RecursionError. validate rejects an
+# expression deeper than the recursion limit less EXPR_DEPTH_HEADROOM,
+# which no run could walk.
 
 
 def _parens(n):
@@ -330,6 +332,14 @@ def _chain(n):
     return "program p;\nsym x in [0, 1];\nt = x" + " + x" * (n - 1) + ";\nexit(0);\n"
 
 
+def _max_depth():
+    return sys.getrecursionlimit() - lang.EXPR_DEPTH_HEADROOM
+
+
+def _too_deep(depth):
+    return f"expression {depth} deep, past the depth limit {_max_depth()} (block b0)"
+
+
 def _nested_ifs(n):
     return "program p;\nsym x in [0, 1];\n" + "if (x < 1) {" * n + "t = 1;" + "}" * n + "\n"
 
@@ -340,7 +350,9 @@ def _nested_ifs(n):
     (_chain, 995), (_chain, 996),
 ])
 def test_nesting_at_the_old_limits_parses_and_validates(make, n):
-    assert validate(parse_program(make(n))) == []
+    program = parse_program(make(n))
+    depth = {_parens: 1, _negations: n + 1, _chain: n}[make]
+    assert validate(program) == ([] if depth <= _max_depth() else [_too_deep(depth)])
 
 
 def test_parentheses_nested_too_deeply_are_a_parse_error():
@@ -363,9 +375,7 @@ def test_an_expression_deeper_than_the_recursion_limit_is_a_diagnostic(make):
     n = max(1500, sys.getrecursionlimit() + 1)
     program = parse_program(make(n))
     depth = n + 1 if make is _negations else n
-    assert validate(program) == [
-        f"expression {depth} deep, past the recursion limit {sys.getrecursionlimit()} (block b0)"
-    ]
+    assert validate(program) == [_too_deep(depth)]
 
 
 def test_validate_does_not_fill_the_reads_memo():

@@ -306,6 +306,25 @@ def test_socket_hub_round_trip():
         hub.close()
 
 
+def test_a_frame_split_inside_its_header_arrives_as_one_message():
+    hub = SocketHub(1)
+    s = socket.create_connection(hub.address, timeout=5)
+    s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    tr = SocketTransport(s)
+    hub.accept_all()
+    frame = encode(Offload({"x": -3, "y": 7}, 2))
+    # the hub sees the first two bytes, then waits inside the header
+    rest = threading.Timer(0.05, s.sendall, args=(frame[2:],))
+    s.sendall(frame[:2])
+    rest.start()
+    try:
+        assert hub.recv(timeout=5) == (0, Offload({"x": -3, "y": 7}, 2))
+    finally:
+        rest.join()
+        tr.close()
+        hub.close()
+
+
 def test_socket_transport_poll_sees_pending_frame():
     hub = SocketHub(1)
     host, port = hub.address

@@ -56,7 +56,7 @@ def _random_block(rng):
     return BasicBlock(body, Branch(_random_expr(rng, rng.randint(0, 4)), 1, 2))
 
 
-def test_generated_blocks_match_the_closure_tier_seeded():
+def test_generated_blocks_match_the_evaluator_seeded():
     rng = random.Random(8)
     assigned = frozenset(_NAMES)
     seen_ops, new_names = set(), 0
@@ -187,7 +187,7 @@ def _evaluator_loop(blocks, env, b, room):
     return b, n
 
 
-def test_generated_loops_match_the_closure_tier_seeded():
+def test_generated_loops_match_the_evaluator_seeded():
     rng = random.Random(12)
     assigned = frozenset(_LOOP_NAMES)
     symbolic = Binary("*", Var("x"), Const(3))
@@ -282,7 +282,7 @@ def _explore(monkeypatch, prog, hot, depth, strategy, max_steps=engine.DEFAULT_M
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
 @pytest.mark.parametrize("depth", [2, 6, 12])
-def test_generated_tier_explores_exactly_like_the_closure_tier(
+def test_generated_tier_explores_exactly_like_the_evaluator(
     programs, monkeypatch, depth, strategy
 ):
     for name, prog in programs:
@@ -291,7 +291,7 @@ def test_generated_tier_explores_exactly_like_the_closure_tier(
 
 
 @pytest.mark.parametrize("max_steps", [1, 7, 50, 137, 1000, 5000])
-def test_generated_tier_truncates_exactly_like_the_closure_tier(
+def test_generated_tier_truncates_exactly_like_the_evaluator(
     programs, monkeypatch, max_steps
 ):
     truncated = 0

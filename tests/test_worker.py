@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tdpart import proto
-from tdpart.coord import CoordConfig, run_coordinator
+from tdpart.coord import CoordConfig, run_coordinator, seed_pool
 from tdpart.engine import Engine, ExecState, Strategy
 from tdpart.harness import RunConfig, ScheduleTransport, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
@@ -101,20 +101,26 @@ def test_worker_resumes_suspended_states_across_tasks():
     assert summary.suspended_left == 1
 
 
-def test_a_dispatched_test_matches_at_most_one_suspended_state(monkeypatch):
-    # A worker's suspended list stays prefix-free: a state is only suspended
-    # while replaying past its sibling, and any listed ancestor would have
-    # been resumed (and removed) by that same replay first. A test therefore
-    # matches at most one listed state, so the deepest match is the only one.
-    lookups = []
+@pytest.fixture
+def lookups(monkeypatch):
+    """(suspended states the test satisfies, state picked) per lookup."""
+    seen = []
     real = Engine.find_resumable
 
     def counting(self, suspended, test):
         picked = real(self, suspended, test)
-        lookups.append((sum(s.pc.satisfied_by(test) for s in suspended), picked))
+        seen.append((sum(s.pc.satisfied_by(test) for s in suspended), picked))
         return picked
 
     monkeypatch.setattr(Engine, "find_resumable", counting)
+    return seen
+
+
+def test_a_dispatched_test_matches_at_most_one_suspended_state(lookups):
+    # A worker's suspended list stays prefix-free: a state is only suspended
+    # while replaying past its sibling, and any listed ancestor would have
+    # been resumed (and removed) by that same replay first. A test therefore
+    # matches at most one listed state, so the deepest match is the only one.
     strategies = (Strategy("dfs"), Strategy("bfs"), Strategy("random", 5))
     for path in sorted(Path("programs/corpus").glob("*.tdp")):
         program = parse_program(path.read_text())
@@ -126,7 +132,27 @@ def test_a_dispatched_test_matches_at_most_one_suspended_state(monkeypatch):
                 )
                 assert not run_program(program, cfg).truncated
     assert max(n for n, _ in lookups) <= 1
-    assert sum(picked is not None for _, picked in lookups) >= 20
+
+
+def test_serving_a_pool_in_order_resumes_suspended_states(lookups):
+    # how many lookups resume a state in threaded runs depends on timing;
+    # one worker served each seeded pool in pool order does not
+    for path in sorted(Path("programs/corpus").glob("*.tdp")):
+        program = parse_program(path.read_text())
+        for workers in (2, 4):
+            hub = QueueHub(1)
+            pool = seed_pool(program, workers, 26)
+            for pair in pool:
+                hub.send(0, Task(Strategy("dfs"), pair.test, pair.depth, 26))
+            hub.send(0, Terminate())
+            # a replayed schedule with no poll hits: no Task is read mid-region
+            run_worker(ScheduleTransport(hub.transport_for(0), set(), replay=True), program)
+            for _ in pool:
+                _, msg = hub.recv(timeout=1)
+                assert isinstance(msg, Finish) and not msg.stats.truncated
+    assert len(lookups) == 120
+    assert sum(picked is not None for _, picked in lookups) == 80
+    assert max(n for n, _ in lookups) <= 1
 
 
 def test_worker_offloads_above_threshold_at_forced_poll():
