@@ -15,27 +15,31 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from . import proto
 from .engine import Engine, EngineStats, Strategy, TestDepthPair
 from .lang import Program
 
 
-@dataclass
 class WorkerTally:
-    regions: int = 0
-    paths: list[str] = field(default_factory=list)
-    frontier: int = 0
-    states_created: int = 0
-    states_suspended: int = 0
-    solver_queries: int = 0
-    cache_hits: int = 0
-    instructions: int = 0
-    transfers_in: int = 0
-    transfers_out: int = 0
-    wall_us: int = 0
-    truncated: bool = False
+    __slots__ = (
+        "regions", "paths", "frontier", "states_created", "states_suspended",
+        "solver_queries", "cache_hits", "instructions", "transfers_in",
+        "transfers_out", "wall_us", "truncated",
+    )
+
+    def __init__(
+        self, regions: int = 0, paths: list[str] | None = None, frontier: int = 0,
+        states_created: int = 0, states_suspended: int = 0, solver_queries: int = 0,
+        cache_hits: int = 0, instructions: int = 0, transfers_in: int = 0,
+        transfers_out: int = 0, wall_us: int = 0, truncated: bool = False,
+    ):
+        self.regions, self.paths = regions, [] if paths is None else paths
+        self.frontier, self.states_created = frontier, states_created
+        self.states_suspended, self.solver_queries = states_suspended, solver_queries
+        self.cache_hits, self.instructions = cache_hits, instructions
+        self.transfers_in, self.transfers_out = transfers_in, transfers_out
+        self.wall_us, self.truncated = wall_us, truncated
 
     def add(self, st: EngineStats) -> None:
         """Fold one finished region's stats into this worker's tally."""
@@ -51,22 +55,29 @@ class WorkerTally:
         self.truncated = self.truncated or st.truncated
 
 
-@dataclass
 class CoordConfig:
-    num_workers: int
-    final_depth: int
-    strategy: Strategy
-    time_budget: float | None = None
-    recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
+    __slots__ = ("num_workers", "final_depth", "strategy", "time_budget", "recv_timeout")
+
+    def __init__(
+        self, num_workers: int, final_depth: int, strategy: Strategy,
+        time_budget: float | None = None, recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT,
+    ):
+        self.num_workers, self.final_depth, self.strategy = num_workers, final_depth, strategy
+        self.time_budget, self.recv_timeout = time_budget, recv_timeout
 
 
-@dataclass
 class CoordResult:
-    tallies: list[WorkerTally]
-    paths: list[str]  # all completed paths, in arrival order
-    pool_size: int  # seeded pairs
-    undispatched: int  # pairs abandoned at the soft deadline
-    truncated: bool
+    __slots__ = ("tallies", "paths", "pool_size", "undispatched", "truncated")
+
+    def __init__(
+        self, tallies: list[WorkerTally], paths: list[str], pool_size: int,
+        undispatched: int, truncated: bool,
+    ):
+        self.tallies = tallies
+        self.paths = paths  # all completed paths, in arrival order
+        self.pool_size = pool_size  # seeded pairs
+        self.undispatched = undispatched  # pairs abandoned at the soft deadline
+        self.truncated = truncated
 
 
 def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[TestDepthPair]:

@@ -32,13 +32,13 @@ import itertools
 import random
 import time
 from collections.abc import Callable, Mapping, Sequence, Set
-from dataclasses import dataclass, field
 
 from . import solve
 from .lang import (
     ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
     Const, Exit, Expr, Jump, Program, Unary, Var, reads,
 )
+from .record import Record
 from .solve import PathCondition, QueryCache, Test
 
 DEFAULT_MAX_STEPS = 10_000_000
@@ -51,27 +51,33 @@ class ReplayDivergenceError(Exception):
     """The dispatched test does not satisfy the region root's path condition."""
 
 
-@dataclass(frozen=True)
 class Outcome:
-    kind: str  # 'exit' | 'error'
-    code: int = 0
-    label: str = ""
+    __slots__ = ("kind", "code", "label")
+
+    def __init__(self, kind: str, code: int = 0, label: str = ""):
+        self.kind = kind  # 'exit' | 'error'
+        self.code, self.label = code, label
 
     def __str__(self) -> str:
         return f"exit {self.code}" if self.kind == "exit" else f"error {self.label}"
 
 
-@dataclass
 class ExecState:
-    block: int
-    instr: int
-    env: Store
-    pc: PathCondition
-    serial: int  # creation order, engine-wide
-    outcome: Outcome | None = None
-    # lex-min model of pc when the solver checked this state at its fork;
-    # None for initial, guided-phase and suspended states
-    model: Test | None = None
+    """One execution state. It is mutable and has a unique serial, so it
+    compares by identity."""
+
+    __slots__ = ("block", "instr", "env", "pc", "serial", "outcome", "model")
+
+    def __init__(
+        self, block: int, instr: int, env: Store, pc: PathCondition, serial: int,
+        outcome: Outcome | None = None, model: Test | None = None,
+    ):
+        self.block, self.instr, self.env, self.pc = block, instr, env, pc
+        self.serial = serial  # creation order, engine-wide
+        self.outcome = outcome
+        # lex-min model of pc when the solver checked this state at its
+        # fork; None for initial, guided-phase and suspended states
+        self.model = model
 
     @property
     def depth(self) -> int:
@@ -82,47 +88,58 @@ class ExecState:
         return self.pc.path_bits()
 
 
-@dataclass(frozen=True)
-class Strategy:
-    kind: str  # 'dfs' | 'bfs' | 'random'
-    seed: int | None = None
+class Strategy(Record):
+    __slots__ = ("kind", "seed")
+
+    def __init__(self, kind: str, seed: int | None = None):
+        self.kind = kind  # 'dfs' | 'bfs' | 'random'
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class TestDepthPair:
+class TestDepthPair(Record):
     __test__ = False  # not a test case, despite the name
+    __slots__ = ("test", "depth")
 
-    test: Test
-    depth: int
-
-
-@dataclass
-class EngineStats:
-    states_created: int = 0
-    states_suspended: int = 0
-    frontier: int = 0
-    solver_queries: int = 0
-    cache_hits: int = 0
-    instructions: int = 0
-    truncated: bool = False
-    wall_us: int = 0
-    paths: list[str] = field(default_factory=list)
+    def __init__(self, test: Test, depth: int):
+        self.test, self.depth = test, depth
 
 
-@dataclass(frozen=True)
+class EngineStats(Record):
+    __slots__ = (
+        "states_created", "states_suspended", "frontier", "solver_queries",
+        "cache_hits", "instructions", "truncated", "wall_us", "paths",
+    )
+
+    def __init__(
+        self, states_created: int = 0, states_suspended: int = 0, frontier: int = 0,
+        solver_queries: int = 0, cache_hits: int = 0, instructions: int = 0,
+        truncated: bool = False, wall_us: int = 0, paths: list[str] | None = None,
+    ):
+        self.states_created, self.states_suspended = states_created, states_suspended
+        self.frontier, self.solver_queries = frontier, solver_queries
+        self.cache_hits, self.instructions = cache_hits, instructions
+        self.truncated, self.wall_us = truncated, wall_us
+        self.paths = [] if paths is None else paths
+
+
 class CompletedPath:
-    path: str
-    outcome: Outcome
-    test: Test  # emitted witness; replaying it reproduces `path`
-    constraints: tuple[str, ...]  # pc texts in depth order, polarity applied
+    __slots__ = ("path", "outcome", "test", "constraints")
+
+    def __init__(self, path: str, outcome: Outcome, test: Test, constraints: tuple[str, ...]):
+        self.path, self.outcome = path, outcome
+        self.test = test  # emitted witness; replaying it reproduces `path`
+        self.constraints = constraints  # pc texts in depth order, polarity applied
 
 
-@dataclass
 class RegionResult:
-    completed: list[CompletedPath]
-    frontier: list[ExecState]
-    suspended_new: list[ExecState]
-    stats: EngineStats
+    __slots__ = ("completed", "frontier", "suspended_new", "stats")
+
+    def __init__(
+        self, completed: list[CompletedPath], frontier: list[ExecState],
+        suspended_new: list[ExecState], stats: EngineStats,
+    ):
+        self.completed, self.frontier = completed, frontier
+        self.suspended_new, self.stats = suspended_new, stats
 
 
 _BINARY, _UNARY = solve.BINARY_OPS, solve.UNARY_OPS

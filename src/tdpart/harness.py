@@ -11,23 +11,21 @@ sockets, best-effort nondeterministic.
 
 from __future__ import annotations
 
-import csv
 import faulthandler
 import hashlib
 import io
-import json
 import random
 import socket
 import threading
 import time
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import lang, proto, worker
 from .coord import CoordConfig, CoordResult, WorkerTally, run_coordinator
 from .engine import Engine, Strategy
 from .lang import Program
+from .record import Record
 from .worker import WorkerConfig, run_worker
 
 # ---------------------------------------------------------------------------
@@ -35,34 +33,43 @@ from .worker import WorkerConfig, run_worker
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunConfig:
-    mode: str = "single"  # 'single' | 'threads' | 'tcp'
-    workers: int = 1
-    strategy: Strategy = Strategy("dfs")
-    final_depth: int = 0
-    offload_threshold: int = worker.DEFAULT_OFFLOAD_THRESHOLD
-    cache_enabled: bool = True
-    solver_delay: float = 0.0  # seconds per uncached solver query
-    time_budget: float | None = None  # soft deadline, seconds
-    record_schedule: str | None = None
-    replay_schedule: str | None = None
+    __slots__ = (
+        "mode", "workers", "strategy", "final_depth", "offload_threshold", "cache_enabled",
+        "solver_delay", "time_budget", "record_schedule", "replay_schedule",
+    )
+
+    def __init__(
+        self, mode: str = "single", workers: int = 1, strategy: Strategy = Strategy("dfs"),
+        final_depth: int = 0, offload_threshold: int = worker.DEFAULT_OFFLOAD_THRESHOLD,
+        cache_enabled: bool = True, solver_delay: float = 0.0, time_budget: float | None = None,
+        record_schedule: str | None = None, replay_schedule: str | None = None,
+    ):
+        self.mode = mode  # 'single' | 'threads' | 'tcp'
+        self.workers, self.strategy, self.final_depth = workers, strategy, final_depth
+        self.offload_threshold, self.cache_enabled = offload_threshold, cache_enabled
+        self.solver_delay = solver_delay  # seconds per uncached solver query
+        self.time_budget = time_budget  # soft deadline, seconds
+        self.record_schedule, self.replay_schedule = record_schedule, replay_schedule
 
 
-@dataclass
 class RunOutput:
-    program_name: str
-    program_digest: str
-    mode: str
-    num_workers: int
-    strategy: Strategy
-    final_depth: int
-    tallies: list[WorkerTally]
-    paths: list[str]
-    pool_size: int
-    undispatched: int
-    truncated: bool
-    wall_ms: int
+    __slots__ = (
+        "program_name", "program_digest", "mode", "num_workers", "strategy", "final_depth",
+        "tallies", "paths", "pool_size", "undispatched", "truncated", "wall_ms",
+    )
+
+    def __init__(
+        self, program_name: str, program_digest: str, mode: str, num_workers: int,
+        strategy: Strategy, final_depth: int, tallies: list[WorkerTally], paths: list[str],
+        pool_size: int, undispatched: int, truncated: bool, wall_ms: int,
+    ):
+        self.program_name, self.program_digest = program_name, program_digest
+        self.mode, self.num_workers = mode, num_workers
+        self.strategy, self.final_depth = strategy, final_depth
+        self.tallies, self.paths = tallies, paths
+        self.pool_size, self.undispatched = pool_size, undispatched
+        self.truncated, self.wall_ms = truncated, wall_ms
 
 
 def program_digest(program: Program) -> str:
@@ -79,16 +86,20 @@ def path_digest(paths: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Schedule:
+class Schedule(Record):
     """Recorded in place during a run: the coordinator appends from its own
     thread and each worker only to its own poll list, created before any
     thread starts, so no locking is needed."""
 
-    coordinator: list[tuple[int, str]]  # message arrival order at the coordinator
-    polls: dict[int, list[tuple[int, int]]]  # worker -> (region, step) poll hits
+    __slots__ = ("coordinator", "polls")
+
+    def __init__(self, coordinator: list[tuple[int, str]], polls: dict[int, list[tuple[int, int]]]):
+        self.coordinator = coordinator  # message arrival order at the coordinator
+        self.polls = polls  # worker -> (region, step) poll hits
 
     def to_json(self) -> str:
+        import json  # only schedule record/replay reads or writes JSON
+
         return json.dumps(
             {
                 "coordinator": [[w, t] for w, t in self.coordinator],
@@ -100,6 +111,8 @@ class Schedule:
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         """Raises ValueError for anything but a schedule written by to_json."""
+        import json
+
         try:
             raw = json.loads(text)
             return cls(
@@ -448,6 +461,8 @@ def report_rows(out: RunOutput) -> list[list[str]]:
 
 
 def report_text(out: RunOutput) -> str:
+    import csv  # only reports are CSV
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(REPORT_HEADER)
@@ -459,12 +474,14 @@ def write_report(out: RunOutput, path: str | Path) -> None:
     Path(path).write_text(report_text(out))
 
 
-@dataclass
-class ReportData:
-    meta: dict[str, str] = field(default_factory=dict)
-    workers: dict[int, dict[str, str]] = field(default_factory=dict)
-    summary: dict[str, str] = field(default_factory=dict)
-    paths: Counter = field(default_factory=Counter)
+class ReportData(Record):
+    __slots__ = ("meta", "workers", "summary", "paths")
+
+    def __init__(self) -> None:
+        self.meta: dict[str, str] = {}
+        self.workers: dict[int, dict[str, str]] = {}
+        self.summary: dict[str, str] = {}
+        self.paths: Counter = Counter()
 
 
 def _data_from_rows(rows: list[list[str]]) -> ReportData:
@@ -488,6 +505,8 @@ def report_data(out: RunOutput) -> ReportData:
 
 
 def load_report(path: str | Path) -> ReportData:
+    import csv
+
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != REPORT_HEADER:
@@ -500,13 +519,17 @@ def load_report(path: str | Path) -> ReportData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class VerifyResult:
-    ok: bool
-    error: str | None = None  # setup mismatch (different program/depth)
-    missing: list[tuple[str, int]] = field(default_factory=list)
-    extra: list[tuple[str, int]] = field(default_factory=list)
-    duplicates: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "error", "missing", "extra", "duplicates")
+
+    def __init__(
+        self, ok: bool, error: str | None = None, missing: list[tuple[str, int]] | None = None,
+        extra: list[tuple[str, int]] | None = None, duplicates: list[str] | None = None,
+    ):
+        self.ok = ok
+        self.error = error  # setup mismatch (different program/depth)
+        self.missing, self.extra = missing or [], extra or []
+        self.duplicates = duplicates or []
 
     def lines(self) -> list[str]:
         if self.error:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+
+from .record import Record
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -29,13 +30,12 @@ EXPR_DEPTH_HEADROOM = 100
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(Record):
     """Base of the expression nodes. Nodes are immutable and shared: an
     expression built in a loop reuses its previous value as an operand. So
     what is derived from a node is kept in these slots, filled in on first
-    use (through object.__setattr__, as the nodes are frozen) and built from
-    the operands' values. Slots, unlike attributes added to each node's
-    __dict__, cost no dictionary per node."""
+    use and built from the operands' values. Slots, unlike attributes added
+    to each node's __dict__, cost no dictionary per node."""
 
     __slots__ = (
         "_text", "_reads",  # expr_text and reads, below
@@ -43,37 +43,49 @@ class _Node:
         "_solve_affine", "_solve_linear", "_solve_revise",
     )
 
+    def __hash__(self) -> int:
+        # equal nodes have one canonical text, which the node keeps
+        return hash(expr_text(self))
 
-@dataclass(frozen=True, slots=True)
+
 class Const(_Node):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(_Node):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Unary(_Node):
-    op: str  # 'not' | 'neg'
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        self.op = op  # 'not' | 'neg'
+        self.operand = operand
 
     def __str__(self) -> str:
         return expr_text(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(_Node):
-    op: str  # + - * < <= > >= == != and or
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # + - * < <= > >= == != and or
+        self.left = left
+        self.right = right
 
     def __str__(self) -> str:
         return expr_text(self)
@@ -99,7 +111,7 @@ def expr_text(e: Expr) -> str:
         t = ("!" if e.op == "not" else "-") + expr_text(e.operand)
     else:
         t = str(e)
-    object.__setattr__(e, "_text", t)
+    e._text = t
     return t
 
 
@@ -133,7 +145,7 @@ def reads(e: Expr) -> frozenset[str]:
         r = _INPUT_SETS.setdefault(r, r)
     else:
         r = _NO_READS
-    object.__setattr__(e, "_reads", r)
+    e._reads = r
     return r
 
 
@@ -142,65 +154,76 @@ def reads(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    expr: Expr
-    line: int = field(default=0, compare=False)
+# An instruction's line is not part of its value: parse(print(p)) == p
+# although printing renumbers the lines.
 
 
-@dataclass(frozen=True)
-class Branch:
-    cond: Expr
-    on_true: int
-    on_false: int
-    line: int = field(default=0, compare=False)
+class Assign(Record):
+    __slots__ = ("name", "expr", "line")
+    _fields = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expr, line: int = 0):
+        self.name, self.expr, self.line = name, expr, line
 
 
-@dataclass(frozen=True)
-class Jump:
-    target: int
-    line: int = field(default=0, compare=False)
+class Branch(Record):
+    __slots__ = ("cond", "on_true", "on_false", "line")
+    _fields = ("cond", "on_true", "on_false")
+
+    def __init__(self, cond: Expr, on_true: int, on_false: int, line: int = 0):
+        self.cond, self.on_true, self.on_false, self.line = cond, on_true, on_false, line
 
 
-@dataclass(frozen=True)
-class Exit:
-    code: int
-    line: int = field(default=0, compare=False)
+class Jump(Record):
+    __slots__ = ("target", "line")
+    _fields = ("target",)
+
+    def __init__(self, target: int, line: int = 0):
+        self.target, self.line = target, line
 
 
-@dataclass(frozen=True)
-class Error:
-    label: str
-    line: int = field(default=0, compare=False)
+class Exit(Record):
+    __slots__ = ("code", "line")
+    _fields = ("code",)
+
+    def __init__(self, code: int, line: int = 0):
+        self.code, self.line = code, line
+
+
+class Error(Record):
+    __slots__ = ("label", "line")
+    _fields = ("label",)
+
+    def __init__(self, label: str, line: int = 0):
+        self.label, self.line = label, line
 
 
 Terminator = Branch | Jump | Exit | Error
 
 
-@dataclass(frozen=True)
-class BasicBlock:
-    body: tuple[Assign, ...]
-    term: Terminator
+class BasicBlock(Record):
+    __slots__ = ("body", "term")
+
+    def __init__(self, body: tuple[Assign, ...], term: Terminator):
+        self.body, self.term = body, term
 
 
-@dataclass(frozen=True)
-class SymDecl:
-    name: str
-    lo: int
-    hi: int
+class SymDecl(Record):
+    __slots__ = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: int, hi: int):
+        self.name, self.lo, self.hi = name, lo, hi
 
     @property
     def size(self) -> int:
         return max(0, self.hi - self.lo + 1)
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    inputs: tuple[SymDecl, ...]
-    blocks: tuple[BasicBlock, ...]
-    # entry is always block 0
+class Program(Record):
+    __slots__ = ("name", "inputs", "blocks")  # entry is always block 0
+
+    def __init__(self, name: str, inputs: tuple[SymDecl, ...], blocks: tuple[BasicBlock, ...]):
+        self.name, self.inputs, self.blocks = name, inputs, blocks
 
 
 class ParseError(Exception):

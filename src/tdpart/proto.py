@@ -16,10 +16,10 @@ import select
 import socket
 import struct
 import time
-from dataclasses import dataclass
 
 from . import solve
 from .engine import EngineStats, Strategy
+from .record import Record
 from .solve import Test
 
 TAG_TASK = 0x01
@@ -64,38 +64,38 @@ class RecvTimeout(ProtocolError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Task:
-    strategy: Strategy
-    test: Test
-    test_depth: int
-    final_depth: int
+class Task(Record):
+    __slots__ = ("strategy", "test", "test_depth", "final_depth")
+
+    def __init__(self, strategy: Strategy, test: Test, test_depth: int, final_depth: int):
+        self.strategy, self.test = strategy, test
+        self.test_depth, self.final_depth = test_depth, final_depth
 
 
-@dataclass(frozen=True)
-class Finish:
-    stats: EngineStats
+class Finish(Record):
+    __slots__ = ("stats",)
+
+    def __init__(self, stats: EngineStats):
+        self.stats = stats
 
 
-@dataclass(frozen=True)
-class ProvideWork:
-    pass
+class ProvideWork(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Offload:
-    test: Test
-    depth: int
+class Offload(Record):
+    __slots__ = ("test", "depth")
+
+    def __init__(self, test: Test, depth: int):
+        self.test, self.depth = test, depth
 
 
-@dataclass(frozen=True)
-class NoWork:
-    pass
+class NoWork(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Terminate:
-    pass
+class Terminate(Record):
+    __slots__ = ()
 
 
 Message = Task | Finish | ProvideWork | Offload | NoWork | Terminate

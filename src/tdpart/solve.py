@@ -78,7 +78,6 @@ import struct
 import threading
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import dataclass, field
 from types import CodeType
 
 from . import lang
@@ -219,7 +218,7 @@ def _affine(e: Expr) -> _Affine | None:
     elif e.op == "neg":
         a = _affine(e.operand)
         f = None if a is None else _scaled(a, -1)
-    object.__setattr__(e, "_solve_affine", f)
+    e._solve_affine = f
     return f
 
 
@@ -259,7 +258,7 @@ def _linear(e: Binary) -> tuple[_Affine, _Affine, _Affine] | None:
             for x, v in b[1]:
                 coef[x] = coef.get(x, 0) - v
             lin = (a, b, (a[0] - b[0], tuple(coef.items())))
-    object.__setattr__(e, "_solve_linear", lin)
+    e._solve_linear = lin
     return lin
 
 
@@ -306,33 +305,31 @@ def _all_hold(constraints: tuple[Constraint, ...], test: Test) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Constraint:
-    expr: Expr
-    taken: bool  # polarity: did execution take the true side
-    depth: int  # 1-based symbolic branch depth
-    # when expr is a linear comparison L op R (see _linear): the comparison
-    # that must hold, polarity applied, as its function and the range L - R
-    # must lie in (None for !=), then the forms of L, R and L - R
-    lin: tuple | None = field(init=False, compare=False, repr=False)
-    _text: str | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("expr", "taken", "depth", "lin", "_text")
 
-    def __post_init__(self) -> None:
-        e, lin = self.expr, None
-        if isinstance(e, Binary) and e.op in lang.CMP_OPS:
-            forms = _linear(e)
+    def __init__(self, expr: Expr, taken: bool, depth: int):
+        self.expr = expr
+        self.taken = taken  # polarity: did execution take the true side
+        self.depth = depth  # 1-based symbolic branch depth
+        # when expr is a linear comparison L op R (see _linear): the
+        # comparison that must hold, polarity applied, as its function and
+        # the range L - R must lie in (None for !=), then the forms of L, R
+        # and L - R
+        lin = None
+        if type(expr) is Binary and expr.op in lang.CMP_OPS:
+            forms = _linear(expr)
             if forms is not None:
-                op = e.op if self.taken else _NEGATED_CMP[e.op]
-                lin = _CMP[op] + forms
-        object.__setattr__(self, "lin", lin)
+                lin = _CMP[expr.op if taken else _NEGATED_CMP[expr.op]] + forms
+        self.lin = lin
+        self._text: str | None = None
 
     @property
     def text(self) -> str:
         t = self._text
         if t is None:
             t = lang.expr_text(self.expr)
-            t = t if self.taken else "!" + t
-            object.__setattr__(self, "_text", t)
+            t = self._text = t if self.taken else "!" + t
         return t
 
     @property
@@ -340,17 +337,21 @@ class Constraint:
         return lang.reads(self.expr)
 
 
-@dataclass(frozen=True)
 class PathCondition:
-    constraints: tuple[Constraint, ...] = ()
-    # the pc this one extends, whose narrowed box a solve starts from
-    parent: PathCondition | None = field(default=None, compare=False, repr=False)
-    # solver state, filled in by the first solve that needs it: the narrowed
-    # box, and the model solve_model or a QueryCache hit returned
-    _narrowed: _Narrowed | None = field(default=None, init=False, compare=False, repr=False)
-    _model: Test | None = field(default=None, init=False, compare=False, repr=False)
-    # the constraint texts in sorted order, filled in by key()
-    _sorted: list[str] | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("constraints", "parent", "_narrowed", "_model", "_sorted")
+
+    def __init__(
+        self, constraints: tuple[Constraint, ...] = (), parent: PathCondition | None = None
+    ):
+        self.constraints = constraints
+        # the pc this one extends, whose narrowed box a solve starts from
+        self.parent = parent
+        # solver state, filled in by the first solve that needs it: the
+        # narrowed box, and the model solve_model or a QueryCache hit returned
+        self._narrowed: _Narrowed | None = None
+        self._model: Test | None = None
+        # the constraint texts in sorted order, filled in by key()
+        self._sorted: list[str] | None = None
 
     @property
     def depth(self) -> int:
@@ -382,7 +383,7 @@ class PathCondition:
                 bisect.insort(texts, self.constraints[-1].text)
             else:
                 texts = sorted(self.texts())
-            object.__setattr__(self, "_sorted", texts)
+            self._sorted = texts
         return "\n".join(texts)
 
 
@@ -751,6 +752,11 @@ class _ReviseSource:
                 fwd.append(f"{a} = {al} + {ar}; {b} = {bl} + {br}")
             elif e.op == "-":
                 fwd.append(f"{a} = {al} - {br}; {b} = {bl} - {ar}")
+            elif left[2] is None or right[2] is None:  # times a constant:
+                # its sign says which end of the other factor gives which
+                o, c = (right, left) if left[2] is None else (left, right)
+                lo, hi = (o[0], o[1]) if c[3].value >= 0 else (o[1], o[0])
+                fwd.append(f"{a} = {lo} * {c[0]}; {b} = {hi} * {c[0]}")
             elif _is_square(e):
                 fwd.append(f"if {al} >= 0: {a} = {al} * {al}; {b} = {bl} * {bl}")
                 fwd.append(f"elif {bl} <= 0: {a} = {bl} * {bl}; {b} = {al} * {al}")
@@ -810,22 +816,39 @@ class _ReviseSource:
             self.narrow(operands[1], f"{al} - {b}", f"{bl} - {a}", ind)
         else:  # * : through a factor whose interval is one point, which
             # is not 0 (that would make this node (0, 0), never narrowed)
+            if any(o[2] is None and not o[3].value for o in operands):
+                return  # times the constant 0: nothing below is narrowed
             left, right = operands
             out.append(head)
             # a square's two factors are one input: one test covers both
-            factors = ((left, right, "if"),) if _is_square(e) else (
-                (left, right, "if"), (right, left, "elif"))
-            for point, other, key in factors:
+            factors = ((left, right),) if _is_square(e) else ((left, right), (right, left))
+            key = "if"
+            for point, other in factors:
                 c = point[0]
+                if point[2] is None:  # a constant: a point of known sign
+                    if key == "elif":
+                        out.append(f"{ind}else:")
+                    deeper = ind + "    " * (key == "elif")
+                    self._divide(other, c, point[3].value > 0, a, b, deeper)
+                    break
                 out.append(f"{ind}{key} {c} == {point[1]}:")
                 out.append(f"{ind}    if {c} > 0:")
                 self._divide(other, c, True, a, b, ind + "        ")
                 out.append(f"{ind}    else:")
                 self._divide(other, c, False, a, b, ind + "        ")
+                key = "elif"
             if _is_square(e):
                 out.append(f"{ind}else: _narrow_square({e.left.name!r}, {a}, {b}, box)")
         for p in operands:
             self.project(p)
+
+    def cut(self, o: tuple, v: str, indent: str) -> None:
+        """Lines that cut an end point of occurrence o equal to v (for !=)."""
+        a, b, k = o[0], o[1], o[2]
+        for key, end, step in (("if", a, "+"), ("elif", b, "-")):
+            self.backward.append(f"{indent}{key} {end} == {v}:")
+            self.backward.append(f"{indent}    {end} = {end} {step} 1; d{k} = 1")
+            self.backward.append(f"{indent}    if {a} > {b}: raise _Unsat")
 
     def _divide(self, o: tuple, c: str, positive: bool, a: str, b: str, indent: str) -> None:
         """Narrow o so that o * c lies in [a, b], c != 0 of the given sign."""
@@ -867,17 +890,18 @@ def _revise_source(e: Binary, want: bool) -> str | None:
         out.append(f"if {bl} < {ar} or {br} < {al}: raise _Unsat")
         src.narrow(lo, ar, br)
         src.narrow(ro, al, bl)
-    else:  # != : cut an end point equal to the other side's one point
+    else:  # != : cut an end point equal to the other side's one point;
+        # two overlapping points are equal, and the cut refutes them. A
+        # constant side (at most one side is) is a point with no test.
         out.append(f"if {bl} < {ar} or {br} < {al}: return")
-        for (pl, ph, _, _, _), other, key in ((ro, lo, "if"), (lo, ro, "elif")):
-            ol, oh = other[0], other[1]
-            out.append(f"{key} {pl} == {ph}:")
-            if key == "if":  # both one point, the same one: they overlap
-                out.append(f"    if {al} == {bl}: raise _Unsat")
-            out.append(f"    if {ol} == {pl}:")
-            src.narrow(other, f"{ol} + 1", None, "        ")
-            out.append(f"    elif {oh} == {pl}:")
-            src.narrow(other, None, f"{oh} - 1", "        ")
+        if lo[2] is None or ro[2] is None:
+            point, other = (lo, ro) if lo[2] is None else (ro, lo)
+            src.cut(other, point[0], "")
+        else:
+            out.append(f"if {ar} == {br}:")
+            src.cut(lo, ar, "    ")
+            out.append(f"elif {al} == {bl}:")
+            src.cut(ro, al, "    ")
     src.project(lo)
     src.project(ro)
     body = ["iv = box.iv"] + src.forward + src.backward
@@ -913,7 +937,7 @@ def _revise(e: Expr, want: bool, box: _Box) -> None:
         tier = [0, 0] if type(e) is Binary and e.op in lang.CMP_OPS and not (
             type(e.left) in (Var, Const) and type(e.right) in (Var, Const)
         ) else None
-        object.__setattr__(e, "_solve_revise", tier)
+        e._solve_revise = tier
     if tier is not None:
         run = tier[want]
         if type(run) is not int:
@@ -926,7 +950,7 @@ def _revise(e: Expr, want: bool, box: _Box) -> None:
                 tier[want] = made
                 return made(box)
             if hot:  # none can be made
-                object.__setattr__(e, "_solve_revise", None)
+                e._solve_revise = None
     _require(e, want, box)
 
 
@@ -1076,7 +1100,7 @@ def _narrowed(pc: PathCondition, decls: tuple[SymDecl, ...]) -> _Narrowed:
             except _Unsat:
                 iv = None
         n = _Narrowed(decls, iv, watch)
-        object.__setattr__(node, "_narrowed", n)
+        node._narrowed = n
     assert n is not None
     return n
 
@@ -1156,7 +1180,7 @@ def solve_model(
     else:
         model = _search(pc, decls)
     if model is not None:
-        object.__setattr__(pc, "_model", model)
+        pc._model = model
     return model
 
 
@@ -1216,7 +1240,7 @@ class QueryCache:
         if hit is not None:
             self.hits += 1
             if hit[1] is not None:
-                object.__setattr__(pc, "_model", hit[1])
+                pc._model = hit[1]
             return hit
         self.misses += 1
         model = solve_model(pc, decls, domain_cap=domain_cap, hint=hint)

@@ -9,8 +9,6 @@ shallowest active state below the guided phase or answers NoWork.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import proto
 from .engine import Engine, ExecState
 from .lang import Program
@@ -18,19 +16,22 @@ from .lang import Program
 DEFAULT_OFFLOAD_THRESHOLD = 4
 
 
-@dataclass
 class WorkerConfig:
-    offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD
-    cache_enabled: bool = True
-    solver_delay: float = 0.0
-    recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT
+    __slots__ = ("offload_threshold", "cache_enabled", "solver_delay", "recv_timeout")
+
+    def __init__(
+        self, offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD, cache_enabled: bool = True,
+        solver_delay: float = 0.0, recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT,
+    ):
+        self.offload_threshold, self.cache_enabled = offload_threshold, cache_enabled
+        self.solver_delay, self.recv_timeout = solver_delay, recv_timeout
 
 
-@dataclass
 class WorkerSummary:
-    regions: int = 0
-    suspended_left: int = 0
-    offloads: int = 0
+    __slots__ = ("regions", "suspended_left", "offloads")
+
+    def __init__(self) -> None:
+        self.regions = self.suspended_left = self.offloads = 0
 
 
 def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | None:

@@ -684,3 +684,12 @@ def test_importing_tdpart_leaves_argparse_to_the_cli():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(Path("src").resolve())})
     assert done.stdout.strip() == "False", done.stderr
+
+
+def test_importing_tdpart_imports_no_module_only_some_calls_need():
+    # dataclasses pulls in inspect; json is for schedules, csv for reports
+    heavy = ("dataclasses", "inspect", "json", "csv")
+    code = f"import sys, tdpart; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path("src").resolve())})
+    assert done.stdout.strip() == "[]", done.stdout + done.stderr

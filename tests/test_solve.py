@@ -2,6 +2,7 @@
 
 import collections
 import random
+import re
 import time
 
 import pytest
@@ -991,6 +992,48 @@ def test_generated_revise_narrows_like_the_tree_on_simple_shapes_seeded():
         assert boxes[0] == boxes[1], (e, want, iv, boxes)
         outcomes["refuted" if boxes[0] is None else "narrowed" if boxes[0] != iv else "kept"] += 1
     assert min(outcomes.values()) > 300, outcomes
+
+
+def _revise_text(cond, want):
+    program = lang.parse_program(
+        "program p; sym x in [-9, 9]; sym y in [-9, 9]; sym z in [-9, 9];\n"
+        f"if ({cond}) {{ exit(1); }} exit(2);")
+    return solve_mod._revise_source(program.blocks[0].term.cond, want)
+
+
+# a test between two literals, or one that always holds
+_KNOWN_TEST = re.compile(r"if \(-?\d+\) [<>=!]=? \(-?\d+\)|if (\w+) \+ 1 > \1\b|if (\w+) - 1 < \2\b")
+
+
+def test_generated_revise_folds_a_constant_factor():
+    for want in (True, False):
+        text = _revise_text("x*x + y*3 == -z", want)
+        assert not _KNOWN_TEST.search(text), text
+        # y*3's interval and its division by 3, for the positive sign only
+        assert "    a5 = a6 * (3); b5 = b6 * (3)\n" in text
+        assert "-((-a5) // (3)) > a6" in text and "b5 // (3) < b6" in text
+        assert "(-b5) // (3)" not in text and "a5 // (3)" not in text
+        # x*x still divides by a pinned x of either sign
+        assert "if a3 > 0:" in text
+    # by a negative constant (as evaluation makes them), the ends swap
+    text = solve_mod._revise_source(Binary("<", Binary("*", Y, Const(-3)), X), True)
+    assert "a1 = b2 * (-3); b1 = a2 * (-3)" in text and "(-b1) // (-3)" in text, text
+    assert not _KNOWN_TEST.search(text), text
+    # times 0 the node is (0, 0): nothing below it is ever narrowed
+    text = _revise_text("0*y < x", True)
+    assert "// (0)" not in text and "_narrow_var('y'" not in text, text
+
+
+def test_generated_revise_of_not_equal_assigns_its_cuts():
+    text = _revise_text("x*y != z", True)
+    assert not _KNOWN_TEST.search(text), text
+    for end in ("a1 = a1 + 1", "b1 = b1 - 1", "a4 = a4 + 1", "b4 = b4 - 1"):
+        assert f"        {end}; d{end[1]} = 1\n" in text, text
+    # a constant side is one point: its test is gone, and only the other
+    # side is cut
+    text = _revise_text("x*y != 4", True)
+    assert not _KNOWN_TEST.search(text) and "elif a1 == b1:" not in text, text
+    assert "    if a1 == (4):\n        a1 = a1 + 1; d1 = 1\n" in text, text
 
 
 def test_search_gives_the_same_model_on_both_tiers_seeded(monkeypatch):
