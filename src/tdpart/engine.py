@@ -20,10 +20,14 @@ runs the whole loop through one generated Python function: a `while` over
 the loop's blocks, on locals holding plain ints, with inlined int64
 arithmetic, that returns where control leaves the loop. It bails, leaving
 the store untouched, when a name the loop uses is not a plain int, and the
-evaluator runs the block instead. A loop's source is built and compiled
-once per process (solve.generated_code); each engine makes its own
-function from the shared code. The evaluator stays the reference; both
-tiers count every instruction and truncate at the same one.
+evaluator runs the block instead. Heat is counted per engine, but the
+function is kept on the Program object: every engine on that object (the
+seeding engine, each worker thread, each later run) takes it from the
+loop's first entry, and a forked worker would inherit the functions made
+before the fork. A loop's source is built and compiled once per process
+(solve.generated_code), so an equal program parsed again starts cold but
+compiles nothing. The evaluator stays the reference; both tiers count
+every instruction and truncate at the same one.
 """
 
 from __future__ import annotations
@@ -173,7 +177,10 @@ def evaluate(e: Expr, env: Store) -> int | Expr:
 
 # Generated tier: once a block has been entered concretely HOT times in an
 # engine, the loop around it is compiled into one Python function over
-# plain ints.
+# plain ints. The program's _engine_runs holds it for each of the loop's
+# blocks (None before, and for a block on no generable loop); each store
+# is one whole function, so engines on several threads need no lock, and
+# two that generate one loop at once store equivalent functions.
 
 HOT = 64
 _NEST = 50  # deepest parenthesis nesting before a value goes to a local
@@ -379,14 +386,8 @@ class Engine:
         self.max_steps = max_steps
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
-        self._assigned = frozenset(a.name for b in program.blocks for a in b.body)
-        # generated tier: entries per block, and once a block is hot the
-        # function of the loop around it, shared by the loop's blocks (None
-        # before, and for a block on no generable loop)
+        # generated tier: this engine's entries per block
         self._heat = [0] * len(program.blocks)
-        self._runs: list[Callable[[Store, int, int], tuple[int, int]] | None] = (
-            [None] * len(program.blocks)
-        )
         self._serial = itertools.count()
         # lifetime counters; regions report deltas
         self.queries = 0
@@ -447,7 +448,7 @@ class Engine:
         a deadline at the next multiple of 1024, so a block that would span
         a time check runs in the evaluator, which makes it.
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
-        blocks, runs, heat = self.program.blocks, self._runs, self._heat
+        blocks, runs, heat = self.program.blocks, self.program._engine_runs, self._heat
         env = state.env
         limit = self.max_steps
         count = stats.instructions
@@ -509,13 +510,21 @@ class Engine:
             stats.instructions = count
 
     def _generate(self, idx: int) -> None:
-        blocks = self.program.blocks
-        loop = find_loop(blocks, idx, self._assigned)
+        program = self.program
+        blocks = program.blocks
+        try:
+            assigned = program._engine_assigned
+        except AttributeError:
+            assigned = program._engine_assigned = frozenset(
+                a.name for b in blocks for a in b.body
+            )
+        loop = find_loop(blocks, idx, assigned)
         if loop:
-            run = generate_block({m: blocks[m] for m in loop}, self._assigned)
+            run = generate_block({m: blocks[m] for m in loop}, assigned)
             if run is not None:
-                for m in loop:
-                    self._runs[m] = run
+                runs = program._engine_runs
+                for m in loop:  # whole functions, one item at a time
+                    runs[m] = run
 
     def step_branch(
         self,

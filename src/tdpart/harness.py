@@ -73,7 +73,13 @@ class RunOutput:
 
 
 def program_digest(program: Program) -> str:
-    return hashlib.sha256(lang.print_program(program).encode("utf-8")).hexdigest()
+    """sha256 of the canonical print, made once per program object."""
+    try:
+        return program._harness_digest
+    except AttributeError:
+        text = lang.print_program(program).encode("utf-8")
+        program._harness_digest = hashlib.sha256(text).hexdigest()
+        return program._harness_digest
 
 
 def path_digest(paths: list[str]) -> str:

@@ -220,10 +220,21 @@ class SymDecl(Record):
 
 
 class Program(Record):
-    __slots__ = ("name", "inputs", "blocks")  # entry is always block 0
+    """A program's value is its fields; entry is always block 0. What is
+    derived from it alone is kept in the other slots, as a node keeps its
+    own, so every engine and every run on this object shares it."""
+
+    __slots__ = (
+        "name", "inputs", "blocks",
+        # owned by engine: _runs, made here so that engines on several
+        # threads store into one list, and _assigned; by harness: _digest
+        "_engine_runs", "_engine_assigned", "_harness_digest",
+    )
+    _fields = ("name", "inputs", "blocks")
 
     def __init__(self, name: str, inputs: tuple[SymDecl, ...], blocks: tuple[BasicBlock, ...]):
         self.name, self.inputs, self.blocks = name, inputs, blocks
+        self._engine_runs = [None] * len(blocks)
 
 
 class ParseError(Exception):

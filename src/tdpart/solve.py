@@ -29,11 +29,12 @@ checked on the tree, which wraps as the program does.
 
 Any other comparison with an operand of + - * or neg, once revised HOT
 times in one polarity, is revised by one generated Python function, kept
-on the node, one per polarity. A forward pass puts every node's interval
-in locals, with the tree's guard where a range may leave int64; a backward
-pass applies the tree's rules (sums, differences, point factors, squares,
-negation, the six comparisons) and narrows inputs only through the box, so
-the worklist below sees every shrink as before. Its code is compiled once
+on the node, one per polarity, and on each constraint that has run it.
+A forward pass puts every node's interval in locals, with the tree's
+guard where a range may leave int64; a backward pass applies the tree's
+rules (sums, differences, point factors, squares, negation, the six
+comparisons) and narrows inputs only through the box, so the worklist
+below sees every shrink as before. Its code is compiled once
 per process, keyed on the constraint's text and polarity, in a cache of
 generated code that is bounded and shared with the engine's loops, so a
 comparison whose code is compiled already runs it from its first revise.
@@ -155,6 +156,7 @@ def solve_path(test: Test, cond: Expr) -> bool:
 CODE_BOUND = 1024
 _codes: dict[Hashable, CodeType | None] = {}
 _codes_lock = threading.Lock()
+_MISSING = object()
 
 
 def generated_code(
@@ -165,8 +167,9 @@ def generated_code(
     compiled, once per process per key while the key stays cached. With
     source None, only a cached result is returned (None if there is none)."""
     with _codes_lock:
-        if key in _codes:
-            code = _codes[key] = _codes.pop(key)  # now the most recently used
+        code = _codes.pop(key, _MISSING)
+        if code is not _MISSING:
+            _codes[key] = code  # now the most recently used
             return code
     if source is None:
         return None
@@ -306,7 +309,7 @@ def _all_hold(constraints: tuple[Constraint, ...], test: Test) -> bool:
 
 
 class Constraint:
-    __slots__ = ("expr", "taken", "depth", "lin", "_text")
+    __slots__ = ("expr", "taken", "depth", "lin", "revise", "_text")
 
     def __init__(self, expr: Expr, taken: bool, depth: int):
         self.expr = expr
@@ -322,6 +325,8 @@ class Constraint:
             if forms is not None:
                 lin = _CMP[expr.op if taken else _NEGATED_CMP[expr.op]] + forms
         self.lin = lin
+        # expr's generated revise in this polarity, once _revise ran one
+        self.revise: Callable[[_Box], None] | None = None
         self._text: str | None = None
 
     @property
@@ -924,12 +929,13 @@ def _generated_revise(e: Binary, want: bool, make: bool) -> Callable[[_Box], Non
     return namespace["revise"]
 
 
-def _revise(e: Expr, want: bool, box: _Box) -> None:
+def _revise(e: Expr, want: bool, box: _Box) -> Callable[[_Box], None] | None:
     """One revise of e in polarity want: on the tree or, for a comparison
     with an arithmetic operand, through its generated function. That
     function is made on the HOT-th revise in that polarity, and taken at
     the first when the process compiled its code before (for an equal
-    comparison on another path, say)."""
+    comparison on another path, say). Returns the function when it ran,
+    which revises e in polarity want from then on, else None."""
     try:
         tier = e._solve_revise
     except AttributeError:
@@ -941,17 +947,20 @@ def _revise(e: Expr, want: bool, box: _Box) -> None:
     if tier is not None:
         run = tier[want]
         if type(run) is not int:
-            return run(box)
+            run(box)
+            return run
         tier[want] = run + 1
         hot = run + 1 >= HOT
         if run == 0 or hot:
             made = _generated_revise(e, want, hot)
             if made is not None:
                 tier[want] = made
-                return made(box)
+                made(box)
+                return made
             if hot:  # none can be made
                 e._solve_revise = None
     _require(e, want, box)
+    return None
 
 
 def _range(a: _Affine, iv: dict[str, _Interval]) -> _Interval:
@@ -1035,7 +1044,11 @@ def _fixpoint(
         queued[k] = False
         c = constraints[k]
         if c.lin is None or not _revise_linear(c.lin, box):
-            _revise(c.expr, c.taken, box)
+            revise = c.revise
+            if revise is None:
+                c.revise = _revise(c.expr, c.taken, box)
+            else:
+                revise(box)
         if shrunk:
             for name in shrunk:
                 for k in watch[name]:

@@ -1089,6 +1089,33 @@ def test_a_comparison_runs_generated_from_its_hot_revise(monkeypatch):
     assert tier_after(lt(X, Y), True, 1) is None
 
 
+def test_a_constraint_holds_its_hot_revise(monkeypatch):
+    monkeypatch.setattr(solve_mod, "_codes", {})  # nothing compiled yet
+    iv = {"x": (-9, 9), "y": (-9, 9), "z": (-9, 9)}  # no revise narrows it
+    e = Binary("==", Binary("*", X, Y), Binary("+", Z, Const(1)))
+    held, other = solve_mod.Constraint(e, True, 1), solve_mod.Constraint(e, False, 1)
+    hot = solve_mod.HOT
+    for _ in range(hot - 1):
+        solve_mod._fixpoint((held,), dict(iv))
+    assert held.revise is None and e._solve_revise == [0, hot - 1]
+    solve_mod._fixpoint((held,), dict(iv))
+    assert callable(held.revise) and held.revise is e._solve_revise[True]
+    solve_mod._fixpoint((other,), dict(iv))  # counted per polarity, as before
+    assert other.revise is None and e._solve_revise[False] == 1
+    # the fixpoint then calls it with no _revise, and narrows as the tree does
+    start = {"x": (2, 9), "y": (3, 9), "z": (-9, 8)}
+    tree = Binary("==", Binary("*", X, Y), Binary("+", Z, Const(1)))
+    want = dict(start)
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
+        solve_mod._fixpoint((solve_mod.Constraint(tree, True, 1),), want)
+    calls = []
+    monkeypatch.setattr(solve_mod, "_revise", lambda *a: calls.append(a))
+    got = dict(start)
+    solve_mod._fixpoint((held,), got)
+    assert calls == [] and got == want != start
+
+
 # -- incrementality: what a constraint derives is built from its parts
 
 

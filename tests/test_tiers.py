@@ -2,6 +2,7 @@
 evaluator (evaluate), which stays the reference."""
 
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import pytest
 
 from tdpart import engine, solve
 from tdpart.engine import Engine, Strategy, evaluate, find_loop, generate_block
-from tdpart.harness import RunConfig, gen_corpus, run_program
+from tdpart.harness import RunConfig, gen_corpus, path_digest, program_digest, run_program
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
-    Jump, Unary, Var, parse_program, reads,
+    Jump, Program, Unary, Var, parse_program, reads,
 )
 
 _LO, _HI = -(2**63), 2**63 - 1
@@ -144,13 +145,14 @@ def test_program_names_that_are_python_identifiers_of_the_generated_code(monkeyp
         "while (env < 100) { env = env + 1; v0 = v0 + wrap; t0 = t0 + 1; a0 = t0 < 0; }\n"
         "if (x < v0) { exit(1); } else { exit(2); }\n"
     )
-    prog = parse_program(src)
     for hot in (1, NEVER):
         monkeypatch.setattr(engine, "HOT", hot)
+        prog = parse_program(src)  # a program keeps its functions
         eng = Engine(prog)
         res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
         (state,) = res.frontier
         assert state.env == {"env": 100, "wrap": 5, "v0": 500, "a0": 1, "t0": _LO + 99}
+        assert any(prog._engine_runs) == (hot == 1)
 
 
 # names that are also the loop function's own identifiers
@@ -269,7 +271,11 @@ def programs(tmp_path_factory):
 
 
 def _explore(monkeypatch, prog, hot, depth, strategy, max_steps=engine.DEFAULT_MAX_STEPS):
+    """One region of an equal but fresh copy of prog with the given HOT (a
+    program keeps the functions any engine made for it), and the number of
+    blocks that copy has a function for afterwards."""
     monkeypatch.setattr(engine, "HOT", hot)
+    prog = Program(prog.name, prog.inputs, prog.blocks)
     eng = Engine(prog, max_steps=max_steps)
     res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
     st = res.stats
@@ -277,7 +283,7 @@ def _explore(monkeypatch, prog, hot, depth, strategy, max_steps=engine.DEFAULT_M
         [(c.path, str(c.outcome), sorted(c.test.items()), c.constraints) for c in res.completed],
         [(s.path, s.block, s.instr, list(s.env.items())) for s in res.frontier],
         st.instructions, st.solver_queries, st.cache_hits, st.truncated,
-    )
+    ), sum(run is not None for run in prog._engine_runs)
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
@@ -285,24 +291,31 @@ def _explore(monkeypatch, prog, hot, depth, strategy, max_steps=engine.DEFAULT_M
 def test_generated_tier_explores_exactly_like_the_evaluator(
     programs, monkeypatch, depth, strategy
 ):
+    generated = 0
     for name, prog in programs:
-        want = _explore(monkeypatch, prog, NEVER, depth, strategy)
-        assert _explore(monkeypatch, prog, 1, depth, strategy) == want, name
+        want, none = _explore(monkeypatch, prog, NEVER, depth, strategy)
+        got, made = _explore(monkeypatch, prog, 1, depth, strategy)
+        assert got == want and none == 0, name
+        generated += made
+    assert generated > 0
 
 
 @pytest.mark.parametrize("max_steps", [1, 7, 50, 137, 1000, 5000])
 def test_generated_tier_truncates_exactly_like_the_evaluator(
     programs, monkeypatch, max_steps
 ):
-    truncated = 0
+    truncated = generated = 0
     for name, prog in programs:
-        want = _explore(monkeypatch, prog, NEVER, 6, "dfs", max_steps)
-        assert _explore(monkeypatch, prog, 1, 6, "dfs", max_steps) == want, name
+        want, none = _explore(monkeypatch, prog, NEVER, 6, "dfs", max_steps)
+        got, made = _explore(monkeypatch, prog, 1, 6, "dfs", max_steps)
+        assert got == want and none == 0, name
         truncated += want[-1]
+        generated += made
     assert truncated > 0
+    assert (generated > 0) == (max_steps > 1)  # one instruction reaches no loop
 
 
-def test_a_block_is_generated_on_its_hot_entry_once_per_engine(monkeypatch):
+def test_a_block_is_generated_on_its_hot_entry_once_per_program(monkeypatch):
     calls = []
     real = engine.generate_block
     monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
@@ -315,14 +328,21 @@ def test_a_block_is_generated_on_its_hot_entry_once_per_engine(monkeypatch):
 
     # the header gets hot first, and generates its loop with the body
     for n, generated in ((engine.HOT - 2, 0), (engine.HOT - 1, 1), (engine.HOT, 1)):
-        for _ in range(2):  # a new engine generates again
+        prog = loop(n)
+        # a second engine on the program takes its function, and heat is
+        # the engine's own: at HOT - 2 neither engine gets hot, although
+        # both together enter the header more than HOT times; an equal
+        # program parsed again starts cold and generates again
+        for p, want in ((prog, generated), (prog, 0), (loop(n), generated)):
             calls.clear()
-            eng = Engine(loop(n))
+            eng = Engine(p)
             eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
-            assert len(calls) == generated, n
-    # the same engine's next region reuses its functions
+            assert len(calls) == want, n
+            assert any(p._engine_runs) == bool(generated), n
+    # the same engine's next region reuses its program's functions
+    calls.clear()
     eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("bfs"))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def _run_region(prog):
@@ -337,20 +357,84 @@ _HOT_LOOP = (
 )
 
 
-def test_a_second_engine_compiles_no_new_code_object(monkeypatch):
+def test_a_second_engine_runs_the_programs_function_from_the_loops_first_entry(
+    monkeypatch,
+):
     prog = parse_program(_HOT_LOOP)
     first = _run_region(prog)
-    built, compiled = [], []
+    runs = list(prog._engine_runs)
+    (run1,) = {r for r in runs if r}
+    loop = [b for b, r in enumerate(runs) if r]
+    assert first._heat[loop[0]] == engine.HOT  # generated on the HOT-th entry
+    built, compiled, generated = [], [], []
     source = engine._loop_source
     monkeypatch.setattr(engine, "_loop_source", lambda *a: built.append(a) or source(*a))
     monkeypatch.setattr(solve, "compile", lambda *a: compiled.append(a) or compile(*a),
                         raising=False)
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block", lambda *a: generated.append(a) or real(*a))
     second = _run_region(prog)
-    assert built == [] and compiled == []  # no source built, none compiled
-    (run1,), (run2,) = ({r for r in e._runs if r} for e in (first, second))
-    # each engine has its own function over its own globals
-    assert run1 is not run2 and run1.__code__ is run2.__code__
-    assert run1.__globals__ is not run2.__globals__
+    assert generated == built == compiled == []
+    # the same function, every entry: the loop's blocks never warmed up
+    assert all(r is s for r, s in zip(prog._engine_runs, runs))
+    assert [second._heat[b] for b in loop] == [0] * len(loop)
+    # an equal program parsed again starts cold, and makes its own
+    # function from the compiled code on its HOT-th entry
+    again = parse_program(_HOT_LOOP)
+    assert again == prog and not any(again._engine_runs)
+    third = _run_region(again)
+    assert built == compiled == [] and len(generated) == 1
+    assert third._heat[loop[0]] == engine.HOT
+    (run3,) = {r for r in again._engine_runs if r}
+    assert run3 is not run1 and run3.__code__ is run1.__code__
+    assert run3.__globals__ is not run1.__globals__
+
+
+def test_a_program_that_ran_keeps_its_value():
+    ran, fresh = parse_program(_HOT_LOOP), parse_program(_HOT_LOOP)
+    before = repr(ran)
+    run_program(ran, RunConfig(mode="single", final_depth=3))
+    assert any(ran._engine_runs) and program_digest(ran) == program_digest(fresh)
+    assert ran == fresh and hash(ran) == hash(fresh) and repr(ran) == before == repr(fresh)
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+def test_every_mode_shares_the_programs_functions(monkeypatch, mode):
+    calls = []
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
+    text = Path("perfbench/programs/interp.tdp").read_text()
+    want = path_digest(run_program(parse_program(text), RunConfig(final_depth=12)).paths)
+    prog = parse_program(text)
+    cfg = RunConfig(mode=mode, workers=1 if mode == "single" else 2, final_depth=12)
+    for ran_before in (False, True):
+        calls.clear()
+        out = run_program(prog, cfg)
+        assert path_digest(out.paths) == want and len(out.paths) == 64
+        assert any(prog._engine_runs)
+        # a second run on the object takes every function it needs
+        assert (calls == []) == ran_before
+
+
+def test_worker_threads_generating_at_once_leave_every_loop_a_function(monkeypatch):
+    # every block is generated on its first entry, by whichever of four
+    # threads (on fewer cores) gets there first, switching as often as it can
+    monkeypatch.setattr(engine, "HOT", 1)
+    text = Path("perfbench/programs/interp.tdp").read_text()
+    single = parse_program(text)
+    want = path_digest(run_program(single, RunConfig(final_depth=12)).paths)
+    generated = [run is not None for run in single._engine_runs]
+    assert any(generated)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            prog = parse_program(text)
+            out = run_program(prog, RunConfig(mode="threads", workers=4, final_depth=12))
+            assert path_digest(out.paths) == want
+            assert [run is not None for run in prog._engine_runs] == generated
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_the_code_cache_stays_within_its_bound():
@@ -365,6 +449,25 @@ def test_the_code_cache_stays_within_its_bound():
     assert any(type(k[0]) is tuple for k in solve._codes)  # a loop's key
 
 
+def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(solve, "_codes", {})
+    monkeypatch.setattr(solve, "CODE_BOUND", 3)
+    built = []
+
+    def source(key):
+        return lambda: built.append(key) or (None if key == "none" else f"k = {key!r}\n")
+
+    a = solve.generated_code("a", source("a"))
+    for key in ("none", "b"):
+        solve.generated_code(key, source(key))
+    # hits build nothing, a cached None included, and move their keys last
+    assert solve.generated_code("a", source("a")) is a
+    assert solve.generated_code("none", source("none")) is None
+    solve.generated_code("c", source("c"))  # evicts b, now the least recently used
+    assert list(solve._codes) == ["a", "none", "c"] and built == ["a", "none", "b", "c"]
+    assert solve.generated_code("b", None) is None and solve.generated_code("a", None) is a
+
+
 def test_a_hot_block_on_no_cycle_gets_no_function(monkeypatch):
     calls = []
     real = engine.generate_block
@@ -374,7 +477,7 @@ def test_a_hot_block_on_no_cycle_gets_no_function(monkeypatch):
     for _ in range(engine.HOT + 3):  # block 0 is entered once per region
         eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
     assert eng._heat[0] > engine.HOT
-    assert eng._runs == [None] * len(prog.blocks) and calls == []
+    assert prog._engine_runs == [None] * len(prog.blocks) and calls == []
 
 
 @pytest.mark.parametrize("mode,workers", [("single", 1), ("threads", 2)])
@@ -395,19 +498,21 @@ def test_the_loop_analysis_runs_only_on_a_hot_block(monkeypatch, tmp_path, mode,
 
 @pytest.mark.parametrize("start", [1, 1000, 1023, 1024, 3000])
 def test_a_passed_deadline_stops_both_tiers_at_the_same_instruction(monkeypatch, start):
-    prog = parse_program(
+    src = (
         "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
         "while (k < 5000) { k = k + 1; s = s + k; }\nexit(0);\n"
     )
     got = []
     for hot in (NEVER, 1):
         monkeypatch.setattr(engine, "HOT", hot)
+        prog = parse_program(src)  # a program keeps its functions
         eng = Engine(prog)
         state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
         assert eng._advance(state, 3, stats) == "term"  # warm up: HOT=1 generates
         state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
         assert eng._advance(state, 3, stats, deadline=time.monotonic() - 1) == "trunc"
         got.append((stats.instructions, state.block, state.instr, state.env))
+        assert any(prog._engine_runs) == (hot == 1)
     assert got[0] == got[1]
     assert got[0][0] == -(-start // 1024) * 1024
 
@@ -421,4 +526,8 @@ def test_deeply_nested_blocks_run_alike_in_both_tiers(monkeypatch, op):
         f"while (k < 70) {{ k = k + 1; s = s {f' {op}' * 250}; }}\n"
         "if (x < s) { exit(1); }\nexit(2);\n"
     )
-    assert _explore(monkeypatch, prog, 1, 3, "dfs") == _explore(monkeypatch, prog, NEVER, 3, "dfs")
+    got, made = _explore(monkeypatch, prog, 1, 3, "dfs")
+    want, none = _explore(monkeypatch, prog, NEVER, 3, "dfs")
+    assert got == want and none == 0
+    # 250 nested comparisons recurse too deep to generate
+    assert (made > 0) == (op != "< 5 == 1")
