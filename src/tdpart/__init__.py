@@ -21,7 +21,7 @@ from .harness import (
     write_report,
 )
 from .lang import ParseError, Program, parse_program, print_program, validate
-from .solve import PathCondition, QueryCache, check_sat, get_model, solve_path
+from .solve import PathCondition, QueryCache, solve_model, solve_path
 
 __all__ = [
     "Engine",
@@ -37,15 +37,14 @@ __all__ = [
     "Strategy",
     "TestDepthPair",
     "calibrate_depth",
-    "check_sat",
     "gen_corpus",
-    "get_model",
     "load_report",
     "parse_program",
     "path_digest",
     "print_program",
     "program_digest",
     "run_program",
+    "solve_model",
     "solve_path",
     "verify_reports",
     "write_report",

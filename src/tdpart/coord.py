@@ -9,16 +9,24 @@ declined the coordinator waits for the next Finish before asking again.
 The run ends when all workers are idle and the pool is empty; under a time
 budget, nothing new is dispatched after the soft deadline and each worker
 is terminated as its in-flight region finishes.
+
+The coordinator reads the run's RunConfig (workers, final_depth, strategy,
+time_budget), the same object the harness was given; each recv waits at
+most proto.RECV_TIMEOUT.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from typing import TYPE_CHECKING
 
 from . import proto
 from .engine import Engine, EngineStats, Strategy, TestDepthPair
 from .lang import Program
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 
 class WorkerTally:
@@ -55,17 +63,6 @@ class WorkerTally:
         self.truncated = self.truncated or st.truncated
 
 
-class CoordConfig:
-    __slots__ = ("num_workers", "final_depth", "strategy", "time_budget", "recv_timeout")
-
-    def __init__(
-        self, num_workers: int, final_depth: int, strategy: Strategy,
-        time_budget: float | None = None, recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT,
-    ):
-        self.num_workers, self.final_depth, self.strategy = num_workers, final_depth, strategy
-        self.time_budget, self.recv_timeout = time_budget, recv_timeout
-
-
 class CoordResult:
     __slots__ = ("tallies", "paths", "pool_size", "undispatched", "truncated")
 
@@ -89,10 +86,10 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     return [TestDepthPair(eng.model_of(s.pc, s.model), s.depth) for s in states]
 
 
-def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
-    pool: deque[TestDepthPair] = deque(seed_pool(program, cfg.num_workers, cfg.final_depth))
+def run_coordinator(hub, program: Program, cfg: RunConfig) -> CoordResult:
+    n = cfg.workers
+    pool: deque[TestDepthPair] = deque(seed_pool(program, n, cfg.final_depth))
     pool_size = len(pool)
-    n = cfg.num_workers
     tallies = [WorkerTally() for _ in range(n)]
     paths: list[str] = []
 
@@ -124,7 +121,7 @@ def run_coordinator(hub, program: Program, cfg: CoordConfig) -> CoordResult:
                     outstanding = victim
                     declined.add(victim)
                     break
-        wid, msg = hub.recv(cfg.recv_timeout)
+        wid, msg = hub.recv(proto.RECV_TIMEOUT)
         if isinstance(msg, proto.Finish):
             tallies[wid].add(msg.stats)
             paths.extend(msg.stats.paths)

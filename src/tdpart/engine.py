@@ -45,7 +45,9 @@ from .lang import (
 from .record import Record
 from .solve import PathCondition, QueryCache, Test
 
-DEFAULT_MAX_STEPS = 10_000_000
+# the instruction budget of one region or one breadth-first expansion;
+# read at call time, so a test can lower it
+MAX_STEPS = 10_000_000
 
 # a variable store: an int when concrete, an Expr when input-dependent
 Store = dict[str, int | Expr]
@@ -378,12 +380,10 @@ class Engine:
         program: Program,
         *,
         cache_enabled: bool = True,
-        max_steps: int = DEFAULT_MAX_STEPS,
         solver_delay: float = 0.0,
     ):
         self.program = program
         self.decls = program.inputs
-        self.max_steps = max_steps
         self.solver_delay = solver_delay
         self.cache: QueryCache | None = QueryCache() if cache_enabled else None
         # generated tier: this engine's entries per block
@@ -450,7 +450,7 @@ class Engine:
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
         blocks, runs, heat = self.program.blocks, self.program._engine_runs, self._heat
         env = state.env
-        limit = self.max_steps
+        limit = MAX_STEPS
         count = stats.instructions
         b, i = state.block, state.instr
         try:

@@ -21,19 +21,25 @@ import time
 from collections import Counter, defaultdict, deque
 from pathlib import Path
 
-from . import lang, proto, worker
-from .coord import CoordConfig, CoordResult, WorkerTally, run_coordinator
+from . import lang, proto
+from .coord import CoordResult, WorkerTally, run_coordinator
 from .engine import Engine, Strategy
 from .lang import Program
 from .record import Record
-from .worker import WorkerConfig, run_worker
+from .worker import run_worker
 
 # ---------------------------------------------------------------------------
 # Run configuration and output
 # ---------------------------------------------------------------------------
 
 
+DEFAULT_OFFLOAD_THRESHOLD = 4
+
+
 class RunConfig:
+    """The run's settings: the harness, the coordinator and every worker
+    read this one object."""
+
     __slots__ = (
         "mode", "workers", "strategy", "final_depth", "offload_threshold", "cache_enabled",
         "solver_delay", "time_budget", "record_schedule", "replay_schedule",
@@ -41,7 +47,7 @@ class RunConfig:
 
     def __init__(
         self, mode: str = "single", workers: int = 1, strategy: Strategy = Strategy("dfs"),
-        final_depth: int = 0, offload_threshold: int = worker.DEFAULT_OFFLOAD_THRESHOLD,
+        final_depth: int = 0, offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD,
         cache_enabled: bool = True, solver_delay: float = 0.0, time_budget: float | None = None,
         record_schedule: str | None = None, replay_schedule: str | None = None,
     ):
@@ -219,7 +225,7 @@ class ScheduleTransport:
         point = (self.region, self.step)
         self.step += 1
         if self.replay:
-            return self.inner.recv() if point in self.polls else None
+            return self.inner.recv(proto.RECV_TIMEOUT) if point in self.polls else None
         msg = self.inner.poll()
         if msg is not None:
             self.polls.append(point)
@@ -292,7 +298,6 @@ def _run_distributed(
     elif cfg.record_schedule:
         schedule = Schedule([], {w: [] for w in range(cfg.workers)})
     coord_hub = hub if schedule is None else ScheduleHub(hub, schedule.coordinator, replay)
-    wcfg = WorkerConfig(cfg.offload_threshold, cfg.cache_enabled, cfg.solver_delay)
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
@@ -301,7 +306,7 @@ def _run_distributed(
             if schedule is not None:
                 polls = schedule.polls.get(wid, [])
                 transport = ScheduleTransport(transport, set(polls) if replay else polls, replay)
-            run_worker(transport, program, wcfg)
+            run_worker(transport, program, cfg)
         except BaseException as e:  # surfaced after join
             if isinstance(e, proto.RecvTimeout):  # a stall: show where each thread is
                 faulthandler.dump_traceback(all_threads=True)
@@ -315,8 +320,7 @@ def _run_distributed(
     for t in threads:
         t.start()
     try:
-        ccfg = CoordConfig(cfg.workers, cfg.final_depth, cfg.strategy, cfg.time_budget)
-        result = run_coordinator(coord_hub, program, ccfg)
+        result = run_coordinator(coord_hub, program, cfg)
         if replay and coord_hub.due:
             raise proto.ProtocolError(
                 f"replay schedule has {len(coord_hub.due)} unused entries"
@@ -781,7 +785,7 @@ def _build_parser():
     run.add_argument("--max-depth", type=int, default=None)
     run.add_argument("--calibrate-timeout", type=float, default=None)
     run.add_argument("--offload-threshold", type=int,
-                     default=worker.DEFAULT_OFFLOAD_THRESHOLD)
+                     default=DEFAULT_OFFLOAD_THRESHOLD)
     run.add_argument("--report", default=None)
     run.add_argument("--verify", default=None)
     run.add_argument("--time-budget", type=float, default=None)

@@ -18,7 +18,9 @@ from .record import Record
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-DEFAULT_DOMAIN_CAP = 65536
+# widest input domain (hi - lo + 1) that parsing, validation and the
+# solver accept; read at call time, so a test can lower it
+DOMAIN_CAP = 65536
 
 # validate rejects expressions deeper than the recursion limit less this: the
 # caller's frames (~35 under pytest) and the ~20 from run_program down to the
@@ -317,11 +319,10 @@ class _Parser:
     """Recursive descent over the token list. The structured form is
     lowered to blocks as it is parsed."""
 
-    def __init__(self, src: str, domain_cap: int):
+    def __init__(self, src: str):
         self.toks = tokenize(src)
         self.starts = _line_starts(src)
         self.i = 0
-        self.domain_cap = domain_cap
 
     # -- token helpers
 
@@ -367,9 +368,9 @@ class _Parser:
         hi = self.int_literal()
         self.expect("]")
         self.expect(";")
-        if hi - lo + 1 > self.domain_cap:
+        if hi - lo + 1 > DOMAIN_CAP:
             raise self.error(
-                f"domain cap exceeded for {name} ({hi - lo + 1} > {self.domain_cap})", pos
+                f"domain cap exceeded for {name} ({hi - lo + 1} > {DOMAIN_CAP})", pos
             )
         return SymDecl(name, lo, hi)
 
@@ -611,14 +612,14 @@ class _BlockBuilder:
         return [BasicBlock(tuple(self.bodies[old]), terms[old]) for old in order]
 
 
-def parse_program(text: str, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> Program:
+def parse_program(text: str) -> Program:
     """Parse either concrete syntax into a basic-block Program.
 
     Raises ParseError with line:col on malformed input, and on input nested
     too deeply for the parser's recursion. Domain widths are checked against
     the cap here; all other checks live in validate().
     """
-    parser = _Parser(text, domain_cap)
+    parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
@@ -630,7 +631,7 @@ def parse_program(text: str, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> Program
 # ---------------------------------------------------------------------------
 
 
-def validate(program: Program, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> list[str]:
+def validate(program: Program) -> list[str]:
     """Returns diagnostics; empty list means the program is executable."""
     diags: list[str] = []
     seen_names: set[str] = set()
@@ -640,8 +641,8 @@ def validate(program: Program, *, domain_cap: int = DEFAULT_DOMAIN_CAP) -> list[
         seen_names.add(d.name)
         if d.lo > d.hi:
             diags.append(f"empty domain for {d.name} [{d.lo}, {d.hi}]")
-        elif d.size > domain_cap:
-            diags.append(f"domain cap exceeded for {d.name} ({d.size} > {domain_cap})")
+        elif d.size > DOMAIN_CAP:
+            diags.append(f"domain cap exceeded for {d.name} ({d.size} > {DOMAIN_CAP})")
 
     if not program.blocks:
         diags.append("program has no blocks")

@@ -32,7 +32,9 @@ TAG_TERMINATE = 0x06
 _STRATEGY_CODE = {"dfs": 0, "bfs": 1, "random": 2}
 _STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 
-DEFAULT_RECV_TIMEOUT = 120.0
+# read at call time, so a test can shorten them
+RECV_TIMEOUT = 120.0  # seconds any one recv waits
+ACCEPT_TIMEOUT = 30.0  # seconds the tcp hub waits for each worker to connect
 
 
 class ProtocolError(Exception):
@@ -280,7 +282,7 @@ class QueueTransport:
     def send(self, msg: Message) -> None:
         self._out.put((self.worker_id, encode(msg)))
 
-    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> Message:
+    def recv(self, timeout: float | None) -> Message:
         try:
             frame = self._inbox.get(timeout=timeout)
         except queue.Empty:
@@ -330,7 +332,7 @@ class SocketTransport:
     def send(self, msg: Message) -> None:
         self._sock.sendall(encode(msg))
 
-    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> Message:
+    def recv(self, timeout: float | None) -> Message:
         self._sock.settimeout(timeout)
         try:
             frame = read_frame(self._sock)
@@ -344,7 +346,7 @@ class SocketTransport:
         ready, _, _ = select.select([self._sock], [], [], 0)
         if not ready:
             return None
-        self._sock.settimeout(DEFAULT_RECV_TIMEOUT)
+        self._sock.settimeout(RECV_TIMEOUT)
         frame = read_frame(self._sock)
         if frame is None:
             raise TransportClosed("coordinator closed the connection")
@@ -383,7 +385,7 @@ class QueueHub:
             self._terminated.add(worker_id)
         self.to_workers[worker_id].put(encode(msg))
 
-    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
+    def recv(self, timeout: float | None) -> tuple[int, Message]:
         while True:
             try:
                 worker_id, frame = self.inbox.get(timeout=timeout)
@@ -421,12 +423,12 @@ class SocketHub:
         self._open: dict[socket.socket, int] = {}  # connections not yet at EOF
         self._terminated: set[int] = set()
 
-    def accept_all(self, timeout: float = 30.0) -> None:
-        self._listener.settimeout(timeout)
+    def accept_all(self) -> None:
+        self._listener.settimeout(ACCEPT_TIMEOUT)
         for wid in range(self.num_workers):
             conn, _ = self._listener.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(DEFAULT_RECV_TIMEOUT)  # bounds a stall inside a frame
+            conn.settimeout(RECV_TIMEOUT)  # bounds a stall inside a frame
             self._conns.append(conn)
             self._open[conn] = wid
         self._listener.close()
@@ -439,7 +441,7 @@ class SocketHub:
         except OSError as e:
             raise TransportClosed(f"send to worker {worker_id} failed: {e}") from None
 
-    def recv(self, timeout: float | None = DEFAULT_RECV_TIMEOUT) -> tuple[int, Message]:
+    def recv(self, timeout: float | None) -> tuple[int, Message]:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())

@@ -84,8 +84,6 @@ from types import CodeType
 from . import lang
 from .lang import INT64_MAX, INT64_MIN, Binary, Const, Expr, SymDecl, Unary, Var
 
-DEFAULT_DOMAIN_CAP = lang.DEFAULT_DOMAIN_CAP
-
 Test = dict[str, int]
 
 
@@ -1173,7 +1171,6 @@ def solve_model(
     pc: PathCondition,
     decls: tuple[SymDecl, ...],
     *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
     hint: Test | None = None,
 ) -> Test | None:
     """Witness model, or None when unsatisfiable. `hint` must be the lex-min
@@ -1181,11 +1178,10 @@ def solve_model(
     satisfies pc it is the answer; otherwise pc is solved from its narrowed
     box. A hint outside that contract still gives a model, not necessarily
     lex-min."""
+    cap = lang.DOMAIN_CAP
     for d in decls:
-        if d.size > domain_cap:
-            raise DomainCapError(
-                f"domain cap exceeded for {d.name} ({d.size} > {domain_cap})"
-            )
+        if d.size > cap:
+            raise DomainCapError(f"domain cap exceeded for {d.name} ({d.size} > {cap})")
         if d.lo > d.hi:
             return None
     if hint is not None and _hint_holds(pc, hint):
@@ -1197,34 +1193,12 @@ def solve_model(
     return model
 
 
-def check_sat(
-    pc: PathCondition,
-    decls: tuple[SymDecl, ...],
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
-) -> bool:
-    return solve_model(pc, decls, domain_cap=domain_cap) is not None
-
-
-def get_model(
-    pc: PathCondition,
-    decls: tuple[SymDecl, ...],
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
-) -> Test:
-    """Lexicographically smallest satisfying assignment, in declaration order."""
-    m = solve_model(pc, decls, domain_cap=domain_cap)
-    if m is None:
-        raise SolveError("model requested for unsatisfiable path condition")
-    return m
-
-
 class QueryCache:
     """Pure memo over path-condition satisfiability queries.
 
     Keyed on the canonical sorted constraint text, so it is private to one
     (worker, program) pair. Stores the witness model alongside the verdict;
-    a later get_model on the same pc is then a hit, not a second solve.
+    a later model request for the same pc is then a hit, not a second solve.
     `reused` counts the misses that the hint answered.
     """
 
@@ -1242,7 +1216,6 @@ class QueryCache:
         pc: PathCondition,
         decls: tuple[SymDecl, ...],
         *,
-        domain_cap: int = DEFAULT_DOMAIN_CAP,
         hint: Test | None = None,
     ) -> tuple[bool, Test | None]:
         """(sat, model), from the memo or by solve_model on a miss. `hint`
@@ -1256,7 +1229,7 @@ class QueryCache:
                 pc._model = hit[1]
             return hit
         self.misses += 1
-        model = solve_model(pc, decls, domain_cap=domain_cap, hint=hint)
+        model = solve_model(pc, decls, hint=hint)
         # a solved model equals the hint only when the hint itself was
         # returned: a hint failing pc differs from every model of pc
         if model is not None and model == hint:

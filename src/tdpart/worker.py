@@ -5,33 +5,22 @@ states across tasks. On a new task it first tries to resume a suspended
 state the test satisfies; otherwise it replays from the program root.
 Between select steps it polls for ProvideWork and either hands off its
 shallowest active state below the guided phase or answers NoWork.
+
+The worker reads the run's RunConfig (offload_threshold, cache_enabled,
+solver_delay), the same object the coordinator reads; each recv waits at
+most proto.RECV_TIMEOUT.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from . import proto
 from .engine import Engine, ExecState
 from .lang import Program
 
-DEFAULT_OFFLOAD_THRESHOLD = 4
-
-
-class WorkerConfig:
-    __slots__ = ("offload_threshold", "cache_enabled", "solver_delay", "recv_timeout")
-
-    def __init__(
-        self, offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD, cache_enabled: bool = True,
-        solver_delay: float = 0.0, recv_timeout: float = proto.DEFAULT_RECV_TIMEOUT,
-    ):
-        self.offload_threshold, self.cache_enabled = offload_threshold, cache_enabled
-        self.solver_delay, self.recv_timeout = solver_delay, recv_timeout
-
-
-class WorkerSummary:
-    __slots__ = ("regions", "suspended_left", "offloads")
-
-    def __init__(self) -> None:
-        self.regions = self.suspended_left = self.offloads = 0
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 
 def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | None:
@@ -44,9 +33,7 @@ def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | 
     return min(below, key=lambda s: (s.depth, s.serial)) if below else None
 
 
-def _make_poll(
-    transport, eng: Engine, cfg: WorkerConfig, test_depth: int, summary: WorkerSummary
-):
+def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
     def poll(active: list[ExecState]) -> None:
         msg = transport.poll()
         if msg is None:
@@ -56,27 +43,23 @@ def _make_poll(
                 f"unexpected {type(msg).__name__} during a region"
             )
         victim = None
-        if len(active) > cfg.offload_threshold:
+        if len(active) > threshold:
             victim = choose_offload(active, test_depth)
         if victim is not None:
             active.remove(victim)
             transport.send(proto.Offload(eng.model_of(victim.pc, victim.model), victim.depth))
-            summary.offloads += 1
         else:
             transport.send(proto.NoWork())
 
     return poll
 
 
-def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> WorkerSummary:
-    """Serve tasks until Terminate. Returns a local summary (the coordinator
-    only ever sees the Finish messages)."""
-    cfg = cfg or WorkerConfig()
+def run_worker(transport, program: Program, cfg: RunConfig) -> None:
+    """Serve tasks until Terminate, then close the transport."""
     eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
     suspended: list[ExecState] = []
-    summary = WorkerSummary()
     while True:
-        msg = transport.recv(cfg.recv_timeout)
+        msg = transport.recv(proto.RECV_TIMEOUT)
         if isinstance(msg, proto.Terminate):
             break
         if isinstance(msg, proto.ProvideWork):
@@ -91,13 +74,10 @@ def run_worker(transport, program: Program, cfg: WorkerConfig | None = None) -> 
             suspended.remove(root)
         else:
             root = eng.initial_state()
-        poll = _make_poll(transport, eng, cfg, msg.test_depth, summary)
+        poll = _make_poll(transport, eng, cfg.offload_threshold, msg.test_depth)
         result = eng.start_execution(
             root, msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
         )
         suspended.extend(result.suspended_new)
-        summary.regions += 1
         transport.send(proto.Finish(result.stats))
-    summary.suspended_left = len(suspended)
     transport.close()
-    return summary

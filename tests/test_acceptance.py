@@ -37,8 +37,8 @@ from tdpart.proto import (
     decode,
     encode,
 )
-from tdpart.solve import check_sat, get_model
-from tdpart.worker import WorkerConfig, run_worker
+from tdpart.solve import solve_model
+from tdpart.worker import run_worker
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 FM_PATHS = {"01", "11", "000", "001", "100", "101"}
@@ -184,10 +184,11 @@ def test_criterion_05_solver_agrees_with_exhaustive_enumeration(capsys):
         for _ in range(1000):
             decls, pc, pairs = random_system(rng)
             expect = brute_force_model(pairs, decls)
-            assert check_sat(pc, decls) == (expect is not None)
+            model = solve_model(pc, decls)
+            assert (model is not None) == (expect is not None)
             if expect is not None:
                 sats += 1
-                assert get_model(pc, decls) == expect
+                assert model == expect
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         assert 0 < sats < 1000  # both verdicts must actually be exercised
@@ -203,9 +204,7 @@ def run_forced_steal(program, final_depth: int, step: int, threshold: int):
     def body():
         try:
             transport = ScheduleTransport(hub.transport_for(0), {(0, step)}, replay=True)
-            box["summary"] = run_worker(transport, program, WorkerConfig(
-                offload_threshold=threshold,
-            ))
+            run_worker(transport, program, RunConfig(offload_threshold=threshold))
         except BaseException as e:  # surfaced by the caller
             box["error"] = e
 

@@ -8,9 +8,9 @@ import pytest
 
 from oracles import decision_sequence, domain_cube
 from tdpart import proto
-from tdpart.coord import CoordConfig, run_coordinator, seed_pool
+from tdpart.coord import run_coordinator, seed_pool
 from tdpart.engine import EngineStats, Strategy, TestDepthPair
-from tdpart.harness import ScheduleHub
+from tdpart.harness import RunConfig, ScheduleHub
 from tdpart.lang import parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 
@@ -20,6 +20,12 @@ ONE_BRANCH = parse_program(
     "program p;\nsym x in [0, 3];\nif (x < 1) { exit(0); } else { exit(1); }\n"
 )
 STRAIGHT = parse_program("program p;\nsym x in [0, 3];\nexit(0);\n")
+
+
+@pytest.fixture(autouse=True)
+def short_recv(monkeypatch):
+    # a scripted or real worker that stalls fails a test in 20 s, not 120 s
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 20)
 
 
 # -- pool seeding
@@ -116,11 +122,11 @@ def run_scripted(program, num_workers, scripts, **cfg_kw):
     ]
     for w in workers:
         w.start()
-    cfg = CoordConfig(
-        num_workers=num_workers,
+    cfg = RunConfig(
+        mode="threads",
+        workers=num_workers,
         final_depth=cfg_kw.pop("final_depth", 3),
         strategy=cfg_kw.pop("strategy", Strategy("dfs")),
-        recv_timeout=20,
         **cfg_kw,
     )
     result = run_coordinator(hub, program, cfg)
@@ -277,8 +283,7 @@ def test_unexpected_message_raises_protocol_error():
         errors,
     )
     w.start()
-    cfg = CoordConfig(num_workers=1, final_depth=3, strategy=Strategy("dfs"),
-                      recv_timeout=20)
+    cfg = RunConfig(mode="threads", workers=1, final_depth=3)
     with pytest.raises(proto.ProtocolError, match="unexpected Task"):
         run_coordinator(hub, STRAIGHT, cfg)
     w.join(timeout=10)
@@ -382,20 +387,17 @@ def test_receiver_replay_refuses_to_wait_on_a_worker_owing_no_answer():
 
 
 def test_coordinator_with_real_workers_completes_the_tree():
-    from tdpart.worker import WorkerConfig, run_worker
+    from tdpart.worker import run_worker
 
     hub = QueueHub(2)
+    cfg = RunConfig(mode="threads", workers=2, final_depth=3)
     threads = []
     for wid in range(2):
         t = threading.Thread(
-            target=run_worker,
-            args=(hub.transport_for(wid), FIND_MIDDLE, WorkerConfig()),
-            daemon=True,
+            target=run_worker, args=(hub.transport_for(wid), FIND_MIDDLE, cfg), daemon=True
         )
         t.start()
         threads.append(t)
-    cfg = CoordConfig(num_workers=2, final_depth=3, strategy=Strategy("dfs"),
-                      recv_timeout=20)
     result = run_coordinator(hub, FIND_MIDDLE, cfg)
     for t in threads:
         t.join(timeout=10)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import decision_sequence, enumerate_paths
-from tdpart import solve
+from tdpart import engine, solve
 from tdpart.engine import (
     Engine,
     ReplayDivergenceError,
@@ -15,7 +15,7 @@ from tdpart.engine import (
 )
 from tdpart.harness import corpus_shape, generate_program
 from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
-from tdpart.solve import get_model
+from tdpart.solve import solve_model
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 
@@ -76,7 +76,7 @@ def test_solver_checked_children_keep_their_lex_min_model():
     depth2, _ = next(layers)
     assert root.model is None
     assert [s.model for s in depth1] == [{"x": -8, "y": -8, "z": -8}, T5]
-    assert [s.model for s in depth2] == [get_model(s.pc, FIND_MIDDLE.inputs) for s in depth2]
+    assert [s.model for s in depth2] == [solve_model(s.pc, FIND_MIDDLE.inputs) for s in depth2]
     res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
     assert [s.model for s in res.suspended_new] == [None, None]
 
@@ -337,14 +337,15 @@ def test_concrete_assignments_store_plain_ints():
     assert res.stats.instructions == 3
 
 
-def test_truncation_on_step_budget():
+def test_truncation_on_step_budget(monkeypatch):
     src = (
         "program p;\nsym x in [0, 1];\n"
         "k = 0;\n"
         "while (k < 1000) { k = k + 1; }\n"
         "exit(0);\n"
     )
-    _, res = full_region(parse_program(src), 3, max_steps=50)
+    monkeypatch.setattr(engine, "MAX_STEPS", 50)
+    _, res = full_region(parse_program(src), 3)
     assert res.stats.truncated
     assert res.completed == []
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -219,6 +220,92 @@ def test_a_recv_timeout_dumps_every_threads_stack(monkeypatch, capfd, mode, side
     err = capfd.readouterr().err
     assert "most recent call first" in err
     assert "harness.py" in err and "_run_distributed" in err
+
+
+@pytest.fixture
+def recv_waits(monkeypatch):
+    """proto.RECV_TIMEOUT patched to 0.5 s; (thread name, timeout) of every
+    hub and transport recv."""
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 0.5)
+    waits = []
+    for cls in (proto.QueueHub, proto.SocketHub, proto.QueueTransport, proto.SocketTransport):
+        def recv(self, timeout, real=cls.recv, side=cls.__name__.endswith("Hub")):
+            waits.append(("hub" if side else threading.current_thread().name, timeout))
+            return real(self, timeout)
+
+        monkeypatch.setattr(cls, "recv", recv)
+    return waits
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_every_recv_of_a_run_waits_the_recv_timeout(monkeypatch, capfd, recv_waits, mode):
+    # no worker answers its Task: the coordinator times out after the
+    # patched 0.5 s, not 120 s
+    release = threading.Event()
+    real = Engine.start_execution
+
+    def start_execution(self, *args, **kw):
+        if threading.current_thread().name.startswith("tdpart-worker"):
+            release.wait(timeout=30)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Engine, "start_execution", start_execution)
+    box = {}
+
+    def run():
+        try:
+            fm_run(mode=mode, workers=2)
+        except BaseException as e:  # checked below
+            box["error"] = e
+
+    runner = threading.Thread(target=run, daemon=True)
+    t0 = time.perf_counter()
+    runner.start()
+    runner.join(timeout=10)
+    elapsed = time.perf_counter() - t0
+    release.set()
+    for t in threading.enumerate():
+        if t.name.startswith("tdpart-worker"):
+            t.join(timeout=10)
+    assert not runner.is_alive()
+    assert isinstance(box.get("error"), proto.RecvTimeout)
+    assert str(box["error"]) == "coordinator recv timed out"
+    assert elapsed < 5.0
+    assert "most recent call first" in capfd.readouterr().err
+    waited = {who for who, _ in recv_waits}
+    assert waited == {"hub", "tdpart-worker-0", "tdpart-worker-1"}
+    assert {timeout for _, timeout in recv_waits} == {0.5}
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
+    if mode == "threads":
+        hub = proto.QueueHub(1)
+        transport = hub.transport_for(0)
+    else:
+        hub = proto.SocketHub(1)
+        transport = proto.SocketTransport(socket.create_connection(hub.address, timeout=10))
+        hub.accept_all()
+    box = {}
+
+    def body():
+        try:
+            harness.run_worker(transport, FIND_MIDDLE, RunConfig())
+        except BaseException as e:  # checked below
+            box["error"] = e
+        finally:
+            transport.close()
+
+    worker = threading.Thread(target=body, name="worker", daemon=True)
+    t0 = time.perf_counter()
+    worker.start()
+    worker.join(timeout=10)
+    elapsed = time.perf_counter() - t0
+    hub.close()
+    assert not worker.is_alive()
+    assert isinstance(box.get("error"), proto.RecvTimeout)
+    assert 0.5 <= elapsed < 5.0
+    assert recv_waits == [("worker", 0.5)]
 
 
 # -- depth calibration

@@ -168,10 +168,19 @@ def test_validate_empty_domain():
     assert any("empty domain" in d for d in validate(p))
 
 
-def test_validate_domain_cap():
+def test_validate_domain_cap(monkeypatch):
     p = _prog([BasicBlock((), Exit(0))], inputs=(SymDecl("x", 0, 99),))
     assert validate(p) == []
-    assert any("domain cap exceeded" in d for d in validate(p, domain_cap=50))
+    monkeypatch.setattr(lang, "DOMAIN_CAP", 50)
+    assert any("domain cap exceeded" in d for d in validate(p))
+
+
+def test_parse_checks_the_domain_cap_it_reads_at_call_time(monkeypatch):
+    src = "program p;\nsym x in [0, 99];\nexit(0);\n"
+    parse_program(src)
+    monkeypatch.setattr(lang, "DOMAIN_CAP", 50)
+    with pytest.raises(ParseError, match=r"domain cap exceeded for x \(100 > 50\)"):
+        parse_program(src)
 
 
 def test_validate_branch_target_range():

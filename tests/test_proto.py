@@ -3,11 +3,13 @@
 import random
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tdpart import proto
 from tdpart.engine import EngineStats, Strategy
 from tdpart.proto import (
     Finish,
@@ -303,6 +305,21 @@ def test_socket_hub_round_trip():
     finally:
         for t in transports:
             t.close()
+        hub.close()
+
+
+def test_accept_all_waits_the_accept_timeout_it_reads_at_call_time(monkeypatch):
+    monkeypatch.setattr(proto, "ACCEPT_TIMEOUT", 0.2)
+    hub = SocketHub(2)
+    s = socket.create_connection(hub.address, timeout=5)
+    t0 = time.perf_counter()
+    try:
+        # one of two workers connects: the hub waits 0.2 s for the second
+        with pytest.raises(socket.timeout):
+            hub.accept_all()
+        assert 0.2 <= time.perf_counter() - t0 < 5.0
+    finally:
+        s.close()
         hub.close()
 
 

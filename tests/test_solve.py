@@ -21,11 +21,9 @@ from tdpart.solve import (
     _fixpoint,
     _narrowed,
     _Unsat,
-    check_sat,
     decode_test,
     encode_test,
     evaluate_concrete,
-    get_model,
     solve_model,
     solve_path,
     wrap,
@@ -116,39 +114,38 @@ DECLS_XYZ = (SymDecl("x", -8, 7), SymDecl("y", -8, 7), SymDecl("z", -8, 7))
 
 def test_known_lex_minimum_models():
     pc00 = PathCondition().extend(lt(X, Y), False).extend(lt(X, Z), False)
-    assert get_model(pc00, DECLS_XYZ) == {"x": -8, "y": -8, "z": -8}
+    assert solve_model(pc00, DECLS_XYZ) == {"x": -8, "y": -8, "z": -8}
     pc10 = PathCondition().extend(lt(X, Y), True).extend(lt(Y, Z), False)
-    assert get_model(pc10, DECLS_XYZ) == {"x": -8, "y": -7, "z": -8}
+    assert solve_model(pc10, DECLS_XYZ) == {"x": -8, "y": -7, "z": -8}
 
 
 def test_unsat_contradiction():
     pc = PathCondition().extend(lt(X, Const(0)), True).extend(
         Binary(">", X, Const(0)), True
     )
-    assert not check_sat(pc, (SymDecl("x", -8, 7),))
     assert solve_model(pc, (SymDecl("x", -8, 7),)) is None
-    with pytest.raises(SolveError):
-        get_model(pc, (SymDecl("x", -8, 7),))
 
 
 def test_empty_domain_is_unsat():
-    assert not check_sat(PathCondition(), (SymDecl("x", 3, 2),))
+    assert solve_model(PathCondition(), (SymDecl("x", 3, 2),)) is None
 
 
-def test_domain_cap_is_enforced():
+def test_domain_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(lang, "DOMAIN_CAP", 50)
     with pytest.raises(DomainCapError):
-        check_sat(PathCondition(), (SymDecl("x", 0, 99),), domain_cap=50)
+        solve_model(PathCondition(), (SymDecl("x", 0, 99),))
+    assert solve_model(PathCondition(), (SymDecl("x", 0, 49),)) == {"x": 0}
 
 
 def test_empty_path_condition_gives_domain_minimum():
-    assert get_model(PathCondition(), DECLS_XYZ) == {"x": -8, "y": -8, "z": -8}
+    assert solve_model(PathCondition(), DECLS_XYZ) == {"x": -8, "y": -8, "z": -8}
 
 
 def test_model_respects_declaration_order_not_name_order():
     decls = (SymDecl("b", 0, 3), SymDecl("a", 0, 3))
     pc = PathCondition().extend(Binary("<", Var("a"), Var("b")), True)
     # lex order over (b, a): b=1, a=0 beats b=0 (infeasible) and a-first orders
-    assert get_model(pc, decls) == {"b": 1, "a": 0}
+    assert solve_model(pc, decls) == {"b": 1, "a": 0}
 
 
 def test_equality_chain():
@@ -158,7 +155,7 @@ def test_equality_chain():
         .extend(Binary("==", Y, Z), True)
         .extend(Binary(">", X, Const(2)), True)
     )
-    assert get_model(pc, DECLS_XYZ) == {"x": 3, "y": 3, "z": 3}
+    assert solve_model(pc, DECLS_XYZ) == {"x": 3, "y": 3, "z": 3}
 
 
 def test_arithmetic_through_constraints():
@@ -167,13 +164,13 @@ def test_arithmetic_through_constraints():
         Binary("==", Binary("+", X, Y), Const(5)), True
     )
     decls = (SymDecl("x", 0, 4), SymDecl("y", 0, 4))
-    assert get_model(pc, decls) == {"x": 1, "y": 4}
+    assert solve_model(pc, decls) == {"x": 1, "y": 4}
 
 
 def test_negated_compound_condition():
     # !((x<y) or (x<z)) forces x >= y and x >= z
     pc = PathCondition().extend(Binary("or", lt(X, Y), lt(X, Z)), False)
-    m = get_model(pc, DECLS_XYZ)
+    m = solve_model(pc, DECLS_XYZ)
     assert m["x"] >= m["y"] and m["x"] >= m["z"]
     assert m == {"x": -8, "y": -8, "z": -8}
 
@@ -232,10 +229,11 @@ def test_solver_agrees_with_brute_force_seeded():
     for _ in range(300):
         decls, pc, pairs = random_system(rng)
         expect = brute_force_model(pairs, decls)
-        assert check_sat(pc, decls) == (expect is not None)
+        model = solve_model(pc, decls)
+        assert (model is not None) == (expect is not None)
         if expect is not None:
             sats += 1
-            assert get_model(pc, decls) == expect
+            assert model == expect
     assert sats > 50  # the generator must not be degenerate
 
 
@@ -295,12 +293,13 @@ def test_hint_is_returned_as_a_copy_and_counted_as_reused():
     assert cache.hits == 1 and cache.reused == 1  # hits never consult it
 
 
-def test_domain_cap_is_enforced_with_a_hint():
+def test_domain_cap_is_enforced_with_a_hint(monkeypatch):
+    monkeypatch.setattr(lang, "DOMAIN_CAP", 50)
     decls = (SymDecl("x", 0, 99),)
     with pytest.raises(DomainCapError):
-        solve_model(PathCondition(), decls, domain_cap=50, hint={"x": 0})
+        solve_model(PathCondition(), decls, hint={"x": 0})
     with pytest.raises(DomainCapError):
-        QueryCache().query(PathCondition(), decls, domain_cap=50, hint={"x": 0})
+        QueryCache().query(PathCondition(), decls, hint={"x": 0})
 
 
 def test_empty_domain_is_unsat_with_a_hint():
@@ -1242,7 +1241,7 @@ def test_model_satisfies_its_own_pc(a, b, c):
         .extend(Binary(">", Binary("*", Y, Const(2)), Const(c)), c % 2 == 0)
     )
     decls = (SymDecl("x", -4, 4), SymDecl("y", -4, 4))
-    if check_sat(pc, decls):
-        m = get_model(pc, decls)
+    m = solve_model(pc, decls)
+    if m is not None:
         assert pc.satisfied_by(m)
         assert eval_expr(pc.constraints[0].expr, dict(m)) in (0, 1)

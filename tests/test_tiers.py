@@ -270,13 +270,13 @@ def programs(tmp_path_factory):
     return _programs(tmp_path_factory.mktemp("corpus"))
 
 
-def _explore(monkeypatch, prog, hot, depth, strategy, max_steps=engine.DEFAULT_MAX_STEPS):
+def _explore(monkeypatch, prog, hot, depth, strategy):
     """One region of an equal but fresh copy of prog with the given HOT (a
     program keeps the functions any engine made for it), and the number of
     blocks that copy has a function for afterwards."""
     monkeypatch.setattr(engine, "HOT", hot)
     prog = Program(prog.name, prog.inputs, prog.blocks)
-    eng = Engine(prog, max_steps=max_steps)
+    eng = Engine(prog)
     res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
     st = res.stats
     return (
@@ -304,10 +304,11 @@ def test_generated_tier_explores_exactly_like_the_evaluator(
 def test_generated_tier_truncates_exactly_like_the_evaluator(
     programs, monkeypatch, max_steps
 ):
+    monkeypatch.setattr(engine, "MAX_STEPS", max_steps)
     truncated = generated = 0
     for name, prog in programs:
-        want, none = _explore(monkeypatch, prog, NEVER, 6, "dfs", max_steps)
-        got, made = _explore(monkeypatch, prog, 1, 6, "dfs", max_steps)
+        want, none = _explore(monkeypatch, prog, NEVER, 6, "dfs")
+        got, made = _explore(monkeypatch, prog, 1, 6, "dfs")
         assert got == want and none == 0, name
         truncated += want[-1]
         generated += made

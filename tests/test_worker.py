@@ -1,24 +1,32 @@
 """Worker loop: task service, suspended-state reuse, offload answers."""
 
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from tdpart import proto
-from tdpart.coord import CoordConfig, run_coordinator, seed_pool
+from tdpart.coord import run_coordinator, seed_pool
 from tdpart.engine import Engine, ExecState, Strategy
 from tdpart.harness import RunConfig, ScheduleTransport, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 from tdpart.solve import PathCondition
-from tdpart.worker import WorkerConfig, choose_offload, run_worker
+from tdpart.worker import choose_offload, run_worker
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 
 T3 = {"x": -8, "y": -8, "z": -8}
 T5 = {"x": -8, "y": -7, "z": -8}
 T01 = {"x": -8, "y": -8, "z": -7}
+T11 = {"x": -8, "y": -7, "z": -6}
+
+
+@pytest.fixture(autouse=True)
+def short_recv(monkeypatch):
+    # a worker or coordinator that stalls fails a test in 20 s, not 120 s
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 20)
 
 
 class WorkerHarness:
@@ -26,17 +34,18 @@ class WorkerHarness:
     With `polls`, the worker polls exactly at those (region, step) points,
     as in a replayed schedule."""
 
-    def __init__(self, program, cfg: WorkerConfig | None = None, polls=None):
+    def __init__(self, program, cfg: RunConfig | None = None, polls=None):
         self.hub = QueueHub(1)
-        self.summary = None
+        self.sent = []  # every message the worker sent, in order
         self.error = None
+        cfg = cfg or RunConfig()
         transport = self.hub.transport_for(0)
         if polls is not None:
             transport = ScheduleTransport(transport, polls, replay=True)
 
         def body():
             try:
-                self.summary = run_worker(transport, program, cfg)
+                run_worker(transport, program, cfg)
             except BaseException as e:
                 self.error = e
 
@@ -49,15 +58,23 @@ class WorkerHarness:
     def recv(self):
         wid, msg = self.hub.recv(timeout=20)
         assert wid == 0
+        self.sent.append(msg)
         return msg
 
     def finish(self):
+        """Terminate the worker; the count of each kind of message it sent,
+        those the test did not read included."""
         self.send(Terminate())
         self.thread.join(timeout=20)
         assert not self.thread.is_alive()
         if self.error is not None:
             raise self.error
-        return self.summary
+        while True:
+            try:
+                _, msg = self.hub.recv(timeout=0)
+            except proto.RecvTimeout:
+                return Counter(type(m).__name__ for m in self.sent)
+            self.sent.append(msg)
 
 
 def test_worker_serves_full_region_and_idle_poll():
@@ -69,10 +86,8 @@ def test_worker_serves_full_region_and_idle_poll():
     # idle workers answer steal requests with NoWork
     h.send(ProvideWork())
     assert h.recv() == NoWork()
-    summary = h.finish()
-    assert summary.regions == 1
-    assert summary.suspended_left == 0
-    assert summary.offloads == 0
+    assert msg.stats.states_suspended == 0
+    assert h.finish() == {"Finish": 1, "NoWork": 1}
 
 
 def test_worker_resumes_suspended_states_across_tasks():
@@ -96,9 +111,13 @@ def test_worker_resumes_suspended_states_across_tasks():
     assert third.stats.states_created == 4  # one guided fork, one solver fork
     assert third.stats.states_suspended == 1  # the "11" sibling
 
-    summary = h.finish()
-    assert summary.regions == 3
-    assert summary.suspended_left == 1
+    # three states were suspended and two resumed: the one left, "11", is
+    # resumed by a test on its path, with nothing to replay or fork
+    h.send(Task(Strategy("dfs"), T11, 2, 3))
+    fourth = h.recv()
+    assert fourth.stats.paths == ["11"]
+    assert fourth.stats.states_created == 0
+    assert h.finish() == {"Finish": 4}
 
 
 @pytest.fixture
@@ -146,7 +165,8 @@ def test_serving_a_pool_in_order_resumes_suspended_states(lookups):
                 hub.send(0, Task(Strategy("dfs"), pair.test, pair.depth, 26))
             hub.send(0, Terminate())
             # a replayed schedule with no poll hits: no Task is read mid-region
-            run_worker(ScheduleTransport(hub.transport_for(0), set(), replay=True), program)
+            transport = ScheduleTransport(hub.transport_for(0), set(), replay=True)
+            run_worker(transport, program, RunConfig())
             for _ in pool:
                 _, msg = hub.recv(timeout=1)
                 assert isinstance(msg, Finish) and not msg.stats.truncated
@@ -156,7 +176,7 @@ def test_serving_a_pool_in_order_resumes_suspended_states(lookups):
 
 
 def test_worker_offloads_above_threshold_at_forced_poll():
-    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(0, 2)})
+    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())  # consumed by the scheduled poll at step 3
     off = h.recv()
@@ -164,37 +184,35 @@ def test_worker_offloads_above_threshold_at_forced_poll():
     assert off == Offload(T3, 1)
     fin = h.recv()
     assert sorted(fin.stats.paths) == ["100", "101", "11"]
-    summary = h.finish()
-    assert summary.offloads == 1
+    assert h.finish()["Offload"] == 1
 
 
 def test_a_forced_poll_lands_in_the_region_its_index_names():
     # the transport numbers regions by the Tasks it receives: a poll forced
     # at (1, 2) happens in the second Task's region, so the first region runs
     # without polling (a recv there would take Task 2 as a steal request)
-    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(1, 2)})
+    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(1, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     assert len(h.recv().stats.paths) == 6
     assert h.recv() == Offload(T3, 1)
     assert sorted(h.recv().stats.paths) == ["100", "101", "11"]
-    assert h.finish().offloads == 1
+    assert h.finish()["Offload"] == 1
 
 
 def test_worker_answers_no_work_at_or_below_threshold():
-    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=4), polls={(0, 0)})
+    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=4), polls={(0, 0)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     assert h.recv() == NoWork()
     fin = h.recv()
     assert len(fin.stats.paths) == 6
-    summary = h.finish()
-    assert summary.offloads == 0
+    assert h.finish()["Offload"] == 0
 
 
 def test_offloaded_subtree_is_exactly_the_missing_part():
-    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=2), polls={(0, 2)})
+    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     off = h.recv()
@@ -214,7 +232,7 @@ def test_forced_polls_in_the_guided_phase_never_widen_the_region():
     # even at threshold 0, the guided-phase states at steps 0 and 1 (depths
     # 0 and 1 < test depth 2) stay put: an Offload of one would name the
     # whole tree, or the "0" subtree, instead of the task's "01" region
-    h = WorkerHarness(FIND_MIDDLE, WorkerConfig(offload_threshold=0), polls={(0, 0), (0, 1)})
+    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=0), polls={(0, 0), (0, 1)})
     h.send(Task(Strategy("dfs"), T01, 2, 3))
     h.send(ProvideWork())
     h.send(ProvideWork())
@@ -222,7 +240,7 @@ def test_forced_polls_in_the_guided_phase_never_widen_the_region():
     assert h.recv() == NoWork()
     fin = h.recv()
     assert fin.stats.paths == ["01"]
-    assert h.finish().offloads == 0
+    assert h.finish()["Offload"] == 0
 
 
 class SelfServedPolls:
@@ -260,12 +278,13 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
     ((region, step) pairs, as in a replayed schedule), offloading at
     threshold 1. Returns (completed paths, frontier count, offloads)."""
     hub = QueueHub(workers)
-    summaries, errors = [], []
+    cfg = RunConfig(mode="threads", workers=workers, final_depth=final_depth, offload_threshold=1)
+    errors = []
 
     def body(wid: int) -> None:
         transport = ScheduleTransport(SelfServedPolls(hub.transport_for(wid)), polls, replay=True)
         try:
-            summaries.append(run_worker(transport, program, WorkerConfig(offload_threshold=1)))
+            run_worker(transport, program, cfg)
         except BaseException as e:  # surfaced below
             errors.append(e)
 
@@ -273,8 +292,6 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
     for t in threads:
         t.start()
     try:
-        # a worker that raised would otherwise leave it waiting 120 s
-        cfg = CoordConfig(workers, final_depth, Strategy("dfs"), recv_timeout=20)
         result = run_coordinator(hub, program, cfg)
     finally:
         hub.close()
@@ -283,7 +300,7 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
         assert not t.is_alive()
     assert not errors, errors
     frontier = sum(t.frontier for t in result.tallies)
-    return sorted(result.paths), frontier, sum(s.offloads for s in summaries)
+    return sorted(result.paths), frontier, sum(t.transfers_out for t in result.tallies)
 
 
 def test_forced_polls_keep_the_path_multiset():
