@@ -68,6 +68,40 @@ satisfy the parent's constraints and is checked against the new one only,
 any other hint against the whole pc. A hint outside this contract still
 yields a model, though not necessarily the lex-min one; a hint that fails
 the pc is ignored.
+
+When the hint fails and the parent pc has a model, only the new
+constraint's independent component is solved (constraint independence,
+as in KLEE; Cadar et al., OSDI 2008). The constraints of a pc fall into
+components that share no input. Each pc keeps a map from input to its
+component (its inputs and constraints), made when a solve first needs
+it from its parent's map by merging the components the new constraint
+touches. The solutions of a pc are the product of its components'
+solutions, so each input's least value in the lex-min model depends on
+its own component only: the pc's lex-min model is its parent's, whose
+other components are the pc's own, with the new component's inputs
+replaced by that component's lex-min values. Those are found by
+backtracking over the component's inputs alone, in declaration order,
+inside the pc's narrowed box, the last one checked against the
+component's constraints. A pc whose parent has no model is one component
+of every input, solved over all of them. This relies on the parent's
+model being lex-min, which holds when every hint meets the
+contract above; the engine's hints, a state's own or its parent's model,
+do.
+
+A QueryCache solves its misses through its component memo: a component's
+sorted constraint texts map to its lex-min values, or unsat, and its
+narrowed intervals. Texts identify constraints, as the cache key already
+assumes, and a cache serves one program, whose domains are fixed. A
+component met again on another path (in a loop program, the same (y, z)
+loop under every x path) is then answered with no narrowing or search.
+A hit also gives the pc a box, when its parent has one: the parent's box
+with the component's intervals in place, so that a descendant narrows
+from it rather than through its ancestors again. A component holding
+every constraint of the pc has the pc's own key, which just missed, so
+it is neither looked up nor stored. The memo lives as long as its cache,
+one engine in one run: kept on the Program object, it would outlive the
+run, and a later run on that object would look components up where a
+fresh run solves them.
 """
 
 from __future__ import annotations
@@ -288,7 +322,7 @@ _CMP = {
 }
 
 
-def _all_hold(constraints: tuple[Constraint, ...], test: Test) -> bool:
+def _all_hold(constraints: Iterable[Constraint], test: Test) -> bool:
     for c in constraints:
         lin = c.lin
         if lin is not None:
@@ -340,8 +374,13 @@ class Constraint:
         return lang.reads(self.expr)
 
 
+# An independent component of a pc: the inputs its constraints read, and
+# the constraints
+_Part = tuple[frozenset[str], list["Constraint"]]
+
+
 class PathCondition:
-    __slots__ = ("constraints", "parent", "_narrowed", "_model", "_sorted")
+    __slots__ = ("constraints", "parent", "_narrowed", "_model", "_sorted", "_parts")
 
     def __init__(
         self, constraints: tuple[Constraint, ...] = (), parent: PathCondition | None = None
@@ -355,6 +394,8 @@ class PathCondition:
         self._model: Test | None = None
         # the constraint texts in sorted order, filled in by key()
         self._sorted: list[str] | None = None
+        # input -> its component, filled in by _parts()
+        self._parts: dict[str, _Part] | None = None
 
     @property
     def depth(self) -> int:
@@ -1130,41 +1171,152 @@ def _hint_holds(pc: PathCondition, hint: Test) -> bool:
     return _all_hold(pc.constraints, hint)
 
 
-def _search(pc: PathCondition, decls: tuple[SymDecl, ...]) -> Test | None:
-    """The lex-min model inside pc's narrowed box, by backtracking."""
+def _parts(pc: PathCondition) -> dict[str, _Part]:
+    """Input -> the component of pc that reads it, cached on pc. A pc
+    without the map copies its parent's and merges the components each
+    constraint it adds touches; a parent without one gets it first, the
+    same way, up the chain to the nearest pc that has one or to the root."""
+    chain: list[PathCondition] = []
+    node: PathCondition | None = pc
+    while node is not None and node._parts is None:
+        chain.append(node)
+        node = node.parent
+    parts: dict[str, _Part] = {} if node is None else node._parts
+    for node in reversed(chain):
+        parts = dict(parts)
+        start = 0 if node.parent is None else len(node.parent.constraints)
+        for c in node.constraints[start:]:
+            _merge(parts, c)
+        node._parts = parts
+    return parts
+
+
+def _merge(parts: dict[str, _Part], c: Constraint) -> None:
+    """Add c to parts, merging the components it touches."""
+    ins, cons, done = c.inputs, [c], []
+    for x in c.inputs:
+        p = parts.get(x)
+        # components have disjoint inputs, so none equals p but p itself
+        if p is not None and p not in done:
+            done.append(p)
+            ins = ins | p[0]
+            cons = p[1] + cons
+    part = (ins, cons)
+    for x in ins:
+        parts[x] = part
+
+
+class ComponentMemo(dict):
+    """A component's constraint texts, sorted and joined by newlines -> its
+    lex-min model and its narrowed intervals, over its inputs, or (None,
+    None) when it is unsatisfiable. `hits` counts the lookups it answered."""
+
+    __slots__ = ("hits",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = 0
+
+
+def _compose(
+    pc: PathCondition, decls: tuple[SymDecl, ...], part_iv: dict[str, _Interval] | None
+) -> None:
+    """Give pc, a component memo hit, its parent's box with the component's
+    intervals in place (a refuted box when they are None: the component is
+    unsat). A parent without a box leaves pc without one."""
+    parent = pc.parent
+    n = parent._narrowed
+    if pc._narrowed is not None or n is None or n.decls != decls:
+        return
+    iv = None
+    if part_iv is not None and n.iv is not None:
+        iv = dict(n.iv)
+        iv.update(part_iv)
+    watch = _watch_list(n.watch, pc.constraints, len(parent.constraints))
+    pc._narrowed = _Narrowed(decls, iv, watch)
+
+
+def _search(
+    pc: PathCondition, decls: tuple[SymDecl, ...], memo: ComponentMemo | None = None
+) -> Test | None:
+    """pc's lex-min model, or None when pc is unsatisfiable. When pc's
+    parent has a model, only the new constraint's component is solved,
+    the other inputs keeping the parent's values: from memo when it holds
+    the component, else by backtracking over the component's inputs inside
+    pc's narrowed box and storing the result in memo. Otherwise every input
+    is backtracked over, as one component."""
+    parent = pc.parent
+    base = None if parent is None else parent._model
+    key = None
+    if base is None:
+        names = [d.name for d in decls]
+        constraints = pc.constraints
+        env: Test = {}
+    else:
+        last = pc.constraints[-1]
+        inputs, constraints = (
+            _parts(pc)[next(iter(last.inputs))] if last.inputs
+            else (last.inputs, [last])  # a condition on no input
+        )
+        # a component of every constraint has pc's key, which missed
+        if memo is not None and len(constraints) < len(pc.constraints):
+            key = "\n".join(sorted([c.text for c in constraints]))
+            hit = memo.get(key)
+            if hit is not None:
+                memo.hits += 1
+                _compose(pc, decls, hit[1])
+                if hit[0] is None:
+                    return None
+                model = dict(base)
+                model.update(hit[0])
+                return model
+        names = [d.name for d in decls if d.name in inputs]
+        env = dict(base)
     box = _narrowed(pc, decls)
     if box.iv is None:
-        return None
-    constraints, watch = pc.constraints, box.watch
-    names = [d.name for d in decls]
-    if not names:
-        return {} if _all_hold(constraints, {}) else None
+        model = None
+    elif not names:
+        model = env if _all_hold(constraints, env) else None
+    else:
+        model = _backtrack(pc, box.watch, names, constraints, env, box.iv, 0)
+    if key is not None:
+        memo[key] = (
+            (None, None) if model is None
+            else ({n: model[n] for n in names}, {n: box.iv[n] for n in names})
+        )
+    return model
 
-    def backtrack(k: int, iv: dict[str, _Interval]) -> Test | None:
-        # names[:k] are pinned to points in iv
-        name = names[k]
-        lo, hi = iv[name]
-        if k == len(names) - 1:
-            env = {n: iv[n][0] for n in names}
-            for v in range(lo, hi + 1):
-                env[name] = v
-                if _all_hold(constraints, env):
-                    return env
-            return None
-        readers = watch.get(name, ())
+
+def _backtrack(
+    pc: PathCondition, watch: dict[str, tuple[int, ...]], names: list[str],
+    constraints: Iterable[Constraint], env: Test, iv: dict[str, _Interval], k: int,
+) -> Test | None:
+    """env with names[k:] set to the lex-min point of iv, names[:k] being
+    pinned to points in it, that satisfies constraints; None if there is
+    none. Each name but the last is pinned in turn and pc narrowed again;
+    the last is checked by concrete evaluation."""
+    name = names[k]
+    lo, hi = iv[name]
+    if k == len(names) - 1:
+        for n in names[:k]:
+            env[n] = iv[n][0]
         for v in range(lo, hi + 1):
-            sub = dict(iv)
-            sub[name] = (v, v)
-            try:
-                _fixpoint(constraints, sub, readers, watch)
-            except _Unsat:
-                continue
-            found = backtrack(k + 1, sub)
-            if found is not None:
-                return found
+            env[name] = v
+            if _all_hold(constraints, env):
+                return env
         return None
-
-    return backtrack(0, box.iv)
+    readers = watch.get(name, ())
+    for v in range(lo, hi + 1):
+        sub = dict(iv)
+        sub[name] = (v, v)
+        try:
+            _fixpoint(pc.constraints, sub, readers, watch)
+        except _Unsat:
+            continue
+        found = _backtrack(pc, watch, names, constraints, env, sub, k + 1)
+        if found is not None:
+            return found
+    return None
 
 
 def solve_model(
@@ -1172,11 +1324,14 @@ def solve_model(
     decls: tuple[SymDecl, ...],
     *,
     hint: Test | None = None,
+    memo: ComponentMemo | None = None,
 ) -> Test | None:
     """Witness model, or None when unsatisfiable. `hint` must be the lex-min
     model of a subset of pc's constraints (see the module docstring): if it
     satisfies pc it is the answer; otherwise pc is solved from its narrowed
-    box. A hint outside that contract still gives a model, not necessarily
+    box, over the new constraint's component only when pc's parent has a
+    model, and through `memo` (a QueryCache's, for one run) when given. A
+    hint outside that contract still gives a model, not necessarily
     lex-min."""
     cap = lang.DOMAIN_CAP
     for d in decls:
@@ -1187,7 +1342,7 @@ def solve_model(
     if hint is not None and _hint_holds(pc, hint):
         model: Test | None = dict(hint)
     else:
-        model = _search(pc, decls)
+        model = _search(pc, decls, memo)
     if model is not None:
         pc._model = model
     return model
@@ -1199,11 +1354,13 @@ class QueryCache:
     Keyed on the canonical sorted constraint text, so it is private to one
     (worker, program) pair. Stores the witness model alongside the verdict;
     a later model request for the same pc is then a hit, not a second solve.
-    `reused` counts the misses that the hint answered.
+    `reused` counts the misses that the hint answered. A miss is solved
+    through `memo`, the components this cache's misses solved.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[bool, Test | None]] = {}
+        self.memo = ComponentMemo()
         self.hits = 0
         self.misses = 0
         self.reused = 0
@@ -1229,7 +1386,7 @@ class QueryCache:
                 pc._model = hit[1]
             return hit
         self.misses += 1
-        model = solve_model(pc, decls, hint=hint)
+        model = solve_model(pc, decls, hint=hint, memo=self.memo)
         # a solved model equals the hint only when the hint itself was
         # returned: a hint failing pc differs from every model of pc
         if model is not None and model == hint:

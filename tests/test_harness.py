@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tdpart import harness, lang, proto
+from oracles import enumerate_paths
+from tdpart import harness, lang, proto, solve
 from tdpart.coord import WorkerTally
 from tdpart.engine import Engine, Strategy
 from tdpart.harness import (
@@ -306,6 +307,72 @@ def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
     assert isinstance(box.get("error"), proto.RecvTimeout)
     assert 0.5 <= elapsed < 5.0
     assert recv_waits == [("worker", 0.5)]
+
+
+
+# -- independent components
+
+# the x-loop and the (y, z)-loop read disjoint inputs until the last branch
+TWO_LOOPS = lang.parse_program("""
+program two_loops;
+sym x in [-6, 6];
+sym y in [-6, 6];
+sym z in [-6, 6];
+while (x < 4) {
+  x = x + 3;
+}
+while (y < z) {
+  y = y + 2;
+}
+if (x + y > z) {
+  exit(1);
+}
+exit(2);
+""")
+
+
+def spy_query_caches(monkeypatch) -> list:
+    """Every QueryCache made from now on, in the order they are made."""
+    made = []
+    init = solve.QueryCache.__init__
+
+    def spy(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(solve.QueryCache, "__init__", spy)
+    return made
+
+
+@pytest.mark.parametrize(
+    "mode,workers,cache_enabled",
+    [("single", 1, True), ("threads", 2, True), ("tcp", 2, True), ("single", 1, False)],
+)
+def test_independent_loops_explore_like_the_oracle(monkeypatch, mode, workers, cache_enabled):
+    completed, frontier = enumerate_paths(TWO_LOOPS, 10)
+    caches = spy_query_caches(monkeypatch)
+    out = run_program(TWO_LOOPS, RunConfig(
+        mode=mode, workers=workers, final_depth=10, cache_enabled=cache_enabled,
+    ))
+    assert path_digest(out.paths) == path_digest(list(completed))
+    assert sum(t.frontier for t in out.tallies) == len(frontier) > 0
+    if not cache_enabled:
+        assert caches == []
+    elif mode == "single":
+        [cache] = caches
+        assert cache.memo.hits > 0
+
+
+def test_the_component_memo_lives_for_one_run(monkeypatch):
+    caches = spy_query_caches(monkeypatch)
+    counts = []
+    for _ in range(2):  # one program object, run twice
+        caches.clear()
+        run_program(TWO_LOOPS, RunConfig(final_depth=10))
+        [cache] = caches
+        counts.append((cache.misses, cache.reused, cache.memo.hits))
+    assert counts[0] == counts[1] and counts[0][2] > 0
+    assert Engine(TWO_LOOPS).cache.memo is not Engine(TWO_LOOPS).cache.memo
 
 
 # -- depth calibration

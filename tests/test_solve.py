@@ -1186,6 +1186,135 @@ def test_cache_stores_unsat_verdicts():
     assert cache.hits == 1 and cache.misses == 1
 
 
+# -- independent components and the component memo
+
+# three groups of inputs that no constraint but a merging one ties
+# together, declared interleaved: a and c, then b, then d
+GROUPS = (("a", "c"), ("b",), ("d",))
+DECLS_GROUPS = (SymDecl("a", -2, 1), SymDecl("b", -2, 2), SymDecl("c", -1, 2), SymDecl("d", -2, 1))
+
+
+def grouped_levels(rng):
+    """One branch condition per level. Each reads one group, but for one
+    that adds two groups' inputs; one condition comes twice, so that one
+    polarity of its repeat is unsat whatever else holds."""
+    levels = [random_constraint_expr(rng, list(rng.choice(GROUPS))) for _ in range(5)]
+    i = rng.randrange(4)
+    levels.insert(rng.randrange(i + 1, 6), levels[i])
+    g, h = rng.sample(GROUPS, 2)
+    both = Binary("+", Var(rng.choice(g)), Var(rng.choice(h)))
+    cmp = Binary(rng.choice(["<", "<=", "==", "!="]), both, Const(rng.randint(-2, 2)))
+    levels.insert(rng.randrange(3, 7), cmp)
+    return levels
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_component_solves_agree_with_brute_force_seeded(cached):
+    # every pc of the tree that the levels make, both polarities at each
+    # level, solved with its parent's model as the hint, as the engine
+    # does: so sibling subtrees meet the same components again
+    rng = random.Random(20261019)
+    cube = list(domain_cube(DECLS_GROUPS))
+    checked = memo_sat = memo_unsat = composed = 0
+    for _ in range(40):
+        levels = grouped_levels(rng)
+        cache = QueryCache()
+        root = PathCondition()
+        stack = [(root, solve_model(root, DECLS_GROUPS), cube)]
+        while stack:
+            pc, model, solutions = stack.pop()
+            if pc.depth == len(levels):
+                continue
+            e = levels[pc.depth]
+            for taken in (False, True):
+                child = pc.extend(e, taken)
+                # brute force (oracles.brute_force_model, one constraint at
+                # a time): the parent's solutions, in the cube's lex order,
+                # that satisfy the new constraint
+                kept = [t for t in solutions if (eval_expr(e, t) != 0) == taken]
+                expect = kept[0] if kept else None
+                hits = cache.memo.hits
+                if cached:
+                    got = cache.query(child, DECLS_GROUPS, hint=model)
+                else:
+                    got = solve_model(child, DECLS_GROUPS, hint=model)
+                    got = (got is not None, got)
+                assert got == (expect is not None, expect), (levels, child.texts())
+                checked += 1
+                if cache.memo.hits > hits:
+                    memo_sat += expect is not None
+                    memo_unsat += expect is None
+                    box = child._narrowed
+                    if box is not None:  # composed: holds every solution
+                        assert (box.iv is None) == (expect is None)
+                        assert all(_inside(t, box.iv) for t in kept)
+                        composed += 1
+                if expect is not None:
+                    stack.append((child, expect, kept))
+    assert checked > 1500
+    if cached:
+        assert memo_sat > 100 and memo_unsat > 100 and composed > 50
+
+
+def test_components_merge_along_the_path():
+    decls = (SymDecl("x", 0, 9), SymDecl("y", 0, 9), SymDecl("z", 0, 9))
+    root = PathCondition()
+    p1 = root.extend(lt(Const(3), X), True)
+    p2 = p1.extend(lt(Y, Z), True)
+    p3 = p2.extend(lt(X, Y), True)
+    parts2 = solve_mod._parts(p2)
+    assert {x: sorted(c.text for c in parts2[x][1]) for x in "xyz"} == {
+        "x": ["(3<x)"], "y": ["(y<z)"], "z": ["(y<z)"],
+    }
+    assert parts2["y"] is parts2["z"] and parts2["x"] is not parts2["y"]
+    parts3 = solve_mod._parts(p3)
+    assert parts3["x"] is parts3["y"] is parts3["z"]
+    assert parts3["x"][0] == {"x", "y", "z"} and len(parts3["x"][1]) == 3
+    assert solve_mod._parts(p2) is parts2 and len(parts2["x"][1]) == 1  # kept
+    # x's lex-min is 4, which y < z leaves alone; x < y ties them
+    cache = QueryCache()
+    for pc in (root, p1, p2, p3):
+        cache.query(pc, decls, hint=pc.parent._model if pc.parent else None)
+    assert p2._model == {"x": 4, "y": 0, "z": 1}
+    assert p3._model == {"x": 4, "y": 5, "z": 6}
+
+
+def test_a_component_memo_hit_replaces_only_its_inputs_and_composes_the_box():
+    decls = (SymDecl("x", 0, 9), SymDecl("y", 0, 9), SymDecl("z", 0, 9))
+    cache = QueryCache()
+
+    def solved(pc):
+        cache.query(pc, decls, hint=pc.parent._model if pc.parent else None)
+        return pc
+
+    yz = [(lt(Binary("+", Y, Const(4)), Z), True), (lt(Const(0), Y), True)]
+    root = solved(PathCondition())
+    for x_big in (False, True):  # x's branch, then the same (y, z) pcs
+        pc = solved(root.extend(lt(Const(5), X), x_big))
+        for e, taken in yz:
+            pc = solved(pc.extend(e, taken))
+    # the hint answers x <= 5; the second branch's (y, z) pcs are memo hits
+    assert cache.misses == 7 and cache.reused == 1 and cache.memo.hits == 2
+    assert pc._model == {"x": 6, "y": 1, "z": 6}
+    assert pc._narrowed.iv == {"x": (6, 9), "y": (1, 4), "z": (6, 9)}
+    fresh = PathCondition()
+    for c in pc.constraints:
+        fresh = fresh.extend(c.expr, c.taken)
+    assert _narrowed(fresh, decls).iv == pc._narrowed.iv
+    # an unsat component is answered unsat, on either x branch
+    for x_big in (False, True):
+        x = root.extend(lt(Const(5), X), x_big)
+        cache.query(x, decls, hint=root._model)
+        assert cache.query(x.extend(lt(Y, Y), True), decls, hint=x._model) == (False, None)
+    assert cache.memo.hits == 3
+
+
+def test_a_fresh_query_cache_starts_with_an_empty_memo():
+    cache = QueryCache()
+    assert len(cache.memo) == 0 and cache.memo.hits == 0
+    assert cache.memo is not QueryCache().memo
+
+
 # -- test serialization
 
 
