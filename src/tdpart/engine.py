@@ -36,6 +36,7 @@ import itertools
 import random
 import time
 from collections.abc import Callable, Mapping, Sequence, Set
+from typing import TYPE_CHECKING
 
 from . import solve
 from .lang import (
@@ -44,6 +45,9 @@ from .lang import (
 )
 from .record import Record
 from .solve import PathCondition, QueryCache, Test
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 # the instruction budget of one region or one breadth-first expansion;
 # read at call time, so a test can lower it
@@ -373,19 +377,17 @@ def _loop_source(members: Mapping[int, BasicBlock], assigned: Set[str]) -> str |
 
 class Engine:
     """Per-worker execution engine; the query cache and creation-order serial
-    numbers live for the engine's lifetime, spanning all its regions."""
+    numbers live for the engine's lifetime, spanning all its regions. It
+    reads the run's cache_enabled and solver_delay from cfg; with no cfg,
+    as in seeding and calibration, the cache is on and there is no delay."""
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        cache_enabled: bool = True,
-        solver_delay: float = 0.0,
-    ):
+    def __init__(self, program: Program, cfg: RunConfig | None = None):
         self.program = program
         self.decls = program.inputs
-        self.solver_delay = solver_delay
-        self.cache: QueryCache | None = QueryCache() if cache_enabled else None
+        self.solver_delay = 0.0 if cfg is None else cfg.solver_delay
+        self.cache: QueryCache | None = (
+            QueryCache() if cfg is None or cfg.cache_enabled else None
+        )
         # generated tier: this engine's entries per block
         self._heat = [0] * len(program.blocks)
         self._serial = itertools.count()

@@ -260,7 +260,7 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     """The whole tree as one region, the pair (any test, depth 0) explored
     from the initial state: the pool a one-worker coordinator would seed."""
     t0 = time.perf_counter()
-    eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
+    eng = Engine(program, cfg)
     res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
     tally = WorkerTally()
     tally.add(res.stats)
@@ -280,9 +280,10 @@ def _run_distributed(
     """The worker lifecycle shared by threads and tcp, which differ only in
     `hub` and in `transports`, one per worker id, all made before any
     worker thread starts. On a coordinator failure every worker is told to
-    terminate, so the threads drain before the error propagates. A worker
-    that raises closes its transport, so the coordinator fails at once, and
-    the run raises the worker's error."""
+    terminate. Either way the hub is closed and every thread joined, all
+    against one deadline of proto.RECV_TIMEOUT, before the run returns or
+    its error propagates. A worker that raises closes its transport, so
+    the coordinator fails at once, and the run raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
     replay = bool(cfg.replay_schedule)
@@ -329,13 +330,15 @@ def _run_distributed(
         if isinstance(e, proto.RecvTimeout):
             faulthandler.dump_traceback(all_threads=True)
         hub.broadcast(proto.Terminate())  # let worker threads drain
-        if errors:
+        if errors:  # a worker failed first, which failed the coordinator
             raise errors[0] from e
         raise
     finally:
         hub.close()
+        deadline = time.monotonic() + proto.RECV_TIMEOUT
+        for t in threads:
+            t.join(max(deadline - time.monotonic(), 0.0))
     for t in threads:
-        t.join(timeout=60)
         if t.is_alive():
             raise proto.ProtocolError(f"worker thread {t.name} failed to stop")
     if errors:

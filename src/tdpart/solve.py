@@ -72,21 +72,21 @@ the pc is ignored.
 When the hint fails and the parent pc has a model, only the new
 constraint's independent component is solved (constraint independence,
 as in KLEE; Cadar et al., OSDI 2008). The constraints of a pc fall into
-components that share no input. Each pc keeps a map from input to its
-component (its inputs and constraints), made when a solve first needs
-it from its parent's map by merging the components the new constraint
-touches. The solutions of a pc are the product of its components'
-solutions, so each input's least value in the lex-min model depends on
-its own component only: the pc's lex-min model is its parent's, whose
-other components are the pc's own, with the new component's inputs
-replaced by that component's lex-min values. Those are found by
-backtracking over the component's inputs alone, in declaration order,
-inside the pc's narrowed box, the last one checked against the
-component's constraints. A pc whose parent has no model is one component
-of every input, solved over all of them. This relies on the parent's
-model being lex-min, which holds when every hint meets the
-contract above; the engine's hints, a state's own or its parent's model,
-do.
+components that share no input. As in KLEE, a miss works its component
+out when it needs it: from the new constraint, it follows shared inputs
+through the pc's constraints, so a pc keeps no component map, and a pc
+the hint answers costs nothing. The solutions of a pc are the product of
+its components' solutions, so each input's least value in the lex-min
+model depends on its own component only: the pc's lex-min model is its
+parent's, whose other components are the pc's own, with the new
+component's inputs replaced by that component's lex-min values. Those
+are found by backtracking over the component's inputs alone, in
+declaration order, inside the pc's narrowed box, the last one checked
+against the component's constraints. A pc whose parent has no model is
+solved the same way, as one component of every input and constraint.
+This relies on the parent's model being lex-min, which holds when every
+hint meets the contract above; the engine's hints, a state's own or its
+parent's model, do.
 
 A QueryCache solves its misses through its component memo: a component's
 sorted constraint texts map to its lex-min values, or unsat, and its
@@ -341,12 +341,13 @@ def _all_hold(constraints: Iterable[Constraint], test: Test) -> bool:
 
 
 class Constraint:
-    __slots__ = ("expr", "taken", "depth", "lin", "revise", "_text")
+    __slots__ = ("expr", "taken", "depth", "inputs", "lin", "revise", "_text")
 
     def __init__(self, expr: Expr, taken: bool, depth: int):
         self.expr = expr
         self.taken = taken  # polarity: did execution take the true side
         self.depth = depth  # 1-based symbolic branch depth
+        self.inputs = lang.reads(expr)
         # when expr is a linear comparison L op R (see _linear): the
         # comparison that must hold, polarity applied, as its function and
         # the range L - R must lie in (None for !=), then the forms of L, R
@@ -369,18 +370,9 @@ class Constraint:
             t = self._text = t if self.taken else "!" + t
         return t
 
-    @property
-    def inputs(self) -> frozenset[str]:
-        return lang.reads(self.expr)
-
-
-# An independent component of a pc: the inputs its constraints read, and
-# the constraints
-_Part = tuple[frozenset[str], list["Constraint"]]
-
 
 class PathCondition:
-    __slots__ = ("constraints", "parent", "_narrowed", "_model", "_sorted", "_parts")
+    __slots__ = ("constraints", "parent", "_narrowed", "_model", "_sorted")
 
     def __init__(
         self, constraints: tuple[Constraint, ...] = (), parent: PathCondition | None = None
@@ -394,8 +386,6 @@ class PathCondition:
         self._model: Test | None = None
         # the constraint texts in sorted order, filled in by key()
         self._sorted: list[str] | None = None
-        # input -> its component, filled in by _parts()
-        self._parts: dict[str, _Part] | None = None
 
     @property
     def depth(self) -> int:
@@ -1171,39 +1161,31 @@ def _hint_holds(pc: PathCondition, hint: Test) -> bool:
     return _all_hold(pc.constraints, hint)
 
 
-def _parts(pc: PathCondition) -> dict[str, _Part]:
-    """Input -> the component of pc that reads it, cached on pc. A pc
-    without the map copies its parent's and merges the components each
-    constraint it adds touches; a parent without one gets it first, the
-    same way, up the chain to the nearest pc that has one or to the root."""
-    chain: list[PathCondition] = []
-    node: PathCondition | None = pc
-    while node is not None and node._parts is None:
-        chain.append(node)
-        node = node.parent
-    parts: dict[str, _Part] = {} if node is None else node._parts
-    for node in reversed(chain):
-        parts = dict(parts)
-        start = 0 if node.parent is None else len(node.parent.constraints)
-        for c in node.constraints[start:]:
-            _merge(parts, c)
-        node._parts = parts
-    return parts
-
-
-def _merge(parts: dict[str, _Part], c: Constraint) -> None:
-    """Add c to parts, merging the components it touches."""
-    ins, cons, done = c.inputs, [c], []
-    for x in c.inputs:
-        p = parts.get(x)
-        # components have disjoint inputs, so none equals p but p itself
-        if p is not None and p not in done:
-            done.append(p)
-            ins = ins | p[0]
-            cons = p[1] + cons
-    part = (ins, cons)
-    for x in ins:
-        parts[x] = part
+def _component(pc: PathCondition) -> tuple[set[str], list[Constraint]]:
+    """The independent component of pc's last constraint: the inputs it
+    reaches through constraints that share an input, and those constraints
+    in path order. A condition on no input is a component of its own."""
+    constraints = pc.constraints
+    last = constraints[-1]
+    inputs = set(last.inputs)
+    if not inputs:
+        return inputs, [last]
+    while True:
+        # a constraint passed over before the inputs grew may now join, so
+        # the walk is repeated until no such one is left
+        part: list[Constraint] = []
+        passed = again = False
+        for c in constraints:
+            ins = c.inputs
+            if inputs.isdisjoint(ins):
+                passed = True
+                continue
+            part.append(c)
+            if not ins <= inputs:
+                inputs |= ins
+                again = again or passed
+        if not again:
+            return inputs, part
 
 
 class ComponentMemo(dict):
@@ -1239,39 +1221,33 @@ def _compose(
 def _search(
     pc: PathCondition, decls: tuple[SymDecl, ...], memo: ComponentMemo | None = None
 ) -> Test | None:
-    """pc's lex-min model, or None when pc is unsatisfiable. When pc's
-    parent has a model, only the new constraint's component is solved,
-    the other inputs keeping the parent's values: from memo when it holds
-    the component, else by backtracking over the component's inputs inside
-    pc's narrowed box and storing the result in memo. Otherwise every input
-    is backtracked over, as one component."""
+    """pc's lex-min model, or None when pc is unsatisfiable. Only the new
+    constraint's component is solved, the other inputs keeping the parent's
+    values: from memo when it holds the component, else by backtracking
+    over the component's inputs inside pc's narrowed box and storing the
+    result in memo. When the parent has no model, every input is one
+    component, which holds every constraint."""
     parent = pc.parent
     base = None if parent is None else parent._model
-    key = None
     if base is None:
-        names = [d.name for d in decls]
-        constraints = pc.constraints
-        env: Test = {}
+        inputs, constraints, base = {d.name for d in decls}, pc.constraints, {}
     else:
-        last = pc.constraints[-1]
-        inputs, constraints = (
-            _parts(pc)[next(iter(last.inputs))] if last.inputs
-            else (last.inputs, [last])  # a condition on no input
-        )
-        # a component of every constraint has pc's key, which missed
-        if memo is not None and len(constraints) < len(pc.constraints):
-            key = "\n".join(sorted([c.text for c in constraints]))
-            hit = memo.get(key)
-            if hit is not None:
-                memo.hits += 1
-                _compose(pc, decls, hit[1])
-                if hit[0] is None:
-                    return None
-                model = dict(base)
-                model.update(hit[0])
-                return model
-        names = [d.name for d in decls if d.name in inputs]
-        env = dict(base)
+        inputs, constraints = _component(pc)
+    key = None
+    # a component of every constraint has pc's key, which missed
+    if memo is not None and len(constraints) < len(pc.constraints):
+        key = "\n".join(sorted([c.text for c in constraints]))
+        hit = memo.get(key)
+        if hit is not None:
+            memo.hits += 1
+            _compose(pc, decls, hit[1])
+            if hit[0] is None:
+                return None
+            model = dict(base)
+            model.update(hit[0])
+            return model
+    names = [d.name for d in decls if d.name in inputs]
+    env = dict(base)
     box = _narrowed(pc, decls)
     if box.iv is None:
         model = None

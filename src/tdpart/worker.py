@@ -56,7 +56,7 @@ def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
 
 def run_worker(transport, program: Program, cfg: RunConfig) -> None:
     """Serve tasks until Terminate, then close the transport."""
-    eng = Engine(program, cache_enabled=cfg.cache_enabled, solver_delay=cfg.solver_delay)
+    eng = Engine(program, cfg)
     suspended: list[ExecState] = []
     while True:
         msg = transport.recv(proto.RECV_TIMEOUT)

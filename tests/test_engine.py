@@ -13,7 +13,7 @@ from tdpart.engine import (
     Strategy,
     evaluate,
 )
-from tdpart.harness import corpus_shape, generate_program
+from tdpart.harness import RunConfig, corpus_shape, generate_program
 from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
 from tdpart.solve import solve_model
 
@@ -452,7 +452,7 @@ def test_poll_can_steal_a_state_mid_region():
 
 
 def test_cache_disabled_never_hits():
-    eng, res = full_region(FIND_MIDDLE, 3, cache_enabled=False)
+    eng, res = full_region(FIND_MIDDLE, 3, cfg=RunConfig(cache_enabled=False))
     assert eng.cache is None
     assert res.stats.cache_hits == 0
     assert res.stats.solver_queries == 16
@@ -467,7 +467,7 @@ def test_cache_off_witnesses_reuse_the_state_model(monkeypatch):
     counts = {}
     for cache_enabled in (True, False):
         calls.clear()
-        _, res = full_region(FIND_MIDDLE, 3, cache_enabled=cache_enabled)
+        _, res = full_region(FIND_MIDDLE, 3, cfg=RunConfig(cache_enabled=cache_enabled))
         counts[cache_enabled] = (len(calls), res.stats.solver_queries, res.stats.cache_hits)
     assert counts == {True: (21, 16, 6), False: (21, 16, 0)}
 

@@ -279,6 +279,34 @@ def test_every_recv_of_a_run_waits_the_recv_timeout(monkeypatch, capfd, recv_wai
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_failed_run_leaves_no_worker_thread_behind(monkeypatch, mode):
+    # worker 0 is in a region when the coordinator fails, and every worker
+    # takes 0.2 s to return after Terminate: the run joins them all first
+    real_worker = harness.run_worker
+
+    def slow_to_stop(transport, program, cfg):
+        try:
+            real_worker(transport, program, cfg)
+        finally:
+            time.sleep(0.2)
+
+    def dispatch_then_fail(hub, program, cfg):
+        hub.send(0, proto.Task(cfg.strategy, {"x": 0, "y": 0, "z": 0}, 0, cfg.final_depth))
+        raise RuntimeError("coordinator failed")
+
+    monkeypatch.setattr(harness, "run_worker", slow_to_stop)
+    monkeypatch.setattr(harness, "run_coordinator", dispatch_then_fail)
+    before = set(threading.enumerate())
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="coordinator failed"):
+        fm_run(mode=mode, workers=2)
+    elapsed = time.perf_counter() - t0
+    left = [t.name for t in set(threading.enumerate()) - before if t.is_alive()]
+    assert not [name for name in left if name.startswith("tdpart-worker")]
+    assert 0.2 <= elapsed < 5.0
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
 def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
     if mode == "threads":
         hub = proto.QueueHub(1)

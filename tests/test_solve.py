@@ -1256,27 +1256,81 @@ def test_component_solves_agree_with_brute_force_seeded(cached):
         assert memo_sat > 100 and memo_unsat > 100 and composed > 50
 
 
-def test_components_merge_along_the_path():
+W, V = Var("w"), Var("v")
+
+
+def test_a_component_follows_shared_inputs_from_the_last_constraint():
+    # w < x is passed over until x < y brings x in, two links from y < z
+    pc = PathCondition()
+    for e in (lt(W, X), lt(Const(3), V), lt(X, Y), lt(Y, Z)):
+        pc = pc.extend(e, True)
+    inputs, part = solve_mod._component(pc)
+    assert inputs == {"w", "x", "y", "z"}  # v's component is left out
+    assert [c.text for c in part] == ["(w<x)", "(x<y)", "(y<z)"]  # path order
+    assert solve_mod._component(pc.parent.parent) == ({"v"}, [pc.constraints[1]])
+
+
+def test_a_condition_on_no_input_is_its_own_component():
+    pc = PathCondition().extend(lt(X, Y), True).extend(lt(Const(1), Const(2)), True)
+    assert solve_mod._component(pc) == (set(), [pc.constraints[1]])
+    # and it joins no component of an input
+    child = pc.extend(lt(Y, Z), False)
+    assert solve_mod._component(child)[1] == [child.constraints[0], child.constraints[2]]
+
+
+def test_a_component_keeps_repeated_texts():
+    pc = PathCondition()
+    for e in (lt(X, Y), lt(Const(3), V), lt(X, Y), lt(Y, Z)):
+        pc = pc.extend(e, True)
+    inputs, part = solve_mod._component(pc)
+    assert inputs == {"x", "y", "z"}
+    assert [c.text for c in part] == ["(x<y)", "(x<y)", "(y<z)"]
+
+
+def test_the_component_of_a_miss_gives_the_lex_min_model():
+    # x's lex-min is 4, which y < z leaves alone; x < y ties them
     decls = (SymDecl("x", 0, 9), SymDecl("y", 0, 9), SymDecl("z", 0, 9))
     root = PathCondition()
     p1 = root.extend(lt(Const(3), X), True)
     p2 = p1.extend(lt(Y, Z), True)
     p3 = p2.extend(lt(X, Y), True)
-    parts2 = solve_mod._parts(p2)
-    assert {x: sorted(c.text for c in parts2[x][1]) for x in "xyz"} == {
-        "x": ["(3<x)"], "y": ["(y<z)"], "z": ["(y<z)"],
-    }
-    assert parts2["y"] is parts2["z"] and parts2["x"] is not parts2["y"]
-    parts3 = solve_mod._parts(p3)
-    assert parts3["x"] is parts3["y"] is parts3["z"]
-    assert parts3["x"][0] == {"x", "y", "z"} and len(parts3["x"][1]) == 3
-    assert solve_mod._parts(p2) is parts2 and len(parts2["x"][1]) == 1  # kept
-    # x's lex-min is 4, which y < z leaves alone; x < y ties them
+    assert solve_mod._component(p2) == ({"y", "z"}, [p2.constraints[1]])
+    assert solve_mod._component(p3) == ({"x", "y", "z"}, list(p3.constraints))
     cache = QueryCache()
     for pc in (root, p1, p2, p3):
         cache.query(pc, decls, hint=pc.parent._model if pc.parent else None)
     assert p2._model == {"x": 4, "y": 0, "z": 1}
     assert p3._model == {"x": 4, "y": 5, "z": 6}
+
+
+def test_components_agree_with_a_brute_force_closure_seeded():
+    rng = random.Random(7517)
+    names = ["v", "w", "x", "y", "z"]
+    grew = 0
+    for _ in range(400):
+        pc = PathCondition()
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.1:  # a condition on no input
+                e = lt(Const(rng.randint(-2, 2)), Const(rng.randint(-2, 2)))
+            else:
+                e = random_constraint_expr(rng, rng.sample(names, rng.randint(1, 2)))
+            pc = pc.extend(e, rng.random() < 0.5)
+        constraints = pc.constraints
+        for c in constraints:
+            assert c.inputs == lang.reads(c.expr)
+        # the closure: constraints joined to the last one through shared
+        # inputs, added until none is left to add
+        inside = {len(constraints) - 1}
+        while True:
+            reached = set().union(*(constraints[k].inputs for k in inside))
+            more = {k for k, c in enumerate(constraints) if c.inputs & reached} - inside
+            if not more:
+                break
+            inside |= more
+        want = [c for k, c in enumerate(constraints) if k in inside]
+        assert solve_mod._component(pc) == (reached, want), pc.texts()
+        grew += len(want) > 2 and len(reached) > len(constraints[-1].inputs)
+    assert grew > 50
 
 
 def test_a_component_memo_hit_replaces_only_its_inputs_and_composes_the_box():
