@@ -83,7 +83,7 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     pool is a pure function of (program, num_workers, final_depth)."""
     eng = Engine(program)
     states = eng.bfs_seed(num_workers, final_depth)
-    return [TestDepthPair(eng.model_of(s.pc, s.model), s.depth) for s in states]
+    return [TestDepthPair(eng.model_of(s.pc), s.depth) for s in states]
 
 
 def run_coordinator(hub, program: Program, cfg: RunConfig) -> CoordResult:

@@ -8,11 +8,11 @@ condition stays non-constant after substitution through the symbolic store
 count toward depth; a fully concrete branch just follows its edge.
 
 The store holds a concrete value as a plain int and keeps an Expr only for
-a value that depends on a symbolic input. One recursive evaluator runs each
-assignment and branch condition over the store: two concrete operands fold
-to an int at once; a symbolic operand rebuilds the node around Const
-leaves, so constraint texts, cache keys and witnesses depend only on the
-expression and the store.
+a value that depends on a symbolic input. One recursive evaluator,
+solve.evaluate, runs each assignment and branch condition over the store:
+two concrete operands fold to an int at once; a symbolic operand rebuilds
+the node around Const leaves, so constraint texts, cache keys and
+witnesses depend only on the expression and the store.
 
 Once an engine has entered a block concretely HOT times, it finds the
 loop around it (the blocks reachable from it that can reach it back) and
@@ -44,7 +44,7 @@ from .lang import (
     Const, Exit, Expr, Jump, Program, Unary, Var, reads,
 )
 from .record import Record
-from .solve import PathCondition, QueryCache, Test
+from .solve import PathCondition, QueryCache, Test, evaluate
 
 if TYPE_CHECKING:
     from .harness import RunConfig
@@ -76,18 +76,15 @@ class ExecState:
     """One execution state. It is mutable and has a unique serial, so it
     compares by identity."""
 
-    __slots__ = ("block", "instr", "env", "pc", "serial", "outcome", "model")
+    __slots__ = ("block", "instr", "env", "pc", "serial", "outcome")
 
     def __init__(
         self, block: int, instr: int, env: Store, pc: PathCondition, serial: int,
-        outcome: Outcome | None = None, model: Test | None = None,
+        outcome: Outcome | None = None,
     ):
         self.block, self.instr, self.env, self.pc = block, instr, env, pc
         self.serial = serial  # creation order, engine-wide
         self.outcome = outcome
-        # lex-min model of pc when the solver checked this state at its
-        # fork; None for initial, guided-phase and suspended states
-        self.model = model
 
     @property
     def depth(self) -> int:
@@ -150,35 +147,6 @@ class RegionResult:
     ):
         self.completed, self.frontier = completed, frontier
         self.suspended_new, self.stats = suspended_new, stats
-
-
-_BINARY, _UNARY = solve.BINARY_OPS, solve.UNARY_OPS
-
-
-def evaluate(e: Expr, env: Store) -> int | Expr:
-    """e's value over a store of plain ints (concrete values) and Exprs over
-    the symbolic inputs; a name absent from the store, a symbolic input,
-    stays its Var. An int when every operand is concrete, else the node
-    rebuilt around Const leaves: no logic short-circuit, no re-association.
-    A node none of whose operands changed comes back as the same object."""
-    kind = type(e)
-    if kind is Const:
-        return e.value
-    if kind is Var:
-        return env.get(e.name, e)
-    if kind is Unary:
-        o = evaluate(e.operand, env)
-        if type(o) is int:
-            return _UNARY[e.op](o)
-        return e if o is e.operand else Unary(e.op, o)
-    left, right = evaluate(e.left, env), evaluate(e.right, env)
-    if type(left) is int:
-        if type(right) is int:
-            return _BINARY[e.op](left, right)
-        left = e.left if type(e.left) is Const else Const(left)
-    elif type(right) is int:
-        right = e.right if type(e.right) is Const else Const(right)
-    return e if left is e.left and right is e.right else Binary(e.op, left, right)
 
 
 # Generated tier: once a block has been entered concretely HOT times in an
@@ -406,31 +374,29 @@ class Engine:
 
     # -- solver access (all SAT/model traffic funnels through here)
 
-    def _query(
-        self, pc: PathCondition, hint: Test | None = None
-    ) -> tuple[bool, Test | None]:
-        """`hint`, used only when the cache misses: the lex-min model of a
-        subset of pc's constraints (solve_model's contract)."""
+    def _query(self, pc: PathCondition) -> Test | None:
+        """pc's lex-min model, or None when pc is unsat. A cache hit returns
+        at once; a miss, and every solve with the cache off, then waits
+        solver_delay."""
         self.queries += 1
-        if self.cache is not None:
-            misses_before = self.cache.misses
-            sat, model = self.cache.query(pc, self.decls, hint=hint)
-            if self.cache.misses == misses_before:
+        cache = self.cache
+        if cache is None:
+            model = solve.solve_model(pc, self.decls)
+        else:
+            misses = cache.misses
+            model = cache.query(pc, self.decls)
+            if cache.misses == misses:
                 self.cache_hits += 1
-            elif self.solver_delay > 0:
-                time.sleep(self.solver_delay)
-            return sat, model
+                return model
         if self.solver_delay > 0:
             time.sleep(self.solver_delay)
-        model = solve.solve_model(pc, self.decls, hint=hint)
-        return model is not None, model
+        return model
 
-    def model_of(self, pc: PathCondition, hint: Test | None = None) -> Test:
-        """Model of pc; `hint` as in _query, typically the state's own model."""
-        sat, model = self._query(pc, hint)
-        if not sat:
+    def model_of(self, pc: PathCondition) -> Test:
+        """pc's lex-min model; SolveError when pc is unsat."""
+        model = self._query(pc)
+        if model is None:
             raise solve.SolveError("model requested for unsatisfiable path condition")
-        assert model is not None
         return model
 
     # -- single-state execution up to the next event
@@ -537,10 +503,10 @@ class Engine:
     ) -> tuple[list[ExecState], ExecState | None]:
         """Fork at a symbolic branch. In the guided phase (depth < test_depth)
         the test picks the taken side and the sibling is suspended unsolved;
-        below, both sides are solver-checked, with the parent's model as the
-        hint, and only satisfiable children are created, each keeping its
-        model. Children are created false-side first. Returns
-        (active successors, suspended sibling or None)."""
+        below, both sides are solver-checked and only satisfiable children
+        are created; a checked child's pc keeps its model, from which its
+        own children's solves start. Children are created false-side first.
+        Returns (active successors, suspended sibling or None)."""
         term = self.program.blocks[state.block].term
         assert isinstance(term, Branch)
 
@@ -548,7 +514,7 @@ class Engine:
         # constraint's text is rendered once
         pcs = {flag: state.pc.extend(cond, flag) for flag in (False, True)}
 
-        def make(taken: bool, model: Test | None = None) -> ExecState:
+        def make(taken: bool) -> ExecState:
             self.created += 1
             return ExecState(
                 block=term.on_true if taken else term.on_false,
@@ -556,7 +522,6 @@ class Engine:
                 env=dict(state.env),
                 pc=pcs[taken],
                 serial=next(self._serial),
-                model=model,
             )
 
         if state.depth < test_depth:
@@ -566,9 +531,8 @@ class Engine:
 
         actives: list[ExecState] = []
         for flag in (False, True):
-            sat, model = self._query(pcs[flag], state.model)
-            if sat:
-                actives.append(make(flag, model))
+            if self._query(pcs[flag]) is not None:
+                actives.append(make(flag))
         return actives, None
 
     def _select(self, active: list[ExecState], strategy: Strategy, rng) -> ExecState:
@@ -624,7 +588,7 @@ class Engine:
                 stats.truncated = True
                 break
             if r == "term":
-                witness = self.model_of(state.pc, state.model)
+                witness = self.model_of(state.pc)
                 completed.append(
                     CompletedPath(state.path, state.outcome, witness, tuple(state.pc.texts()))
                 )

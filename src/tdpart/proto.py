@@ -136,6 +136,8 @@ def _dec_strategy(buf: bytes, off: int) -> tuple[Strategy, int]:
 def _dec_test(buf: bytes, off: int) -> tuple[Test, int]:
     try:
         return solve.decode_test(buf, off)
+    except UnicodeDecodeError:
+        raise ProtocolError("test name is not UTF-8") from None
     except ValueError as e:
         raise TruncatedFrameError(str(e)) from None
 
@@ -174,7 +176,10 @@ def _dec_stats(buf: bytes, off: int) -> tuple[EngineStats, int]:
         (plen,) = struct.unpack_from(">H", buf, off)
         off += 2
         _need(buf, off, plen)
-        paths.append(buf[off : off + plen].decode("ascii"))
+        path = buf[off : off + plen]
+        if path.strip(b"01"):  # some byte is neither '0' nor '1'
+            raise ProtocolError("Finish path byte is not ASCII '0' or '1'")
+        paths.append(path.decode("ascii"))
         off += plen
     st = EngineStats(
         states_created=created,
@@ -221,7 +226,8 @@ def encode(msg: Message) -> bytes:
 
 def decode(frame: bytes) -> Message:
     """Inverse of encode. Raises TruncatedFrameError / TrailingBytesError /
-    UnknownTagError as appropriate; a frame must be consumed exactly."""
+    UnknownTagError as appropriate, and ProtocolError for a field whose
+    bytes its layout does not allow; a frame must be consumed exactly."""
     if len(frame) < 5:
         raise TruncatedFrameError("frame shorter than header")
     (declared,) = struct.unpack_from(">I", frame, 0)

@@ -58,35 +58,37 @@ Narrowing only ever removes points that are not solutions, so it never
 changes which solution comes first, however much of it is done, by
 whichever tier, or where the revision bound stops it.
 
-A solve may take a hint: the lex-min model of a subset of the path
-condition's constraints (in the engine, the parent state's model). Every
-solution of the whole pc is a solution of that subset, so when the hint
-satisfies the whole pc it is already the pc's lex-min model and is returned
-with no narrowing or enumeration. A pc keeps the model its last solve or
-cache hit returned; a hint equal to the parent pc's model is known to
-satisfy the parent's constraints and is checked against the new one only,
-any other hint against the whole pc. A hint outside this contract still
-yields a model, though not necessarily the lex-min one; a hint that fails
-the pc is ignored.
+A solve takes a path condition and nothing else. A pc keeps the model its
+solve or cache hit returned, and it knows its parent, so a solve answers
+from the first of:
 
-When the hint fails and the parent pc has a model, only the new
-constraint's independent component is solved (constraint independence,
-as in KLEE; Cadar et al., OSDI 2008). The constraints of a pc fall into
-components that share no input. As in KLEE, a miss works its component
-out when it needs it: from the new constraint, it follows shared inputs
-through the pc's constraints, so a pc keeps no component map, and a pc
-the hint answers costs nothing. The solutions of a pc are the product of
-its components' solutions, so each input's least value in the lex-min
-model depends on its own component only: the pc's lex-min model is its
-parent's, whose other components are the pc's own, with the new
-component's inputs replaced by that component's lex-min values. Those
-are found by backtracking over the component's inputs alone, in
-declaration order, inside the pc's narrowed box, the last one checked
-against the component's constraints. A pc whose parent has no model is
-solved the same way, as one component of every input and constraint.
-This relies on the parent's model being lex-min, which holds when every
-hint meets the contract above; the engine's hints, a state's own or its
-parent's model, do.
+1. the model the pc already has;
+2. a copy of its parent's model, when that satisfies the constraints the
+   pc adds (checked on those only). Every solution of the pc is one of
+   the parent, so the parent's lex-min model, when it satisfies the pc,
+   is already the pc's, found with no narrowing or enumeration, as in
+   KLEE's counterexample cache (Cadar et al., OSDI 2008);
+3. a search.
+
+A search whose parent pc has a model solves only the new constraint's
+independent component (constraint independence, as in KLEE). The
+constraints of a pc fall into components that share no input. As in
+KLEE, a miss works its component out when it needs it: from the new
+constraint, it follows shared inputs through the pc's constraints, so a
+pc keeps no component map, and a pc its parent's model answers costs
+nothing. The solutions of a pc are the product of its components'
+solutions, so each input's least value in the lex-min model depends on
+its own component only: the pc's lex-min model is its parent's, whose
+other components are the pc's own, with the new component's inputs
+replaced by that component's lex-min values. Those are found by
+backtracking over the component's inputs alone, in declaration order,
+inside the pc's narrowed box, the last one checked against the
+component's constraints. A pc whose parent has no model is solved the
+same way, as one component of every input and constraint. A pc keeps
+only the models of this order and of cache hits, all lex-min, so the
+parent's model is lex-min too. The models a pc and its ancestors keep
+are for one declaration tuple, their program's inputs, as in the
+engine: a pc is not solved again under another.
 
 A QueryCache solves its misses through its component memo: a component's
 sorted constraint texts map to its lex-min values, or unsat, and its
@@ -112,7 +114,7 @@ import operator
 import struct
 import threading
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from types import CodeType
 
 from . import lang
@@ -158,18 +160,39 @@ UNARY_OPS = {
 }
 
 
+def evaluate(e: Expr, env: Mapping[str, int | Expr]) -> int | Expr:
+    """e's value over a store of plain ints (concrete values) and Exprs over
+    the symbolic inputs; a name absent from the store, a symbolic input,
+    stays its Var. An int when every operand is concrete, else the node
+    rebuilt around Const leaves: no logic short-circuit, no re-association.
+    A node none of whose operands changed comes back as the same object."""
+    kind = type(e)
+    if kind is Const:
+        return e.value
+    if kind is Var:
+        return env.get(e.name, e)
+    if kind is Unary:
+        o = evaluate(e.operand, env)
+        if type(o) is int:
+            return UNARY_OPS[e.op](o)
+        return e if o is e.operand else Unary(e.op, o)
+    left, right = evaluate(e.left, env), evaluate(e.right, env)
+    if type(left) is int:
+        if type(right) is int:
+            return BINARY_OPS[e.op](left, right)
+        left = e.left if type(e.left) is Const else Const(left)
+    elif type(right) is int:
+        right = e.right if type(e.right) is Const else Const(right)
+    return e if left is e.left and right is e.right else Binary(e.op, left, right)
+
+
 def evaluate_concrete(e: Expr, test: Test) -> int:
     """Evaluate under the test. An unbound name, which a malformed Task from
     the wire can carry, raises SolveError."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in test:
-            return test[e.name]
-        raise SolveError(f"unbound variable {e.name}")
-    if isinstance(e, Unary):
-        return UNARY_OPS[e.op](evaluate_concrete(e.operand, test))
-    return BINARY_OPS[e.op](evaluate_concrete(e.left, test), evaluate_concrete(e.right, test))
+    v = evaluate(e, test)
+    if type(v) is not int:  # only the unbound names are left as Vars
+        raise SolveError(f"unbound variable {min(lang.reads(v))}")
+    return v
 
 
 def solve_path(test: Test, cond: Expr) -> bool:
@@ -1152,15 +1175,6 @@ def _narrowed(pc: PathCondition, decls: tuple[SymDecl, ...]) -> _Narrowed:
 # ---------------------------------------------------------------------------
 
 
-def _hint_holds(pc: PathCondition, hint: Test) -> bool:
-    """Does hint satisfy pc? The parent's own model is known to satisfy the
-    parent's constraints, so only the ones pc adds are checked."""
-    parent = pc.parent
-    if parent is not None and parent._model is not None and hint == parent._model:
-        return _all_hold(pc.constraints[len(parent.constraints):], hint)
-    return _all_hold(pc.constraints, hint)
-
-
 def _component(pc: PathCondition) -> tuple[set[str], list[Constraint]]:
     """The independent component of pc's last constraint: the inputs it
     reaches through constraints that share an input, and those constraints
@@ -1296,46 +1310,43 @@ def _backtrack(
 
 
 def solve_model(
-    pc: PathCondition,
-    decls: tuple[SymDecl, ...],
-    *,
-    hint: Test | None = None,
-    memo: ComponentMemo | None = None,
+    pc: PathCondition, decls: tuple[SymDecl, ...], *, memo: ComponentMemo | None = None
 ) -> Test | None:
-    """Witness model, or None when unsatisfiable. `hint` must be the lex-min
-    model of a subset of pc's constraints (see the module docstring): if it
-    satisfies pc it is the answer; otherwise pc is solved from its narrowed
-    box, over the new constraint's component only when pc's parent has a
-    model, and through `memo` (a QueryCache's, for one run) when given. A
-    hint outside that contract still gives a model, not necessarily
-    lex-min."""
+    """pc's lex-min model, or None when pc is unsatisfiable, in the answer
+    order of the module docstring: the model pc has; else a copy of its
+    parent's, when that satisfies the constraints pc adds; else pc solved
+    from its narrowed box, through `memo` (a QueryCache's, for one run)
+    when given."""
     cap = lang.DOMAIN_CAP
     for d in decls:
         if d.size > cap:
             raise DomainCapError(f"domain cap exceeded for {d.name} ({d.size} > {cap})")
         if d.lo > d.hi:
             return None
-    if hint is not None and _hint_holds(pc, hint):
-        model: Test | None = dict(hint)
-    else:
-        model = _search(pc, decls, memo)
-    if model is not None:
-        pc._model = model
-    return model
+    if pc._model is None:
+        parent = pc.parent
+        base = None if parent is None else parent._model
+        if base is not None and _all_hold(pc.constraints[len(parent.constraints):], base):
+            pc._model = dict(base)
+        else:
+            pc._model = _search(pc, decls, memo)
+    return pc._model
 
 
 class QueryCache:
     """Pure memo over path-condition satisfiability queries.
 
     Keyed on the canonical sorted constraint text, so it is private to one
-    (worker, program) pair. Stores the witness model alongside the verdict;
-    a later model request for the same pc is then a hit, not a second solve.
-    `reused` counts the misses that the hint answered. A miss is solved
-    through `memo`, the components this cache's misses solved.
+    (worker, program) pair. An entry is the pc's lex-min model, or None when
+    the pc is unsat, so a later model request for the same pc is a hit, not
+    a second solve. `reused` counts the misses whose model is the parent
+    pc's: a pc's lex-min model equals its parent's exactly when the parent's
+    satisfies it. A miss is solved through `memo`, the components this
+    cache's misses solved.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[bool, Test | None]] = {}
+        self._entries: dict[str, Test | None] = {}
         self.memo = ComponentMemo()
         self.hits = 0
         self.misses = 0
@@ -1344,32 +1355,22 @@ class QueryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def query(
-        self,
-        pc: PathCondition,
-        decls: tuple[SymDecl, ...],
-        *,
-        hint: Test | None = None,
-    ) -> tuple[bool, Test | None]:
-        """(sat, model), from the memo or by solve_model on a miss. `hint`
-        is used only on a miss and under solve_model's contract: the lex-min
-        model of a subset of pc's constraints."""
+    def query(self, pc: PathCondition, decls: tuple[SymDecl, ...]) -> Test | None:
+        """pc's lex-min model, or None when pc is unsat: from the entries,
+        or by solve_model on a miss."""
         key = pc.key()
-        hit = self._entries.get(key)
-        if hit is not None:
+        model = self._entries.get(key, _MISSING)
+        if model is not _MISSING:
             self.hits += 1
-            if hit[1] is not None:
-                pc._model = hit[1]
-            return hit
+            if model is not None:
+                pc._model = model
+            return model
         self.misses += 1
-        model = solve_model(pc, decls, hint=hint, memo=self.memo)
-        # a solved model equals the hint only when the hint itself was
-        # returned: a hint failing pc differs from every model of pc
-        if model is not None and model == hint:
+        model = self._entries[key] = solve_model(pc, decls, memo=self.memo)
+        parent = pc.parent
+        if model is not None and parent is not None and model == parent._model:
             self.reused += 1
-        result = (model is not None, model)
-        self._entries[key] = result
-        return result
+        return model
 
 
 # ---------------------------------------------------------------------------

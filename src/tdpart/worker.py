@@ -47,7 +47,7 @@ def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
             victim = choose_offload(active, test_depth)
         if victim is not None:
             active.remove(victim)
-            transport.send(proto.Offload(eng.model_of(victim.pc, victim.model), victim.depth))
+            transport.send(proto.Offload(eng.model_of(victim.pc), victim.depth))
         else:
             transport.send(proto.NoWork())
 

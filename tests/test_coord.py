@@ -67,10 +67,10 @@ SEED_PROGRAMS = ["programs/find_middle.tdp"] + [
 
 @pytest.mark.parametrize("path", SEED_PROGRAMS)
 def test_seed_pool_pairs_carry_the_lex_min_model_of_their_prefix(path):
-    # seeding forks through step_branch with parent-model hints; each pair's
-    # test must still be the first cube point, in declaration order, that
-    # makes the pair's first `depth` decisions, and the pairs' prefixes must
-    # partition the cube
+    # seeding forks through step_branch, each child solved from its parent's
+    # model when that satisfies it; each pair's test must still be the first
+    # cube point, in declaration order, that makes the pair's first `depth`
+    # decisions, and the pairs' prefixes must partition the cube
     program = parse_program(Path(path).read_text())
     cube = [(t, decision_sequence(program, t)[0]) for t in domain_cube(program.inputs)]
     for workers in (2, 4):
@@ -138,6 +138,7 @@ def run_scripted(program, num_workers, scripts, **cfg_kw):
 
 
 def fin(paths=(), **kw):
+    """A Finish carrying `paths`, path bit strings as the codec requires."""
     return Finish(EngineStats(paths=list(paths), **kw))
 
 
@@ -173,9 +174,9 @@ def test_unsolicited_offload_is_pooled_and_redispatched():
         0: [
             ("recv", Task),
             ("send", Offload({"x": 3}, 2)),
-            ("send", fin(["a"])),
+            ("send", fin(["00"])),
             ("recv", Task),  # the pooled pair comes back
-            ("send", fin(["b"])),
+            ("send", fin(["01"])),
             ("recv", Terminate),
         ],
     }
@@ -184,7 +185,7 @@ def test_unsolicited_offload_is_pooled_and_redispatched():
     assert result.tallies[0].transfers_in == 0
     assert result.tallies[0].regions == 2
     assert workers[0].received[1] == Task(Strategy("dfs"), {"x": 3}, 2, 3)
-    assert sorted(result.paths) == ["a", "b"]
+    assert sorted(result.paths) == ["00", "01"]
 
 
 def test_every_busy_worker_is_asked_once_per_idle_episode():
@@ -194,7 +195,7 @@ def test_every_busy_worker_is_asked_once_per_idle_episode():
             ("recv", Task),
             ("recv", ProvideWork),
             ("send", NoWork()),
-            ("send", fin(["x0"])),
+            ("send", fin(["10"])),
             ("recv", Terminate),
         ],
         1: [
@@ -203,7 +204,7 @@ def test_every_busy_worker_is_asked_once_per_idle_episode():
             ("send", NoWork()),
             ("recv", ProvideWork),  # new episode after worker 0 finished
             ("send", NoWork()),
-            ("send", fin(["x1"])),
+            ("send", fin(["11"])),
             ("recv", Terminate),
         ],
         2: [
@@ -213,7 +214,7 @@ def test_every_busy_worker_is_asked_once_per_idle_episode():
     result, workers = run_scripted(ONE_BRANCH, 3, scripts)
     assert result.tallies[2].regions == 0
     assert [type(m).__name__ for m in workers[2].received] == ["Terminate"]
-    assert sorted(result.paths) == ["x0", "x1"]
+    assert sorted(result.paths) == ["10", "11"]
 
 
 def test_zero_time_budget_dispatches_nothing():
@@ -240,7 +241,7 @@ def test_deadline_terminates_each_worker_at_its_finish():
         w: [
             ("recv", Task),
             ("sleep", 0.5),
-            ("send", fin([f"p{w}"])),
+            ("send", fin([f"{w:02b}"])),
             ("recv", Terminate),
         ]
         for w in range(3)
@@ -248,7 +249,7 @@ def test_deadline_terminates_each_worker_at_its_finish():
     result, _ = run_scripted(prog, 3, scripts, final_depth=4, time_budget=0.1)
     assert result.pool_size == 4
     assert result.undispatched == 1
-    assert sorted(result.paths) == ["p0", "p1", "p2"]
+    assert sorted(result.paths) == ["00", "01", "10"]
 
 
 def test_stale_no_work_after_finish_is_ignored():
@@ -256,7 +257,7 @@ def test_stale_no_work_after_finish_is_ignored():
         0: [
             ("recv", Task),
             ("recv", ProvideWork),
-            ("send", fin(["s0"])),  # finishes instead of answering
+            ("send", fin(["0"])),  # finishes instead of answering
             ("send", NoWork()),  # late answer arrives afterwards
             ("recv", Terminate),
         ],
@@ -265,13 +266,13 @@ def test_stale_no_work_after_finish_is_ignored():
             ("sleep", 0.3),
             ("recv", ProvideWork),  # the next idle episode polls worker 1
             ("send", NoWork()),
-            ("send", fin(["s1"])),
+            ("send", fin(["1"])),
             ("recv", Terminate),
         ],
         2: [("recv", Terminate)],
     }
     result, _ = run_scripted(ONE_BRANCH, 3, scripts)
-    assert sorted(result.paths) == ["s0", "s1"]
+    assert sorted(result.paths) == ["0", "1"]
 
 
 def test_unexpected_message_raises_protocol_error():
@@ -341,7 +342,7 @@ def test_receiver_replay_reorders_buffered_messages():
 def test_receiver_replay_takes_each_workers_messages_in_order():
     def receiver(schedule, order=(0, 1, 0)):
         hub, sh = scheduled_hub(schedule, True, {0: 2, 1: 1})
-        msgs = {0: [NoWork(), fin(["q"])], 1: [fin(["p"])]}
+        msgs = {0: [NoWork(), fin(["0"])], 1: [fin(["1"])]}
         for wid in order:  # each worker's own messages stay in order
             hub.inbox.put((wid, proto.encode(msgs[wid].pop(0))))
         return sh
@@ -349,9 +350,9 @@ def test_receiver_replay_takes_each_workers_messages_in_order():
     rx = receiver([(0, "NoWork"), (0, "Finish"), (1, "Finish")])
     assert rx.recv(5) == (0, NoWork())
     wid, msg = rx.recv(5)
-    assert wid == 0 and msg.stats.paths == ["q"]
+    assert wid == 0 and msg.stats.paths == ["0"]
     wid, msg = rx.recv(5)
-    assert wid == 1 and msg.stats.paths == ["p"]
+    assert wid == 1 and msg.stats.paths == ["1"]
     # worker 0 sent NoWork before its Finish, so a schedule taking the
     # Finish first can never be met: replay fails on the first message
     rx = receiver([(0, "Finish"), (0, "NoWork"), (1, "Finish")])

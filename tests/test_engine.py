@@ -15,7 +15,7 @@ from tdpart.engine import (
 )
 from tdpart.harness import RunConfig, corpus_shape, generate_program
 from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
-from tdpart.solve import solve_model
+from tdpart.solve import PathCondition, solve_model
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 
@@ -68,17 +68,27 @@ def test_find_middle_parent_models_answer_misses():
     assert eng.cache.reused == 4
 
 
+def _fresh(pc):
+    """A copy of pc with no solver state, so that a solve of it searches."""
+    fresh = PathCondition()
+    for c in pc.constraints:
+        fresh = fresh.extend(c.expr, c.taken)
+    return fresh
+
+
 def test_solver_checked_children_keep_their_lex_min_model():
     eng = Engine(FIND_MIDDLE)
     layers = eng.bfs_layers(3)
     [root], _ = next(layers)
     depth1, _ = next(layers)
     depth2, _ = next(layers)
-    assert root.model is None
-    assert [s.model for s in depth1] == [{"x": -8, "y": -8, "z": -8}, T5]
-    assert [s.model for s in depth2] == [solve_model(s.pc, FIND_MIDDLE.inputs) for s in depth2]
+    assert root.pc._model is None
+    assert [s.pc._model for s in depth1] == [{"x": -8, "y": -8, "z": -8}, T5]
+    assert [s.pc._model for s in depth2] == [
+        solve_model(_fresh(s.pc), FIND_MIDDLE.inputs) for s in depth2
+    ]
     res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
-    assert [s.model for s in res.suspended_new] == [None, None]
+    assert [s.pc._model for s in res.suspended_new] == [None, None]
 
 
 def test_witness_tests_replay_their_paths():

@@ -178,6 +178,27 @@ def test_error_classes_are_distinct_protocol_errors():
     assert not issubclass(TruncatedFrameError, TrailingBytesError)
 
 
+@pytest.mark.parametrize("byte", [b"2", b"a", b"\xff", b"\x80"])
+def test_a_finish_path_byte_other_than_0_or_1_is_a_protocol_error(byte):
+    frame = encode(Finish(EngineStats(paths=["0110"])))
+    assert frame.endswith(b"0110")
+    bad = frame[:-2] + byte + frame[-1:]  # "01?0", a well-framed Finish
+    with pytest.raises(ProtocolError, match="path byte") as err:
+        decode(bad)
+    assert type(err.value) is ProtocolError
+
+
+def test_a_test_name_that_is_not_utf8_is_a_protocol_error():
+    for msg in (Task(Strategy("dfs"), {"x": 1}, 0, 1), Offload({"x": 1}, 2)):
+        frame = encode(msg)
+        at = frame.index(b"\x00\x01x")  # the name's length, then "x"
+        bad = frame[: at + 2] + b"\xff" + frame[at + 3 :]
+        assert len(bad) == len(frame)  # the frame is not short
+        with pytest.raises(ProtocolError, match="not UTF-8") as err:
+            decode(bad)
+        assert type(err.value) is ProtocolError
+
+
 # -- randomized round trips
 
 
