@@ -14,26 +14,26 @@ two concrete operands fold to an int at once; a symbolic operand rebuilds
 the node around Const leaves, so constraint texts, cache keys and
 witnesses depend only on the expression and the store.
 
-Once an engine has entered a block concretely HOT times, it finds the
-loop around it (the blocks reachable from it that can reach it back) and
-runs the whole loop through one generated Python function: a `while` over
-the loop's blocks, on locals holding plain ints, with inlined int64
-arithmetic, that returns where control leaves the loop. It bails, leaving
-the store untouched, when a name the loop uses is not a plain int, and the
-evaluator runs the block instead. Heat is counted per engine, but the
-function is kept on the Program object: every engine on that object (the
-seeding engine, each worker thread, each later run) takes it from the
-loop's first entry, and a forked worker would inherit the functions made
-before the fork. A loop's source is built and compiled once per process
-(solve.generated_code), so an equal program parsed again starts cold but
-compiles nothing. The evaluator stays the reference; both tiers count
-every instruction and truncate at the same one.
+The first block entry of any engine on a Program object finds the
+program's loops (each a set of blocks that reach one another), once per
+object, and the first entry of a loop makes it one generated Python
+function: a `while` over the loop's blocks, on locals holding plain ints,
+with inlined int64 arithmetic, that returns where control leaves the loop.
+The object keeps the function on every block of its loop, and False on
+every block on no loop, so every engine on it (the seeding engine, each
+worker thread, each later run) skips a False block and runs a loop's
+function from the loop's first entry, and a forked worker would inherit
+both. A function bails, leaving the store untouched, when a name the loop
+uses is not a plain int, and the evaluator runs the block instead. The
+evaluator stays the reference; both tiers count every instruction and
+truncate at the same one.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
 import time
 from collections.abc import Callable, Mapping, Sequence, Set
 from typing import TYPE_CHECKING
@@ -149,14 +149,7 @@ class RegionResult:
         self.suspended_new, self.stats = suspended_new, stats
 
 
-# Generated tier: once a block has been entered concretely HOT times in an
-# engine, the loop around it is compiled into one Python function over
-# plain ints. The program's _engine_runs holds it for each of the loop's
-# blocks (None before, and for a block on no generable loop); each store
-# is one whole function, so engines on several threads need no lock, and
-# two that generate one loop at once store equivalent functions.
-
-HOT = 64
+_analysis_lock = threading.Lock()  # so threads analyse a program's loops once
 _NEST = 50  # deepest parenthesis nesting before a value goes to a local
 
 
@@ -169,33 +162,47 @@ def _generable(blk: BasicBlock, assigned: Set[str]) -> bool:
     return not any(reads(e) - assigned for e in exprs)
 
 
-def find_loop(blocks: Sequence[BasicBlock], idx: int, assigned: Set[str]) -> list[int]:
-    """The loop around block idx, in index order: the generable blocks that
-    are reachable from it and can reach it through generable blocks. Empty
-    when idx is on no such cycle."""
-    if not _generable(blocks[idx], assigned):
-        return []
-    reached: set[int] = set()
-    preds: dict[int, list[int]] = {}
-    todo = [idx]
+def find_loops(blocks: Sequence[BasicBlock], assigned: Set[str]) -> list[list[int]]:
+    """The program's loops, each in index order: the strongly connected
+    components of the generable blocks that hold a cycle, so that every
+    block of a loop reaches every other through generable blocks.
+    Kosaraju's algorithm, in time linear in the number of blocks."""
+    succ: dict[int, list[int]] = {}
+    for i, blk in enumerate(blocks):
+        if _generable(blk, assigned):
+            term = blk.term
+            succ[i] = [term.target] if type(term) is Jump else [term.on_true, term.on_false]
+    preds: dict[int, list[int]] = {i: [] for i in succ}
+    for i in succ:
+        succ[i] = [j for j in succ[i] if j in succ]
+        for j in succ[i]:
+            preds[j].append(i)
+    order: list[int] = []  # a depth-first postorder; ~i on todo marks i's finish
+    seen: set[int] = set()
+    todo = list(succ)
     while todo:
         i = todo.pop()
-        term = blocks[i].term
-        for j in (term.target,) if type(term) is Jump else (term.on_true, term.on_false):
-            if j in reached or _generable(blocks[j], assigned):
-                preds.setdefault(j, []).append(i)
-                if j not in reached:
-                    reached.add(j)
-                    todo.append(j)
-    if idx not in reached:
-        return []
-    loop, todo = {idx}, [idx]
-    while todo:
-        for i in preds[todo.pop()]:
-            if i not in loop:
-                loop.add(i)
-                todo.append(i)
-    return sorted(loop)
+        if i < 0:
+            order.append(~i)
+        elif i not in seen:
+            seen.add(i)
+            todo += [~i] + succ[i]
+    # in reverse postorder, each block no component holds heads one
+    loops: list[list[int]] = []
+    taken: set[int] = set()
+    for root in reversed(order):
+        if root not in taken:
+            taken.add(root)
+            part, todo = [root], [root]
+            while todo:
+                for i in preds[todo.pop()]:
+                    if i not in taken:
+                        taken.add(i)
+                        part.append(i)
+                        todo.append(i)
+            if len(part) > 1 or root in succ[root]:
+                loops.append(sorted(part))
+    return loops
 
 
 class _LoopSource:
@@ -282,16 +289,13 @@ def generate_block(
     None when a member gets no function: it exits, or it reads a name that
     no assignment in `assigned` binds, which therefore always holds an
     Expr. With one member and room len(body) + 1, run runs that block.
-    Whatever run leaves, the evaluator runs, and it is the reference.
-    The source is built and compiled once per process for the same
-    members and `assigned`; each call makes a function over its own
-    globals."""
-    key = (tuple(members.items()), frozenset(assigned))
+    Whatever run leaves, the evaluator runs, and it is the reference."""
     try:
-        code = solve.generated_code(key, lambda: _loop_source(members, assigned))
+        source = _loop_source(members, assigned)
+        if source is None:
+            return None
+        code = compile(source, "<tdpart generated>", "exec")
     except RecursionError:  # too deep to generate; the evaluator runs it
-        return None
-    if code is None:
         return None
     namespace = {"wrap": solve.wrap}
     exec(code, namespace)
@@ -356,8 +360,6 @@ class Engine:
         self.cache: QueryCache | None = (
             QueryCache() if cfg is None or cfg.cache_enabled else None
         )
-        # generated tier: this engine's entries per block
-        self._heat = [0] * len(program.blocks)
         self._serial = itertools.count()
         # lifetime counters; regions report deltas
         self.queries = 0
@@ -411,26 +413,25 @@ class Engine:
         """Run a state until it terminates, is censored at final_depth, forks
         at a symbolic branch, or exhausts the instruction budget or the soft
         `deadline` (a time.monotonic() value, checked every 1024 instructions).
-        Each assignment and each terminator is one instruction. A hot
-        loop's function runs whole blocks within the budget left, cut under
-        a deadline at the next multiple of 1024, so a block that would span
-        a time check runs in the evaluator, which makes it.
+        Each assignment and each terminator is one instruction. A loop's
+        function runs whole blocks within the budget left, cut under a
+        deadline at the next multiple of 1024, so a block that would span a
+        time check runs in the evaluator, which makes it.
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
-        blocks, runs, heat = self.program.blocks, self.program._engine_runs, self._heat
+        blocks, runs = self.program.blocks, self.program._engine_runs
         env = state.env
         limit = MAX_STEPS
         count = stats.instructions
         b, i = state.block, state.instr
         try:
             while True:
-                # generated tier: run hot loops while their blocks fit the
+                # generated tier: run loops while their blocks fit the
                 # budget and span no deadline check
                 while i == 0:
                     run = runs[b]
                     if run is None:
-                        heat[b] += 1
-                        if heat[b] == HOT:
-                            self._generate(b)
+                        run = self._analyse(b)
+                    if run is False:
                         break
                     room = limit - count
                     if deadline is not None:
@@ -477,22 +478,28 @@ class Engine:
             state.block, state.instr = b, i
             stats.instructions = count
 
-    def _generate(self, idx: int) -> None:
+    def _analyse(self, idx: int):
+        """Find the program's loops at its first block entry, marking every
+        block on no loop False, and a loop's function (False when it gets
+        none) on its blocks at its first entry. Returns block idx's mark."""
         program = self.program
-        blocks = program.blocks
-        try:
-            assigned = program._engine_assigned
-        except AttributeError:
-            assigned = program._engine_assigned = frozenset(
-                a.name for b in blocks for a in b.body
-            )
-        loop = find_loop(blocks, idx, assigned)
-        if loop:
-            run = generate_block({m: blocks[m] for m in loop}, assigned)
-            if run is not None:
-                runs = program._engine_runs
-                for m in loop:  # whole functions, one item at a time
+        blocks, runs = program.blocks, program._engine_runs
+        with _analysis_lock:
+            try:
+                loops, assigned = program._engine_loops
+            except AttributeError:  # no engine has entered the program
+                assigned = frozenset(a.name for b in blocks for a in b.body)
+                loops = {m: loop for loop in find_loops(blocks, assigned) for m in loop}
+                program._engine_loops = loops, assigned
+                for b in range(len(blocks)):
+                    if b not in loops:
+                        runs[b] = False
+            if runs[idx] is None:  # on a loop no engine has entered
+                loop = loops[idx]
+                run = generate_block({m: blocks[m] for m in loop}, assigned) or False
+                for m in loop:
                     runs[m] = run
+            return runs[idx]
 
     def step_branch(
         self,

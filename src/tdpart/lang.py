@@ -228,9 +228,10 @@ class Program(Record):
 
     __slots__ = (
         "name", "inputs", "blocks",
-        # owned by engine: _runs, made here so that engines on several
-        # threads store into one list, and _assigned; by harness: _digest
-        "_engine_runs", "_engine_assigned", "_harness_digest",
+        # owned by engine: _runs (per block None, then its loop's function
+        # or False; made here, so engines on several threads store into one
+        # list) and _loops; by harness: _digest
+        "_engine_runs", "_engine_loops", "_harness_digest",
     )
     _fields = ("name", "inputs", "blocks")
 

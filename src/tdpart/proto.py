@@ -17,7 +17,6 @@ import socket
 import struct
 import time
 
-from . import solve
 from .engine import EngineStats, Strategy
 from .record import Record
 from .solve import Test
@@ -133,13 +132,43 @@ def _dec_strategy(buf: bytes, off: int) -> tuple[Strategy, int]:
     return Strategy(_STRATEGY_NAME[code]), off
 
 
-def _dec_test(buf: bytes, off: int) -> tuple[Test, int]:
-    try:
-        return solve.decode_test(buf, off)
-    except UnicodeDecodeError:
-        raise ProtocolError("test name is not UTF-8") from None
-    except ValueError as e:
-        raise TruncatedFrameError(str(e)) from None
+def encode_test(test: Test) -> bytes:
+    """count:u16 then (name_len:u16, name:utf8, value:i64) per entry,
+    entries in sorted name order, so names strictly increase."""
+    out = [struct.pack(">H", len(test))]
+    for name in sorted(test):
+        nb = name.encode("utf-8")
+        out.append(struct.pack(">H", len(nb)))
+        out.append(nb)
+        out.append(struct.pack(">q", test[name]))
+    return b"".join(out)
+
+
+def decode_test(buf: bytes, off: int = 0) -> tuple[Test, int]:
+    """Inverse of encode_test; returns (test, next offset). Raises
+    TruncatedFrameError when buf is too short, and ProtocolError for a name
+    that is not UTF-8 or does not follow the one before it in sorted order."""
+    _need(buf, off, 2)
+    (count,) = struct.unpack_from(">H", buf, off)
+    off += 2
+    test: Test = {}
+    name = None
+    for _ in range(count):
+        _need(buf, off, 2)
+        (nlen,) = struct.unpack_from(">H", buf, off)
+        off += 2
+        _need(buf, off, nlen + 8)
+        prev = name
+        try:
+            name = buf[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("test name is not UTF-8") from None
+        if prev is not None and name <= prev:
+            raise ProtocolError("test names are not in strictly increasing order")
+        off += nlen
+        (test[name],) = struct.unpack_from(">q", buf, off)
+        off += 8
+    return test, off
 
 
 def _enc_stats(st: EngineStats) -> bytes:
@@ -167,6 +196,8 @@ def _enc_stats(st: EngineStats) -> bytes:
 def _dec_stats(buf: bytes, off: int) -> tuple[EngineStats, int]:
     _need(buf, off, 61)
     created, susp, fr, q, h, instr, trunc, wall = struct.unpack_from(">QQQQQQBQ", buf, off)
+    if trunc > 1:
+        raise ProtocolError("Finish truncated byte is not 0 or 1")
     off += 57
     (n,) = struct.unpack_from(">I", buf, off)
     off += 4
@@ -200,7 +231,7 @@ def encode(msg: Message) -> bytes:
     if isinstance(msg, Task):
         payload = (
             _enc_strategy(msg.strategy)
-            + solve.encode_test(msg.test)
+            + encode_test(msg.test)
             + struct.pack(">II", msg.test_depth, msg.final_depth)
         )
         tag = TAG_TASK
@@ -211,7 +242,7 @@ def encode(msg: Message) -> bytes:
         payload = b""
         tag = TAG_PROVIDE_WORK
     elif isinstance(msg, Offload):
-        payload = solve.encode_test(msg.test) + struct.pack(">I", msg.depth)
+        payload = encode_test(msg.test) + struct.pack(">I", msg.depth)
         tag = TAG_OFFLOAD
     elif isinstance(msg, NoWork):
         payload = b""
@@ -243,7 +274,7 @@ def decode(frame: bytes) -> Message:
     off = 5
     if tag == TAG_TASK:
         strategy, off = _dec_strategy(frame, off)
-        test, off = _dec_test(frame, off)
+        test, off = decode_test(frame, off)
         _need(frame, off, 8)
         test_depth, final_depth = struct.unpack_from(">II", frame, off)
         off += 8
@@ -254,7 +285,7 @@ def decode(frame: bytes) -> Message:
     elif tag == TAG_PROVIDE_WORK:
         msg = ProvideWork()
     elif tag == TAG_OFFLOAD:
-        test, off = _dec_test(frame, off)
+        test, off = decode_test(frame, off)
         _need(frame, off, 4)
         (depth,) = struct.unpack_from(">I", frame, off)
         off += 4

@@ -35,9 +35,9 @@ guard where a range may leave int64; a backward pass applies the tree's
 rules (sums, differences, point factors, squares, negation, the six
 comparisons) and narrows inputs only through the box, so the worklist
 below sees every shrink as before. Its code is compiled once
-per process, keyed on the constraint's text and polarity, in a cache of
-generated code that is bounded and shared with the engine's loops, so a
-comparison whose code is compiled already runs it from its first revise.
+per process, keyed on the constraint's text and polarity, in a bounded
+cache of generated code, so a comparison whose code is compiled already
+runs it from its first revise.
 Comparisons holding and/or/not or another comparison, and trees too deep
 to generate, stay on the tree, which is the reference.
 
@@ -86,9 +86,12 @@ inside the pc's narrowed box, the last one checked against the
 component's constraints. A pc whose parent has no model is solved the
 same way, as one component of every input and constraint. A pc keeps
 only the models of this order and of cache hits, all lex-min, so the
-parent's model is lex-min too. The models a pc and its ancestors keep
-are for one declaration tuple, their program's inputs, as in the
-engine: a pc is not solved again under another.
+parent's model is lex-min too.
+
+A pc and its ancestors are solved under one declaration tuple, their
+program's inputs, as in the engine: a pc is never solved again under
+another, so the models and narrowed boxes they keep are taken as theirs
+without checking which declarations they were made under.
 
 A QueryCache solves its misses through its component memo: a component's
 sorted constraint texts map to its lex-min values, or unsat, and its
@@ -111,7 +114,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import struct
 import threading
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
@@ -204,10 +206,10 @@ def solve_path(test: Test, cond: Expr) -> bool:
 # Generated code
 # ---------------------------------------------------------------------------
 
-# One bounded cache of compiled generated code, shared by the solver's
-# revise functions and the engine's loops. A key determines the source its
-# generator builds; past CODE_BOUND keys the least recently used one is
-# dropped, so the cache never holds every constraint or loop a process saw.
+# One bounded cache of the compiled code of the generated revise functions.
+# A key determines the source its generator builds; past CODE_BOUND keys the
+# least recently used one is dropped, so the cache never holds every
+# constraint a process saw.
 CODE_BOUND = 1024
 _codes: dict[Hashable, CodeType | None] = {}
 _codes_lock = threading.Lock()
@@ -1123,14 +1125,12 @@ def _watch_list(
 
 
 class _Narrowed:
-    """A pc's box narrowed under one declaration tuple: the input intervals,
-    or None when narrowing refuted the pc, and the watch list of its
-    constraints."""
+    """A pc's narrowed box: the input intervals, or None when narrowing
+    refuted the pc, and the watch list of its constraints."""
 
-    __slots__ = ("decls", "iv", "watch")
+    __slots__ = ("iv", "watch")
 
-    def __init__(self, decls, iv, watch) -> None:
-        self.decls: tuple[SymDecl, ...] = decls
+    def __init__(self, iv, watch) -> None:
         self.iv: dict[str, _Interval] | None = iv
         self.watch: dict[str, tuple[int, ...]] = watch
 
@@ -1145,11 +1145,10 @@ def _narrowed(pc: PathCondition, decls: tuple[SymDecl, ...]) -> _Narrowed:
     n: _Narrowed | None = None
     while node is not None:
         n = node._narrowed
-        if n is not None and n.decls == decls:
+        if n is not None:
             break
         chain.append(node)
         node = node.parent
-        n = None
     for node in reversed(chain):
         constraints = node.constraints
         if n is None:
@@ -1164,7 +1163,7 @@ def _narrowed(pc: PathCondition, decls: tuple[SymDecl, ...]) -> _Narrowed:
                 _fixpoint(constraints, iv, range(start, len(constraints)), watch)
             except _Unsat:
                 iv = None
-        n = _Narrowed(decls, iv, watch)
+        n = _Narrowed(iv, watch)
         node._narrowed = n
     assert n is not None
     return n
@@ -1214,22 +1213,20 @@ class ComponentMemo(dict):
         self.hits = 0
 
 
-def _compose(
-    pc: PathCondition, decls: tuple[SymDecl, ...], part_iv: dict[str, _Interval] | None
-) -> None:
+def _compose(pc: PathCondition, part_iv: dict[str, _Interval] | None) -> None:
     """Give pc, a component memo hit, its parent's box with the component's
     intervals in place (a refuted box when they are None: the component is
     unsat). A parent without a box leaves pc without one."""
     parent = pc.parent
     n = parent._narrowed
-    if pc._narrowed is not None or n is None or n.decls != decls:
+    if pc._narrowed is not None or n is None:
         return
     iv = None
     if part_iv is not None and n.iv is not None:
         iv = dict(n.iv)
         iv.update(part_iv)
     watch = _watch_list(n.watch, pc.constraints, len(parent.constraints))
-    pc._narrowed = _Narrowed(decls, iv, watch)
+    pc._narrowed = _Narrowed(iv, watch)
 
 
 def _search(
@@ -1254,7 +1251,7 @@ def _search(
         hit = memo.get(key)
         if hit is not None:
             memo.hits += 1
-            _compose(pc, decls, hit[1])
+            _compose(pc, hit[1])
             if hit[0] is None:
                 return None
             model = dict(base)
@@ -1371,43 +1368,3 @@ class QueryCache:
         if model is not None and parent is not None and model == parent._model:
             self.reused += 1
         return model
-
-
-# ---------------------------------------------------------------------------
-# Test serialization (shared by the wire protocol)
-# ---------------------------------------------------------------------------
-
-
-def encode_test(test: Test) -> bytes:
-    """count:u16 then (name_len:u16, name:utf8, value:i64) per entry,
-    entries in sorted name order. All fields big-endian."""
-    out = [struct.pack(">H", len(test))]
-    for name in sorted(test):
-        nb = name.encode("utf-8")
-        out.append(struct.pack(">H", len(nb)))
-        out.append(nb)
-        out.append(struct.pack(">q", test[name]))
-    return b"".join(out)
-
-
-def decode_test(buf: bytes, off: int = 0) -> tuple[Test, int]:
-    """Inverse of encode_test; returns (test, next offset).
-    Raises ValueError when the buffer is too short."""
-    if off + 2 > len(buf):
-        raise ValueError("truncated test encoding")
-    (count,) = struct.unpack_from(">H", buf, off)
-    off += 2
-    test: Test = {}
-    for _ in range(count):
-        if off + 2 > len(buf):
-            raise ValueError("truncated test encoding")
-        (nlen,) = struct.unpack_from(">H", buf, off)
-        off += 2
-        if off + nlen + 8 > len(buf):
-            raise ValueError("truncated test encoding")
-        name = buf[off : off + nlen].decode("utf-8")
-        off += nlen
-        (value,) = struct.unpack_from(">q", buf, off)
-        off += 8
-        test[name] = value
-    return test, off

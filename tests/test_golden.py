@@ -5,9 +5,9 @@ The digests in golden_engine.json were produced by this module's
 recursive evaluator (`python tests/test_golden.py > tests/golden_engine.json`,
 run from the repository root). Any interpreter change that alters a
 completed path, outcome, witness, constraint text, frontier path,
-instruction count, query count or cache hit count fails here, with the
-generated tier off until blocks are hot and with every block generated on
-its first entry.
+instruction count, query count or cache hit count fails here, with each
+loop generated on its first entry, as the engine runs it, and with no
+block generated, so that the evaluator runs every block.
 """
 
 import hashlib
@@ -57,10 +57,10 @@ def test_engine_output_matches_golden(path, depth, strategy):
 
 
 @pytest.mark.parametrize("path,depth,strategy", CASES, ids=[_key(*c) for c in CASES])
-def test_engine_output_matches_golden_with_every_block_generated(
+def test_engine_output_matches_golden_with_no_block_generated(
     monkeypatch, path, depth, strategy
 ):
-    monkeypatch.setattr(engine, "HOT", 1)  # each block's first entry generates it
+    monkeypatch.setattr(engine, "generate_block", lambda members, assigned: None)
     golden = json.loads(GOLDEN.read_text())
     assert engine_digest(path, depth, strategy) == golden[_key(path, depth, strategy)]
 

@@ -6,7 +6,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpart import proto
@@ -28,7 +28,9 @@ from tdpart.proto import (
     TruncatedFrameError,
     UnknownTagError,
     decode,
+    decode_test,
     encode,
+    encode_test,
 )
 
 # -- golden frames, written out by hand from the wire layout:
@@ -128,6 +130,47 @@ def test_task_test_entries_are_name_sorted():
     assert a == b
 
 
+# -- test serialization
+
+
+def test_encode_test_golden():
+    assert encode_test({}) == b"\x00\x00"
+    enc = encode_test({"y": 7, "x": -8})
+    assert enc == (
+        b"\x00\x02"
+        b"\x00\x01x\xff\xff\xff\xff\xff\xff\xff\xf8"
+        b"\x00\x01y\x00\x00\x00\x00\x00\x00\x00\x07"
+    )
+
+
+def test_decode_test_round_trip_and_offset():
+    test = {"x": -8, "y": 7, "mid": 0}
+    buf = encode_test(test) + b"tail"
+    got, off = decode_test(buf)
+    assert got == test
+    assert buf[off:] == b"tail"
+
+
+def test_decode_test_truncated():
+    enc = encode_test({"x": 1})
+    for cut in range(len(enc)):
+        with pytest.raises(TruncatedFrameError):
+            decode_test(enc[:cut])
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=8),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        max_size=6,
+    )
+)
+def test_encode_decode_test_round_trip(test):
+    got, off = decode_test(encode_test(test))
+    assert got == test and list(got) == sorted(test)
+    assert off == len(encode_test(test))
+
+
 # -- error taxonomy
 
 
@@ -197,6 +240,77 @@ def test_a_test_name_that_is_not_utf8_is_a_protocol_error():
         with pytest.raises(ProtocolError, match="not UTF-8") as err:
             decode(bad)
         assert type(err.value) is ProtocolError
+
+
+@pytest.mark.parametrize("names", [(b"x", b"x"), (b"z", b"y"), (b"y", b"x")])
+def test_a_test_naming_an_input_twice_or_out_of_order_is_a_protocol_error(names):
+    # GOLDEN_TASK's test {"x": -8, "y": 7}, with the names replaced
+    at = GOLDEN_TASK.index(b"\x00\x01x")
+    bad = bytearray(GOLDEN_TASK)
+    bad[at + 2], bad[at + 13] = names[0][0], names[1][0]
+    with pytest.raises(ProtocolError, match="strictly increasing") as err:
+        decode(bytes(bad))
+    assert type(err.value) is ProtocolError
+
+
+@pytest.mark.parametrize("byte", [2, 0x80, 0xFF])
+def test_a_finish_truncated_byte_other_than_0_or_1_is_a_protocol_error(byte):
+    at = 5 + 6 * 8  # six u64 counters, then the truncated byte
+    for flag in (0, 1):
+        frame = GOLDEN_FINISH[:at] + bytes([flag]) + GOLDEN_FINISH[at + 1 :]
+        assert decode(frame).stats.truncated == bool(flag)
+    bad = GOLDEN_FINISH[:at] + bytes([byte]) + GOLDEN_FINISH[at + 1 :]
+    with pytest.raises(ProtocolError, match="truncated byte") as err:
+        decode(bad)
+    assert type(err.value) is ProtocolError
+
+
+def _check_canonical(frame):
+    """decode either rejects frame with a ProtocolError or accepts exactly
+    the bytes encode writes for what it decoded."""
+    try:
+        msg = decode(frame)
+    except ProtocolError:
+        return False
+    assert encode(msg) == frame, frame.hex()
+    return True
+
+
+def test_every_single_byte_change_of_a_golden_frame_is_rejected_or_canonical():
+    accepted = 0
+    for _, frame in GOLDEN_PAIRS:
+        for at in range(len(frame)):
+            for byte in range(256):
+                accepted += _check_canonical(frame[:at] + bytes([byte]) + frame[at + 1 :])
+    assert accepted > 10_000  # counters, values and seeds take any bytes
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from([frame for _, frame in GOLDEN_PAIRS]),
+    st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 80),
+                  st.integers(0, 255)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_every_frame_decode_accepts_re_encodes_to_itself(frame, edits):
+    # a mutation of a golden frame, checked as it is and with its length
+    # prefix mended, so that payload fields are reached; a frame has 5
+    # bytes or more, so 4 deletes leave one
+    buf = bytearray(frame)
+    for kind, at, byte in edits:
+        at %= len(buf) + (kind == "insert")
+        if kind == "set":
+            buf[at] = byte
+        elif kind == "insert":
+            buf.insert(at, byte)
+        else:
+            del buf[at]
+    _check_canonical(bytes(buf))
+    if len(buf) >= 4:
+        buf[:4] = (len(buf) - 4).to_bytes(4, "big")
+        _check_canonical(bytes(buf))
 
 
 # -- randomized round trips

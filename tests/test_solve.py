@@ -21,8 +21,6 @@ from tdpart.solve import (
     _fixpoint,
     _narrowed,
     _Unsat,
-    decode_test,
-    encode_test,
     evaluate_concrete,
     solve_model,
     solve_path,
@@ -671,33 +669,40 @@ def _chain_lt(links):
     return lt(chain, Const(20))
 
 
-def _last_child_ievals(monkeypatch, depth):
-    """_ieval calls of the last solve on a pc of `depth` extends by fresh
-    copies of x+3+...+3 < 20, each ancestor solved first."""
+def _last_child_revises(monkeypatch, depth):
+    """_revise_linear calls of narrowing the last pc of `depth` extends by
+    fresh copies of x+3+...+3 < 20, which is affine, so it is revised on its
+    affine form: x < -10. Each ancestor is narrowed first, as a search of it
+    leaves it; a solve of such a child takes its parent's model, and
+    narrows nothing."""
     decls = (SymDecl("x", -400, 400),)
     pc = PathCondition()
     for _ in range(depth - 1):
         pc = pc.extend(_chain_lt(10), True)
         assert solve_model(pc, decls) == {"x": -400}
+        _narrowed(pc, decls)
     child = pc.extend(_chain_lt(10), True)
+    assert child.constraints[-1].lin is not None
     calls = [0]
-    ieval = solve_mod._ieval
+    revise = solve_mod._revise_linear
 
-    def counting(e, box):
+    def counting(lin, box):
         calls[0] += 1
-        return ieval(e, box)
+        return revise(lin, box)
 
     with monkeypatch.context() as m:
-        m.setattr(solve_mod, "_ieval", counting)
-        assert solve_model(child, decls) == {"x": -400}
+        m.setattr(solve_mod, "_revise_linear", counting)
+        assert _narrowed(child, decls).iv == {"x": (-400, -11)}
+    assert solve_model(child, decls) == {"x": -400}
     return calls[0]
 
 
 def test_child_solve_work_does_not_grow_with_depth(monkeypatch):
     # the child revises only its new constraint, which the parent's box
-    # already entails: one walk down its chain, whatever the depth
-    counts = [_last_child_ievals(monkeypatch, d) for d in (1, 2, 8, 15)]
+    # already entails: one revise, whatever the depth
+    counts = [_last_child_revises(monkeypatch, d) for d in (1, 2, 8, 15)]
     assert counts[1] == counts[2] == counts[3] <= counts[0], counts
+    assert counts[1] > 0  # the new constraint was revised
 
 
 def _square_chain_lt(links):
@@ -1444,51 +1449,6 @@ def test_a_fresh_query_cache_starts_with_an_empty_memo():
     cache = QueryCache()
     assert len(cache.memo) == 0 and cache.memo.hits == 0
     assert cache.memo is not QueryCache().memo
-
-
-# -- test serialization
-
-
-def test_encode_test_golden():
-    assert encode_test({}) == b"\x00\x00"
-    enc = encode_test({"y": 7, "x": -8})
-    assert enc == (
-        b"\x00\x02"
-        b"\x00\x01x\xff\xff\xff\xff\xff\xff\xff\xf8"
-        b"\x00\x01y\x00\x00\x00\x00\x00\x00\x00\x07"
-    )
-
-
-def test_decode_test_round_trip_and_offset():
-    test = {"x": -8, "y": 7, "mid": 0}
-    buf = encode_test(test) + b"tail"
-    got, off = decode_test(buf)
-    assert got == test
-    assert buf[off:] == b"tail"
-
-
-def test_decode_test_truncated():
-    enc = encode_test({"x": 1})
-    for cut in range(len(enc)):
-        with pytest.raises(ValueError, match="truncated test encoding"):
-            decode_test(enc[:cut])
-
-
-@given(
-    st.dictionaries(
-        st.text(
-            st.characters(min_codepoint=ord("a"), max_codepoint=ord("z")),
-            min_size=1,
-            max_size=8,
-        ),
-        st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
-        max_size=6,
-    )
-)
-def test_encode_decode_test_round_trip(test):
-    got, off = decode_test(encode_test(test))
-    assert got == test
-    assert off == len(encode_test(test))
 
 
 @settings(max_examples=60)

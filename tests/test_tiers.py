@@ -1,19 +1,20 @@
-"""The generated tier (one Python function per hot loop) against the
+"""The generated tier (one Python function per loop) against the
 evaluator (evaluate), which stays the reference."""
 
 import random
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from tdpart import engine, solve
-from tdpart.engine import Engine, Strategy, evaluate, find_loop, generate_block
+from tdpart.engine import Engine, Strategy, evaluate, find_loops, generate_block
 from tdpart.harness import RunConfig, gen_corpus, path_digest, program_digest, run_program
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
-    Jump, Program, Unary, Var, parse_program, reads,
+    Jump, Program, Unary, Var, expr_text, parse_program, reads,
 )
 
 _LO, _HI = -(2**63), 2**63 - 1
@@ -21,7 +22,20 @@ _EDGE = (_LO, _LO + 1, _HI, _HI - 1, -1, 0, 1, 2, 3, 2**32, -(2**31))
 # names that are also the generated code's own identifiers
 _NAMES = ("env", "wrap", "v0", "a0", "t0", "k")
 _OPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
-NEVER = float("inf")
+
+
+def _generating(monkeypatch, generated):
+    """Give loops their functions, or (generated False) no block a
+    function, so every block runs in the evaluator, the reference."""
+    if not generated:
+        monkeypatch.setattr(engine, "generate_block", lambda members, assigned: None)
+
+
+def _marks(prog):
+    """What each block of prog holds: None until an engine enters the
+    program, or on a loop until one enters the loop; then True for a
+    loop's function, else False."""
+    return [run if run is None or run is False else True for run in prog._engine_runs]
 
 
 def _evaluator_run(blk, env):
@@ -145,14 +159,15 @@ def test_program_names_that_are_python_identifiers_of_the_generated_code(monkeyp
         "while (env < 100) { env = env + 1; v0 = v0 + wrap; t0 = t0 + 1; a0 = t0 < 0; }\n"
         "if (x < v0) { exit(1); } else { exit(2); }\n"
     )
-    for hot in (1, NEVER):
-        monkeypatch.setattr(engine, "HOT", hot)
-        prog = parse_program(src)  # a program keeps its functions
-        eng = Engine(prog)
-        res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
+    for generated in (True, False):
+        with monkeypatch.context() as m:
+            _generating(m, generated)
+            prog = parse_program(src)  # a program keeps its functions
+            eng = Engine(prog)
+            res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
         (state,) = res.frontier
         assert state.env == {"env": 100, "wrap": 5, "v0": 500, "a0": 1, "t0": _LO + 99}
-        assert any(prog._engine_runs) == (hot == 1)
+        assert (True in _marks(prog)) == generated
 
 
 # names that are also the loop function's own identifiers
@@ -236,23 +251,65 @@ def test_generated_loops_match_the_evaluator_seeded():
     assert min(ran, bails) > 1500 and multi > 1000 and new_names > 20 and stopped > 1000
 
 
-def test_find_loop_takes_the_whole_nest_and_only_generable_blocks():
+def test_find_loops_takes_the_whole_nest_and_only_generable_blocks():
     nest = parse_program(
         "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
         "while (k < 9) { j = 0; while (j < k) { j = j + 1; s = s + j; } k = k + 1; }\n"
         "if (x < s) { exit(1); }\nexit(2);\n"
     )
-    assigned = frozenset("jks")
-    loops = {i: find_loop(nest.blocks, i, assigned) for i in range(len(nest.blocks))}
-    members = {i for i, loop in loops.items() if loop}
-    assert len(members) >= 4  # both headers and both bodies
-    assert all(loops[i] == sorted(members) for i in members)
+    (loop,) = find_loops(nest.blocks, frozenset("jks"))
+    assert len(loop) >= 4  # both headers and both bodies
     # a loop that branches on an input has no generable cycle
     on_input = parse_program(
         "program p;\nsym x in [0, 3];\nk = 0;\n"
         "while (k < 9) { k = k + 1; if (x < k) { k = k + 2; } }\nexit(2);\n"
     )
-    assert not any(find_loop(on_input.blocks, i, {"k"}) for i in range(len(on_input.blocks)))
+    assert find_loops(on_input.blocks, {"k"}) == []
+
+
+def _reference_loops(blocks, assigned):
+    """The loops by brute force: block i's loop is the generable blocks it
+    reaches through generable blocks and that reach it back, when it
+    reaches itself."""
+    gen = {i for i, blk in enumerate(blocks) if engine._generable(blk, assigned)}
+
+    def reach(i):
+        seen, todo = set(), [i]
+        while todo:
+            term = blocks[todo.pop()].term
+            for j in (term.target,) if type(term) is Jump else (term.on_true, term.on_false):
+                if j in gen and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        return seen
+
+    reached = {i: reach(i) for i in gen}
+    return sorted({tuple(sorted(j for j in reached[i] if i in reached[j]))
+                   for i in gen if i in reached[i]})
+
+
+def test_find_loops_finds_the_blocks_that_reach_one_another_seeded():
+    rng = random.Random(31)
+    assigned = frozenset("ab")
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        blocks = []
+        for _ in range(n):
+            name = rng.choice("abx")  # x is never assigned
+            body = (Assign("a", Var(name)),) if rng.random() < 0.3 else ()
+            r = rng.random()
+            if r < 0.1:
+                term = Exit(0)
+            elif r < 0.4:
+                term = Jump(rng.randrange(n))
+            else:
+                term = Branch(Var(rng.choice("aab")), rng.randrange(n), rng.randrange(n))
+            blocks.append(BasicBlock(body, term))
+        loops = find_loops(blocks, assigned)
+        assert sorted(tuple(loop) for loop in loops) == _reference_loops(blocks, assigned), blocks
+        found += len(loops)
+    assert found > 1000
 
 
 # -- whole explorations, every block generated at once against none
@@ -270,20 +327,21 @@ def programs(tmp_path_factory):
     return _programs(tmp_path_factory.mktemp("corpus"))
 
 
-def _explore(monkeypatch, prog, hot, depth, strategy):
-    """One region of an equal but fresh copy of prog with the given HOT (a
-    program keeps the functions any engine made for it), and the number of
-    blocks that copy has a function for afterwards."""
-    monkeypatch.setattr(engine, "HOT", hot)
+def _explore(monkeypatch, prog, generated, depth, strategy):
+    """One region of an equal but fresh copy of prog, with loops generated
+    or not (a program keeps the functions any engine made for it), and the
+    number of blocks that copy has a function for afterwards."""
     prog = Program(prog.name, prog.inputs, prog.blocks)
-    eng = Engine(prog)
-    res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
+    with monkeypatch.context() as m:
+        _generating(m, generated)
+        eng = Engine(prog)
+        res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
     st = res.stats
     return (
         [(c.path, str(c.outcome), sorted(c.test.items()), c.constraints) for c in res.completed],
         [(s.path, s.block, s.instr, list(s.env.items())) for s in res.frontier],
         st.instructions, st.solver_queries, st.cache_hits, st.truncated,
-    ), sum(run is not None for run in prog._engine_runs)
+    ), _marks(prog).count(True)
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
@@ -293,8 +351,8 @@ def test_generated_tier_explores_exactly_like_the_evaluator(
 ):
     generated = 0
     for name, prog in programs:
-        want, none = _explore(monkeypatch, prog, NEVER, depth, strategy)
-        got, made = _explore(monkeypatch, prog, 1, depth, strategy)
+        want, none = _explore(monkeypatch, prog, False, depth, strategy)
+        got, made = _explore(monkeypatch, prog, True, depth, strategy)
         assert got == want and none == 0, name
         generated += made
     assert generated > 0
@@ -307,8 +365,8 @@ def test_generated_tier_truncates_exactly_like_the_evaluator(
     monkeypatch.setattr(engine, "MAX_STEPS", max_steps)
     truncated = generated = 0
     for name, prog in programs:
-        want, none = _explore(monkeypatch, prog, NEVER, 6, "dfs")
-        got, made = _explore(monkeypatch, prog, 1, 6, "dfs")
+        want, none = _explore(monkeypatch, prog, False, 6, "dfs")
+        got, made = _explore(monkeypatch, prog, True, 6, "dfs")
         assert got == want and none == 0, name
         truncated += want[-1]
         generated += made
@@ -316,30 +374,29 @@ def test_generated_tier_truncates_exactly_like_the_evaluator(
     assert (generated > 0) == (max_steps > 1)  # one instruction reaches no loop
 
 
-def test_a_block_is_generated_on_its_hot_entry_once_per_program(monkeypatch):
+def test_a_loop_is_generated_on_its_first_entry_once_per_program(monkeypatch):
     calls = []
     real = engine.generate_block
     monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
 
-    def loop(n):  # the loop's header block is entered n + 1 times
+    def loop(n):  # the loop runs n times
         return parse_program(
             f"program p;\nsym x in [0, 3];\nk = 0;\n"
             f"while (k < {n}) {{ k = k + 1; }}\nif (x < k) {{ exit(1); }}\nexit(2);\n"
         )
 
-    # the header gets hot first, and generates its loop with the body
-    for n, generated in ((engine.HOT - 2, 0), (engine.HOT - 1, 1), (engine.HOT, 1)):
+    # the header's first entry generates its loop with the body, however
+    # often the loop then runs: at n = 0 the body never runs
+    for n in (0, 1, 200):
         prog = loop(n)
-        # a second engine on the program takes its function, and heat is
-        # the engine's own: at HOT - 2 neither engine gets hot, although
-        # both together enter the header more than HOT times; an equal
-        # program parsed again starts cold and generates again
-        for p, want in ((prog, generated), (prog, 0), (loop(n), generated)):
+        # a second engine on the program takes its function; an equal
+        # program parsed again is another object, analysed again
+        for p, want in ((prog, 1), (prog, 0), (loop(n), 1)):
             calls.clear()
             eng = Engine(p)
             eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
             assert len(calls) == want, n
-            assert any(p._engine_runs) == bool(generated), n
+            assert _marks(p).count(True) == 2, n  # the header and the body
     # the same engine's next region reuses its program's functions
     calls.clear()
     eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("bfs"))
@@ -352,7 +409,7 @@ def _run_region(prog):
     return eng
 
 
-_HOT_LOOP = (
+_CONCRETE_LOOP = (
     "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
     "while (k < 200) { k = k + 1; s = s + k; }\nif (x < s) { exit(1); }\nexit(2);\n"
 )
@@ -361,38 +418,32 @@ _HOT_LOOP = (
 def test_a_second_engine_runs_the_programs_function_from_the_loops_first_entry(
     monkeypatch,
 ):
-    prog = parse_program(_HOT_LOOP)
-    first = _run_region(prog)
-    runs = list(prog._engine_runs)
-    (run1,) = {r for r in runs if r}
-    loop = [b for b, r in enumerate(runs) if r]
-    assert first._heat[loop[0]] == engine.HOT  # generated on the HOT-th entry
-    built, compiled, generated = [], [], []
+    built, compiled, generated, evaluated = [], [], [], []
     source = engine._loop_source
     monkeypatch.setattr(engine, "_loop_source", lambda *a: built.append(a) or source(*a))
-    monkeypatch.setattr(solve, "compile", lambda *a: compiled.append(a) or compile(*a),
+    monkeypatch.setattr(engine, "compile", lambda *a: compiled.append(a) or compile(*a),
                         raising=False)
     real = engine.generate_block
     monkeypatch.setattr(engine, "generate_block", lambda *a: generated.append(a) or real(*a))
+    prog = parse_program(_CONCRETE_LOOP)
+    _run_region(prog)  # the first engine generates the loop on its first entry
+    assert len(built) == len(compiled) == len(generated) == 1
+    runs = list(prog._engine_runs)
+    assert _marks(prog).count(True) == 2
+    for calls in (built, compiled, generated):
+        calls.clear()
+    monkeypatch.setattr(engine, "evaluate", lambda e, env: evaluated.append(e) or evaluate(e, env))
     second = _run_region(prog)
     assert generated == built == compiled == []
-    # the same function, every entry: the loop's blocks never warmed up
+    # the same function, from the loop's first entry: of the 800-odd
+    # instructions, the evaluator runs only the two assignments before the
+    # loop and the branch after it
     assert all(r is s for r, s in zip(prog._engine_runs, runs))
-    assert [second._heat[b] for b in loop] == [0] * len(loop)
-    # an equal program parsed again starts cold, and makes its own
-    # function from the compiled code on its HOT-th entry
-    again = parse_program(_HOT_LOOP)
-    assert again == prog and not any(again._engine_runs)
-    third = _run_region(again)
-    assert built == compiled == [] and len(generated) == 1
-    assert third._heat[loop[0]] == engine.HOT
-    (run3,) = {r for r in again._engine_runs if r}
-    assert run3 is not run1 and run3.__code__ is run1.__code__
-    assert run3.__globals__ is not run1.__globals__
+    assert len(evaluated) == 3 and second.queries > 0
 
 
 def test_a_program_that_ran_keeps_its_value():
-    ran, fresh = parse_program(_HOT_LOOP), parse_program(_HOT_LOOP)
+    ran, fresh = parse_program(_CONCRETE_LOOP), parse_program(_CONCRETE_LOOP)
     before = repr(ran)
     run_program(ran, RunConfig(mode="single", final_depth=3))
     assert any(ran._engine_runs) and program_digest(ran) == program_digest(fresh)
@@ -417,15 +468,15 @@ def test_every_mode_shares_the_programs_functions(monkeypatch, mode):
         assert (calls == []) == ran_before
 
 
-def test_worker_threads_generating_at_once_leave_every_loop_a_function(monkeypatch):
-    # every block is generated on its first entry, by whichever of four
-    # threads (on fewer cores) gets there first, switching as often as it can
-    monkeypatch.setattr(engine, "HOT", 1)
+def test_worker_threads_generating_at_once_leave_every_loop_a_function():
+    # the program and each loop are analysed at their first entry, by
+    # whichever of four threads (on fewer cores) gets there first,
+    # switching as often as it can
     text = Path("perfbench/programs/interp.tdp").read_text()
     single = parse_program(text)
     want = path_digest(run_program(single, RunConfig(final_depth=12)).paths)
-    generated = [run is not None for run in single._engine_runs]
-    assert any(generated)
+    marks = _marks(single)
+    assert True in marks and False in marks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -433,21 +484,49 @@ def test_worker_threads_generating_at_once_leave_every_loop_a_function(monkeypat
             prog = parse_program(text)
             out = run_program(prog, RunConfig(mode="threads", workers=4, final_depth=12))
             assert path_digest(out.paths) == want
-            assert [run is not None for run in prog._engine_runs] == generated
+            assert _marks(prog) == marks
     finally:
         sys.setswitchinterval(interval)
 
 
+def test_threads_entering_a_program_or_a_loop_at_once_analyse_it_once(monkeypatch):
+    calls = []
+
+    def slowed(name):
+        real = getattr(engine, name)
+
+        def slow(*args):
+            calls.append(name)
+            time.sleep(0.01)  # the other thread enters the block meanwhile
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, slow)
+
+    def both(target):
+        threads = [threading.Thread(target=target) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    slowed("find_loops")
+    slowed("generate_block")
+    prog = parse_program(_CONCRETE_LOOP)
+    both(lambda: Engine(prog)._analyse(0))  # the program's first block entry
+    assert calls == ["find_loops"] and _marks(prog).count(None) == 2
+    both(lambda: _run_region(prog))  # the loop's first entry
+    assert calls == ["find_loops", "generate_block"] and _marks(prog).count(True) == 2
+
+
 def test_the_code_cache_stays_within_its_bound():
-    # loops and revise functions share the cache and its bound
     bound = solve.CODE_BOUND
     for c in range(bound + 20):
-        generate_block({0: BasicBlock((Assign("r", Const(c)),), Jump(0))}, {"r"})
         e = Binary("<", Binary("*", Var("x"), Var("x")), Const(c))
         assert solve._generated_revise(e, c % 2 == 0, True) is not None
         assert len(solve._codes) <= bound
-    assert any(type(k[0]) is str for k in solve._codes)  # a revise's key
-    assert any(type(k[0]) is tuple for k in solve._codes)  # a loop's key
+    # the last `bound` keys, each a revise's (text, polarity)
+    assert len(solve._codes) == bound
+    assert list(solve._codes)[-1] == (expr_text(e), c % 2 == 0)
 
 
 def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
@@ -469,32 +548,61 @@ def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
     assert solve.generated_code("b", None) is None and solve.generated_code("a", None) is a
 
 
-def test_a_hot_block_on_no_cycle_gets_no_function(monkeypatch):
+def _counting_find_loops(monkeypatch):
+    """The list of the programs (their blocks) find_loops is called on."""
+    analysed = []
+    real = engine.find_loops
+    monkeypatch.setattr(engine, "find_loops", lambda *a: analysed.append(a[0]) or real(*a))
+    return analysed
+
+
+def test_a_program_with_no_loop_is_analysed_once_and_marks_every_block(monkeypatch):
     calls = []
     real = engine.generate_block
     monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
+    analysed = _counting_find_loops(monkeypatch)
     prog = parse_program("program p;\nsym x in [0, 3];\nk = 1;\nif (x < k) { exit(1); }\nexit(2);\n")
-    eng = Engine(prog)
-    for _ in range(engine.HOT + 3):  # block 0 is entered once per region
-        eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
-    assert eng._heat[0] > engine.HOT
-    assert prog._engine_runs == [None] * len(prog.blocks) and calls == []
+    for _ in range(3):
+        eng = Engine(prog)
+        for _ in range(3):
+            eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+    assert analysed == [prog.blocks] and calls == []
+    assert _marks(prog) == [False] * len(prog.blocks)
 
 
-@pytest.mark.parametrize("mode,workers", [("single", 1), ("threads", 2)])
+@pytest.mark.parametrize("search", ["dfs", "bfs"])
 @pytest.mark.parametrize("depth", [6, 12])
-def test_the_loop_analysis_runs_only_on_a_hot_block(monkeypatch, tmp_path, mode, workers, depth):
-    # lazy, never per engine: a corpus exploration makes several engines.
-    # Only the single engine at depth 12 enters a corpus block HOT times:
-    # `while (y < 6) { y = y + 1; }` in two programs, whose y is symbolic.
-    calls = []
-    monkeypatch.setattr(engine, "find_loop", lambda blocks, idx, assigned: calls.append(idx) or [])
-    for path in [Path("programs/find_middle.tdp")] + gen_corpus(7, 20, tmp_path):
-        calls.clear()
-        cfg = RunConfig(mode=mode, workers=workers, final_depth=depth)
-        assert not run_program(parse_program(path.read_text()), cfg).truncated
-        hot = (mode, depth) == ("single", 12) and path.stem in ("prog_05", "prog_15")
-        assert calls == ([4] if hot else []), path
+def test_the_loop_analysis_runs_once_per_program(monkeypatch, tmp_path, search, depth):
+    # one program object in every mode, then in single mode again: the
+    # first block entry, in whichever engine, finds the loops for them all,
+    # and a loop's first entry generates it for them all
+    analysed = _counting_find_loops(monkeypatch)
+    generated = []
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block", lambda *a: generated.extend(a[0]) or real(*a))
+    paths = [Path("programs/find_middle.tdp")] + gen_corpus(7, 20, tmp_path)
+    paths += sorted(Path("perfbench/programs").glob("*.tdp"))
+    modes = [("single", 1), ("threads", 2), ("tcp", 2), ("single", 1)]
+    loops = 0
+    for path in paths:
+        analysed.clear()
+        generated.clear()
+        prog = parse_program(path.read_text())
+        digests = set()
+        for mode, workers in modes:
+            cfg = RunConfig(mode=mode, workers=workers, strategy=Strategy(search),
+                            final_depth=depth)
+            out = run_program(prog, cfg)
+            assert not out.truncated
+            digests.add(path_digest(out.paths))
+        assert len(digests) == 1, path
+        assert analysed == [prog.blocks], path
+        assert len(generated) == len(set(generated)), path
+        # a block left None is on a loop that no engine entered
+        unentered = {b for b, mark in enumerate(_marks(prog)) if mark is None}
+        assert unentered <= set(prog._engine_loops[0]) - set(generated), path
+        loops += True in _marks(prog)
+    assert loops >= 3
 
 
 @pytest.mark.parametrize("start", [1, 1000, 1023, 1024, 3000])
@@ -504,16 +612,17 @@ def test_a_passed_deadline_stops_both_tiers_at_the_same_instruction(monkeypatch,
         "while (k < 5000) { k = k + 1; s = s + k; }\nexit(0);\n"
     )
     got = []
-    for hot in (NEVER, 1):
-        monkeypatch.setattr(engine, "HOT", hot)
-        prog = parse_program(src)  # a program keeps its functions
-        eng = Engine(prog)
-        state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
-        assert eng._advance(state, 3, stats) == "term"  # warm up: HOT=1 generates
-        state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
-        assert eng._advance(state, 3, stats, deadline=time.monotonic() - 1) == "trunc"
+    for generated in (False, True):
+        with monkeypatch.context() as m:
+            _generating(m, generated)
+            prog = parse_program(src)  # a program keeps its functions
+            eng = Engine(prog)
+            state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
+            assert eng._advance(state, 3, stats) == "term"  # warm up: analyse every block
+            state, stats = eng.initial_state(), engine.EngineStats(instructions=start)
+            assert eng._advance(state, 3, stats, deadline=time.monotonic() - 1) == "trunc"
         got.append((stats.instructions, state.block, state.instr, state.env))
-        assert any(prog._engine_runs) == (hot == 1)
+        assert (True in _marks(prog)) == generated
     assert got[0] == got[1]
     assert got[0][0] == -(-start // 1024) * 1024
 
@@ -527,8 +636,8 @@ def test_deeply_nested_blocks_run_alike_in_both_tiers(monkeypatch, op):
         f"while (k < 70) {{ k = k + 1; s = s {f' {op}' * 250}; }}\n"
         "if (x < s) { exit(1); }\nexit(2);\n"
     )
-    got, made = _explore(monkeypatch, prog, 1, 3, "dfs")
-    want, none = _explore(monkeypatch, prog, NEVER, 3, "dfs")
+    got, made = _explore(monkeypatch, prog, True, 3, "dfs")
+    want, none = _explore(monkeypatch, prog, False, 3, "dfs")
     assert got == want and none == 0
     # 250 nested comparisons recurse too deep to generate
     assert (made > 0) == (op != "< 5 == 1")
