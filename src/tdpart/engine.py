@@ -17,10 +17,17 @@ witnesses depend only on the expression and the store.
 The first block entry of any engine on a Program object finds the
 program's loops (each a set of blocks that reach one another), once per
 object, and the first entry of a loop makes it one generated Python
-function: a `while` over the loop's blocks, on locals holding plain ints,
-with inlined int64 arithmetic, that returns where control leaves the loop.
-The object keeps the function on every block of its loop, and False on
-every block on no loop, so every engine on it (the seeding engine, each
+function on locals holding plain ints, with inlined int64 arithmetic, that
+returns where control leaves the loop. A loop that is one simple cycle,
+as a `while` with no branch in its body is, runs one whole iteration at a
+time as straight-line code from the block entered first, with one budget
+test per iteration; other loops, and the blocks of a last part iteration,
+run through a `while` that dispatches on the block. A name can hold a
+plain int only when some assignment binds it from names that can, so no
+function is made for a loop that reads any other name, an input or a
+name always computed from one: that loop's blocks are marked as on no
+loop. The object keeps the function on every block of its loop, and False
+on every block on no loop, so every engine on it (the seeding engine, each
 worker thread, each later run) skips a False block and runs a loop's
 function from the loop's first entry, and a forked worker would inherit
 both. A function bails, leaving the store untouched, when a name the loop
@@ -41,7 +48,7 @@ from typing import TYPE_CHECKING
 from . import solve
 from .lang import (
     ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
-    Const, Exit, Expr, Jump, Program, Unary, Var, reads,
+    Const, Exit, Expr, Jump, Program, Terminator, Unary, Var, reads,
 )
 from .record import Record
 from .solve import PathCondition, QueryCache, Test, evaluate
@@ -153,29 +160,58 @@ _analysis_lock = threading.Lock()  # so threads analyse a program's loops once
 _NEST = 50  # deepest parenthesis nesting before a value goes to a local
 
 
-def _generable(blk: BasicBlock, assigned: Set[str]) -> bool:
-    """blk jumps or branches, and reads only names an assignment binds."""
+def _generable(blk: BasicBlock, concrete: Set[str]) -> bool:
+    """blk jumps or branches, and reads only names that can hold an int."""
     term = blk.term
     if type(term) is not Branch and type(term) is not Jump:
         return False
     exprs = [a.expr for a in blk.body] + ([term.cond] if type(term) is Branch else [])
-    return not any(reads(e) - assigned for e in exprs)
+    return not any(reads(e) - concrete for e in exprs)
 
 
-def find_loops(blocks: Sequence[BasicBlock], assigned: Set[str]) -> list[list[int]]:
-    """The program's loops, each in index order: the strongly connected
-    components of the generable blocks that hold a cycle, so that every
-    block of a loop reaches every other through generable blocks.
-    Kosaraju's algorithm, in time linear in the number of blocks."""
-    succ: dict[int, list[int]] = {}
-    for i, blk in enumerate(blocks):
-        if _generable(blk, assigned):
-            term = blk.term
-            succ[i] = [term.target] if type(term) is Jump else [term.on_true, term.on_false]
+def concrete_names(blocks: Sequence[BasicBlock]) -> frozenset[str]:
+    """The names that can hold a plain int: those some assignment binds
+    from an expression reading only such names. Every other name, an input
+    or one every assignment of which reads an always-symbolic name, is
+    unbound or an Expr wherever it is read, since evaluate never folds a
+    symbolic operand. The least fixpoint, in time linear in the program."""
+    waiting: dict[str, list[list]] = {}  # name -> [target, names unknown] of assignments reading it
+    todo: list[str] = []
+    for blk in blocks:
+        for a in blk.body:
+            names = reads(a.expr)
+            entry = [a.name, len(names)]
+            for n in names:
+                waiting.setdefault(n, []).append(entry)
+            if not names:
+                todo.append(a.name)
+    concrete: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in concrete:
+            concrete.add(name)
+            for entry in waiting.get(name, ()):
+                entry[1] -= 1
+                if entry[1] == 0:
+                    todo.append(entry[0])
+    return frozenset(concrete)
+
+
+def _successors(term: Terminator) -> list[int]:
+    if type(term) is Jump:
+        return [term.target]
+    return [term.on_true, term.on_false] if type(term) is Branch else []
+
+
+def _cycles(succ: Mapping[int, Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components that hold a cycle of the graph
+    succ (node -> successors; a successor that is no node is dropped),
+    each in index order, in order of their first nodes. Kosaraju's
+    algorithm, in time linear in the nodes and edges."""
+    succ = {i: [j for j in js if j in succ] for i, js in succ.items()}
     preds: dict[int, list[int]] = {i: [] for i in succ}
-    for i in succ:
-        succ[i] = [j for j in succ[i] if j in succ]
-        for j in succ[i]:
+    for i, js in succ.items():
+        for j in js:
             preds[j].append(i)
     order: list[int] = []  # a depth-first postorder; ~i on todo marks i's finish
     seen: set[int] = set()
@@ -187,8 +223,8 @@ def find_loops(blocks: Sequence[BasicBlock], assigned: Set[str]) -> list[list[in
         elif i not in seen:
             seen.add(i)
             todo += [~i] + succ[i]
-    # in reverse postorder, each block no component holds heads one
-    loops: list[list[int]] = []
+    # in reverse postorder, each node no component holds heads one
+    parts: list[list[int]] = []
     taken: set[int] = set()
     for root in reversed(order):
         if root not in taken:
@@ -201,8 +237,21 @@ def find_loops(blocks: Sequence[BasicBlock], assigned: Set[str]) -> list[list[in
                         part.append(i)
                         todo.append(i)
             if len(part) > 1 or root in succ[root]:
-                loops.append(sorted(part))
-    return loops
+                parts.append(sorted(part))
+    return sorted(parts)
+
+
+def find_loops(blocks: Sequence[BasicBlock], concrete: Set[str]) -> list[list[int]]:
+    """The program's loops, each in index order, in order of their first
+    blocks: the strongly connected components of the generable blocks that
+    hold a cycle, so that every block of a loop reaches every other through
+    generable blocks. Only a block on a cycle of the whole control-flow
+    graph can lie on one of them, so only those are tested for it."""
+    succ = {i: _successors(blk.term) for i, blk in enumerate(blocks)}
+    return _cycles({
+        i: succ[i] for part in _cycles(succ) for i in part
+        if _generable(blocks[i], concrete)
+    })
 
 
 class _LoopSource:
@@ -219,7 +268,7 @@ class _LoopSource:
         self.written: dict[str, None] = {}
 
     def emit(self, line: str) -> None:
-        self.lines.append(f"            {line}")
+        self.lines.append(line)
 
     def local(self, text: str, into: str | None = None) -> str:
         t = into or f"t{len(self.lines)}"
@@ -274,24 +323,29 @@ class _LoopSource:
 
 
 def generate_block(
-    members: Mapping[int, BasicBlock], assigned: Set[str]
+    members: Mapping[int, BasicBlock], concrete: Set[str]
 ) -> Callable[[Store, int, int], tuple[int, int]] | None:
     """A function run(env, b, room) that runs whole member blocks (index ->
     block) from block b on a store of plain ints, for as long as the next
     one's len(body) + 1 instructions fit in `room`. It returns the block
     where it stopped, the first outside the members or the one that did not
-    fit, with the instructions it ran. It loads each name the members read
-    or assign once, and writes the assigned ones back on return: names new
-    to env arrive in first-assignment order. It returns (b, 0), with env
+    fit, with the instructions it ran. When the members form one simple
+    cycle from the first, its head (each member has exactly one successor
+    among them, and following those visits them all), run takes a whole
+    iteration from the head at a time as straight-line code, with one
+    budget test, while one fits, and then the blocks of a last part
+    iteration one at a time. It loads each name the members read or assign
+    once, and writes the assigned ones back on return: names new to env
+    arrive in first-assignment order. It returns (b, 0), with env
     untouched, when block b is no member or does not fit, or when one of
     those names is unbound or not an int, except a name that every member
     assigns (in one order with the other such names) before reading it.
-    None when a member gets no function: it exits, or it reads a name that
-    no assignment in `assigned` binds, which therefore always holds an
-    Expr. With one member and room len(body) + 1, run runs that block.
-    Whatever run leaves, the evaluator runs, and it is the reference."""
+    None when a member gets no function: it exits, or it reads a name
+    outside `concrete`, which therefore always holds an Expr. With one
+    member and room len(body) + 1, run runs that block. Whatever run
+    leaves, the evaluator runs, and it is the reference."""
     try:
-        source = _loop_source(members, assigned)
+        source = _loop_source(members, concrete)
         if source is None:
             return None
         code = compile(source, "<tdpart generated>", "exec")
@@ -304,22 +358,35 @@ def generate_block(
     return namespace.pop("run")
 
 
-def _loop_source(members: Mapping[int, BasicBlock], assigned: Set[str]) -> str | None:
+def _cycle(members: Mapping[int, BasicBlock]) -> list[int] | None:
+    """The members in cycle order from the first, when they form one
+    simple cycle; else None."""
+    head = b = next(iter(members))
+    order: list[int] = []
+    for _ in members:
+        nxt = [t for t in _successors(members[b].term) if t in members]
+        if len(nxt) != 1 or b in order:
+            return None
+        order.append(b)
+        b = nxt[0]
+    return order if b == head else None
+
+
+def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str | None:
     """The source of generate_block's function, or None when it makes none."""
+    cycle = _cycle(members)
     src = _LoopSource()
-    cases, firsts, written = [], [], {}
-    for idx, blk in members.items():
-        if not _generable(blk, assigned):
+    parts, firsts, written = [], [], {}
+    for idx in cycle or members:
+        blk = members[idx]
+        if not _generable(blk, concrete):
             return None
         src.exposed, src.written, start = set(), {}, len(src.lines)
         for a in blk.body:
             src.assign(a.name, a.expr)
         term = blk.term
-        if type(term) is Jump:
-            nxt = f"b = {term.target}"
-        else:
-            nxt = f"b = {term.on_true} if {src.truth(term.cond)} else {term.on_false}"
-        cases.append((idx, len(blk.body) + 1, src.lines[start:], nxt))
+        cond = src.truth(term.cond) if type(term) is Branch else None
+        parts.append((idx, len(blk.body) + 1, src.lines[start:], term, cond))
         firsts.append([n for n in src.written if n not in src.exposed])
         written.update(src.written)
     # names every entry block binds before reading them may be unbound
@@ -332,13 +399,36 @@ def _loop_source(members: Mapping[int, BasicBlock], assigned: Set[str]) -> str |
         out.append("    except KeyError:\n        return b, 0")
         types = " or ".join(f"type({v}) is not int" for _, v in loads)
         out.append(f"    if {types}:\n        return b, 0")
-    out.append("    left = room\n    while True:")
-    for k, (idx, size, lines, nxt) in enumerate(cases):
+    out.append("    left = room")
+    if cycle:
+        # the whole iterations from the head that fit: a branch leaves the
+        # cycle (to a block no dispatch case takes) or falls through to the
+        # next member
+        size = sum(part[1] for part in parts)
+        out.append(f"    if b == {cycle[0]}:\n        for it in range(room // {size}):")
+        ran, body = 0, len(out)
+        for _, n, lines, term, cond in parts:
+            out += [f"            {line}" for line in lines]
+            ran += n
+            if cond is not None:
+                stay = term.on_true in members
+                out.append(f"            if {f'not {cond}' if stay else cond}:")
+                out.append(f"                left = room - {size} * it - {ran}")
+                out.append(f"                b = {term.on_false if stay else term.on_true}")
+                out.append("                break")
+        if len(out) == body:  # an empty block jumping to itself
+            out.append("            pass")
+        out.append(f"        else:\n            left = room % {size}")
+    out.append("    while True:")
+    for k, (idx, n, lines, term, cond) in enumerate(parts):
         out.append(f"        {'elif' if k else 'if'} b == {idx}:")
-        out.append(f"            if left < {size}:\n                break")
-        out.append(f"            left -= {size}")
-        out += lines
-        out.append(f"            {nxt}")
+        out.append(f"            if left < {n}:\n                break")
+        out.append(f"            left -= {n}")
+        out += [f"            {line}" for line in lines]
+        if cond is None:
+            out.append(f"            b = {term.target}")
+        else:
+            out.append(f"            b = {term.on_true} if {cond} else {term.on_false}")
     out.append("        else:\n            break")
     out.append("    if left == room:\n        return b, 0")
     # new names are fresh ones, which every member assigns in one order
@@ -486,17 +576,19 @@ class Engine:
         blocks, runs = program.blocks, program._engine_runs
         with _analysis_lock:
             try:
-                loops, assigned = program._engine_loops
+                loops, concrete = program._engine_loops
             except AttributeError:  # no engine has entered the program
-                assigned = frozenset(a.name for b in blocks for a in b.body)
-                loops = {m: loop for loop in find_loops(blocks, assigned) for m in loop}
-                program._engine_loops = loops, assigned
+                concrete = concrete_names(blocks)
+                loops = {m: loop for loop in find_loops(blocks, concrete) for m in loop}
+                program._engine_loops = loops, concrete
                 for b in range(len(blocks)):
                     if b not in loops:
                         runs[b] = False
             if runs[idx] is None:  # on a loop no engine has entered
                 loop = loops[idx]
-                run = generate_block({m: blocks[m] for m in loop}, assigned) or False
+                # the block entered first heads the loop's function
+                members = {m: blocks[m] for m in (idx, *loop)}
+                run = generate_block(members, concrete) or False
                 for m in loop:
                     runs[m] = run
             return runs[idx]
@@ -543,15 +635,20 @@ class Engine:
         return actives, None
 
     def _select(self, active: list[ExecState], strategy: Strategy, rng) -> ExecState:
+        """Pop the next state: dfs the deepest, latest-created one, bfs the
+        shallowest, earliest-created one. Under dfs and bfs, `active` is in
+        (depth, serial) order: it starts as one root, a fork's children
+        (depth + 1, fresh serials) are appended after dfs popped the
+        greatest state or bfs the least one (bfs keeps every depth within
+        one of the least), a guided step appends one such child, and an
+        offload only removes a state. So the pick is the last or the first."""
         if strategy.kind == "dfs":
-            idx = max(range(len(active)), key=lambda i: (active[i].depth, active[i].serial))
-        elif strategy.kind == "bfs":
-            idx = min(range(len(active)), key=lambda i: (active[i].depth, active[i].serial))
-        elif strategy.kind == "random":
-            idx = rng.randrange(len(active))
-        else:
-            raise ValueError(f"unknown strategy {strategy.kind}")
-        return active.pop(idx)
+            return active.pop()
+        if strategy.kind == "bfs":
+            return active.pop(0)
+        if strategy.kind == "random":
+            return active.pop(rng.randrange(len(active)))
+        raise ValueError(f"unknown strategy {strategy.kind}")
 
     # -- region execution
 

@@ -1,5 +1,6 @@
 """Region execution: guided replay, symbolic forking, censoring, resume."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from tdpart.engine import (
     Strategy,
     evaluate,
 )
-from tdpart.harness import RunConfig, corpus_shape, generate_program
+from tdpart.harness import RunConfig, corpus_shape, gen_corpus, generate_program, run_program
 from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
 from tdpart.solve import PathCondition, solve_model
+from tdpart.worker import choose_offload
 
 FIND_MIDDLE = parse_program(Path("programs/find_middle.tdp").read_text())
 
@@ -459,6 +461,57 @@ def test_poll_can_steal_a_state_mid_region():
     thief_paths = {c.path for c in tres.completed}
     assert victim_paths | thief_paths == FM_PATHS
     assert victim_paths.isdisjoint(thief_paths)
+
+
+@pytest.mark.parametrize("search", ["dfs", "bfs"])
+def test_select_takes_the_state_a_scan_over_depth_and_serial_takes(
+    monkeypatch, tmp_path, search
+):
+    # dfs and bfs pop the last or the first active state, which must be the
+    # greatest or the least by (depth, serial): in single mode, in guided
+    # regions that hand a state off at every third poll, and in two worker
+    # threads that offload whenever they hold more than one state
+    picks, wrong = [], []
+    real = Engine._select
+
+    def checked(self, active, strategy, rng):
+        key = lambda s: (s.depth, s.serial)  # noqa: E731
+        want = (max if strategy.kind == "dfs" else min)(active, key=key)
+        got = real(self, active, strategy, rng)
+        picks.append(None)
+        if got is not want:
+            wrong.append([key(s) for s in active] + [key(got)])
+        return got
+
+    monkeypatch.setattr(Engine, "_select", checked)
+    paths = [Path("programs/find_middle.tdp")] + gen_corpus(11, 30, tmp_path)
+    paths += sorted(Path("perfbench/programs").glob("*.tdp"))
+    offloads = 0
+    for path in paths:
+        prog = parse_program(path.read_text())
+        for depth in (6, 12):
+            cfg = RunConfig(strategy=Strategy(search), final_depth=depth)
+            single = run_program(prog, cfg)
+            # a region below a test of a path at least two decisions deep
+            eng = Engine(prog)
+            res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(search))
+            tests = [c.test for c in res.completed if len(c.path) >= 2]
+            tests += [eng.model_of(st.pc) for st in res.frontier if st.depth >= 2]
+            polls = itertools.count(1)
+
+            def poll(active, polls=polls):
+                nonlocal offloads
+                victim = choose_offload(active, 2)
+                if next(polls) % 3 == 0 and len(active) > 1 and victim is not None:
+                    active.remove(victim)
+                    offloads += 1
+
+            eng.start_execution(eng.initial_state(), tests[-1], 2, depth, Strategy(search),
+                                poll=poll)
+            threads = RunConfig(mode="threads", workers=2, strategy=Strategy(search),
+                                final_depth=depth, offload_threshold=1)
+            assert sorted(run_program(prog, threads).paths) == sorted(single.paths)
+    assert wrong == [] and len(picks) > 5000 and offloads > 20
 
 
 def test_cache_disabled_never_hits():

@@ -422,11 +422,12 @@ def test_calibrate_is_monotone_in_the_timeout():
 
 
 def test_calibrate_deadline_cuts_a_long_concrete_run():
-    # ~1.8M instructions before the first symbolic branch: only the deadline
-    # check inside a state's advance can stop it in time
+    # ~9M instructions before the first symbolic branch, under
+    # engine.MAX_STEPS: only the deadline check inside a state's advance can
+    # stop it in time
     prog = lang.parse_program(
         "program spin;\nsym x in [0, 1];\ni = 0;\n"
-        "while (i < 600000) { i = i + 1; }\n"
+        "while (i < 3000000) { i = i + 1; }\n"
         "if (x < 1) { exit(0); } else { exit(1); }\n"
     )
     t0 = time.perf_counter()

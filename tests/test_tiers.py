@@ -251,6 +251,196 @@ def test_generated_loops_match_the_evaluator_seeded():
     assert min(ran, bails) > 1500 and multi > 1000 and new_names > 20 and stopped > 1000
 
 
+# -- whole iterations: a loop whose blocks form one simple cycle
+
+
+def _cycle_program(rng, m, exit_at, flip):
+    """Block 0 binds i, s and t and jumps to block 1, which heads a cycle
+    through blocks 1..m; member exit_at leaves it for block m + 1 (an exit)
+    once i reaches 5, on the false side of its branch or (flip) the true
+    side. Member 1 counts i up; every member may assign s and t."""
+    names = ("i", "s", "t")
+    blocks = [BasicBlock((Assign("i", Const(0)), Assign("s", Const(3)), Assign("t", Const(-2))),
+                         Jump(1))]
+    for j in range(1, m + 1):
+        body = [Assign("i", Binary("+", Var("i"), Const(1)))] if j == 1 else []
+        body += [Assign(rng.choice("st"), _random_expr(rng, rng.randint(0, 3), names))
+                 for _ in range(rng.randint(0, 3))]
+        nxt = j % m + 1
+        if j == exit_at:
+            stay = Binary("<", Var("i"), Const(5))
+            term = (Branch(Unary("not", stay), m + 1, nxt) if flip
+                    else Branch(stay, nxt, m + 1))
+        else:
+            term = Jump(nxt)
+        blocks.append(BasicBlock(tuple(body), term))
+    blocks.append(BasicBlock((), Exit(0)))
+    return blocks
+
+
+def _cycle_cases():
+    rng = random.Random(25)
+    for m in range(1, 5):
+        for exit_at in sorted({1, m // 2 + 1, m}):  # at the head, mid-cycle, last
+            for flip in (False, True):
+                for _ in range(3):
+                    yield m, exit_at, _cycle_program(rng, m, exit_at, flip)
+
+
+def test_a_simple_cycle_runs_whole_iterations_like_the_evaluator_from_every_member():
+    fused = 0
+    for m, exit_at, blocks in _cycle_cases():
+        members = {j: blocks[j] for j in range(1, m + 1)}
+        assert engine._cycle(members) == list(members)
+        run = generate_block(members, frozenset("ist"))
+        size = sum(len(blk.body) + 1 for blk in members.values())
+        for b in members:
+            for room in range(3 * size + 2):
+                for i in (0, 3, 4, 5):  # i = 0 leaves after five iterations, the rest sooner
+                    store = {"i": i, "s": 7, "t": _HI}
+                    got_env, want_env = dict(store), dict(store)
+                    got = run(got_env, b, room)
+                    assert got == _evaluator_loop(members, want_env, b, room), (blocks, b, room)
+                    assert list(got_env.items()) == list(want_env.items()), (blocks, b, room)
+                    fused += b == 1 and room >= size
+    assert fused > 1000
+
+
+def _cuts(monkeypatch, blocks, generated, m, size):
+    """From each member of the cycle, with every room up to three
+    iterations before a passed deadline's check at the next multiple of
+    1024 and then before the instruction budget: what _advance returned and
+    left the state and the count at, on a program whose loop block 0
+    entered first."""
+    out = []
+    with monkeypatch.context() as mp:
+        _generating(mp, generated)
+        prog = Program("p", (), tuple(blocks))
+        eng = Engine(prog)
+        assert eng._advance(eng.initial_state(), 3, engine.EngineStats()) == "term"
+        for entry in range(1, m + 1):
+            for room in range(3 * size + 2):
+                for start, deadline, limit in (
+                    (2048 - room, time.monotonic() - 1, engine.MAX_STEPS),
+                    (5000, None, 5000 + room),
+                ):
+                    mp.setattr(engine, "MAX_STEPS", limit)
+                    state = eng.initial_state()
+                    state.block, state.env = entry, {"i": 1, "s": 7, "t": _HI}
+                    stats = engine.EngineStats(instructions=start)
+                    r = eng._advance(state, 3, stats, deadline)
+                    out.append((entry, room, r, state.block, state.instr, stats.instructions,
+                                list(state.env.items())))
+    assert (True in _marks(prog)) == generated
+    return out
+
+
+def test_a_simple_cycle_truncates_like_the_evaluator_from_every_member(monkeypatch):
+    cut = 0
+    for m, exit_at, blocks in _cycle_cases():
+        size = sum(len(blk.body) + 1 for blk in blocks[1:m + 1])
+        want = _cuts(monkeypatch, blocks, False, m, size)
+        assert _cuts(monkeypatch, blocks, True, m, size) == want, blocks
+        cut += sum(w[2] == "trunc" for w in want)
+    assert cut > 1000
+
+
+def test_a_loop_body_holding_a_branch_keeps_the_dispatch(monkeypatch):
+    prog = parse_program(
+        "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
+        "while (k < 50) { k = k + 1; if (k < 20) { s = s + k; } else { s = s - 1; } }\n"
+        "j = 0;\nwhile (j < 9) { j = j + 1; s = s + j; }\n"
+        "if (x < s) { exit(1); }\nexit(2);\n"
+    )
+    branching, simple = find_loops(prog.blocks, frozenset("kjs"))
+    assert len(branching) == 5 and len(simple) == 2
+    assert engine._cycle({b: prog.blocks[b] for b in branching}) is None
+    assert engine._cycle({b: prog.blocks[b] for b in simple}) == simple
+    heads = []
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block",
+                        lambda members, c: heads.append(next(iter(members))) or real(members, c))
+    got, made = _explore(monkeypatch, prog, True, 3, "dfs")
+    # each loop's function is headed by the block entered first, its header
+    assert heads == [branching[0], simple[0]]
+    want, none = _explore(monkeypatch, prog, False, 3, "dfs")
+    assert got == want and made == 7 and none == 0
+
+
+# -- names that can hold an int
+
+
+def _reference_concrete(blocks):
+    """The names an assignment can bind to an int, by rounds: each round
+    adds the names assigned from names already in."""
+    concrete = set()
+    while True:
+        new = {a.name for blk in blocks for a in blk.body if reads(a.expr) <= concrete}
+        if new <= concrete:
+            return concrete
+        concrete |= new
+
+
+def test_concrete_names_match_a_fixpoint_by_rounds_seeded():
+    rng = random.Random(19)
+    names = "abcdex"
+    sizes = []
+    for _ in range(2000):
+        blocks = [
+            BasicBlock(tuple(
+                Assign(rng.choice(names), _random_expr(rng, rng.randint(0, 2), names))
+                for _ in range(rng.randint(0, 3))
+            ), Exit(0))
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = engine.concrete_names(blocks)
+        assert got == _reference_concrete(blocks), blocks
+        sizes.append(len(got))
+    assert min(sizes) == 0 and max(sizes) >= 5 and len(set(sizes)) >= 5
+
+
+def test_a_loop_reading_an_always_symbolic_name_gets_no_function(monkeypatch, tmp_path):
+    calls = []
+    real = engine.generate_block
+    monkeypatch.setattr(engine, "generate_block", lambda *a: calls.append(a) or real(*a))
+    paths = [Path("perfbench/programs/loops.tdp")] + gen_corpus(7, 20, tmp_path)
+    loops = 0
+    for path in paths:
+        prog = parse_program(path.read_text())
+        assert not engine.concrete_names(prog.blocks) & {d.name for d in prog.inputs}
+        run_program(prog, RunConfig(final_depth=6))
+        # its loops, were every assigned name concrete: none is a loop here
+        loops += len(find_loops(prog.blocks, {a.name for b in prog.blocks for a in b.body}))
+        assert _marks(prog) == [False] * len(prog.blocks), path
+    assert calls == [] and loops > 10
+    # a name always computed from an input, and a concrete loop inside a
+    # loop on an input, which gets its own function
+    prog = parse_program(
+        "program p;\nsym x in [0, 30];\nt = x + 1; k = 0;\n"
+        "while (k < t) { k = k + 1; }\n"
+        "while (x < 20) { j = 0; while (j < 9) { j = j + 1; } x = x + 3; }\nexit(0);\n"
+    )
+    assert engine.concrete_names(prog.blocks) == {"k", "j"}
+    got, made = _explore(monkeypatch, prog, True, 6, "dfs")
+    want, none = _explore(monkeypatch, prog, False, 6, "dfs")
+    assert got == want and made == 2 and none == 0
+
+
+def test_find_loops_tests_only_the_blocks_on_a_cycle(monkeypatch):
+    tested = []
+    real = engine._generable
+    monkeypatch.setattr(engine, "_generable", lambda blk, c: tested.append(blk) or real(blk, c))
+    prog = parse_program(
+        "program p;\nsym x in [0, 9];\na = 0;\n"
+        + "if (a > 0) { a = a + 1; }\n" * 300
+        + "k = 0;\nwhile (k < 10) { k = k + 1; }\nif (x < k) { exit(1); }\nexit(0);\n"
+    )
+    assert len(prog.blocks) > 900
+    (loop,) = find_loops(prog.blocks, frozenset("ak"))
+    assert [prog.blocks[b] for b in loop] == tested
+    assert [tuple(loop)] == _reference_loops(prog.blocks, frozenset("ak"))
+
+
 def test_find_loops_takes_the_whole_nest_and_only_generable_blocks():
     nest = parse_program(
         "program p;\nsym x in [0, 3];\nk = 0; s = 0;\n"
@@ -602,7 +792,8 @@ def test_the_loop_analysis_runs_once_per_program(monkeypatch, tmp_path, search, 
         unentered = {b for b, mark in enumerate(_marks(prog)) if mark is None}
         assert unentered <= set(prog._engine_loops[0]) - set(generated), path
         loops += True in _marks(prog)
-    assert loops >= 3
+    # interp's; every other loop here reads an always-symbolic name
+    assert loops == 1
 
 
 @pytest.mark.parametrize("start", [1, 1000, 1023, 1024, 3000])
