@@ -42,7 +42,7 @@ import itertools
 import random
 import threading
 import time
-from collections.abc import Callable, Mapping, Sequence, Set
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from typing import TYPE_CHECKING
 
 from . import solve
@@ -160,31 +160,48 @@ _analysis_lock = threading.Lock()  # so threads analyse a program's loops once
 _NEST = 50  # deepest parenthesis nesting before a value goes to a local
 
 
+def _reads(blk: BasicBlock) -> frozenset[str]:
+    """The names blk's assignments and branch condition read."""
+    term = blk.term
+    names = reads(term.cond) if type(term) is Branch else frozenset()
+    return names.union(*[reads(a.expr) for a in blk.body])
+
+
 def _generable(blk: BasicBlock, concrete: Set[str]) -> bool:
     """blk jumps or branches, and reads only names that can hold an int."""
-    term = blk.term
-    if type(term) is not Branch and type(term) is not Jump:
-        return False
-    exprs = [a.expr for a in blk.body] + ([term.cond] if type(term) is Branch else [])
-    return not any(reads(e) - concrete for e in exprs)
+    return type(blk.term) in (Branch, Jump) and _reads(blk) <= concrete
 
 
-def concrete_names(blocks: Sequence[BasicBlock]) -> frozenset[str]:
+def concrete_names(
+    blocks: Sequence[BasicBlock], wanted: Iterable[str] | None = None
+) -> frozenset[str]:
     """The names that can hold a plain int: those some assignment binds
     from an expression reading only such names. Every other name, an input
     or one every assignment of which reads an always-symbolic name, is
     unbound or an Expr wherever it is read, since evaluate never folds a
-    symbolic operand. The least fixpoint, in time linear in the program."""
-    waiting: dict[str, list[list]] = {}  # name -> [target, names unknown] of assignments reading it
-    todo: list[str] = []
+    symbolic operand. The least fixpoint, in time linear in the program.
+    With `wanted`, only those names and, in turn, the names their
+    assignments read get a verdict, so the set holds no other name."""
+    assigned: dict[str, list[Expr]] = {}
     for blk in blocks:
         for a in blk.body:
-            names = reads(a.expr)
-            entry = [a.name, len(names)]
+            assigned.setdefault(a.name, []).append(a.expr)
+    waiting: dict[str, list[list]] = {}  # name -> [target, names unknown] of assignments reading it
+    todo: list[str] = []
+    judged = set(assigned if wanted is None else wanted)
+    stack = list(judged)
+    while stack:
+        name = stack.pop()
+        for e in assigned.get(name, ()):
+            names = reads(e)
+            entry = [name, len(names)]
             for n in names:
                 waiting.setdefault(n, []).append(entry)
+                if n not in judged:
+                    judged.add(n)
+                    stack.append(n)
             if not names:
-                todo.append(a.name)
+                todo.append(name)
     concrete: set[str] = set()
     while todo:
         name = todo.pop()
@@ -241,17 +258,35 @@ def _cycles(succ: Mapping[int, Sequence[int]]) -> list[list[int]]:
     return sorted(parts)
 
 
-def find_loops(blocks: Sequence[BasicBlock], concrete: Set[str]) -> list[list[int]]:
+def find_loops(
+    blocks: Sequence[BasicBlock], concrete: Set[str] | None = None
+) -> tuple[list[list[int]], Set[str]]:
     """The program's loops, each in index order, in order of their first
-    blocks: the strongly connected components of the generable blocks that
-    hold a cycle, so that every block of a loop reaches every other through
-    generable blocks. Only a block on a cycle of the whole control-flow
-    graph can lie on one of them, so only those are tested for it."""
-    succ = {i: _successors(blk.term) for i, blk in enumerate(blocks)}
-    return _cycles({
-        i: succ[i] for part in _cycles(succ) for i in part
-        if _generable(blocks[i], concrete)
-    })
+    blocks, with the concrete names they were tested against: the strongly
+    connected components of the generable blocks that hold a cycle, so
+    that every block of a loop reaches every other through generable
+    blocks. Only a block on a cycle of the whole control-flow graph can lie
+    on one of them, so only those are tested for it, and `concrete`
+    defaults to concrete_names of the names they read. Each
+    block of a cycle lies between the ends of one of its backward edges
+    (target <= source): the first edge on from the block that steps below
+    it, or else the edge back into it. So the search for cycles skips
+    every block outside the index range of every backward edge."""
+    ends = [-1] * len(blocks)  # target -> the greatest source of its backward edges
+    for i, blk in enumerate(blocks):
+        for j in _successors(blk.term):
+            if j <= i and ends[j] < i:
+                ends[j] = i
+    spanned, end = {}, -1  # block -> successors, inside some backward edge's range
+    for i, e in enumerate(ends):
+        if e > end:
+            end = e
+        if i <= end:
+            spanned[i] = _successors(blocks[i].term)
+    cyclic = [i for part in _cycles(spanned) for i in part]
+    if concrete is None:
+        concrete = concrete_names(blocks, set().union(*[_reads(blocks[i]) for i in cyclic]))
+    return _cycles({i: spanned[i] for i in cyclic if _generable(blocks[i], concrete)}), concrete
 
 
 class _LoopSource:
@@ -578,8 +613,8 @@ class Engine:
             try:
                 loops, concrete = program._engine_loops
             except AttributeError:  # no engine has entered the program
-                concrete = concrete_names(blocks)
-                loops = {m: loop for loop in find_loops(blocks, concrete) for m in loop}
+                found, concrete = find_loops(blocks)
+                loops = {m: loop for loop in found for m in loop}
                 program._engine_loops = loops, concrete
                 for b in range(len(blocks)):
                     if b not in loops:

@@ -47,9 +47,26 @@ to 100 revisions per constraint. It is incremental along the path, as a
 test-depth pair's region is explored one branch at a time: each pc keeps its
 narrowed box, and a child's box starts from a copy of its parent's with only
 the new constraint queued (an ancestor without a box gets one first, the
-same way). Backtracking pins each input but the last to a value, queues the
-constraints that read it and narrows again, skipping the value when that
-refutes the pc; the last input is checked by concrete evaluation.
+same way). Backtracking on the tree path pins each input but the last to a
+value, copies the box, queues the constraints that read the input and
+narrows again, skipping the value when that refutes the pc; the last input
+is checked by concrete evaluation.
+
+A component of two or more inputs each of whose constraints is a
+comparison that its node already revises by a generated function in that
+polarity (so HOT decides this too) is searched by one generated function
+instead once it misses a second time in the process (the component memo
+answers a repeat within one run, so a one-shot run compiles none). It is
+compiled once per process in the same cache, keyed on the component's
+sorted constraint texts and its input order, and built by
+the same emitter as the revises, which reads and writes each input's
+bounds in locals in place of the box: a pin passes a point for an input's
+bounds, with no box, queue or copy, and the component's revises run
+inline in fixed rounds, == first and != last, until a round shrinks
+nothing or for 100 rounds. The last input is checked by concrete
+evaluation, as on the tree path, which searches every other component,
+one too deep to generate, and one of more inputs than the compiler nests
+loops for.
 
 Inputs are enumerated in declaration order with ascending values, so the
 first solution found is the lexicographically smallest one, which is what
@@ -206,36 +223,52 @@ def solve_path(test: Test, cond: Expr) -> bool:
 # Generated code
 # ---------------------------------------------------------------------------
 
-# One bounded cache of the compiled code of the generated revise functions.
-# A key determines the source its generator builds; past CODE_BOUND keys the
-# least recently used one is dropped, so the cache never holds every
-# constraint a process saw.
+# One bounded cache of the compiled code of the generated revise functions
+# and component searches. A key determines the source its generator builds;
+# past CODE_BOUND keys the least recently used one is dropped, so the cache
+# never holds every constraint a process saw.
 CODE_BOUND = 1024
-_codes: dict[Hashable, CodeType | None] = {}
+_codes: dict[Hashable, CodeType | None | object] = {}
 _codes_lock = threading.Lock()
 _MISSING = object()
+_ASKED = object()  # the mark of a deferred key requested once
+
+
+def _cache(key: Hashable, code: CodeType | None | object) -> None:
+    """Put code last under key, the lock held, and drop the least recently
+    used key past CODE_BOUND."""
+    _codes[key] = code
+    if len(_codes) > CODE_BOUND:
+        del _codes[next(iter(_codes))]
 
 
 def generated_code(
-    key: Hashable, source: Callable[[], str | None] | None
+    key: Hashable, source: Callable[[], str | None] | None, defer: bool = False
 ) -> CodeType | None:
     """The bytecode of source(), the Python source that key determines, or
-    None when source() returns None. source() runs, and its text is
-    compiled, once per process per key while the key stays cached. With
-    source None, only a cached result is returned (None if there is none)."""
+    None when source() returns None or its text cannot be made or compiled
+    (too deep, or nested past the compiler's limit). source() runs, and its
+    text is compiled, once per process per key while the key stays cached;
+    with `defer`, at the key's second request, the first only marking the
+    key, so that code one request alone asks for is never made. With source
+    None, only a cached result is returned (None if there is none)."""
     with _codes_lock:
         code = _codes.pop(key, _MISSING)
-        if code is not _MISSING:
+        if code is _MISSING and defer or code is _ASKED and source is None:
+            _cache(key, _ASKED)  # marked, and now the most recently used
+            return None
+        if code is not _MISSING and code is not _ASKED:
             _codes[key] = code  # now the most recently used
             return code
     if source is None:
         return None
-    text = source()
-    code = None if text is None else compile(text, "<tdpart generated>", "exec")
+    try:
+        text = source()
+        code = None if text is None else compile(text, "<tdpart generated>", "exec")
+    except (RecursionError, SyntaxError):
+        code = None
     with _codes_lock:
-        _codes[key] = code
-        if len(_codes) > CODE_BOUND:
-            del _codes[next(iter(_codes))]
+        _cache(key, code)
     return code
 
 
@@ -565,19 +598,23 @@ def _square(a: _Interval) -> _Interval:
     return (0, max(lo * lo, hi * hi))
 
 
-def _narrow_square(name: str, lo: int, hi: int, box: _Box) -> None:
-    """Force name*name into [lo, hi]: r <= |name| <= s, with r and s the
-    integer square roots rounded inwards; the box keeps the hull of the
-    negative and the positive part."""
+def _square_hull(lo: int, hi: int, cur_lo: int, cur_hi: int) -> _Interval:
+    """The values of [cur_lo, cur_hi] whose square can lie in [lo, hi]:
+    r <= |v| <= s, with r and s the integer square roots rounded inwards,
+    as the hull of the negative and the positive part."""
     s = math.isqrt(hi)  # hi >= 0: the square's interval overlaps [lo, hi]
     r = math.isqrt(lo - 1) + 1 if lo > 0 else 0
-    cur_lo, cur_hi = box.iv[name]
     neg = (max(cur_lo, -s), min(cur_hi, -r))
     pos = (max(cur_lo, r), min(cur_hi, s))
     parts = [p for p in (neg, pos) if p[0] <= p[1]]
     if not parts:
         raise _Unsat
-    _narrow_var(name, parts[0][0], parts[-1][1], box)
+    return parts[0][0], parts[-1][1]
+
+
+def _narrow_square(name: str, lo: int, hi: int, box: _Box) -> None:
+    """Force name*name into [lo, hi] (see _square_hull)."""
+    _narrow_var(name, *_square_hull(lo, hi, *box.iv[name]), box)
 
 
 def _def_true(e: Expr, box: _Box) -> bool:
@@ -767,18 +804,26 @@ class _ReviseSource:
     """Python source of the HC4 revise of a comparison whose operands are
     made of + - * neg, inputs and constants. A forward pass puts each
     node's interval in locals; a backward pass pushes the comparison down
-    the tree by the rules of _narrow_into and reaches the box only through
-    _narrow_var and _narrow_square. Each occurrence k of a node other than
+    the tree by the rules of _narrow_into and reaches an input's interval
+    only through _narrow_var and _narrow_square on the box or, given
+    `inputs` (name -> i), by the same rules on the locals l<i> and h<i>
+    that hold input i's bounds. Each occurrence k of a node other than
     a constant (which stays a literal) keeps its interval in a<k>, b<k>
     and a flag d<k>, set when the backward pass narrows it. A + - * or neg
     node also has w<k>, set when its range may leave int64, which stops
     the narrowing there, as in _narrow_into. An occurrence is the tuple
     (lo, hi, k, node, operands), with lo and hi as source text."""
 
-    def __init__(self) -> None:
+    def __init__(self, inputs: Mapping[str, int] | None = None) -> None:
         self.forward: list[str] = []
         self.backward: list[str] = []
         self.count = 0
+        self.inputs = inputs
+
+    def bounds(self, name: str) -> tuple[str, str]:
+        """The locals of input name's bounds (inputs given)."""
+        i = self.inputs[name]
+        return f"l{i}", f"h{i}"
 
     def visit(self, e: Expr) -> tuple | None:
         """e's occurrence, after the forward lines that compute it; None
@@ -792,7 +837,8 @@ class _ReviseSource:
         a, b = f"a{k}", f"b{k}"
         fwd = self.forward
         if kind is Var:
-            fwd.append(f"{a}, {b} = iv[{e.name!r}]; d{k} = 0")
+            read = f"iv[{e.name!r}]" if self.inputs is None else ", ".join(self.bounds(e.name))
+            fwd.append(f"{a}, {b} = {read}; d{k} = 0")
             return (a, b, k, e, ())
         if kind is Unary and e.op == "neg":
             o = self.visit(e.operand)
@@ -856,7 +902,14 @@ class _ReviseSource:
             return
         out = self.backward
         if type(e) is Var:
-            out.append(f"if d{k}: _narrow_var({e.name!r}, {a}, {b}, box)")
+            if self.inputs is None:
+                out.append(f"if d{k}: _narrow_var({e.name!r}, {a}, {b}, box)")
+                return
+            lo, hi = self.bounds(e.name)
+            out.append(f"if d{k}:")
+            out.append(f"    if {a} > {lo}: {lo} = {a}")
+            out.append(f"    if {b} < {hi}: {hi} = {b}")
+            out.append(f"    if {lo} > {hi}: raise _Unsat")
             return
         head = f"if d{k} and not w{k}:"
         ind = "    "
@@ -896,8 +949,11 @@ class _ReviseSource:
                 out.append(f"{ind}    else:")
                 self._divide(other, c, False, a, b, ind + "        ")
                 key = "elif"
-            if _is_square(e):
+            if _is_square(e) and self.inputs is None:
                 out.append(f"{ind}else: _narrow_square({e.left.name!r}, {a}, {b}, box)")
+            elif _is_square(e):
+                lo, hi = self.bounds(e.left.name)
+                out.append(f"{ind}else: {lo}, {hi} = _square_hull({a}, {b}, {lo}, {hi})")
         for p in operands:
             self.project(p)
 
@@ -917,31 +973,31 @@ class _ReviseSource:
             self.narrow(o, f"-((-{b}) // {c})", f"{a} // {c}", indent)
 
 
-def _revise_source(e: Binary, want: bool) -> str | None:
-    """Source of revise(box), the revise _require(e, want, box) makes by
-    the same rules, for e a comparison of two operands made of + - * neg,
-    inputs and constants; None for any other e. It evaluates each node's
-    interval once per call, where the tree evaluates one again after a
-    narrowing, so either may leave a box the other narrows further; both
-    keep every solution."""
+def _revise_lines(e: Binary, want: bool, src: _ReviseSource) -> list[str] | None:
+    """The lines of the revise _require(e, want, box) makes by the same
+    rules, for e a comparison of two operands made of + - * neg, inputs and
+    constants, on the intervals where src keeps them; None for any other
+    e. It evaluates each node's interval once per run, where the tree
+    evaluates one again after a narrowing, so either may leave a box the
+    other narrows further; both keep every solution."""
     op = e.op if want else _NEGATED_CMP[e.op]
     left, right = e.left, e.right
     if op in (">", ">="):
         op, left, right = ("<" if op == ">" else "<="), right, left
-    src = _ReviseSource()
     lo = src.visit(left)
     ro = src.visit(right) if lo is not None else None
     if ro is None:
         return None
     (al, bl, *_), (ar, br, *_) = lo, ro
     out = src.backward
+    entailed = None  # when it holds, nothing is narrowed
     if op == "<":
-        out.append(f"if {bl} < {ar}: return")
+        entailed = f"{bl} < {ar}"
         out.append(f"if {al} >= {br}: raise _Unsat")
         src.narrow(lo, None, f"{br} - 1")
         src.narrow(ro, f"{al} + 1", None)
     elif op == "<=":
-        out.append(f"if {bl} <= {ar}: return")
+        entailed = f"{bl} <= {ar}"
         out.append(f"if {al} > {br}: raise _Unsat")
         src.narrow(lo, None, br)
         src.narrow(ro, al, None)
@@ -952,7 +1008,7 @@ def _revise_source(e: Binary, want: bool) -> str | None:
     else:  # != : cut an end point equal to the other side's one point;
         # two overlapping points are equal, and the cut refutes them. A
         # constant side (at most one side is) is a point with no test.
-        out.append(f"if {bl} < {ar} or {br} < {al}: return")
+        entailed = f"{bl} < {ar} or {br} < {al}"
         if lo[2] is None or ro[2] is None:
             point, other = (lo, ro) if lo[2] is None else (ro, lo)
             src.cut(other, point[0], "")
@@ -963,8 +1019,19 @@ def _revise_source(e: Binary, want: bool) -> str | None:
             src.cut(ro, al, "    ")
     src.project(lo)
     src.project(ro)
-    body = ["iv = box.iv"] + src.forward + src.backward
-    return "def revise(box):\n" + "".join(f"    {line}\n" for line in body)
+    if entailed is None:
+        return src.forward + out
+    if src.inputs is None:
+        return src.forward + [f"if {entailed}: return"] + out
+    return src.forward + [f"if not ({entailed}):"] + [f"    {line}" for line in out]
+
+
+def _revise_source(e: Binary, want: bool) -> str | None:
+    """Source of revise(box), _revise_lines on the box."""
+    body = _revise_lines(e, want, _ReviseSource())
+    if body is None:
+        return None
+    return "def revise(box):\n" + "".join(f"    {line}\n" for line in ["iv = box.iv"] + body)
 
 
 def _generated_revise(e: Binary, want: bool, make: bool) -> Callable[[_Box], None] | None:
@@ -1265,7 +1332,11 @@ def _search(
     elif not names:
         model = env if _all_hold(constraints, env) else None
     else:
-        model = _backtrack(pc, box.watch, names, constraints, env, box.iv, 0)
+        search = _generated_search(constraints, names) if len(names) > 1 else None
+        if search is None:
+            model = _backtrack(pc, box.watch, names, constraints, env, box.iv, 0)
+        else:
+            model = search(box.iv, env, constraints)
     if key is not None:
         memo[key] = (
             (None, None) if model is None
@@ -1304,6 +1375,68 @@ def _backtrack(
         if found is not None:
             return found
     return None
+
+
+# the order of a generated search's revises: == first, as the likeliest to
+# refute a pin, then the inequalities, then != (it cuts at most an end point)
+_REVISE_ORDER = {"==": 0, "!=": 2}
+
+
+def _search_source(constraints: list[Constraint], names: list[str]) -> str:
+    """Source of search(iv, env, constraints), which returns what
+    _backtrack(pc, watch, names, constraints, env, iv, 0) returns for a
+    component of these constraints and its inputs `names`, each of whose
+    constraints has a generated revise. narrow() takes every input's
+    bounds and runs those revises on them in rounds, in _REVISE_ORDER and
+    then in order of their texts, until a round shrinks nothing or for 100
+    rounds; a pin passes a point in place of an input's bounds."""
+    n = len(names)
+    inputs = {name: i for i, name in enumerate(names)}
+    bounds = ", ".join(f"l{i}, h{i}" for i in range(n))
+    out = [f"def narrow({bounds}):", "    for _ in range(100):", f"        was = {bounds}"]
+    for c in sorted(constraints, key=lambda c: (
+            _REVISE_ORDER.get(c.expr.op if c.taken else _NEGATED_CMP[c.expr.op], 1), c.text)):
+        out += [f"        {line}" for line in _revise_lines(c.expr, c.taken, _ReviseSource(inputs))]
+    out += [f"        if was == ({bounds}):", "            break", f"    return {bounds}"]
+    # input i's bounds with j inputs pinned are lo<j>_<i> and hi<j>_<i>
+    out.append("def search(iv, env, constraints, narrow=narrow):")
+    out += [f"    lo0_{i}, hi0_{i} = iv[{name!r}]" for name, i in inputs.items()]
+    ind = "    "
+    for j in range(n - 1):
+        pinned = ", ".join(f"v{j}, v{j}" if i == j else f"lo{j}_{i}, hi{j}_{i}" for i in range(n))
+        out.append(f"{ind}for v{j} in range(lo{j}_{j}, hi{j}_{j} + 1):")
+        out.append(f"{ind}    try:")
+        out.append(f"{ind}        {', '.join(f'lo{j + 1}_{i}, hi{j + 1}_{i}' for i in range(n))}"
+                   f" = narrow({pinned})")
+        out.append(f"{ind}    except _Unsat:\n{ind}        continue")
+        ind += "    "
+    last = n - 1
+    out += [f"{ind}env[{names[i]!r}] = lo{last}_{i}" for i in range(last)]
+    out.append(f"{ind}for env[{names[last]!r}] in range(lo{last}_{last}, hi{last}_{last} + 1):")
+    out.append(f"{ind}    if _all_hold(constraints, env):\n{ind}        return env")
+    out.append("    return None")
+    return "\n".join(out) + "\n"
+
+
+def _generated_search(constraints: list[Constraint], names: list[str]) -> Callable | None:
+    """The generated search (see _search_source) of a component each of
+    whose constraints has a generated revise in its polarity (its node's
+    revise tier holds one), keyed on the component's sorted constraint
+    texts and its input order, and compiled once per process at the key's
+    second miss, as the component memo answers a repeat within one run.
+    None for any other component, at a key's first miss, and for one too
+    deep or with too many inputs to compile: _backtrack searches it."""
+    for c in constraints:
+        tier = getattr(c.expr, "_solve_revise", None)
+        if tier is None or type(tier[c.taken]) is int:
+            return None
+    key = ("\n".join(sorted([c.text for c in constraints])), tuple(names))
+    code = generated_code(key, lambda: _search_source(constraints, names), defer=True)
+    if code is None:
+        return None
+    namespace: dict = {}
+    exec(code, globals(), namespace)
+    return namespace["search"]
 
 
 def solve_model(

@@ -1140,6 +1140,223 @@ def test_search_gives_the_same_model_on_both_tiers_seeded(monkeypatch):
     assert sat > 30 and unsat > 30, (sat, unsat)
 
 
+# -- a component's generated search against backtracking
+
+
+def _nodes(e):
+    yield e
+    if isinstance(e, Unary):
+        yield from _nodes(e.operand)
+    elif isinstance(e, Binary):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
+
+
+def _searchable(pairs, decls):
+    """The pc of pairs, each comparison revised once (with HOT 1, through
+    its generated revise), so that their component gets a generated search."""
+    pc = _pc_of(pairs)
+    box = {d.name: (d.lo, d.hi) for d in decls}
+    for c in pc.constraints:
+        try:
+            solve_mod._revise(c.expr, c.taken, solve_mod._Box(dict(box)))
+        except _Unsat:
+            pass
+    return pc
+
+
+def _far_domains(rng, names):
+    """Up to 9 values each (4 for four inputs), some near 2**31 or
+    +-2**62, where a sum or a product of inputs leaves int64."""
+    decls = []
+    for name in names:
+        lo = rng.choice((-5, -5, -3, 0, 2**31 - 2, 2**62, -(2**62) - 2)) + rng.randint(-1, 1)
+        decls.append(SymDecl(name, lo, lo + rng.randint(0, 3 if len(names) == 4 else 8)))
+    return tuple(decls)
+
+
+def _pinned_operand(rng, names, depth):
+    """+ - * and neg over inputs and small constants, with squares and
+    constant factors (0 among them), and now and then a constant near
+    +-2**63."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        if rng.random() < 0.7:
+            return Var(rng.choice(names))
+        return Const(rng.choice(_EDGE_CONSTS) if rng.random() < 0.1 else rng.randint(-3, 3))
+    if r < 0.4:
+        return Unary("neg", _pinned_operand(rng, names, depth - 1))
+    if r < 0.5:
+        x = Var(rng.choice(names))
+        return Binary("*", x, x)
+    if r < 0.6:
+        return Binary("*", Const(rng.randint(-3, 3)), _pinned_operand(rng, names, depth - 1))
+    return Binary(rng.choice(["+", "-", "*"]), _pinned_operand(rng, names, depth - 1),
+                  _pinned_operand(rng, names, depth - 1))
+
+
+def test_the_generated_search_returns_what_backtracking_returns_seeded(monkeypatch):
+    monkeypatch.setattr(solve_mod, "HOT", 1)
+    rng = random.Random(4411)
+    seen = collections.Counter()
+    for _ in range(200):
+        names = ["w", "x", "y", "z"][:rng.randint(2, 4)]
+        decls = _far_domains(rng, names)
+        pairs = []
+        while len(pairs) < 3 and (not pairs or rng.random() < 0.7):
+            e = Binary(rng.choice(list(solve_mod._CMP)), _pinned_operand(rng, names, 2),
+                       _pinned_operand(rng, names, 2))
+            if not all(isinstance(o, (Var, Const)) for o in (e.left, e.right)):
+                pairs.append((e, rng.random() < 0.5))
+        pc = _searchable(pairs, decls)
+        constraints = list(pc.constraints)
+        # its first miss marks its key, and the second compiles it
+        search = (solve_mod._generated_search(constraints, names)
+                  or solve_mod._generated_search(constraints, names))
+        assert search is not None, pairs
+        narrow = search.__defaults__[0]
+        points = list(domain_cube(decls))
+        solutions = [t for t in points if all((eval_expr(e, t) != 0) == w for e, w in pairs)]
+
+        def checked(*bounds):
+            # every solution in the box stays in it, and the rounds end
+            # where one more round shrinks nothing
+            box = dict(zip(names, zip(bounds[::2], bounds[1::2])))
+            inside = [t for t in solutions if _inside(t, box)]
+            try:
+                got = narrow(*bounds)
+            except _Unsat:
+                assert not inside, (pairs, box)
+                seen["refuted"] += 1
+                raise
+            after = dict(zip(names, zip(got[::2], got[1::2])))
+            assert all(_inside(t, after) for t in inside), (pairs, box, after)
+            assert narrow(*got) == got, (pairs, box, after)
+            seen["narrowed" if got != bounds else "kept"] += 1
+            return got
+
+        box = {d.name: (d.lo, d.hi) for d in decls}
+        try:
+            checked(*[v for d in decls for v in (d.lo, d.hi)])
+        except _Unsat:
+            pass
+        watch = solve_mod._watch_list({}, pc.constraints, 0)
+        want = solve_mod._backtrack(pc, watch, names, constraints, {}, dict(box), 0)
+        assert want == brute_force_model(pairs, decls), pairs
+        assert search(dict(box), {}, constraints, checked) == want, pairs
+        seen["sat" if want else "unsat"] += 1
+        seen["wrapping"] += any(_wraps(e, t) for e, _ in pairs for t in points)
+        seen["far"] += any(abs(d.lo) > 2**30 for d in decls)
+        for e, w in pairs:
+            seen[e.op, w] += 1
+            for node in _nodes(e):
+                if isinstance(node, Binary) and node.op == "*":
+                    consts = [o.value for o in (node.left, node.right) if isinstance(o, Const)]
+                    seen["square"] += solve_mod._is_square(node)
+                    seen["factor"] += bool(consts)
+                    seen["zero factor"] += 0 in consts
+                seen["neg"] += isinstance(node, Unary)
+    # every comparison in both polarities, each kind of node, wrapping
+    # trees and far domains, and every outcome of a narrowing
+    assert min(seen[op, w] for op in solve_mod._CMP for w in (True, False)) > 15, seen
+    assert min(seen[k] for k in ("square", "factor", "zero factor", "neg")) > 5, seen
+    assert min(seen[k] for k in ("sat", "unsat", "wrapping", "far")) > 30, seen
+    assert min(seen[k] for k in ("refuted", "kept")) > 100 and seen["narrowed"] > 20, seen
+
+
+def test_a_component_gets_a_generated_search_once_its_revises_are_generated(monkeypatch):
+    monkeypatch.setattr(solve_mod, "_codes", {})
+    decls = (SymDecl("x", -9, 9), SymDecl("y", -9, 9), SymDecl("z", -9, 9))
+    product = Binary("==", Binary("*", X, Y), Binary("+", Z, Const(1)))
+    pairs = [(product, True), (lt(Binary("*", Y, Z), Const(3)), False)]
+    pc = _pc_of(pairs)
+    names = ["x", "y", "z"]
+    assert solve_mod._generated_search(list(pc.constraints), names) is None
+    monkeypatch.setattr(solve_mod, "HOT", 1)
+    pc = _searchable(pairs, decls)
+    # the first miss only marks the component's key; the second compiles
+    assert solve_mod._generated_search(list(pc.constraints), names) is None
+    assert list(solve_mod._codes)[-1][1] == ("x", "y", "z")
+    search = solve_mod._generated_search(list(pc.constraints), names)
+    assert search is not None and solve_mod._search(pc, decls) == brute_force_model(pairs, decls)
+    # keyed on the sorted texts and the input order, compiled once
+    key = ("\n".join(sorted(pc.texts())), ("x", "y", "z"))
+    assert list(solve_mod._codes)[-1] == key
+    again = solve_mod._generated_search(list(reversed(pc.constraints)), names)
+    assert again.__code__ is search.__code__
+    # one input, or a comparison whose revise runs on the tree, gets none
+    one = _searchable([(lt(Binary("*", X, X), Const(5)), True)], decls[:1])
+    calls = []
+    real = solve_mod._generated_search
+    monkeypatch.setattr(solve_mod, "_generated_search", lambda *a: calls.append(a) or real(*a))
+    assert solve_mod._search(one, decls[:1]) == {"x": -2} and calls == []
+    linear = _searchable(pairs + [(lt(X, Y), True)], decls)
+    keys = list(solve_mod._codes)
+    for _ in range(2):  # not even marked
+        assert real(list(linear.constraints), names) is None
+    assert list(solve_mod._codes) == keys
+
+
+@pytest.mark.parametrize("where", ["revise", "search"])
+def test_a_comparison_too_deep_to_generate_is_searched_by_backtracking(monkeypatch, where):
+    monkeypatch.setattr(solve_mod, "_codes", {})
+    monkeypatch.setattr(solve_mod, "HOT", 1)
+
+    def too_deep(*args):
+        deep.append(args)
+        raise RecursionError
+
+    # too deep for its own revise, which the tree then makes, or for the
+    # component's search
+    monkeypatch.setattr(solve_mod, "_revise_source" if where == "revise" else "_search_source",
+                        too_deep)
+    decls = (SymDecl("x", -9, 9), SymDecl("y", -9, 9))
+    pairs = [(Binary("==", Binary("*", X, Y), Const(12)), True), (lt(X, Unary("neg", Y)), True)]
+    calls = []
+    real = solve_mod._backtrack
+    monkeypatch.setattr(solve_mod, "_backtrack", lambda *a: calls.append(a) or real(*a))
+    deep = []
+    pc = _searchable(pairs, decls)
+    for _ in range(3):
+        model = solve_mod._search(pc, decls)
+        assert model is not None and model == brute_force_model(pairs, decls)
+    assert [a[-1] for a in calls].count(0) == 3  # each search backtracks
+    # a failed generation is cached as None, so it is tried once
+    searches = {key: code for key, code in solve_mod._codes.items() if type(key[1]) is tuple}
+    if where == "revise":
+        assert len(deep) == 2 and searches == {}
+    else:
+        assert len(deep) == 1 and list(searches.values()) == [None]
+
+
+def test_a_component_of_more_inputs_than_the_compiler_nests_is_searched_by_backtracking(
+    monkeypatch,
+):
+    # a chain of products over 24 inputs: the search's loops over the 23
+    # pinned inputs nest past the compiler's limit of statically nested
+    # blocks, so it fails to compile, once, and _backtrack finds the model
+    monkeypatch.setattr(solve_mod, "_codes", {})
+    monkeypatch.setattr(solve_mod, "HOT", 1)
+    rng = random.Random(31)
+    names = [f"x{i}" for i in range(24)]
+    decls = tuple(SymDecl(name, rng.randint(-3, 0), rng.randint(2, 4)) for name in names)
+    pairs = [(Binary(">=", Binary("*", Var(a), Var(b)), Const(rng.randint(1, 3))), True)
+             if rng.random() < 0.7 else (Binary("==", Binary("*", Var(a), Var(b)), Const(0)), False)
+             for a, b in zip(names, names[1:])]
+    pc = _searchable(pairs, decls)
+    built = []
+    real = solve_mod._search_source
+    monkeypatch.setattr(solve_mod, "_search_source", lambda *a: built.append(a) or real(*a))
+    box = {d.name: (d.lo, d.hi) for d in decls}
+    watch = solve_mod._watch_list({}, pc.constraints, 0)
+    want = solve_mod._backtrack(pc, watch, names, list(pc.constraints), {}, box, 0)
+    assert want is not None and solve_mod._all_hold(pc.constraints, want)
+    for _ in range(3):
+        assert solve_mod._search(pc, decls) == want
+    key = ("\n".join(sorted(pc.texts())), tuple(names))
+    assert len(built) == 1 and solve_mod._codes[key] is None
+
+
 def test_a_comparison_runs_generated_from_its_hot_revise(monkeypatch):
     monkeypatch.setattr(solve_mod, "_codes", {})  # nothing compiled yet
     iv = {"x": (-9, 9), "y": (-9, 9), "z": (-9, 9)}

@@ -1,6 +1,7 @@
 """The generated tier (one Python function per loop) against the
 evaluator (evaluate), which stays the reference."""
 
+import collections
 import random
 import sys
 import threading
@@ -16,6 +17,7 @@ from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
     Jump, Program, Unary, Var, expr_text, parse_program, reads,
 )
+from tdpart.solve import PathCondition
 
 _LO, _HI = -(2**63), 2**63 - 1
 _EDGE = (_LO, _LO + 1, _HI, _HI - 1, -1, 0, 1, 2, 3, 2**32, -(2**31))
@@ -352,7 +354,7 @@ def test_a_loop_body_holding_a_branch_keeps_the_dispatch(monkeypatch):
         "j = 0;\nwhile (j < 9) { j = j + 1; s = s + j; }\n"
         "if (x < s) { exit(1); }\nexit(2);\n"
     )
-    branching, simple = find_loops(prog.blocks, frozenset("kjs"))
+    (branching, simple), _ = find_loops(prog.blocks, frozenset("kjs"))
     assert len(branching) == 5 and len(simple) == 2
     assert engine._cycle({b: prog.blocks[b] for b in branching}) is None
     assert engine._cycle({b: prog.blocks[b] for b in simple}) == simple
@@ -410,7 +412,7 @@ def test_a_loop_reading_an_always_symbolic_name_gets_no_function(monkeypatch, tm
         assert not engine.concrete_names(prog.blocks) & {d.name for d in prog.inputs}
         run_program(prog, RunConfig(final_depth=6))
         # its loops, were every assigned name concrete: none is a loop here
-        loops += len(find_loops(prog.blocks, {a.name for b in prog.blocks for a in b.body}))
+        loops += len(find_loops(prog.blocks, {a.name for b in prog.blocks for a in b.body})[0])
         assert _marks(prog) == [False] * len(prog.blocks), path
     assert calls == [] and loops > 10
     # a name always computed from an input, and a concrete loop inside a
@@ -436,9 +438,59 @@ def test_find_loops_tests_only_the_blocks_on_a_cycle(monkeypatch):
         + "k = 0;\nwhile (k < 10) { k = k + 1; }\nif (x < k) { exit(1); }\nexit(0);\n"
     )
     assert len(prog.blocks) > 900
-    (loop,) = find_loops(prog.blocks, frozenset("ak"))
+    (loop,), _ = find_loops(prog.blocks, frozenset("ak"))
     assert [prog.blocks[b] for b in loop] == tested
     assert [tuple(loop)] == _reference_loops(prog.blocks, frozenset("ak"))
+    # the search for cycles sees only the loop's blocks, which lie between
+    # the ends of its backward edge, and only the names they read, with
+    # what those names' assignments read, get a verdict
+    searched, judged = [], []
+    cycles, names = engine._cycles, engine.concrete_names
+    monkeypatch.setattr(engine, "_cycles", lambda succ: searched.append(set(succ)) or cycles(succ))
+    monkeypatch.setattr(engine, "concrete_names",
+                        lambda blocks, wanted: judged.append(wanted) or names(blocks, wanted))
+    assert find_loops(prog.blocks) == ([loop], {"k"})
+    assert searched[0] <= set(range(loop[0], loop[-1] + 1)) and judged == [{"k"}]
+
+
+def test_concrete_names_judges_the_wanted_names_as_the_whole_fixpoint_does_seeded():
+    rng = random.Random(23)
+    names = "abcdex"
+    for _ in range(2000):
+        blocks = [
+            BasicBlock(tuple(
+                Assign(rng.choice(names), _random_expr(rng, rng.randint(0, 2), names))
+                for _ in range(rng.randint(0, 3))
+            ), Exit(0))
+            for _ in range(rng.randint(1, 4))
+        ]
+        wanted = set(rng.sample(names, rng.randint(0, 3)))
+        whole = _reference_concrete(blocks)
+        got = engine.concrete_names(blocks, wanted)
+        assert got & wanted == whole & wanted and got <= whole, (blocks, wanted)
+
+
+def test_find_loops_judges_names_as_the_whole_program_does_seeded():
+    # random programs whose names are assigned from one another and from an
+    # input (x): the loops found judging only what the cyclic blocks read
+    # are those found with every name judged
+    rng = random.Random(29)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        blocks = []
+        for _ in range(n):
+            body = tuple(Assign(rng.choice("abc"), _random_expr(rng, 1, "abcx"))
+                         for _ in range(rng.choice((0, 1, 2))))
+            r = rng.random()
+            term = (Exit(0) if r < 0.1 else Jump(rng.randrange(n)) if r < 0.4
+                    else Branch(Var(rng.choice("abcx")), rng.randrange(n), rng.randrange(n)))
+            blocks.append(BasicBlock(body, term))
+        loops, concrete = find_loops(blocks)
+        assert loops == find_loops(blocks, engine.concrete_names(blocks))[0], blocks
+        assert concrete <= engine.concrete_names(blocks), blocks
+        found += len(loops)
+    assert found > 500
 
 
 def test_find_loops_takes_the_whole_nest_and_only_generable_blocks():
@@ -447,14 +499,14 @@ def test_find_loops_takes_the_whole_nest_and_only_generable_blocks():
         "while (k < 9) { j = 0; while (j < k) { j = j + 1; s = s + j; } k = k + 1; }\n"
         "if (x < s) { exit(1); }\nexit(2);\n"
     )
-    (loop,) = find_loops(nest.blocks, frozenset("jks"))
+    (loop,), _ = find_loops(nest.blocks, frozenset("jks"))
     assert len(loop) >= 4  # both headers and both bodies
     # a loop that branches on an input has no generable cycle
     on_input = parse_program(
         "program p;\nsym x in [0, 3];\nk = 0;\n"
         "while (k < 9) { k = k + 1; if (x < k) { k = k + 2; } }\nexit(2);\n"
     )
-    assert find_loops(on_input.blocks, {"k"}) == []
+    assert find_loops(on_input.blocks, {"k"})[0] == []
 
 
 def _reference_loops(blocks, assigned):
@@ -496,7 +548,7 @@ def test_find_loops_finds_the_blocks_that_reach_one_another_seeded():
             else:
                 term = Branch(Var(rng.choice("aab")), rng.randrange(n), rng.randrange(n))
             blocks.append(BasicBlock(body, term))
-        loops = find_loops(blocks, assigned)
+        loops, _ = find_loops(blocks, assigned)
         assert sorted(tuple(loop) for loop in loops) == _reference_loops(blocks, assigned), blocks
         found += len(loops)
     assert found > 1000
@@ -708,15 +760,112 @@ def test_threads_entering_a_program_or_a_loop_at_once_analyse_it_once(monkeypatc
     assert calls == ["find_loops", "generate_block"] and _marks(prog).count(True) == 2
 
 
-def test_the_code_cache_stays_within_its_bound():
+def test_the_code_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(solve, "HOT", 1)
     bound = solve.CODE_BOUND
+    box = {"x": (-9, 9), "y": (-9, 9)}
     for c in range(bound + 20):
         e = Binary("<", Binary("*", Var("x"), Var("x")), Const(c))
         assert solve._generated_revise(e, c % 2 == 0, True) is not None
         assert len(solve._codes) <= bound
-    # the last `bound` keys, each a revise's (text, polarity)
+        if c % 8 == 0:  # and a component search of it and a product
+            pc = PathCondition().extend(e, True).extend(
+                Binary("==", Binary("*", Var("x"), Var("y")), Const(c)), False)
+            for con in pc.constraints:  # each revise generated at its first
+                try:
+                    solve._revise(con.expr, con.taken, solve._Box(dict(box)))
+                except solve._Unsat:
+                    pass
+            # the first miss marks the key, and the second compiles it
+            assert solve._generated_search(list(pc.constraints), ["x", "y"]) is None
+            assert len(solve._codes) <= bound
+            assert solve._generated_search(list(pc.constraints), ["x", "y"]) is not None
+            assert len(solve._codes) <= bound
+    # the last `bound` keys: a revise's (text, polarity) and a component
+    # search's (sorted texts, input order)
     assert len(solve._codes) == bound
     assert list(solve._codes)[-1] == (expr_text(e), c % 2 == 0)
+    kinds = collections.Counter(type(key[1]).__name__ for key in solve._codes)
+    assert kinds["tuple"] > 100 and kinds["bool"] > 800, kinds
+    assert ("\n".join(sorted(pc.texts())), ("x", "y")) in solve._codes
+
+
+def _component_compiles(monkeypatch):
+    """Empty the code cache; return a function that lists the sources of
+    the component searches compiled since (each starts `def narrow(`)."""
+    compiled = []
+    monkeypatch.setattr(solve, "_codes", {})
+    monkeypatch.setattr(solve, "compile",
+                        lambda text, *a: compiled.append(text) or compile(text, *a), raising=False)
+    return lambda: [text for text in compiled if text.startswith("def narrow(")]
+
+
+def test_a_corpus_round_and_loops_compile_no_component_search(monkeypatch, tmp_path):
+    compiled = _component_compiles(monkeypatch)
+    paths = gen_corpus(501, 120, tmp_path) + [Path("programs/find_middle.tdp")]
+    for path in paths:
+        prog = parse_program(path.read_text())
+        for depth in (6, 12):
+            run_program(prog, RunConfig(mode="threads", workers=2, final_depth=depth))
+    run_program(parse_program(Path("perfbench/programs/loops.tdp").read_text()),
+                RunConfig(final_depth=15))
+    assert compiled() == [] and not any(type(key[1]) is tuple for key in solve._codes)
+
+
+def test_nonlinear_compiles_each_component_search_once_per_process(monkeypatch):
+    compiled = _component_compiles(monkeypatch)
+    text = Path("perfbench/programs/nonlinear.tdp").read_text()
+    want = path_digest(run_program(parse_program(text), RunConfig(final_depth=8)).paths)
+    made = [len(compiled())]
+    # the component memo answers a repeat within a run, so a component's
+    # search is compiled at its miss in a second run; the first run
+    # searches some components before their revises are hot (HOT revises
+    # of one node), and from the second every revise is generated at its
+    # first, so those components are marked then and compiled in the third
+    for _ in range(4):
+        out = run_program(parse_program(text), RunConfig(final_depth=8))
+        assert path_digest(out.paths) == want
+        made.append(len(compiled()) - sum(made))
+    keys = [key for key in solve._codes if type(key[1]) is tuple]
+    assert made[0] == 0 and made[1] > 0 and made[2] > 0 and made[3:] == [0, 0], made
+    assert len(keys) == sum(made), made
+    assert len(set(compiled())) == len(compiled())
+
+
+def test_nonlinear_runs_its_searches_to_the_backtracking_results_in_every_order_and_mode(
+    monkeypatch,
+):
+    # a one-shot run compiles no component search, so three dfs runs in
+    # this process make them first; then bfs and random(7) give the
+    # witnesses (path, outcome, model) that backtracking alone gives, and
+    # threads and tcp the same paths, with the searches running in each
+    _component_compiles(monkeypatch)
+    text = Path("perfbench/programs/nonlinear.tdp").read_text()
+    strategies = (Strategy("bfs"), Strategy("random", 7))
+
+    def witnesses(strategy):
+        eng = Engine(parse_program(text))
+        res = eng.start_execution(eng.initial_state(), {}, 0, 8, strategy)
+        return [(c.path, str(c.outcome), sorted(c.test.items())) for c in res.completed]
+
+    real = solve._generated_search
+    monkeypatch.setattr(solve, "_generated_search", lambda *a: None)
+    want = {strategy: witnesses(strategy) for strategy in strategies}
+    digest = path_digest(run_program(parse_program(text), RunConfig(final_depth=8)).paths)
+    searched = []
+    monkeypatch.setattr(solve, "_generated_search",
+                        lambda *a: searched.append(real(*a)) or searched[-1])
+    for _ in range(3):
+        run_program(parse_program(text), RunConfig(final_depth=8))
+    for strategy in strategies:
+        searched.clear()
+        assert witnesses(strategy) == want[strategy], strategy
+        assert sum(s is not None for s in searched) > 5, strategy
+        for mode in ("threads", "tcp"):
+            searched.clear()
+            cfg = RunConfig(mode=mode, workers=2, strategy=strategy, final_depth=8)
+            assert path_digest(run_program(parse_program(text), cfg).paths) == digest
+            assert sum(s is not None for s in searched) > 5, (strategy, mode)
 
 
 def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
@@ -736,6 +885,17 @@ def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
     solve.generated_code("c", source("c"))  # evicts b, now the least recently used
     assert list(solve._codes) == ["a", "none", "c"] and built == ["a", "none", "b", "c"]
     assert solve.generated_code("b", None) is None and solve.generated_code("a", None) is a
+    # deferred, the first request only marks the key and the second builds
+    assert solve.generated_code("d", source("d"), defer=True) is None and built[-1] == "c"
+    assert solve.generated_code("d", None) is None and list(solve._codes)[-1] == "d"
+    assert solve.generated_code("d", source("d"), defer=True) is not None and built[-1] == "d"
+    # a source the compiler refuses is cached as None, so built once
+    def bad():
+        built.append("bad")
+        return "for\n"
+
+    assert solve.generated_code("bad", bad) is None and solve.generated_code("bad", bad) is None
+    assert built.count("bad") == 1
 
 
 def _counting_find_loops(monkeypatch):
