@@ -7,6 +7,13 @@ the distributed modes are checked against), `threads` runs workers as
 threads over in-process queues (deterministically replayable via a
 recorded message schedule), and `tcp` runs the same workers over loopback
 sockets, best-effort nondeterministic.
+
+Worker threads outlive a run. A threads or tcp run takes idle threads
+from a module-level list (starting new ones only when it runs short) and
+hands thread k the job of worker id k, under which it is named
+tdpart-worker-k. A run that succeeds parks its threads again; a run that
+fails stops and joins them. Hubs, transports, engines and caches belong
+to one run, so a run's report does not depend on which threads served it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import faulthandler
 import hashlib
 import io
+import os
+import queue
 import random
 import socket
 import threading
@@ -274,16 +283,80 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     return _run_output(program, cfg, "single", result, t0)
 
 
+PARKED = "tdpart-parked"  # a worker thread's name between runs
+
+
+class _WorkerThread:
+    """One worker thread. A job is (body, wid): the thread is named
+    tdpart-worker-<wid> while it runs body(wid), then parks again and
+    signals `done`. None on `jobs` stops the thread."""
+
+    __slots__ = ("jobs", "done", "thread")
+
+    def __init__(self, wid: int):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(
+            target=self._serve, name=f"tdpart-worker-{wid}", daemon=True
+        )
+        self.thread.start()
+
+    def _serve(self) -> None:
+        me = threading.current_thread()
+        while (job := self.jobs.get()) is not None:
+            body, wid = job
+            me.name = f"tdpart-worker-{wid}"
+            try:
+                body(wid)
+            finally:
+                body = job = None  # a parked thread holds nothing of its last run
+                me.name = PARKED
+                self.done.put(None)
+
+    def wait(self, deadline: float) -> bool:
+        """Whether the job ended by the deadline (time.monotonic)."""
+        try:
+            self.done.get(timeout=max(deadline - time.monotonic(), 0.0))
+        except queue.Empty:
+            return False
+        return True
+
+
+_parked: list[_WorkerThread] = []
+_parked_lock = threading.Lock()
+
+
+def _take_workers(n: int) -> list[_WorkerThread]:
+    with _parked_lock:
+        taken = [_parked.pop() for _ in range(min(n, len(_parked)))]
+    return taken + [_WorkerThread(wid) for wid in range(len(taken), n)]
+
+
+def _forget_workers() -> None:
+    """A forked child has none of its parent's threads."""
+    global _parked_lock
+    _parked.clear()
+    _parked_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 def _run_distributed(
     program: Program, cfg: RunConfig, mode: str, hub, transports: list
 ) -> RunOutput:
     """The worker lifecycle shared by threads and tcp, which differ only in
     `hub` and in `transports`, one per worker id, all made before any
-    worker thread starts. On a coordinator failure every worker is told to
-    terminate. Either way the hub is closed and every thread joined, all
+    worker starts. The run takes cfg.workers parked threads (starting new
+    ones only when too few are parked) and hands thread k the job of
+    worker id k. On a coordinator failure every worker is told to
+    terminate. Either way the hub is closed and every job awaited, all
     against one deadline of proto.RECV_TIMEOUT, before the run returns or
-    its error propagates. A worker that raises closes its transport, so
-    the coordinator fails at once, and the run raises the worker's error."""
+    its error propagates. A run that succeeds parks its threads again; one
+    that fails stops and joins them, so it leaves no worker thread behind.
+    A worker that raises closes its transport, so the coordinator fails at
+    once, and the run raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
     replay = bool(cfg.replay_schedule)
@@ -308,24 +381,23 @@ def _run_distributed(
                 polls = schedule.polls.get(wid, [])
                 transport = ScheduleTransport(transport, set(polls) if replay else polls, replay)
             run_worker(transport, program, cfg)
-        except BaseException as e:  # surfaced after join
+        except BaseException as e:  # surfaced once every job has ended
             if isinstance(e, proto.RecvTimeout):  # a stall: show where each thread is
                 faulthandler.dump_traceback(all_threads=True)
             errors.append(e)
             transport.close()  # the coordinator's recv fails now
 
-    threads = [
-        threading.Thread(target=body, args=(wid,), name=f"tdpart-worker-{wid}", daemon=True)
-        for wid in range(cfg.workers)
-    ]
-    for t in threads:
-        t.start()
+    workers = _take_workers(cfg.workers)
+    for wid, w in enumerate(workers):
+        w.jobs.put((body, wid))
+    failed = True
     try:
         result = run_coordinator(coord_hub, program, cfg)
         if replay and coord_hub.due:
             raise proto.ProtocolError(
                 f"replay schedule has {len(coord_hub.due)} unused entries"
             )
+        failed = False
     except BaseException as e:
         if isinstance(e, proto.RecvTimeout):
             faulthandler.dump_traceback(all_threads=True)
@@ -336,11 +408,18 @@ def _run_distributed(
     finally:
         hub.close()
         deadline = time.monotonic() + proto.RECV_TIMEOUT
-        for t in threads:
-            t.join(max(deadline - time.monotonic(), 0.0))
-    for t in threads:
-        if t.is_alive():
-            raise proto.ProtocolError(f"worker thread {t.name} failed to stop")
+        ended = [w.wait(deadline) for w in workers]
+        if failed or errors or not all(ended):
+            for w, done in zip(workers, ended):
+                w.jobs.put(None)  # a thread still in its job stops after it
+                if done:
+                    w.thread.join()
+        else:
+            with _parked_lock:
+                _parked.extend(workers)
+    for wid, done in enumerate(ended):
+        if not done:
+            raise proto.ProtocolError(f"worker thread tdpart-worker-{wid} failed to stop")
     if errors:
         raise errors[0]
     if cfg.record_schedule:

@@ -310,8 +310,8 @@ class QueueTransport:
     """Worker end of an in-process queue pair. Outbound frames are stamped
     with the worker id so the coordinator can multiplex one inbox."""
 
-    def __init__(self, worker_id: int, inbox: "queue.Queue[bytes]",
-                 to_coord: "queue.Queue[tuple[int, bytes | None]]"):
+    def __init__(self, worker_id: int, inbox: "queue.SimpleQueue[bytes]",
+                 to_coord: "queue.SimpleQueue[tuple[int, bytes | None]]"):
         self.worker_id = worker_id
         self._inbox = inbox
         self._out = to_coord
@@ -408,10 +408,10 @@ class QueueHub:
     when it stops, so only other closes are failures."""
 
     def __init__(self, num_workers: int):
-        self.to_workers: list["queue.Queue[bytes]"] = [
-            queue.Queue() for _ in range(num_workers)
+        self.to_workers: list["queue.SimpleQueue[bytes]"] = [
+            queue.SimpleQueue() for _ in range(num_workers)
         ]
-        self.inbox: "queue.Queue[tuple[int, bytes | None]]" = queue.Queue()
+        self.inbox: "queue.SimpleQueue[tuple[int, bytes | None]]" = queue.SimpleQueue()
         self._terminated: set[int] = set()
 
     def transport_for(self, worker_id: int) -> QueueTransport:

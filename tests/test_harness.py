@@ -161,7 +161,9 @@ def test_the_deepest_expression_validate_accepts_runs_in_every_mode():
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_a_tcp_run_starts_one_thread_per_worker(monkeypatch, workers):
-    # the coordinator reads the worker sockets itself, on its own thread
+    # the coordinator reads the worker sockets itself, on its own thread, and
+    # worker threads park between runs: a run starts at most one thread per
+    # worker, and a second run with as many workers starts none
     started = []
     real = threading.Thread.start
 
@@ -171,7 +173,11 @@ def test_a_tcp_run_starts_one_thread_per_worker(monkeypatch, workers):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     assert sorted(fm_run(mode="tcp", workers=workers).paths) == FM_PATHS
-    assert sorted(started) == [f"tdpart-worker-{k}" for k in range(workers)]
+    assert len(started) <= workers
+    assert all(name.startswith("tdpart-worker-") for name in started)
+    started.clear()
+    assert sorted(fm_run(mode="tcp", workers=workers).paths) == FM_PATHS
+    assert started == []
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
@@ -336,6 +342,188 @@ def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
     assert 0.5 <= elapsed < 5.0
     assert recv_waits == [("worker", 0.5)]
 
+
+
+# -- worker threads that outlive a run
+
+CORPUS = [lang.parse_program(p.read_text()) for p in sorted(Path("programs/corpus").glob("*.tdp"))]
+RUN_KINDS = [
+    (mode, workers, strategy)
+    for mode in ("threads", "tcp")
+    for workers in (1, 2, 4)
+    for strategy in (Strategy("dfs"), Strategy("bfs"), Strategy("random", 7))
+]
+
+
+def stop_parked_threads() -> None:
+    """Stop and join every parked worker thread: the next run starts fresh
+    ones."""
+    with harness._parked_lock:
+        parked = harness._parked[:]
+        harness._parked.clear()
+    for w in parked:
+        w.jobs.put(None)
+        w.thread.join()
+
+
+def worker_thread_count() -> int:
+    """Live worker threads, parked or in a job."""
+    return sum(
+        t.name == harness.PARKED or t.name.startswith("tdpart-worker-")
+        for t in threading.enumerate()
+    )
+
+
+def steady_rows(out: RunOutput) -> list[list[str]]:
+    """A report's rows minus wall_ms. Message timing in tcp mode moves the
+    per-worker rows and the solver, cache and transfer sums, so a tcp run's
+    rows are also without those."""
+    rows = [r for r in report_rows(out) if r[0] == "path" or r[2] != "wall_ms"]
+    if out.mode == "tcp":
+        rows = [r for r in rows if r[0] != "worker"
+                and not (r[0] == "summary" and r[2] in ("solver_queries", "cache_hits", "transfers"))]
+    return rows
+
+
+def test_interleaved_runs_on_parked_threads_report_as_on_fresh_ones(tmp_path):
+    # every run kind, six per program, first each on freshly started threads
+    # (a threads run recording its schedule) and then all in one sequence on
+    # parked ones (a threads run replaying it), so thread k serves runs of
+    # other modes, worker counts, strategies and programs in between
+    programs = CORPUS + [FIND_MIDDLE]
+    plan = [
+        (i, *RUN_KINDS[(6 * i + j) % len(RUN_KINDS)])
+        for i in range(len(programs)) for j in range(6)
+    ]
+    single = [path_digest(run_program(p, RunConfig(final_depth=10)).paths) for p in programs]
+
+    def run(n, replay):
+        i, mode, workers, strategy = plan[n]
+        sched = str(tmp_path / f"{n}.json") if mode == "threads" else None
+        return run_program(programs[i], RunConfig(
+            mode=mode, workers=workers, strategy=strategy, final_depth=10,
+            record_schedule=None if replay else sched, replay_schedule=sched if replay else None,
+        ))
+
+    fresh = []
+    for n in range(len(plan)):
+        stop_parked_threads()
+        fresh.append(steady_rows(run(n, replay=False)))
+    most = 0
+    for n, (i, mode, workers, _) in enumerate(plan):
+        out = run(n, replay=True)
+        most = max(most, worker_thread_count())
+        assert steady_rows(out) == fresh[n], plan[n]
+        assert path_digest(out.paths) == single[i], plan[n]
+    assert 0 < most <= 4
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_concurrent_runs_never_share_a_worker_thread(monkeypatch, mode):
+    # all four workers of two x2 runs must be in run_worker at once to pass
+    # the barrier, which a thread serving both runs could never be
+    real = harness.run_worker
+    barrier = threading.Barrier(4, timeout=10)
+    threads_of = {}  # id of the run's cfg -> thread idents
+
+    def meet(transport, program, cfg):
+        threads_of.setdefault(id(cfg), set()).add(threading.get_ident())
+        barrier.wait()
+        real(transport, program, cfg)
+
+    fm_run(mode=mode, workers=2)  # at least two threads parked
+    monkeypatch.setattr(harness, "run_worker", meet)
+    for _ in range(3):
+        threads_of.clear()
+        outs = {}
+        callers = [
+            threading.Thread(target=lambda k=k: outs.setdefault(k, fm_run(mode=mode, workers=2)))
+            for k in range(2)
+        ]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+        assert sorted(outs) == [0, 1]
+        assert all(sorted(out.paths) == FM_PATHS for out in outs.values())
+        first, second = threads_of.values()
+        assert len(first) == len(second) == 2 and not first & second
+
+
+def test_a_patch_made_after_threads_park_reaches_them(monkeypatch):
+    fm_run(mode="threads", workers=2)  # at least two threads parked
+    started, ran = [], []
+    real_start, real_worker = threading.Thread.start, harness.run_worker
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    def spy(transport, program, cfg):
+        ran.append(threading.current_thread().name)
+        real_worker(transport, program, cfg)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(harness, "run_worker", spy)
+    assert sorted(fm_run(mode="threads", workers=2).paths) == FM_PATHS
+    assert started == []
+    assert sorted(ran) == ["tdpart-worker-0", "tdpart-worker-1"]
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+@pytest.mark.parametrize("fault", ["coordinator", "worker", "stall"])
+def test_a_run_after_a_failed_run_succeeds(monkeypatch, mode, fault):
+    # a stalled worker is still in its job when its run fails at the recv
+    # timeout: the next run must not hand that thread a job
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 0.5)
+    release = threading.Event()
+
+    def fail_coordinator(hub, program, cfg):
+        raise RuntimeError("coordinator failed")
+
+    def fail_worker(transport, program, cfg):
+        raise RuntimeError("worker failed")
+
+    def stall(transport, program, cfg):
+        release.wait(timeout=30)
+        transport.close()
+
+    fm_run(mode=mode, workers=2)  # at least two threads parked
+    before = worker_thread_count()
+    with monkeypatch.context() as m:
+        if fault == "coordinator":
+            m.setattr(harness, "run_coordinator", fail_coordinator)
+        else:
+            m.setattr(harness, "run_worker", fail_worker if fault == "worker" else stall)
+        with pytest.raises((RuntimeError, proto.RecvTimeout)):
+            fm_run(mode=mode, workers=2)
+    stalled = [t for t in threading.enumerate() if t.name.startswith("tdpart-worker-")]
+    assert len(stalled) == (2 if fault == "stall" else 0)
+    # the failed run's two threads were stopped, or are stalled in its jobs
+    assert worker_thread_count() == before - 2 + len(stalled)
+    for _ in range(2):
+        assert sorted(fm_run(mode=mode, workers=2).paths) == FM_PATHS
+    release.set()
+    for t in stalled:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker_threads():
+    # the parent's parked threads do not exist in the child
+    fm_run(mode="threads", workers=2)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            proto.RECV_TIMEOUT = 5.0
+            parked = len(harness._parked)
+            code = 0 if not parked and sorted(fm_run(mode="threads", workers=2).paths) == FM_PATHS else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # -- independent components
