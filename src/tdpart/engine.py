@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 from . import solve
 from .lang import (
     ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
-    Const, Exit, Expr, Jump, Program, Terminator, Unary, Var, reads,
+    Const, Exit, Expr, Jump, Program, Unary, Var, reads, successors,
 )
 from .record import Record
 from .solve import PathCondition, QueryCache, Test, evaluate
@@ -214,12 +214,6 @@ def concrete_names(
     return frozenset(concrete)
 
 
-def _successors(term: Terminator) -> list[int]:
-    if type(term) is Jump:
-        return [term.target]
-    return [term.on_true, term.on_false] if type(term) is Branch else []
-
-
 def _cycles(succ: Mapping[int, Sequence[int]]) -> list[list[int]]:
     """The strongly connected components that hold a cycle of the graph
     succ (node -> successors; a successor that is no node is dropped),
@@ -274,7 +268,7 @@ def find_loops(
     every block outside the index range of every backward edge."""
     ends = [-1] * len(blocks)  # target -> the greatest source of its backward edges
     for i, blk in enumerate(blocks):
-        for j in _successors(blk.term):
+        for j in successors(blk.term):
             if j <= i and ends[j] < i:
                 ends[j] = i
     spanned, end = {}, -1  # block -> successors, inside some backward edge's range
@@ -282,7 +276,7 @@ def find_loops(
         if e > end:
             end = e
         if i <= end:
-            spanned[i] = _successors(blocks[i].term)
+            spanned[i] = successors(blocks[i].term)
     cyclic = [i for part in _cycles(spanned) for i in part]
     if concrete is None:
         concrete = concrete_names(blocks, set().union(*[_reads(blocks[i]) for i in cyclic]))
@@ -399,7 +393,7 @@ def _cycle(members: Mapping[int, BasicBlock]) -> list[int] | None:
     head = b = next(iter(members))
     order: list[int] = []
     for _ in members:
-        nxt = [t for t in _successors(members[b].term) if t in members]
+        nxt = [t for t in successors(members[b].term) if t in members]
         if len(nxt) != 1 or b in order:
             return None
         order.append(b)

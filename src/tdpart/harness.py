@@ -25,6 +25,7 @@ import os
 import queue
 import random
 import socket
+import sys
 import threading
 import time
 from collections import Counter, defaultdict, deque
@@ -462,18 +463,25 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
         raise ValueError(f"--seed must be in [0, 2**64) for random search, got {seed}")
     if not 0 <= cfg.final_depth < 2**32:
         raise ValueError(f"--max-depth must be in [0, 2**32), got {cfg.final_depth}")
-    if cfg.mode == "single":
-        return run_single(program, cfg)
-    if cfg.mode not in ("threads", "tcp"):
+    run = {"single": run_single, "threads": run_threads, "tcp": run_tcp}.get(cfg.mode)
+    if run is None:
         raise ValueError(f"unknown mode {cfg.mode}")
-    # with no worker to take the pool, the coordinator would wait out its
-    # recv timeout
-    if cfg.workers < 1:
-        raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
-    # at 0 a lone region root could be handed off whole, and back again
-    if cfg.offload_threshold < 1:
-        raise ValueError(f"--offload-threshold must be at least 1, got {cfg.offload_threshold}")
-    return run_threads(program, cfg) if cfg.mode == "threads" else run_tcp(program, cfg)
+    if cfg.mode != "single":
+        # with no worker to take the pool, the coordinator would wait out
+        # its recv timeout
+        if cfg.workers < 1:
+            raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
+        # at 0 a lone region root could be handed off whole, and back again
+        if cfg.offload_threshold < 1:
+            raise ValueError(f"--offload-threshold must be at least 1, got {cfg.offload_threshold}")
+    try:
+        return run(program, cfg)
+    except RecursionError:
+        # a failed run has stopped and joined its worker threads by now
+        raise ValueError(
+            f"a symbolic expression nests past the recursion limit ({sys.getrecursionlimit()}),"
+            " as one a loop builds up from an input over many iterations can"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

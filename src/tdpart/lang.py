@@ -565,7 +565,8 @@ class _Parser:
         return blocks
 
 
-def _targets(t: Terminator) -> tuple[int, ...]:
+def successors(t: Terminator) -> tuple[int, ...]:
+    """The blocks a terminator may pass control to."""
     if isinstance(t, Branch):
         return (t.on_true, t.on_false)
     if isinstance(t, Jump):
@@ -597,7 +598,7 @@ class _BlockBuilder:
         seen = {0}
         work = [0]
         while work:
-            for s in _targets(terms[work.pop()]):
+            for s in successors(terms[work.pop()]):
                 if s not in seen:
                     seen.add(s)
                     work.append(s)
@@ -651,7 +652,7 @@ def validate(program: Program) -> list[str]:
 
     n = len(program.blocks)
     for i, blk in enumerate(program.blocks):
-        for tgt in _targets(blk.term):
+        for tgt in successors(blk.term):
             if not 0 <= tgt < n:
                 diags.append(f"branch target b{tgt} undeclared (block b{i})")
 
@@ -696,7 +697,7 @@ def _check_definite_assignment(program: Program) -> list[str]:
 
     preds: list[set[int]] = [set() for _ in range(n)]
     for i, blk in enumerate(blocks):
-        for tgt in _targets(blk.term):
+        for tgt in successors(blk.term):
             if 0 <= tgt < n:
                 preds[tgt].add(i)
 

@@ -361,10 +361,13 @@ def read_frame(sock: socket.socket) -> bytes | None:
 
 
 class SocketTransport:
-    """Worker end of a TCP connection to the coordinator."""
+    """Worker end of a TCP connection to the coordinator. Its poll uses
+    poll(2): select(2) fails on a descriptor past FD_SETSIZE."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
 
     def send(self, msg: Message) -> None:
         self._sock.sendall(encode(msg))
@@ -380,8 +383,7 @@ class SocketTransport:
         return decode(frame)
 
     def poll(self) -> Message | None:
-        ready, _, _ = select.select([self._sock], [], [], 0)
-        if not ready:
+        if not self._poller.poll(0):
             return None
         self._sock.settimeout(RECV_TIMEOUT)
         frame = read_frame(self._sock)
@@ -445,9 +447,10 @@ class SocketHub:
     """Coordinator end for tcp mode: a loopback listener for num_workers
     connections. Worker ids follow accept order, which is connect order
     when the workers connect one at a time before accept_all. There is no
-    reader thread: recv waits with select on the connections still open and
-    reads one frame straight off a ready one. A worker's close, seen there
-    as EOF, fails recv unless the worker was sent Terminate."""
+    reader thread: recv waits with poll(2) (select(2) fails on a descriptor
+    past FD_SETSIZE) on the connections still open, first to last, and
+    reads one frame straight off the first ready one. A worker's close,
+    seen there as EOF, fails recv unless the worker was sent Terminate."""
 
     def __init__(self, num_workers: int, host: str = "127.0.0.1", port: int = 0):
         self.num_workers = num_workers
@@ -457,7 +460,8 @@ class SocketHub:
         self._listener.listen(num_workers)
         self.address: tuple[str, int] = self._listener.getsockname()
         self._conns: list[socket.socket] = []
-        self._open: dict[socket.socket, int] = {}  # connections not yet at EOF
+        self._open: dict[int, int] = {}  # descriptor -> worker id, not yet at EOF
+        self._poller = select.poll()
         self._terminated: set[int] = set()
 
     def accept_all(self) -> None:
@@ -467,7 +471,8 @@ class SocketHub:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(RECV_TIMEOUT)  # bounds a stall inside a frame
             self._conns.append(conn)
-            self._open[conn] = wid
+            self._open[conn.fileno()] = wid
+            self._poller.register(conn, select.POLLIN)
         self._listener.close()
 
     def send(self, worker_id: int, msg: Message) -> None:
@@ -482,11 +487,12 @@ class SocketHub:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            ready, _, _ = select.select(list(self._open), [], [], wait)
+            ready = self._poller.poll(None if wait is None else wait * 1000)
             if not ready:
                 raise RecvTimeout("coordinator recv timed out")
-            conn = ready[0]
-            worker_id = self._open[conn]
+            fd = ready[0][0]
+            worker_id = self._open[fd]
+            conn = self._conns[worker_id]
             try:
                 # a worker sends whole frames, so the rest of one follows
                 frame = read_frame(conn)
@@ -496,7 +502,8 @@ class SocketHub:
                 frame = None
             if frame is not None:
                 return worker_id, decode(frame)
-            del self._open[conn]
+            del self._open[fd]
+            self._poller.unregister(fd)
             if worker_id not in self._terminated:
                 raise TransportClosed(f"worker {worker_id} disconnected")
 

@@ -30,16 +30,18 @@ checked on the tree, which wraps as the program does.
 Any other comparison with an operand of + - * or neg, once revised HOT
 times in one polarity, is revised by one generated Python function, kept
 on the node, one per polarity, and on each constraint that has run it.
-A forward pass puts every node's interval in locals, with the tree's
-guard where a range may leave int64; a backward pass applies the tree's
-rules (sums, differences, point factors, squares, negation, the six
-comparisons) and narrows inputs only through the box, so the worklist
-below sees every shrink as before. Its code is compiled once
-per process, keyed on the constraint's text and polarity, in a bounded
-cache of generated code, so a comparison whose code is compiled already
-runs it from its first revise.
-Comparisons holding and/or/not or another comparison, and trees too deep
-to generate, stay on the tree, which is the reference.
+There is one generated form of a revise: it holds each input's bounds in
+two locals, puts every node's interval in locals with the tree's guard
+where a range may leave int64, and applies the tree's rules (sums,
+differences, point factors, squares, negation, the six comparisons)
+back down to the inputs' locals. A revise loads its inputs from the box
+and writes back, through the box, only those whose bounds moved, so the
+worklist below sees every shrink. Each function is compiled once per
+process, keyed on the constraint's text and polarity, in a bounded cache
+of generated functions, so a comparison compiled already runs its
+function from its first revise. Comparisons holding and/or/not or
+another comparison, and trees too deep to generate, stay on the tree,
+which is the reference.
 
 The fixpoint is an AC-3 worklist (Mackworth, 1977) over the pc's constraints:
 a revise that shrinks input v queues again every constraint that reads v, up
@@ -58,15 +60,13 @@ polarity (so HOT decides this too) is searched by one generated function
 instead once it misses a second time in the process (the component memo
 answers a repeat within one run, so a one-shot run compiles none). It is
 compiled once per process in the same cache, keyed on the component's
-sorted constraint texts and its input order, and built by
-the same emitter as the revises, which reads and writes each input's
-bounds in locals in place of the box: a pin passes a point for an input's
-bounds, with no box, queue or copy, and the component's revises run
-inline in fixed rounds, == first and != last, until a round shrinks
-nothing or for 100 rounds. The last input is checked by concrete
-evaluation, as on the tree path, which searches every other component,
-one too deep to generate, and one of more inputs than the compiler nests
-loops for.
+sorted constraint texts and its input order, and runs the lines of its
+revises on its inputs' locals: a pin passes a point for an input's
+bounds, with no box, queue or copy, and the revises run inline in fixed
+rounds, == first and != last, until a round shrinks nothing or for 100
+rounds. The last input is checked by concrete evaluation, as on the tree
+path, which searches every other component, one too deep to generate,
+and one of more inputs than the compiler nests loops for.
 
 Inputs are enumerated in declaration order with ascending values, so the
 first solution found is the lexicographically smallest one, which is what
@@ -134,7 +134,6 @@ import operator
 import threading
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
-from types import CodeType
 
 from . import lang
 from .lang import INT64_MAX, INT64_MIN, Binary, Const, Expr, SymDecl, Unary, Var
@@ -223,53 +222,55 @@ def solve_path(test: Test, cond: Expr) -> bool:
 # Generated code
 # ---------------------------------------------------------------------------
 
-# One bounded cache of the compiled code of the generated revise functions
-# and component searches. A key determines the source its generator builds;
-# past CODE_BOUND keys the least recently used one is dropped, so the cache
+# One bounded cache of the generated revise functions and component
+# searches. A key determines the source its generator builds; past
+# CODE_BOUND keys the least recently used one is dropped, so the cache
 # never holds every constraint a process saw.
 CODE_BOUND = 1024
-_codes: dict[Hashable, CodeType | None | object] = {}
+_codes: dict[Hashable, Callable | None | object] = {}
 _codes_lock = threading.Lock()
 _MISSING = object()
 _ASKED = object()  # the mark of a deferred key requested once
 
 
-def _cache(key: Hashable, code: CodeType | None | object) -> None:
-    """Put code last under key, the lock held, and drop the least recently
+def _cache(key: Hashable, fn: Callable | None | object) -> None:
+    """Put fn last under key, the lock held, and drop the least recently
     used key past CODE_BOUND."""
-    _codes[key] = code
+    _codes[key] = fn
     if len(_codes) > CODE_BOUND:
         del _codes[next(iter(_codes))]
 
 
 def generated_code(
-    key: Hashable, source: Callable[[], str | None] | None, defer: bool = False
-) -> CodeType | None:
-    """The bytecode of source(), the Python source that key determines, or
-    None when source() returns None or its text cannot be made or compiled
-    (too deep, or nested past the compiler's limit). source() runs, and its
-    text is compiled, once per process per key while the key stays cached;
-    with `defer`, at the key's second request, the first only marking the
-    key, so that code one request alone asks for is never made. With source
+    key: Hashable, name: str, source: Callable[[], str | None] | None, defer: bool = False
+) -> Callable | None:
+    """The function `name` defined, over this module's globals, by
+    source(), the Python source that key determines; None when source()
+    returns None or its text cannot be made or compiled (too deep, or
+    nested past the compiler's limit). source() runs, and its text is
+    compiled, once per process per key while the key stays cached; with
+    `defer`, at the key's second request, the first only marking the key,
+    so that code one request alone asks for is never made. With source
     None, only a cached result is returned (None if there is none)."""
     with _codes_lock:
-        code = _codes.pop(key, _MISSING)
-        if code is _MISSING and defer or code is _ASKED and source is None:
+        fn = _codes.pop(key, _MISSING)
+        if fn is _MISSING and defer or fn is _ASKED and source is None:
             _cache(key, _ASKED)  # marked, and now the most recently used
             return None
-        if code is not _MISSING and code is not _ASKED:
-            _codes[key] = code  # now the most recently used
-            return code
+        if fn is not _MISSING and fn is not _ASKED:
+            _codes[key] = fn  # now the most recently used
+            return fn
     if source is None:
         return None
-    try:
-        text = source()
-        code = None if text is None else compile(text, "<tdpart generated>", "exec")
+    namespace: dict = {}
+    try:  # a source of None compiles to an empty module
+        exec(compile(source() or "", "<tdpart generated>", "exec"), globals(), namespace)
     except (RecursionError, SyntaxError):
-        code = None
+        pass
+    fn = namespace.get(name)
     with _codes_lock:
-        _cache(key, code)
-    return code
+        _cache(key, fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +613,6 @@ def _square_hull(lo: int, hi: int, cur_lo: int, cur_hi: int) -> _Interval:
     return parts[0][0], parts[-1][1]
 
 
-def _narrow_square(name: str, lo: int, hi: int, box: _Box) -> None:
-    """Force name*name into [lo, hi] (see _square_hull)."""
-    _narrow_var(name, *_square_hull(lo, hi, *box.iv[name]), box)
-
-
 def _def_true(e: Expr, box: _Box) -> bool:
     lo, hi = _interval(e, box)
     return lo > 0 or hi < 0
@@ -685,8 +681,8 @@ def _narrow_into(e: Expr, lo: int, hi: int, box: _Box) -> None:
                 c, other = a[0], e.right
             elif b[0] == b[1]:
                 c, other = b[0], e.left
-            elif a is b and _is_square(e):
-                _narrow_square(e.left.name, lo, hi, box)
+            elif a is b and _is_square(e):  # a is the input's interval
+                _narrow_var(e.left.name, *_square_hull(lo, hi, *a), box)
                 return
             else:
                 return
@@ -802,27 +798,28 @@ HOT = 64
 
 class _ReviseSource:
     """Python source of the HC4 revise of a comparison whose operands are
-    made of + - * neg, inputs and constants. A forward pass puts each
-    node's interval in locals; a backward pass pushes the comparison down
-    the tree by the rules of _narrow_into and reaches an input's interval
-    only through _narrow_var and _narrow_square on the box or, given
-    `inputs` (name -> i), by the same rules on the locals l<i> and h<i>
-    that hold input i's bounds. Each occurrence k of a node other than
-    a constant (which stays a literal) keeps its interval in a<k>, b<k>
-    and a flag d<k>, set when the backward pass narrows it. A + - * or neg
-    node also has w<k>, set when its range may leave int64, which stops
-    the narrowing there, as in _narrow_into. An occurrence is the tuple
-    (lo, hi, k, node, operands), with lo and hi as source text."""
+    made of + - * neg, inputs and constants, in its one form: input i's
+    bounds are the locals l<i> and h<i>, i from `inputs` (name -> i; an
+    input not in it takes the next index). A forward pass puts each node's
+    interval in locals; a backward pass pushes the comparison down the
+    tree to those locals by the rules of _narrow_into. An input's first
+    write takes its occurrence's interval, which only narrowed the bounds
+    read; a later write meets them. Each occurrence k of a node other than
+    a constant (a literal) keeps its interval in a<k>, b<k> and a flag
+    d<k>, set when the backward pass narrows it. A + - * or neg node also
+    has w<k>, set when its range may leave int64, which stops the
+    narrowing there. An occurrence is (lo, hi, k, node, operands)."""
 
-    def __init__(self, inputs: Mapping[str, int] | None = None) -> None:
+    def __init__(self, inputs: dict[str, int]) -> None:
         self.forward: list[str] = []
         self.backward: list[str] = []
         self.count = 0
         self.inputs = inputs
+        self.written: set[str] = set()  # inputs whose bounds a line wrote
 
     def bounds(self, name: str) -> tuple[str, str]:
-        """The locals of input name's bounds (inputs given)."""
-        i = self.inputs[name]
+        """The locals of input name's bounds."""
+        i = self.inputs.setdefault(name, len(self.inputs))
         return f"l{i}", f"h{i}"
 
     def visit(self, e: Expr) -> tuple | None:
@@ -837,8 +834,7 @@ class _ReviseSource:
         a, b = f"a{k}", f"b{k}"
         fwd = self.forward
         if kind is Var:
-            read = f"iv[{e.name!r}]" if self.inputs is None else ", ".join(self.bounds(e.name))
-            fwd.append(f"{a}, {b} = {read}; d{k} = 0")
+            fwd.append(f"{a}, {b} = {', '.join(self.bounds(e.name))}; d{k} = 0")
             return (a, b, k, e, ())
         if kind is Unary and e.op == "neg":
             o = self.visit(e.operand)
@@ -902,14 +898,13 @@ class _ReviseSource:
             return
         out = self.backward
         if type(e) is Var:
-            if self.inputs is None:
-                out.append(f"if d{k}: _narrow_var({e.name!r}, {a}, {b}, box)")
-                return
             lo, hi = self.bounds(e.name)
-            out.append(f"if d{k}:")
-            out.append(f"    if {a} > {lo}: {lo} = {a}")
-            out.append(f"    if {b} < {hi}: {hi} = {b}")
-            out.append(f"    if {lo} > {hi}: raise _Unsat")
+            if e.name in self.written:  # meet what another line wrote there
+                out += [f"if d{k}:", f"    if {a} > {lo}: {lo} = {a}",
+                        f"    if {b} < {hi}: {hi} = {b}", f"    if {lo} > {hi}: raise _Unsat"]
+            else:  # the first write: a<k>, b<k> only narrowed what was read
+                out.append(f"if d{k}: {lo} = {a}; {hi} = {b}")
+            self.written.add(e.name)
             return
         head = f"if d{k} and not w{k}:"
         ind = "    "
@@ -937,23 +932,24 @@ class _ReviseSource:
             key = "if"
             for point, other in factors:
                 c = point[0]
+                # other * c in [a, b] puts other in [ceil(u / c), floor(v / c)],
+                # where (u, v) is (a, b), or (b, a) for c < 0
                 if point[2] is None:  # a constant: a point of known sign
                     if key == "elif":
                         out.append(f"{ind}else:")
+                    u, v = (a, b) if point[3].value > 0 else (b, a)
                     deeper = ind + "    " * (key == "elif")
-                    self._divide(other, c, point[3].value > 0, a, b, deeper)
+                    self.narrow(other, f"-((-{u}) // {c})", f"{v} // {c}", deeper)
                     break
                 out.append(f"{ind}{key} {c} == {point[1]}:")
-                out.append(f"{ind}    if {c} > 0:")
-                self._divide(other, c, True, a, b, ind + "        ")
-                out.append(f"{ind}    else:")
-                self._divide(other, c, False, a, b, ind + "        ")
+                out.append(f"{ind}    if {c} > 0: u = {a}; v = {b}")
+                out.append(f"{ind}    else: u = {b}; v = {a}")
+                self.narrow(other, f"-((-u) // {c})", f"v // {c}", ind + "    ")
                 key = "elif"
-            if _is_square(e) and self.inputs is None:
-                out.append(f"{ind}else: _narrow_square({e.left.name!r}, {a}, {b}, box)")
-            elif _is_square(e):
+            if _is_square(e):
                 lo, hi = self.bounds(e.left.name)
                 out.append(f"{ind}else: {lo}, {hi} = _square_hull({a}, {b}, {lo}, {hi})")
+                self.written.add(e.left.name)
         for p in operands:
             self.project(p)
 
@@ -965,21 +961,18 @@ class _ReviseSource:
             self.backward.append(f"{indent}    {end} = {end} {step} 1; d{k} = 1")
             self.backward.append(f"{indent}    if {a} > {b}: raise _Unsat")
 
-    def _divide(self, o: tuple, c: str, positive: bool, a: str, b: str, indent: str) -> None:
-        """Narrow o so that o * c lies in [a, b], c != 0 of the given sign."""
-        if positive:
-            self.narrow(o, f"-((-{a}) // {c})", f"{b} // {c}", indent)
-        else:
-            self.narrow(o, f"-((-{b}) // {c})", f"{a} // {c}", indent)
 
-
-def _revise_lines(e: Binary, want: bool, src: _ReviseSource) -> list[str] | None:
+def _revise_lines(
+    e: Binary, want: bool, src: _ReviseSource, write_back: bool = False
+) -> list[str] | None:
     """The lines of the revise _require(e, want, box) makes by the same
     rules, for e a comparison of two operands made of + - * neg, inputs and
     constants, on the intervals where src keeps them; None for any other
     e. It evaluates each node's interval once per run, where the tree
     evaluates one again after a narrowing, so either may leave a box the
-    other narrows further; both keep every solution."""
+    other narrows further; both keep every solution. With `write_back`,
+    they end in _narrow_var on the box for each input whose bounds moved
+    from L<i>, H<i>, so that box.shrunk and the memo see every shrink."""
     op = e.op if want else _NEGATED_CMP[e.op]
     left, right = e.left, e.right
     if op in (">", ">="):
@@ -1019,42 +1012,39 @@ def _revise_lines(e: Binary, want: bool, src: _ReviseSource) -> list[str] | None
             src.cut(ro, al, "    ")
     src.project(lo)
     src.project(ro)
-    if entailed is None:
-        return src.forward + out
-    if src.inputs is None:
-        return src.forward + [f"if {entailed}: return"] + out
-    return src.forward + [f"if not ({entailed}):"] + [f"    {line}" for line in out]
+    if write_back:  # inside the test below: an entailed comparison moves nothing
+        out += [f"if l{i} != L{i} or h{i} != H{i}: _narrow_var({x!r}, l{i}, h{i}, box)"
+                for x, i in src.inputs.items() if x in src.written]
+    tail = out if entailed is None else [f"if not ({entailed}):", *(f"    {x}" for x in out)]
+    return src.forward + tail
 
 
 def _revise_source(e: Binary, want: bool) -> str | None:
-    """Source of revise(box), _revise_lines on the box."""
-    body = _revise_lines(e, want, _ReviseSource())
-    if body is None:
-        return None
-    return "def revise(box):\n" + "".join(f"    {line}\n" for line in ["iv = box.iv"] + body)
+    """Source of revise(box): e's inputs loaded from box.iv into their
+    locals and into L<i>, H<i>, then _revise_lines on those and the box."""
+    src = _ReviseSource({})
+    body = _revise_lines(e, want, src, write_back=True)
+    load = [f"L{i}, H{i} = l{i}, h{i} = iv[{x!r}]" for x, i in src.inputs.items()]
+    return None if body is None else "def revise(box):\n" + "".join(
+        f"    {line}\n" for line in ["iv = box.iv", *load, *body])
 
 
 def _generated_revise(e: Binary, want: bool, make: bool) -> Callable[[_Box], None] | None:
-    """e's generated revise in polarity want, over this module's globals:
-    made now if `make`, else only if its code is already compiled. None
-    when there is no such code, or none can be made (see _revise_source)."""
+    """e's generated revise in polarity want: made now if `make`, else only
+    if it is already compiled. None when there is no such function, or
+    none can be made (see _revise_source)."""
     try:
         key = (lang.expr_text(e), want)
-        code = generated_code(key, (lambda: _revise_source(e, want)) if make else None)
+        return generated_code(key, "revise", (lambda: _revise_source(e, want)) if make else None)
     except RecursionError:  # too deep to generate; the tree revises it
         return None
-    if code is None:
-        return None
-    namespace: dict = {}
-    exec(code, globals(), namespace)
-    return namespace["revise"]
 
 
 def _revise(e: Expr, want: bool, box: _Box) -> Callable[[_Box], None] | None:
     """One revise of e in polarity want: on the tree or, for a comparison
     with an arithmetic operand, through its generated function. That
     function is made on the HOT-th revise in that polarity, and taken at
-    the first when the process compiled its code before (for an equal
+    the first when the process compiled it before (for an equal
     comparison on another path, say). Returns the function when it ran,
     which revises e in polarity want from then on, else None."""
     try:
@@ -1431,12 +1421,7 @@ def _generated_search(constraints: list[Constraint], names: list[str]) -> Callab
         if tier is None or type(tier[c.taken]) is int:
             return None
     key = ("\n".join(sorted([c.text for c in constraints])), tuple(names))
-    code = generated_code(key, lambda: _search_source(constraints, names), defer=True)
-    if code is None:
-        return None
-    namespace: dict = {}
-    exec(code, globals(), namespace)
-    return namespace["search"]
+    return generated_code(key, "search", lambda: _search_source(constraints, names), defer=True)
 
 
 def solve_model(

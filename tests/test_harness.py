@@ -159,6 +159,46 @@ def test_the_deepest_expression_validate_accepts_runs_in_every_mode():
     assert lang.validate(deeper) == [too_deep, too_deep]
 
 
+# a loop that adds an input to a value once per iteration: 1,000 iterations
+# build an expression 1,000 deep
+DEEP_LOOP = (
+    "program deep;\nsym x in [0, 3];\nacc = 0;\ni = 0;\n"
+    "while (i < 1000) { acc = acc + x; i = i + 1; }\n"
+    "if (acc > 5) { exit(1); }\nexit(0);\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+def test_a_value_a_loop_builds_too_deep_is_a_clear_error(mode, tmp_path, capsys):
+    program = lang.parse_program(DEEP_LOOP)
+    assert lang.validate(program) == []
+    with pytest.raises(ValueError, match="nests past the recursion limit"):
+        run_program(program, RunConfig(mode=mode, workers=2, final_depth=3))
+    # the failed run stopped and joined its worker threads
+    assert not [t for t in threading.enumerate() if t.name.startswith("tdpart-worker")]
+    path = tmp_path / "deep.tdp"
+    path.write_text(DEEP_LOOP)
+    argv = ["run", "--program", str(path), "--max-depth", "3", "--mode", mode]
+    assert main(argv + ([] if mode == "single" else ["--workers", "2"])) == 2
+    assert capsys.readouterr().out.startswith("error: a symbolic expression nests past")
+
+
+def test_a_tcp_run_works_with_descriptors_past_fd_setsize():
+    # select() refuses a descriptor past FD_SETSIZE (1,024); with 1,100
+    # files open, the run's sockets all lie past it
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("the soft limit on open files is below 1,200")
+    held = []
+    try:
+        held += [open(os.devnull) for _ in range(1100)]
+        out = fm_run(mode="tcp", workers=2)
+    finally:
+        for f in held:
+            f.close()
+    assert sorted(out.paths) == FM_PATHS
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_a_tcp_run_starts_one_thread_per_worker(monkeypatch, workers):
     # the coordinator reads the worker sockets itself, on its own thread, and

@@ -1098,21 +1098,46 @@ def test_generated_revise_folds_a_constant_factor():
     text = solve_mod._revise_source(Binary("<", Binary("*", Y, Const(-3)), X), True)
     assert "a1 = b2 * (-3); b1 = a2 * (-3)" in text and "(-b1) // (-3)" in text, text
     assert not _KNOWN_TEST.search(text), text
-    # times 0 the node is (0, 0): nothing below it is ever narrowed
+    # times 0 the node is (0, 0): nothing below it is ever narrowed, so y's
+    # bounds l0, h0 are loaded and neither written nor written back
     text = _revise_text("0*y < x", True)
     assert "// (0)" not in text and "_narrow_var('y'" not in text, text
+    assert "l0, h0 = iv['y']" in text and not re.search(r": [lh]0 = ", text), text
+
+
+def test_generated_revise_writes_an_input_once_and_meets_after(monkeypatch):
+    # y and z occur once: their first write takes the occurrence's interval,
+    # which only narrowed the bounds it was read from. x's square writes
+    # its hull, so each occurrence of x then meets the bounds
+    text = _revise_text("x*x + y*3 == -z", True)
+    assert "    if d6: l1 = a6; h1 = b6\n" in text and "    if d8: l2 = a8; h2 = b8\n" in text
+    assert "else: l0, h0 = _square_hull(a2, b2, l0, h0)\n    if d3:\n" in text, text
+    for k in (3, 4):
+        assert f"    if a{k} > l0: l0 = a{k}\n        if b{k} < h0: h0 = b{k}\n" in text, text
+    # a write-back tests each input's bounds against those it loaded; under
+    # an entailment test, it runs only when that test fails
+    assert text.endswith("\n    if l2 != L2 or h2 != H2: _narrow_var('z', l2, h2, box)\n"), text
+    text = _revise_text("x*y < z", True)
+    assert "\n    if not (b1 < a4):\n" in text, text
+    assert text.endswith("\n        if l2 != L2 or h2 != H2: _narrow_var('z', l2, h2, box)\n"), text
+    # in x < x the left x loses its top and the right x its bottom: the box
+    # gets both
+    monkeypatch.setattr(solve_mod, "_codes", {})
+    box = solve_mod._Box({"x": (-6, 6)})
+    solve_mod._generated_revise(Binary("<", X, X), True, True)(box)
+    assert box.iv == {"x": (-5, 5)} and box.shrunk == ["x"]
 
 
 def test_generated_revise_of_not_equal_assigns_its_cuts():
     text = _revise_text("x*y != z", True)
     assert not _KNOWN_TEST.search(text), text
     for end in ("a1 = a1 + 1", "b1 = b1 - 1", "a4 = a4 + 1", "b4 = b4 - 1"):
-        assert f"        {end}; d{end[1]} = 1\n" in text, text
+        assert f"\n                {end}; d{end[1]} = 1\n" in text, text
     # a constant side is one point: its test is gone, and only the other
     # side is cut
     text = _revise_text("x*y != 4", True)
     assert not _KNOWN_TEST.search(text) and "elif a1 == b1:" not in text, text
-    assert "    if a1 == (4):\n        a1 = a1 + 1; d1 = 1\n" in text, text
+    assert "\n        if a1 == (4):\n            a1 = a1 + 1; d1 = 1\n" in text, text
 
 
 def test_search_gives_the_same_model_on_both_tiers_seeded(monkeypatch):
@@ -1262,6 +1287,54 @@ def test_the_generated_search_returns_what_backtracking_returns_seeded(monkeypat
     assert min(seen[k] for k in ("square", "factor", "zero factor", "neg")) > 5, seen
     assert min(seen[k] for k in ("sat", "unsat", "wrapping", "far")) > 30, seen
     assert min(seen[k] for k in ("refuted", "kept")) > 100 and seen["narrowed"] > 20, seen
+
+
+# input names that are also identifiers of the generated revises and searches
+_LOCAL_NAMES = (
+    "l0", "h0", "L0", "o0", "iv", "box", "a1", "d1", "p", "u", "narrow", "search", "env",
+)
+
+
+def test_inputs_named_like_the_generated_locals_get_the_backtracking_models_seeded(
+    monkeypatch,
+):
+    monkeypatch.setattr(solve_mod, "HOT", 1)
+    monkeypatch.setattr(solve_mod, "_codes", {})
+    real = solve_mod._generated_search
+    searches = []
+    monkeypatch.setattr(solve_mod, "_generated_search",
+                        lambda *a: searches.append(real(*a)) or searches[-1])
+    rng = random.Random(4412)
+    seen = collections.Counter()
+
+    def pairs_of(r, names):  # fresh nodes: a node keeps its generated revise
+        pairs = []
+        while len(pairs) < 3 and (not pairs or r.random() < 0.7):
+            e = Binary(r.choice(list(solve_mod._CMP)), _pinned_operand(r, names, 2),
+                       _pinned_operand(r, names, 2))
+            if not all(isinstance(o, (Var, Const)) for o in (e.left, e.right)):
+                pairs.append((e, r.random() < 0.5))
+        return pairs
+
+    for _ in range(150):
+        names = rng.sample(_LOCAL_NAMES, rng.randint(2, 3))
+        decls = tuple(SymDecl(n, lo, lo + rng.randint(0, 6))
+                      for n, lo in zip(names, [rng.randint(-4, 2) for _ in names]))
+        seed = rng.random()
+        with monkeypatch.context() as m:  # the tree and backtracking alone
+            m.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
+            want = solve_mod._search(_pc_of(pairs_of(random.Random(seed), names)), decls)
+        pairs = pairs_of(random.Random(seed), names)
+        assert want == brute_force_model(pairs, decls), pairs
+        # generated revises under backtracking, then (its key marked by the
+        # first search) the component's generated search
+        pc = _searchable(pairs, decls)
+        searches.clear()
+        assert [solve_mod._search(pc, decls) for _ in range(2)] == [want, want], pairs
+        assert all(type(c.expr._solve_revise[c.taken]) is not int for c in pc.constraints)
+        seen["searched"] += bool(searches) and searches[-1] is not None
+        seen["sat" if want else "unsat"] += 1
+    assert seen["searched"] > 60 and min(seen["sat"], seen["unsat"]) > 60, seen
 
 
 def test_a_component_gets_a_generated_search_once_its_revises_are_generated(monkeypatch):

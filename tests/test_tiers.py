@@ -801,7 +801,10 @@ def _component_compiles(monkeypatch):
 
 
 def test_a_corpus_round_and_loops_compile_no_component_search(monkeypatch, tmp_path):
-    compiled = _component_compiles(monkeypatch)
+    # nor any generated revise: their comparisons are affine, or revised
+    # too few times, so solve compiles no code at all for them (and marks
+    # no deferred key)
+    monkeypatch.setattr(solve, "_codes", {})
     paths = gen_corpus(501, 120, tmp_path) + [Path("programs/find_middle.tdp")]
     for path in paths:
         prog = parse_program(path.read_text())
@@ -809,7 +812,9 @@ def test_a_corpus_round_and_loops_compile_no_component_search(monkeypatch, tmp_p
             run_program(prog, RunConfig(mode="threads", workers=2, final_depth=depth))
     run_program(parse_program(Path("perfbench/programs/loops.tdp").read_text()),
                 RunConfig(final_depth=15))
-    assert compiled() == [] and not any(type(key[1]) is tuple for key in solve._codes)
+    run_program(parse_program(Path("perfbench/programs/interp.tdp").read_text()),
+                RunConfig(mode="tcp", workers=2, final_depth=12))
+    assert solve._codes == {}
 
 
 def test_nonlinear_compiles_each_component_search_once_per_process(monkeypatch):
@@ -874,27 +879,31 @@ def test_a_code_cache_hit_makes_its_key_the_most_recently_used(monkeypatch):
     built = []
 
     def source(key):
-        return lambda: built.append(key) or (None if key == "none" else f"k = {key!r}\n")
+        text = None if key == "none" else f"def f():\n    return {key!r}\n"
+        return lambda: built.append(key) or text
 
-    a = solve.generated_code("a", source("a"))
+    a = solve.generated_code("a", "f", source("a"))
+    assert a() == "a"  # the cache holds the function the source defines
     for key in ("none", "b"):
-        solve.generated_code(key, source(key))
+        solve.generated_code(key, "f", source(key))
     # hits build nothing, a cached None included, and move their keys last
-    assert solve.generated_code("a", source("a")) is a
-    assert solve.generated_code("none", source("none")) is None
-    solve.generated_code("c", source("c"))  # evicts b, now the least recently used
+    assert solve.generated_code("a", "f", source("a")) is a
+    assert solve.generated_code("none", "f", source("none")) is None
+    solve.generated_code("c", "f", source("c"))  # evicts b, now the least recently used
     assert list(solve._codes) == ["a", "none", "c"] and built == ["a", "none", "b", "c"]
-    assert solve.generated_code("b", None) is None and solve.generated_code("a", None) is a
+    assert solve.generated_code("b", "f", None) is None
+    assert solve.generated_code("a", "f", None) is a
     # deferred, the first request only marks the key and the second builds
-    assert solve.generated_code("d", source("d"), defer=True) is None and built[-1] == "c"
-    assert solve.generated_code("d", None) is None and list(solve._codes)[-1] == "d"
-    assert solve.generated_code("d", source("d"), defer=True) is not None and built[-1] == "d"
+    assert solve.generated_code("d", "f", source("d"), defer=True) is None and built[-1] == "c"
+    assert solve.generated_code("d", "f", None) is None and list(solve._codes)[-1] == "d"
+    assert solve.generated_code("d", "f", source("d"), defer=True) is not None and built[-1] == "d"
     # a source the compiler refuses is cached as None, so built once
     def bad():
         built.append("bad")
         return "for\n"
 
-    assert solve.generated_code("bad", bad) is None and solve.generated_code("bad", bad) is None
+    assert solve.generated_code("bad", "f", bad) is None
+    assert solve.generated_code("bad", "f", bad) is None
     assert built.count("bad") == 1
 
 
