@@ -22,59 +22,30 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from . import proto
-from .engine import Engine, EngineStats, Strategy, TestDepthPair
+from .engine import COUNTERS, Engine, EngineStats, Strategy, TestDepthPair
 from .lang import Program
 
 if TYPE_CHECKING:
     from .harness import RunConfig
 
 
-class WorkerTally:
-    __slots__ = (
-        "regions", "paths", "frontier", "states_created", "states_suspended",
-        "solver_queries", "cache_hits", "instructions", "transfers_in",
-        "transfers_out", "wall_us", "truncated",
-    )
+class WorkerTally(EngineStats):
+    """One worker's finished regions folded together, and its transfers."""
 
-    def __init__(
-        self, regions: int = 0, paths: list[str] | None = None, frontier: int = 0,
-        states_created: int = 0, states_suspended: int = 0, solver_queries: int = 0,
-        cache_hits: int = 0, instructions: int = 0, transfers_in: int = 0,
-        transfers_out: int = 0, wall_us: int = 0, truncated: bool = False,
-    ):
-        self.regions, self.paths = regions, [] if paths is None else paths
-        self.frontier, self.states_created = frontier, states_created
-        self.states_suspended, self.solver_queries = states_suspended, solver_queries
-        self.cache_hits, self.instructions = cache_hits, instructions
-        self.transfers_in, self.transfers_out = transfers_in, transfers_out
-        self.wall_us, self.truncated = wall_us, truncated
+    __slots__ = ("regions", "transfers_in", "transfers_out")
+    _fields = EngineStats._fields + __slots__
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.regions = self.transfers_in = self.transfers_out = 0
 
     def add(self, st: EngineStats) -> None:
         """Fold one finished region's stats into this worker's tally."""
         self.regions += 1
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(st, name))
         self.paths.extend(st.paths)
-        self.frontier += st.frontier
-        self.states_created += st.states_created
-        self.states_suspended += st.states_suspended
-        self.solver_queries += st.solver_queries
-        self.cache_hits += st.cache_hits
-        self.instructions += st.instructions
-        self.wall_us += st.wall_us
         self.truncated = self.truncated or st.truncated
-
-
-class CoordResult:
-    __slots__ = ("tallies", "paths", "pool_size", "undispatched", "truncated")
-
-    def __init__(
-        self, tallies: list[WorkerTally], paths: list[str], pool_size: int,
-        undispatched: int, truncated: bool,
-    ):
-        self.tallies = tallies
-        self.paths = paths  # all completed paths, in arrival order
-        self.pool_size = pool_size  # seeded pairs
-        self.undispatched = undispatched  # pairs abandoned at the soft deadline
-        self.truncated = truncated
 
 
 def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[TestDepthPair]:
@@ -86,12 +57,15 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     return [TestDepthPair(eng.model_of(s.pc), s.depth) for s in states]
 
 
-def run_coordinator(hub, program: Program, cfg: RunConfig) -> CoordResult:
+def run_coordinator(
+    hub, program: Program, cfg: RunConfig
+) -> tuple[list[WorkerTally], int, int]:
+    """Run the pool to the end: one tally per worker, the number of seeded
+    pairs, and the number left undispatched at the soft deadline."""
     n = cfg.workers
     pool: deque[TestDepthPair] = deque(seed_pool(program, n, cfg.final_depth))
     pool_size = len(pool)
     tallies = [WorkerTally() for _ in range(n)]
-    paths: list[str] = []
 
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
 
@@ -124,7 +98,6 @@ def run_coordinator(hub, program: Program, cfg: RunConfig) -> CoordResult:
         wid, msg = hub.recv(proto.RECV_TIMEOUT)
         if isinstance(msg, proto.Finish):
             tallies[wid].add(msg.stats)
-            paths.extend(msg.stats.paths)
             busy.remove(wid)
             if outstanding == wid:
                 outstanding = None  # the steal target finished instead
@@ -158,10 +131,4 @@ def run_coordinator(hub, program: Program, cfg: RunConfig) -> CoordResult:
     for w in range(n):
         if w not in exited:
             hub.send(w, proto.Terminate())
-    return CoordResult(
-        tallies=tallies,
-        paths=paths,
-        pool_size=pool_size,
-        undispatched=len(pool),
-        truncated=any(t.truncated for t in tallies),
-    )
+    return tallies, pool_size, len(pool)

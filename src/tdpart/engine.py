@@ -118,7 +118,16 @@ class TestDepthPair(Record):
         self.test, self.depth = test, depth
 
 
+# EngineStats' counters: summed when regions are folded into a worker's tally
+COUNTERS = (
+    "states_created", "states_suspended", "frontier", "solver_queries",
+    "cache_hits", "instructions", "wall_us",
+)
+
+
 class EngineStats(Record):
+    """One region's counts and completed paths, as a Finish carries them."""
+
     __slots__ = (
         "states_created", "states_suspended", "frontier", "solver_queries",
         "cache_hits", "instructions", "truncated", "wall_us", "paths",

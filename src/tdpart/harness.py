@@ -29,10 +29,11 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict, deque
+from operator import attrgetter
 from pathlib import Path
 
 from . import lang, proto
-from .coord import CoordResult, WorkerTally, run_coordinator
+from .coord import WorkerTally, run_coordinator
 from .engine import Engine, Strategy
 from .lang import Program
 from .record import Record
@@ -70,22 +71,26 @@ class RunConfig:
 
 
 class RunOutput:
+    """A run's report: its workers' tallies and what follows from them."""
+
     __slots__ = (
         "program_name", "program_digest", "mode", "num_workers", "strategy", "final_depth",
         "tallies", "paths", "pool_size", "undispatched", "truncated", "wall_ms",
     )
 
     def __init__(
-        self, program_name: str, program_digest: str, mode: str, num_workers: int,
-        strategy: Strategy, final_depth: int, tallies: list[WorkerTally], paths: list[str],
-        pool_size: int, undispatched: int, truncated: bool, wall_ms: int,
+        self, program: Program, cfg: RunConfig, mode: str, tallies: list[WorkerTally],
+        pool_size: int, undispatched: int, t0: float,
     ):
-        self.program_name, self.program_digest = program_name, program_digest
-        self.mode, self.num_workers = mode, num_workers
-        self.strategy, self.final_depth = strategy, final_depth
-        self.tallies, self.paths = tallies, paths
-        self.pool_size, self.undispatched = pool_size, undispatched
-        self.truncated, self.wall_ms = truncated, wall_ms
+        self.program_name, self.program_digest = program.name, program_digest(program)
+        self.mode, self.num_workers = mode, len(tallies)
+        self.strategy, self.final_depth = cfg.strategy, cfg.final_depth
+        self.tallies = tallies
+        self.paths = [p for t in tallies for p in t.paths]  # worker by worker
+        self.pool_size = pool_size  # seeded pairs
+        self.undispatched = undispatched  # pairs abandoned at the soft deadline
+        self.truncated = any(t.truncated for t in tallies)
+        self.wall_ms = int((time.perf_counter() - t0) * 1000)
 
 
 def program_digest(program: Program) -> str:
@@ -247,25 +252,6 @@ class ScheduleTransport:
 # ---------------------------------------------------------------------------
 
 
-def _run_output(
-    program: Program, cfg: RunConfig, mode: str, result: CoordResult, t0: float
-) -> RunOutput:
-    return RunOutput(
-        program_name=program.name,
-        program_digest=program_digest(program),
-        mode=mode,
-        num_workers=len(result.tallies),
-        strategy=cfg.strategy,
-        final_depth=cfg.final_depth,
-        tallies=result.tallies,
-        paths=result.paths,
-        pool_size=result.pool_size,
-        undispatched=result.undispatched,
-        truncated=result.truncated,
-        wall_ms=int((time.perf_counter() - t0) * 1000),
-    )
-
-
 def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     """The whole tree as one region, the pair (any test, depth 0) explored
     from the initial state: the pool a one-worker coordinator would seed."""
@@ -274,14 +260,7 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
     tally = WorkerTally()
     tally.add(res.stats)
-    result = CoordResult(
-        tallies=[tally],
-        paths=res.stats.paths,
-        pool_size=1,
-        undispatched=0,
-        truncated=tally.truncated,
-    )
-    return _run_output(program, cfg, "single", result, t0)
+    return RunOutput(program, cfg, "single", [tally], 1, 0, t0)
 
 
 PARKED = "tdpart-parked"  # a worker thread's name between runs
@@ -363,7 +342,7 @@ def _run_distributed(
     replay = bool(cfg.replay_schedule)
     schedule = None
     if replay:
-        schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text())
+        schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text(encoding="utf-8"))
         # a message from a worker the run does not have would never come
         for wid in [w for w, _ in schedule.coordinator] + list(schedule.polls):
             if not 0 <= wid < cfg.workers:
@@ -393,7 +372,7 @@ def _run_distributed(
         w.jobs.put((body, wid))
     failed = True
     try:
-        result = run_coordinator(coord_hub, program, cfg)
+        tallies, pool_size, undispatched = run_coordinator(coord_hub, program, cfg)
         if replay and coord_hub.due:
             raise proto.ProtocolError(
                 f"replay schedule has {len(coord_hub.due)} unused entries"
@@ -424,8 +403,8 @@ def _run_distributed(
     if errors:
         raise errors[0]
     if cfg.record_schedule:
-        Path(cfg.record_schedule).write_text(schedule.to_json())
-    return _run_output(program, cfg, mode, result, t0)
+        Path(cfg.record_schedule).write_text(schedule.to_json(), encoding="utf-8")
+    return RunOutput(program, cfg, mode, tallies, pool_size, undispatched, t0)
 
 
 def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
@@ -463,6 +442,11 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
         raise ValueError(f"--seed must be in [0, 2**64) for random search, got {seed}")
     if not 0 <= cfg.final_depth < 2**32:
         raise ValueError(f"--max-depth must be in [0, 2**32), got {cfg.final_depth}")
+    # NaN compares false to everything: a NaN budget would never expire
+    if cfg.time_budget is not None and not cfg.time_budget >= 0:
+        raise ValueError(f"--time-budget must be at least 0, got {cfg.time_budget}")
+    if not cfg.solver_delay >= 0:
+        raise ValueError(f"--solver-delay-ms must be at least 0, got {cfg.solver_delay * 1000}")
     run = {"single": run_single, "threads": run_threads, "tcp": run_tcp}.get(cfg.mode)
     if run is None:
         raise ValueError(f"unknown mode {cfg.mode}")
@@ -509,54 +493,51 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
 
 REPORT_HEADER = ["kind", "worker", "field", "value"]
 
+# a worker's report rows, in report order: (field, its value from a tally)
+WORKER_ROWS = (
+    ("regions", attrgetter("regions")),
+    ("paths", lambda t: len(t.paths)),
+    ("frontier", attrgetter("frontier")),
+    ("states_created", attrgetter("states_created")),
+    ("states_suspended", attrgetter("states_suspended")),
+    ("solver_queries", attrgetter("solver_queries")),
+    ("cache_hits", attrgetter("cache_hits")),
+    ("instructions", attrgetter("instructions")),
+    ("transfers_in", attrgetter("transfers_in")),
+    ("transfers_out", attrgetter("transfers_out")),
+    ("truncated", lambda t: int(t.truncated)),
+    ("wall_ms", lambda t: t.wall_us // 1000),
+)
+
 
 def report_rows(out: RunOutput) -> list[list[str]]:
     rows: list[list[str]] = []
 
-    def meta(k: str, v) -> None:
-        rows.append(["meta", "", k, str(v)])
+    def row(kind: str, k: str, v, wid: str = "") -> None:
+        rows.append([kind, wid, k, str(v)])
 
-    meta("program", out.program_name)
-    meta("digest", out.program_digest)
-    meta("final_depth", out.final_depth)
-    meta("mode", out.mode)
-    meta("workers", out.num_workers)
-    meta("strategy", out.strategy.kind)
-    meta("seed", "" if out.strategy.seed is None else out.strategy.seed)
-    meta("pool", out.pool_size)
-    meta("undispatched", out.undispatched)
-
+    row("meta", "program", out.program_name)
+    row("meta", "digest", out.program_digest)
+    row("meta", "final_depth", out.final_depth)
+    row("meta", "mode", out.mode)
+    row("meta", "workers", out.num_workers)
+    row("meta", "strategy", out.strategy.kind)
+    row("meta", "seed", "" if out.strategy.seed is None else out.strategy.seed)
+    row("meta", "pool", out.pool_size)
+    row("meta", "undispatched", out.undispatched)
     for wid, t in enumerate(out.tallies):
-        def wrow(k: str, v) -> None:
-            rows.append(["worker", str(wid), k, str(v)])
-
-        wrow("regions", t.regions)
-        wrow("paths", len(t.paths))
-        wrow("frontier", t.frontier)
-        wrow("states_created", t.states_created)
-        wrow("states_suspended", t.states_suspended)
-        wrow("solver_queries", t.solver_queries)
-        wrow("cache_hits", t.cache_hits)
-        wrow("instructions", t.instructions)
-        wrow("transfers_in", t.transfers_in)
-        wrow("transfers_out", t.transfers_out)
-        wrow("truncated", int(t.truncated))
-        wrow("wall_ms", t.wall_us // 1000)
-
-    def srow(k: str, v) -> None:
-        rows.append(["summary", "", k, str(v)])
-
-    srow("paths", len(out.paths))
-    srow("frontier", sum(t.frontier for t in out.tallies))
-    srow("solver_queries", sum(t.solver_queries for t in out.tallies))
-    srow("cache_hits", sum(t.cache_hits for t in out.tallies))
-    srow("transfers", sum(t.transfers_in for t in out.tallies))
-    srow("truncated", int(out.truncated))
-    srow("path_digest", path_digest(out.paths))
-    srow("wall_ms", out.wall_ms)
-
+        for k, value in WORKER_ROWS:
+            row("worker", k, value(t), str(wid))
+    row("summary", "paths", len(out.paths))
+    row("summary", "frontier", sum(t.frontier for t in out.tallies))
+    row("summary", "solver_queries", sum(t.solver_queries for t in out.tallies))
+    row("summary", "cache_hits", sum(t.cache_hits for t in out.tallies))
+    row("summary", "transfers", sum(t.transfers_in for t in out.tallies))
+    row("summary", "truncated", int(out.truncated))
+    row("summary", "path_digest", path_digest(out.paths))
+    row("summary", "wall_ms", out.wall_ms)
     for p, c in sorted(Counter(out.paths).items()):
-        rows.append(["path", "", p, str(c)])
+        row("path", p, c)
     return rows
 
 
@@ -571,7 +552,7 @@ def report_text(out: RunOutput) -> str:
 
 
 def write_report(out: RunOutput, path: str | Path) -> None:
-    Path(path).write_text(report_text(out))
+    Path(path).write_text(report_text(out), encoding="utf-8")
 
 
 class ReportData(Record):
@@ -607,7 +588,7 @@ def report_data(out: RunOutput) -> ReportData:
 def load_report(path: str | Path) -> ReportData:
     import csv
 
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != REPORT_HEADER:
         raise ValueError(f"{path}: not a report CSV")
@@ -850,7 +831,7 @@ def gen_corpus(seed: int, count: int, out_dir: str | Path) -> list[Path]:
         if diags:
             raise RuntimeError(f"generator produced an invalid program {name}: {diags}")
         p = out / f"{name}.tdp"
-        p.write_text(src)
+        p.write_text(src, encoding="utf-8")
         written.append(p)
     return written
 
@@ -872,8 +853,9 @@ def _build_parser():
     run.add_argument("--workers", type=int, default=None)
     run.add_argument("--search", choices=["dfs", "bfs", "rand"], default="dfs")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--max-depth", type=int, default=None)
-    run.add_argument("--calibrate-timeout", type=float, default=None)
+    depth = run.add_mutually_exclusive_group(required=True)
+    depth.add_argument("--max-depth", type=int)
+    depth.add_argument("--calibrate-timeout", type=float)
     run.add_argument("--offload-threshold", type=int,
                      default=DEFAULT_OFFLOAD_THRESHOLD)
     run.add_argument("--report", default=None)
@@ -893,9 +875,12 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.program).read_text()
+        text = Path(args.program).read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: {e}")
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {args.program}: {e}")
         return 2
     try:
         program = lang.parse_program(text)
@@ -908,14 +893,13 @@ def _cmd_run(args) -> int:
             print(f"error: {args.program}: {d}")
         return 2
 
+    final_depth = args.max_depth
     if args.calibrate_timeout is not None:
+        if not args.calibrate_timeout >= 0:  # a NaN timeout would never expire
+            print(f"error: --calibrate-timeout must be at least 0, got {args.calibrate_timeout}")
+            return 2
         final_depth = calibrate_depth(program, args.calibrate_timeout)
         print(f"calibrated final depth: {final_depth}")
-    elif args.max_depth is not None:
-        final_depth = args.max_depth
-    else:
-        print("error: one of --max-depth or --calibrate-timeout is required")
-        return 2
 
     workers = args.workers
     if args.mode == "single":

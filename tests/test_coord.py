@@ -8,7 +8,7 @@ import pytest
 
 from oracles import decision_sequence, domain_cube
 from tdpart import proto
-from tdpart.coord import run_coordinator, seed_pool
+from tdpart.coord import WorkerTally, run_coordinator, seed_pool
 from tdpart.engine import EngineStats, Strategy, TestDepthPair
 from tdpart.harness import RunConfig, ScheduleHub
 from tdpart.lang import parse_program
@@ -26,6 +26,29 @@ STRAIGHT = parse_program("program p;\nsym x in [0, 3];\nexit(0);\n")
 def short_recv(monkeypatch):
     # a scripted or real worker that stalls fails a test in 20 s, not 120 s
     monkeypatch.setattr(proto, "RECV_TIMEOUT", 20)
+
+
+# -- tallies
+
+
+def test_worker_tally_sums_every_counter():
+    # distinct values per counter and region: a counter EngineStats has but
+    # COUNTERS leaves out is not summed, and one summed twice is caught
+    counters = [f for f in EngineStats._fields if f not in ("truncated", "paths")]
+    first = EngineStats(**{f: k + 1 for k, f in enumerate(counters)}, paths=["0"])
+    second = EngineStats(
+        **{f: 100 * (k + 1) for k, f in enumerate(counters)}, truncated=True, paths=["1", "0"]
+    )
+    tally = WorkerTally()
+    tally.add(first)
+    tally.add(second)
+    assert {f: getattr(tally, f) for f in counters} == {
+        f: 101 * (k + 1) for k, f in enumerate(counters)
+    }
+    assert tally.paths == ["0", "1", "0"]
+    assert tally.truncated is True
+    assert (tally.regions, tally.transfers_in, tally.transfers_out) == (2, 0, 0)
+    assert WorkerTally.__slots__ == ("regions", "transfers_in", "transfers_out")
 
 
 # -- pool seeding
@@ -137,6 +160,11 @@ def run_scripted(program, num_workers, scripts, **cfg_kw):
     return result, workers
 
 
+def all_paths(tallies):
+    """Every worker's completed paths, sorted."""
+    return sorted(p for t in tallies for p in t.paths)
+
+
 def fin(paths=(), **kw):
     """A Finish carrying `paths`, path bit strings as the codec requires."""
     return Finish(EngineStats(paths=list(paths), **kw))
@@ -160,13 +188,13 @@ def test_offload_is_forwarded_to_idle_worker_as_task():
             ("recv", Terminate),
         ],
     }
-    result, workers = run_scripted(STRAIGHT, 2, scripts)
-    assert result.tallies[0].transfers_out == 1
-    assert result.tallies[1].transfers_in == 1
+    (tallies, _, undispatched), workers = run_scripted(STRAIGHT, 2, scripts)
+    assert tallies[0].transfers_out == 1
+    assert tallies[1].transfers_in == 1
     forwarded = workers[1].received[0]
     assert forwarded == Task(Strategy("dfs"), {"x": 2}, 1, 3)
-    assert sorted(result.paths) == ["0", "1"]
-    assert result.undispatched == 0
+    assert all_paths(tallies) == ["0", "1"]
+    assert undispatched == 0
 
 
 def test_unsolicited_offload_is_pooled_and_redispatched():
@@ -180,12 +208,12 @@ def test_unsolicited_offload_is_pooled_and_redispatched():
             ("recv", Terminate),
         ],
     }
-    result, workers = run_scripted(STRAIGHT, 1, scripts)
-    assert result.tallies[0].transfers_out == 1
-    assert result.tallies[0].transfers_in == 0
-    assert result.tallies[0].regions == 2
+    (tallies, _, _), workers = run_scripted(STRAIGHT, 1, scripts)
+    assert tallies[0].transfers_out == 1
+    assert tallies[0].transfers_in == 0
+    assert tallies[0].regions == 2
     assert workers[0].received[1] == Task(Strategy("dfs"), {"x": 3}, 2, 3)
-    assert sorted(result.paths) == ["00", "01"]
+    assert all_paths(tallies) == ["00", "01"]
 
 
 def test_every_busy_worker_is_asked_once_per_idle_episode():
@@ -211,10 +239,10 @@ def test_every_busy_worker_is_asked_once_per_idle_episode():
             ("recv", Terminate),  # idle worker is never polled for work
         ],
     }
-    result, workers = run_scripted(ONE_BRANCH, 3, scripts)
-    assert result.tallies[2].regions == 0
+    (tallies, _, _), workers = run_scripted(ONE_BRANCH, 3, scripts)
+    assert tallies[2].regions == 0
     assert [type(m).__name__ for m in workers[2].received] == ["Terminate"]
-    assert sorted(result.paths) == ["10", "11"]
+    assert all_paths(tallies) == ["10", "11"]
 
 
 def test_zero_time_budget_dispatches_nothing():
@@ -222,10 +250,10 @@ def test_zero_time_budget_dispatches_nothing():
         0: [("recv", Terminate)],
         1: [("recv", Terminate)],
     }
-    result, _ = run_scripted(ONE_BRANCH, 2, scripts, time_budget=0.0)
-    assert result.undispatched == result.pool_size == 2
-    assert result.paths == []
-    assert all(t.regions == 0 for t in result.tallies)
+    (tallies, pool_size, undispatched), _ = run_scripted(ONE_BRANCH, 2, scripts, time_budget=0.0)
+    assert undispatched == pool_size == 2
+    assert all_paths(tallies) == []
+    assert all(t.regions == 0 for t in tallies)
 
 
 def test_deadline_terminates_each_worker_at_its_finish():
@@ -246,10 +274,12 @@ def test_deadline_terminates_each_worker_at_its_finish():
         ]
         for w in range(3)
     }
-    result, _ = run_scripted(prog, 3, scripts, final_depth=4, time_budget=0.1)
-    assert result.pool_size == 4
-    assert result.undispatched == 1
-    assert sorted(result.paths) == ["00", "01", "10"]
+    (tallies, pool_size, undispatched), _ = run_scripted(
+        prog, 3, scripts, final_depth=4, time_budget=0.1
+    )
+    assert pool_size == 4
+    assert undispatched == 1
+    assert all_paths(tallies) == ["00", "01", "10"]
 
 
 def test_stale_no_work_after_finish_is_ignored():
@@ -271,8 +301,8 @@ def test_stale_no_work_after_finish_is_ignored():
         ],
         2: [("recv", Terminate)],
     }
-    result, _ = run_scripted(ONE_BRANCH, 3, scripts)
-    assert sorted(result.paths) == ["0", "1"]
+    (tallies, _, _), _ = run_scripted(ONE_BRANCH, 3, scripts)
+    assert all_paths(tallies) == ["0", "1"]
 
 
 def test_unexpected_message_raises_protocol_error():
@@ -399,10 +429,10 @@ def test_coordinator_with_real_workers_completes_the_tree():
         )
         t.start()
         threads.append(t)
-    result = run_coordinator(hub, FIND_MIDDLE, cfg)
+    tallies, _, _ = run_coordinator(hub, FIND_MIDDLE, cfg)
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
-    assert sorted(result.paths) == ["000", "001", "01", "100", "101", "11"]
-    assert sum(t.regions for t in result.tallies) == 2
-    assert result.truncated is False
+    assert all_paths(tallies) == ["000", "001", "01", "100", "101", "11"]
+    assert sum(t.regions for t in tallies) == 2
+    assert any(t.truncated for t in tallies) is False

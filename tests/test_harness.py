@@ -16,7 +16,7 @@ import pytest
 from oracles import enumerate_paths
 from tdpart import harness, lang, proto, solve
 from tdpart.coord import WorkerTally
-from tdpart.engine import Engine, Strategy
+from tdpart.engine import Engine, EngineStats, Strategy
 from tdpart.harness import (
     REPORT_HEADER,
     ReportData,
@@ -689,19 +689,10 @@ def test_load_report_rejects_foreign_csv(tmp_path):
 
 
 def test_report_aggregates_duplicate_paths():
+    tally = WorkerTally()
+    tally.add(EngineStats(paths=["01", "01", "11"]))
     out = RunOutput(
-        program_name="p",
-        program_digest="d",
-        mode="single",
-        num_workers=1,
-        strategy=Strategy("dfs"),
-        final_depth=2,
-        tallies=[WorkerTally(regions=1, paths=["01", "01", "11"])],
-        paths=["01", "01", "11"],
-        pool_size=1,
-        undispatched=0,
-        truncated=False,
-        wall_ms=0,
+        FIND_MIDDLE, RunConfig(final_depth=2), "single", [tally], 1, 0, time.perf_counter()
     )
     rows = report_rows(out)
     path_rows = [r for r in rows if r[0] == "path"]
@@ -910,9 +901,46 @@ def test_cli_run_single(capsys):
 
 
 def test_cli_run_requires_a_depth_source(capsys):
-    rc = run_cli("run", "--program", str(FM_PATH))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--program", str(FM_PATH))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tdpart run")
+    assert "one of the arguments --max-depth --calibrate-timeout is required" in err
+
+
+def test_cli_run_takes_one_depth_source(capsys):
+    # the calibrated depth (3) would silently replace --max-depth 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--program", str(FM_PATH), "--max-depth", "1", "--calibrate-timeout", "5")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tdpart run")
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--max-depth", "3", "--time-budget", "-1"), "--time-budget"),
+        (("--max-depth", "3", "--time-budget", "nan"), "--time-budget"),
+        (("--max-depth", "3", "--solver-delay-ms", "-1"), "--solver-delay-ms"),
+        (("--max-depth", "3", "--solver-delay-ms", "nan"), "--solver-delay-ms"),
+        (("--calibrate-timeout", "-1"), "--calibrate-timeout"),
+        (("--calibrate-timeout", "nan"), "--calibrate-timeout"),
+    ],
+)
+def test_cli_rejects_a_negative_or_nan_time(capsys, argv, flag):
+    # a NaN deadline never expires; a negative one dispatches nothing
+    rc = run_cli("run", "--program", str(FM_PATH), "--mode", "threads", *argv)
     assert rc == 2
-    assert "--max-depth or --calibrate-timeout" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and flag in out
+
+
+def test_zero_time_budget_is_valid():
+    out = fm_run(mode="threads", workers=2, time_budget=0.0)
+    assert out.paths == [] and out.undispatched == out.pool_size == 2
 
 
 def test_cli_run_calibrates(capsys):
@@ -933,6 +961,28 @@ def test_cli_reports_parse_error(tmp_path, capsys):
     rc = run_cli("run", "--program", str(p), "--max-depth", "1")
     assert rc == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_reports_a_program_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.tdp"
+    p.write_bytes("program p; # caf\u00e9\nsym x in [0, 1];\nexit(0);\n".encode("latin-1"))
+    rc = run_cli("run", "--program", str(p), "--max-depth", "1")
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_reads_a_utf8_program_under_an_ascii_locale(tmp_path):
+    p = tmp_path / "utf8.tdp"
+    p.write_text("program p; # caf\u00e9\nsym x in [0, 1];\nexit(0);\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path("src").resolve())}
+    done = subprocess.run(
+        [sys.executable, "-m", "tdpart", "run", "--program", str(p), "--max-depth", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "paths=1 " in done.stdout
 
 
 def test_cli_reports_validation_diagnostics(tmp_path, capsys):

@@ -292,15 +292,16 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
     for t in threads:
         t.start()
     try:
-        result = run_coordinator(hub, program, cfg)
+        tallies, _, _ = run_coordinator(hub, program, cfg)
     finally:
         hub.close()
     for t in threads:
         t.join(timeout=20)
         assert not t.is_alive()
     assert not errors, errors
-    frontier = sum(t.frontier for t in result.tallies)
-    return sorted(result.paths), frontier, sum(t.transfers_out for t in result.tallies)
+    frontier = sum(t.frontier for t in tallies)
+    paths = sorted(p for t in tallies for p in t.paths)
+    return paths, frontier, sum(t.transfers_out for t in tallies)
 
 
 def test_forced_polls_keep_the_path_multiset():
