@@ -1,14 +1,16 @@
 """Coordinator: seed a pool of test-depth pairs, dispatch, steal, terminate.
 
-The pool is seeded by shallow breadth-first expansion (one pair per finished
-or frontier state). While any worker is idle and the pool is dry, the
+The pool is seeded from the root pair's region explored breadth-first and
+cut at a layer boundary (one pair per finished, frontier or layer state).
+While any worker is idle and the pool is dry, the
 coordinator asks one busy worker at a time for work (ProvideWork); an
 Offload answer is forwarded to an idle worker as a fresh Task, a NoWork
 answer moves on to the next busy worker, and once every busy worker has
 declined the coordinator waits for the next Finish before asking again.
 The run ends when all workers are idle and the pool is empty; under a time
-budget, nothing new is dispatched after the soft deadline and each worker
-is terminated as its in-flight region finishes.
+budget, nothing new is dispatched once the soft deadline has passed (a
+zero budget dispatches nothing) and each worker is terminated as its
+in-flight region finishes.
 
 The coordinator reads the run's RunConfig (workers, final_depth, strategy,
 time_budget), the same object the harness was given; each recv waits at
@@ -22,7 +24,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from . import proto
-from .engine import COUNTERS, Engine, EngineStats, Strategy, TestDepthPair
+from .engine import COUNTERS, Engine, EngineStats, ExecState, Strategy, TestDepthPair
 from .lang import Program
 
 if TYPE_CHECKING:
@@ -49,12 +51,32 @@ class WorkerTally(EngineStats):
 
 
 def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[TestDepthPair]:
-    """One test-depth pair per state of a shallow BFS expansion. Each pair
-    carries the lexicographically smallest model of the state's pc, so the
-    pool is a pure function of (program, num_workers, final_depth)."""
+    """The root pair's region explored breadth-first and cut at the first
+    layer boundary (the front state deeper than any front before, so all of
+    active is one layer) where the layer plus the finished states reach
+    num_workers: a pair per finished, frontier or layer state, in (depth,
+    path) order, with the lex-min model of its pc, so the pool is a pure
+    function of the arguments. A truncated region gives no pool."""
     eng = Engine(program)
-    states = eng.bfs_seed(num_workers, final_depth)
-    return [TestDepthPair(eng.model_of(s.pc), s.depth) for s in states]
+    layer: list[ExecState] = []
+    front = -1
+
+    def poll(active: list[ExecState]) -> None:
+        nonlocal front
+        depth = active[0].depth
+        if depth > front:
+            front = depth
+            if len(active) + len(eng.stats.paths) + eng.stats.frontier >= num_workers:
+                layer.extend(active)
+                active.clear()
+
+    res = eng.start_execution(eng.initial_state(), {}, 0, final_depth, Strategy("bfs"), poll=poll)
+    if res.stats.truncated:
+        return []
+    pool = [(len(c.path), c.path, c.test) for c in res.completed]
+    pool += [(s.depth, s.path, eng.model_of(s.pc)) for s in res.frontier + layer]
+    pool.sort(key=lambda p: p[:2])
+    return [TestDepthPair(test, depth) for depth, _, test in pool]
 
 
 def run_coordinator(
@@ -70,7 +92,7 @@ def run_coordinator(
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
 
     def past_deadline() -> bool:
-        return deadline is not None and time.monotonic() > deadline
+        return deadline is not None and time.monotonic() >= deadline
 
     free: deque[int] = deque(range(n))
     busy: list[int] = []

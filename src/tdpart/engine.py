@@ -6,6 +6,8 @@ suspended without solving), and everything below is explored symbolically
 until each state terminates or reaches final_depth. Only branches whose
 condition stays non-constant after substitution through the symbolic store
 count toward depth; a fully concrete branch just follows its edge.
+Engine.start_execution is the only exploration loop: seeding and depth
+calibration run the root pair's region breadth-first under a poll.
 
 The store holds a concrete value as a plain int and keeps an Expr only for
 a value that depends on a symbolic input. One recursive evaluator,
@@ -56,8 +58,7 @@ from .solve import PathCondition, QueryCache, Test, evaluate
 if TYPE_CHECKING:
     from .harness import RunConfig
 
-# the instruction budget of one region or one breadth-first expansion;
-# read at call time, so a test can lower it
+# one region's instruction budget, read at call time so a test can lower it
 MAX_STEPS = 10_000_000
 
 # a variable store: an int when concrete, an Expr when input-dependent
@@ -477,9 +478,10 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
 
 class Engine:
     """Per-worker execution engine; the query cache and creation-order serial
-    numbers live for the engine's lifetime, spanning all its regions. It
-    reads the run's cache_enabled and solver_delay from cfg; with no cfg,
-    as in seeding and calibration, the cache is on and there is no delay."""
+    numbers live for the engine's lifetime, spanning all its regions, and
+    `stats` is the running region's EngineStats. It reads the run's
+    cache_enabled and solver_delay from cfg; with no cfg, as in seeding and
+    calibration, the cache is on and there is no delay."""
 
     def __init__(self, program: Program, cfg: RunConfig | None = None):
         self.program = program
@@ -489,15 +491,12 @@ class Engine:
             QueryCache() if cfg is None or cfg.cache_enabled else None
         )
         self._serial = itertools.count()
-        # lifetime counters; regions report deltas
-        self.queries = 0
-        self.cache_hits = 0
-        self.created = 0
+        self.stats = EngineStats()
 
     # -- states
 
     def initial_state(self) -> ExecState:
-        self.created += 1
+        """A region root at the entry; no region counts it as created."""
         return ExecState(
             block=0, instr=0, env={}, pc=PathCondition(), serial=next(self._serial)
         )
@@ -508,7 +507,7 @@ class Engine:
         """pc's lex-min model, or None when pc is unsat. A cache hit returns
         at once; a miss, and every solve with the cache off, then waits
         solver_delay."""
-        self.queries += 1
+        self.stats.solver_queries += 1
         cache = self.cache
         if cache is None:
             model = solve.solve_model(pc, self.decls)
@@ -516,7 +515,7 @@ class Engine:
             misses = cache.misses
             model = cache.query(pc, self.decls)
             if cache.misses == misses:
-                self.cache_hits += 1
+                self.stats.cache_hits += 1
                 return model
         if self.solver_delay > 0:
             time.sleep(self.solver_delay)
@@ -574,7 +573,7 @@ class Engine:
                     if count >= limit or (
                         deadline is not None
                         and count % 1024 == 0
-                        and time.monotonic() > deadline
+                        and time.monotonic() >= deadline
                     ):
                         return "trunc"
                     count += 1
@@ -652,7 +651,7 @@ class Engine:
         pcs = {flag: state.pc.extend(cond, flag) for flag in (False, True)}
 
         def make(taken: bool) -> ExecState:
-            self.created += 1
+            self.stats.states_created += 1
             return ExecState(
                 block=term.on_true if taken else term.on_false,
                 instr=0,
@@ -699,15 +698,18 @@ class Engine:
         strategy: Strategy,
         *,
         poll=None,
+        deadline: float | None = None,
     ) -> RegionResult:
         """Explore the region (test, test_depth) from `root` (either the
         initial state or a resumed suspended state on the test's path).
 
         `poll`, when given, is called as poll(active_states) before each
-        select step; a work-stealing worker uses it to hand off a state."""
+        select step: a work-stealing worker hands off a state, and seeding
+        cuts a bfs region at a layer. The soft `deadline` (a
+        time.monotonic() value) is checked after each poll and in _advance;
+        a region it or the instruction budget cuts short is truncated."""
         t0 = time.perf_counter()
-        stats = EngineStats()
-        q0, h0, c0 = self.queries, self.cache_hits, self.created
+        stats = self.stats = EngineStats()
 
         if not root.pc.satisfied_by(test):
             raise ReplayDivergenceError(
@@ -722,10 +724,13 @@ class Engine:
         while active:
             if poll is not None:
                 poll(active)
-            if not active:
+                if not active:
+                    break
+            if deadline is not None and time.monotonic() >= deadline:
+                stats.truncated = True
                 break
             state = self._select(active, strategy, rng)
-            r = self._advance(state, final_depth, stats)
+            r = self._advance(state, final_depth, stats, deadline)
             if r == "trunc":
                 stats.truncated = True
                 break
@@ -737,18 +742,15 @@ class Engine:
                 stats.paths.append(state.path)
             elif r == "frontier":
                 frontier.append(state)
+                stats.frontier += 1
             else:
                 _, cond = r
                 actives, susp = self.step_branch(state, cond, test, test_depth)
                 active.extend(actives)
                 if susp is not None:
                     suspended_new.append(susp)
+                    stats.states_suspended += 1
 
-        stats.states_created = self.created - c0
-        stats.states_suspended = len(suspended_new)
-        stats.frontier = len(frontier)
-        stats.solver_queries = self.queries - q0
-        stats.cache_hits = self.cache_hits - h0
         stats.wall_us = int((time.perf_counter() - t0) * 1e6)
         return RegionResult(completed, frontier, suspended_new, stats)
 
@@ -762,45 +764,3 @@ class Engine:
         if not candidates:
             return None
         return max(candidates, key=lambda s: (s.depth, -s.serial))
-
-    # -- breadth-first layer expansion (pool seeding, depth calibration)
-
-    def bfs_layers(self, final_depth: int, *, deadline: float | None = None):
-        """Expand the tree breadth-first from a fresh initial state, one whole
-        layer at a time. Yields ([initial state], []) first, then, after each
-        layer, (next layer, states of that layer that terminated or reached
-        final_depth). Ends after yielding an empty layer, or without yielding
-        when the instruction budget (one for all layers) or the soft
-        `deadline` (also checked before each state) cuts a layer short."""
-        stats = EngineStats()
-        layer = [self.initial_state()]
-        yield layer, []
-        while layer:
-            nxt: list[ExecState] = []
-            finished: list[ExecState] = []
-            for s in layer:
-                if deadline is not None and time.monotonic() > deadline:
-                    return
-                r = self._advance(s, final_depth, stats, deadline)
-                if r == "trunc":
-                    return
-                if r in ("term", "frontier"):
-                    finished.append(s)
-                else:
-                    _, cond = r
-                    actives, _ = self.step_branch(s, cond, {}, 0)
-                    nxt.extend(actives)
-            layer = nxt
-            yield layer, finished
-
-    def bfs_seed(self, num_targets: int, final_depth: int) -> list[ExecState]:
-        """Expand whole breadth-first layers from the initial state until the
-        finished-plus-frontier state count reaches num_targets or the tree is
-        exhausted. Returns the pool states in creation order. A program that
-        finishes nothing within the instruction budget yields an empty list."""
-        done: list[ExecState] = []
-        for layer, finished in self.bfs_layers(final_depth):
-            done.extend(finished)
-            if not layer or len(layer) + len(done) >= num_targets:
-                return sorted(done + layer, key=lambda s: s.serial)
-        return []

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import lang, proto
 from .coord import WorkerTally, run_coordinator
-from .engine import Engine, Strategy
+from .engine import Engine, ExecState, Strategy
 from .lang import Program
 from .record import Record
 from .worker import run_worker
@@ -254,11 +254,16 @@ class ScheduleTransport:
 
 def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     """The whole tree as one region, the pair (any test, depth 0) explored
-    from the initial state: the pool a one-worker coordinator would seed."""
+    from the initial state: the pool a one-worker coordinator would seed.
+    As there, nothing is dispatched once the soft deadline has passed, so a
+    zero budget leaves the pair undispatched."""
     t0 = time.perf_counter()
+    tally = WorkerTally()
+    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
+    if deadline is not None and time.monotonic() >= deadline:
+        return RunOutput(program, cfg, "single", [tally], 1, 1, t0)
     eng = Engine(program, cfg)
     res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
-    tally = WorkerTally()
     tally.add(res.stats)
     return RunOutput(program, cfg, "single", [tally], 1, 0, t0)
 
@@ -474,17 +479,23 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
 
 
 def calibrate_depth(program: Program, timeout_s: float) -> int:
-    """Deepest fully completed BFS layer within the soft timeout: expand the
-    execution tree breadth-first (unbounded depth) and return the depth of
-    the last layer whose every state was advanced before time ran out.
-    Monotone nondecreasing in the timeout; ~0 yields 0."""
+    """Deepest fully completed BFS layer within the soft timeout: the root
+    pair's region explored breadth-first (final depth -1 censors nothing)
+    under the deadline, with a poll noting the front's depth. When the
+    deadline cuts the front layer, the one above it is the deepest
+    completed. Monotone nondecreasing in the timeout; ~0 yields 0."""
     eng = Engine(program)
-    completed = 0
-    # the k-th yield (from 0) comes once layers 0..k-1 are fully expanded;
-    # final_depth -1 is never reached, so nothing is censored
-    for k, _ in enumerate(eng.bfs_layers(-1, deadline=time.monotonic() + timeout_s)):
-        completed = max(k - 1, 0)
-    return completed
+    front = 0
+
+    def poll(active: list[ExecState]) -> None:
+        nonlocal front
+        front = active[0].depth
+
+    res = eng.start_execution(
+        eng.initial_state(), {}, 0, -1, Strategy("bfs"), poll=poll,
+        deadline=time.monotonic() + timeout_s,
+    )
+    return max(front - 1, 0) if res.stats.truncated else front
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +954,11 @@ def _cmd_run(args) -> int:
             f"in={t.transfers_in} out={t.transfers_out}"
         )
     if args.report:
-        write_report(out, args.report)
+        try:
+            write_report(out, args.report)
+        except OSError as e:
+            print(f"error: {e}")
+            return 2
         print(f"report written to {args.report}")
     if args.verify:
         try:

@@ -400,12 +400,11 @@ def _all_hold(constraints: Iterable[Constraint], test: Test) -> bool:
 
 
 class Constraint:
-    __slots__ = ("expr", "taken", "depth", "inputs", "lin", "revise", "_text")
+    __slots__ = ("expr", "taken", "inputs", "lin", "revise", "_text")
 
-    def __init__(self, expr: Expr, taken: bool, depth: int):
+    def __init__(self, expr: Expr, taken: bool):
         self.expr = expr
         self.taken = taken  # polarity: did execution take the true side
-        self.depth = depth  # 1-based symbolic branch depth
         self.inputs = lang.reads(expr)
         # when expr is a linear comparison L op R (see _linear): the
         # comparison that must hold, polarity applied, as its function and
@@ -451,8 +450,7 @@ class PathCondition:
         return len(self.constraints)
 
     def extend(self, expr: Expr, taken: bool) -> "PathCondition":
-        c = Constraint(expr, taken, len(self.constraints) + 1)
-        return PathCondition(self.constraints + (c,), self)
+        return PathCondition(self.constraints + (Constraint(expr, taken),), self)
 
     def satisfied_by(self, test: Test) -> bool:
         return _all_hold(self.constraints, test)

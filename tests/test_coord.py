@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from oracles import decision_sequence, domain_cube
+from oracles import decision_sequence, domain_cube, enumerate_paths
 from tdpart import proto
 from tdpart.coord import WorkerTally, run_coordinator, seed_pool
 from tdpart.engine import EngineStats, Strategy, TestDepthPair
-from tdpart.harness import RunConfig, ScheduleHub
+from tdpart.harness import RunConfig, ScheduleHub, gen_corpus
 from tdpart.lang import parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 
@@ -54,6 +54,11 @@ def test_worker_tally_sums_every_counter():
 # -- pool seeding
 
 
+def prefixes(program, pairs):
+    """Each pair's (prefix, depth): the first `depth` decisions its test makes."""
+    return [(decision_sequence(program, p.test)[0][: p.depth], p.depth) for p in pairs]
+
+
 def test_seed_pool_one_worker_is_root_pair():
     pairs = seed_pool(FIND_MIDDLE, 1, 3)
     assert pairs == [TestDepthPair({"x": -8, "y": -8, "z": -8}, 0)]
@@ -65,6 +70,7 @@ def test_seed_pool_two_workers_depth_one():
         TestDepthPair({"x": -8, "y": -8, "z": -8}, 1),
         TestDepthPair({"x": -8, "y": -7, "z": -8}, 1),
     ]
+    assert prefixes(FIND_MIDDLE, pairs) == [("0", 1), ("1", 1)]
 
 
 def test_seed_pool_four_workers_depth_two():
@@ -75,6 +81,22 @@ def test_seed_pool_four_workers_depth_two():
         ((-8, -7, -8), 2),  # 10
         ((-8, -7, -6), 2),  # 11
     ]
+    assert prefixes(FIND_MIDDLE, pairs) == [("00", 2), ("01", 2), ("10", 2), ("11", 2)]
+
+
+def test_seed_pool_overshoots_whole_layers():
+    assert len(seed_pool(FIND_MIDDLE, 3, 3)) == 4  # a whole layer is taken, never a part
+
+
+def test_seed_pool_mixes_finished_and_deeper_states():
+    prog = parse_program(
+        "program p;\nsym x in [0, 3];\nsym y in [0, 3];\n"
+        "if (x < 1) { exit(0); } else {\n"
+        "  if (y < 1) { exit(1); } else { exit(2); }\n"
+        "}\n"
+    )
+    # the true side exits at depth 1; the false side forks once more
+    assert prefixes(prog, seed_pool(prog, 3, 5)) == [("1", 1), ("00", 2), ("01", 2)]
 
 
 def test_seed_pool_exhausts_small_trees():
@@ -107,6 +129,37 @@ def test_seed_pool_pairs_carry_the_lex_min_model_of_their_prefix(path):
                 prefixes.append(prefix)
             for _, bits in cube:
                 assert sum(bits.startswith(p) for p in prefixes) == 1, (path, bits)
+
+
+def layer_cut(cube, completed, frontier, final_depth, num_workers):
+    """The pool seed_pool must give, from the oracle alone (cube: each
+    domain point with its decisions; completed and frontier: enumerate_paths
+    at final_depth): the first layer k whose prefixes plus the paths
+    shorter than k reach num_workers, or else every completed path and
+    frontier prefix; in (depth, prefix) order, each with the first cube
+    point whose decisions start with it."""
+    cut = list(completed) + list(frontier)
+    for k in range(final_depth + 1):
+        layer = {bits[:k] for _, bits in cube if len(bits) >= k}
+        done = [p for p in completed if len(p) < k]
+        if len(layer) + len(done) >= num_workers:
+            cut = done + list(layer)
+            break
+    cut.sort(key=lambda p: (len(p), p))
+    return [TestDepthPair(next(t for t, bits in cube if bits.startswith(p)), len(p)) for p in cut]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seed_pool_is_the_oracle_layer_cut(tmp_path, seed):
+    for f in gen_corpus(seed, 20, tmp_path):
+        program = parse_program(f.read_text())
+        cube = [(t, decision_sequence(program, t)[0]) for t in domain_cube(program.inputs)]
+        for final_depth in (0, 1, 3, 6):
+            completed, frontier = enumerate_paths(program, final_depth)
+            for workers in (1, 2, 3, 4, 7):
+                want = layer_cut(cube, completed, frontier, final_depth, workers)
+                got = seed_pool(program, workers, final_depth)
+                assert got == want, (f.name, workers, final_depth)
 
 
 # -- scripted workers: each entry is ('recv', type) or ('send', message)

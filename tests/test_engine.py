@@ -8,6 +8,7 @@ import pytest
 
 from oracles import decision_sequence, enumerate_paths
 from tdpart import engine, solve
+from tdpart.coord import seed_pool
 from tdpart.engine import (
     Engine,
     ReplayDivergenceError,
@@ -78,12 +79,23 @@ def _fresh(pc):
     return fresh
 
 
+def bfs_region(program, final_depth):
+    """The root pair's region explored breadth-first, with each layer as a
+    poll sees it at its boundary, where all of active is that layer."""
+    eng = Engine(program)
+    layers = []
+
+    def poll(active):
+        if active[0].depth == len(layers):
+            layers.append(list(active))
+
+    eng.start_execution(eng.initial_state(), {}, 0, final_depth, Strategy("bfs"), poll=poll)
+    return eng, layers
+
+
 def test_solver_checked_children_keep_their_lex_min_model():
-    eng = Engine(FIND_MIDDLE)
-    layers = eng.bfs_layers(3)
-    [root], _ = next(layers)
-    depth1, _ = next(layers)
-    depth2, _ = next(layers)
+    eng, layers = bfs_region(FIND_MIDDLE, 3)
+    [root], depth1, depth2 = layers[:3]
     assert root.pc._model is None
     assert [s.pc._model for s in depth1] == [{"x": -8, "y": -8, "z": -8}, T5]
     assert [s.pc._model for s in depth2] == [
@@ -129,15 +141,13 @@ def test_guided_region_t5_completes_100_101():
 
 def test_regions_partition_the_tree():
     # the four depth-2 regions together produce exactly the full path set
-    eng = Engine(FIND_MIDDLE)
-    seeds = eng.bfs_seed(4, 3)
-    assert [s.path for s in seeds] == ["00", "10", "01", "11"] or len(seeds) == 4
+    pairs = seed_pool(FIND_MIDDLE, 4, 3)
+    assert len(pairs) == 4
     all_paths = []
-    for s in seeds:
+    for pair in pairs:
         worker_eng = Engine(FIND_MIDDLE)
         res = worker_eng.start_execution(
-            worker_eng.initial_state(), worker_eng.model_of(s.pc), s.depth, 3,
-            Strategy("dfs"),
+            worker_eng.initial_state(), pair.test, pair.depth, 3, Strategy("dfs"),
         )
         all_paths.extend(c.path for c in res.completed)
     assert sorted(all_paths) == sorted(FM_PATHS)  # no duplicates, no gaps
@@ -370,52 +380,6 @@ def test_error_outcomes_are_reported():
     _, res = full_region(parse_program(src), 2)
     by_path = {c.path: str(c.outcome) for c in res.completed}
     assert by_path == {"1": "error boom", "0": "exit 4"}
-
-
-def test_bfs_seed_single_target_is_root_pair():
-    eng = Engine(FIND_MIDDLE)
-    states = eng.bfs_seed(1, 3)
-    assert len(states) == 1
-    assert states[0].depth == 0
-    assert eng.model_of(states[0].pc) == {"x": -8, "y": -8, "z": -8}
-
-
-def test_bfs_seed_two_targets_splits_at_depth_one():
-    eng = Engine(FIND_MIDDLE)
-    states = eng.bfs_seed(2, 3)
-    assert [(s.path, s.depth) for s in states] == [("0", 1), ("1", 1)]
-    assert [eng.model_of(s.pc) for s in states] == [T3 | {}, T5 | {}] or [
-        eng.model_of(s.pc) for s in states
-    ] == [{"x": -8, "y": -8, "z": -8}, {"x": -8, "y": -7, "z": -8}]
-
-
-def test_bfs_seed_four_targets_layer_two():
-    eng = Engine(FIND_MIDDLE)
-    states = eng.bfs_seed(4, 3)
-    assert sorted((s.path, s.depth) for s in states) == [
-        ("00", 2), ("01", 2), ("10", 2), ("11", 2),
-    ]
-
-
-def test_bfs_seed_overshoots_whole_layers():
-    eng = Engine(FIND_MIDDLE)
-    states = eng.bfs_seed(3, 3)
-    assert len(states) == 4  # a whole layer is expanded, never a partial one
-
-
-def test_bfs_seed_mixes_terminated_and_deeper_states():
-    src = (
-        "program p;\nsym x in [0, 3];\nsym y in [0, 3];\n"
-        "if (x < 1) { exit(0); } else {\n"
-        "  if (y < 1) { exit(1); } else { exit(2); }\n"
-        "}\n"
-    )
-    eng = Engine(parse_program(src))
-    states = eng.bfs_seed(3, 5)
-    # the true side exits at depth 1; the false side forks once more
-    assert sorted((s.path, s.depth) for s in states) == [
-        ("00", 2), ("01", 2), ("1", 1),
-    ]
 
 
 def test_poll_hook_sees_every_step():

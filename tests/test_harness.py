@@ -8,13 +8,14 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from oracles import enumerate_paths
-from tdpart import harness, lang, proto, solve
+from tdpart import coord, harness, lang, proto, solve
 from tdpart.coord import WorkerTally
 from tdpart.engine import Engine, EngineStats, Strategy
 from tdpart.harness import (
@@ -237,6 +238,8 @@ def test_each_tally_counts_the_regions_its_worker_thread_ran(monkeypatch, mode):
         # steals under a solver delay spread the regions unevenly
         out = run_program(LOOPS, RunConfig(mode=mode, workers=4, final_depth=15,
                                            offload_threshold=1, solver_delay=0.0005))
+        # seeding runs one bfs region on the coordinator's thread
+        assert ran.pop(threading.current_thread().name) == 1
         names = [f"tdpart-worker-{k}" for k in range(4)]
         assert set(ran) <= set(names)
         assert [t.regions for t in out.tallies] == [ran[n] for n in names]
@@ -938,9 +941,19 @@ def test_cli_rejects_a_negative_or_nan_time(capsys, argv, flag):
     assert out.startswith("error:") and flag in out
 
 
-def test_zero_time_budget_is_valid():
-    out = fm_run(mode="threads", workers=2, time_budget=0.0)
-    assert out.paths == [] and out.undispatched == out.pool_size == 2
+@pytest.mark.parametrize("mode, pool", [("single", 1), ("threads", 2), ("tcp", 2)])
+def test_zero_time_budget_is_valid(monkeypatch, mode, pool):
+    # a deadline the clock has reached has passed, so no run dispatches; a
+    # stopped clock reads the same at the deadline and at every check
+    for clock in ("running", "stopped"):
+        if clock == "stopped":
+            stopped = types.SimpleNamespace(monotonic=lambda: 1000.0, perf_counter=time.perf_counter)
+            monkeypatch.setattr(coord, "time", stopped)
+            monkeypatch.setattr(harness, "time", stopped)
+        for _ in range(20):
+            out = fm_run(mode=mode, workers=2, time_budget=0.0)
+            assert out.paths == [] and out.undispatched == out.pool_size == pool, clock
+            assert [t.regions for t in out.tallies] == [0] * out.num_workers
 
 
 def test_cli_run_calibrates(capsys):
@@ -953,6 +966,14 @@ def test_cli_reports_missing_file(capsys):
     rc = run_cli("run", "--program", "no/such/file.tdp", "--max-depth", "1")
     assert rc == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_reports_an_unwritable_report_path(tmp_path, capsys):
+    report = tmp_path / "no" / "such" / "dir" / "r.csv"
+    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3", "--report", str(report))
+    assert rc == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("error: ")
+    assert not report.exists()
 
 
 def test_cli_reports_parse_error(tmp_path, capsys):

@@ -99,11 +99,6 @@ def test_path_condition_key_is_order_independent():
     assert a.path_bits() != b.path_bits()
 
 
-def test_constraint_depths_are_one_based():
-    pc = PathCondition().extend(lt(X, Y), True).extend(lt(Y, Z), True)
-    assert [c.depth for c in pc.constraints] == [1, 2]
-
-
 # -- solving
 
 
@@ -1462,7 +1457,7 @@ def test_a_constraint_holds_its_hot_revise(monkeypatch):
     monkeypatch.setattr(solve_mod, "_codes", {})  # nothing compiled yet
     iv = {"x": (-9, 9), "y": (-9, 9), "z": (-9, 9)}  # no revise narrows it
     e = Binary("==", Binary("*", X, Y), Binary("+", Z, Const(1)))
-    held, other = solve_mod.Constraint(e, True, 1), solve_mod.Constraint(e, False, 1)
+    held, other = solve_mod.Constraint(e, True), solve_mod.Constraint(e, False)
     hot = solve_mod.HOT
     for _ in range(hot - 1):
         solve_mod._fixpoint((held,), dict(iv))
@@ -1477,7 +1472,7 @@ def test_a_constraint_holds_its_hot_revise(monkeypatch):
     want = dict(start)
     with monkeypatch.context() as m:
         m.setattr(solve_mod, "_generated_revise", lambda e, want, make: None)
-        solve_mod._fixpoint((solve_mod.Constraint(tree, True, 1),), want)
+        solve_mod._fixpoint((solve_mod.Constraint(tree, True),), want)
     calls = []
     monkeypatch.setattr(solve_mod, "_revise", lambda *a: calls.append(a))
     got = dict(start)

@@ -681,7 +681,7 @@ def test_a_second_engine_runs_the_programs_function_from_the_loops_first_entry(
     # instructions, the evaluator runs only the two assignments before the
     # loop and the branch after it
     assert all(r is s for r, s in zip(prog._engine_runs, runs))
-    assert len(evaluated) == 3 and second.queries > 0
+    assert len(evaluated) == 3 and second.stats.solver_queries > 0
 
 
 def test_a_program_that_ran_keeps_its_value():
