@@ -61,7 +61,7 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     layer: list[ExecState] = []
     front = -1
 
-    def poll(active: list[ExecState]) -> None:
+    def poll(active: deque[ExecState]) -> None:
         nonlocal front
         depth = active[0].depth
         if depth > front:

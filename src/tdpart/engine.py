@@ -44,6 +44,7 @@ import itertools
 import random
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from typing import TYPE_CHECKING
 
@@ -671,20 +672,22 @@ class Engine:
                 actives.append(make(flag))
         return actives, None
 
-    def _select(self, active: list[ExecState], strategy: Strategy, rng) -> ExecState:
+    def _select(self, active: deque[ExecState], strategy: Strategy, rng) -> ExecState:
         """Pop the next state: dfs the deepest, latest-created one, bfs the
         shallowest, earliest-created one. Under dfs and bfs, `active` is in
         (depth, serial) order: it starts as one root, a fork's children
         (depth + 1, fresh serials) are appended after dfs popped the
         greatest state or bfs the least one (bfs keeps every depth within
         one of the least), a guided step appends one such child, and an
-        offload only removes a state. So the pick is the last or the first."""
+        offload only removes a state. So the pick is the deque's last or first."""
         if strategy.kind == "dfs":
             return active.pop()
         if strategy.kind == "bfs":
-            return active.pop(0)
+            return active.popleft()
         if strategy.kind == "random":
-            return active.pop(rng.randrange(len(active)))
+            state = active[i := rng.randrange(len(active))]
+            del active[i]
+            return state
         raise ValueError(f"unknown strategy {strategy.kind}")
 
     # -- region execution
@@ -703,11 +706,12 @@ class Engine:
         """Explore the region (test, test_depth) from `root` (either the
         initial state or a resumed suspended state on the test's path).
 
-        `poll`, when given, is called as poll(active_states) before each
-        select step: a work-stealing worker hands off a state, and seeding
-        cuts a bfs region at a layer. The soft `deadline` (a
-        time.monotonic() value) is checked after each poll and in _advance;
-        a region it or the instruction budget cuts short is truncated."""
+        `poll`, when given, is called as poll(active), `active` being the
+        deque of active states, before each select step: a work-stealing
+        worker hands off a state, and seeding cuts a bfs region at a
+        layer. The soft `deadline` (a time.monotonic() value) is checked
+        after each poll and in _advance; a region it or the instruction
+        budget cuts short is truncated."""
         t0 = time.perf_counter()
         stats = self.stats = EngineStats()
 
@@ -717,7 +721,7 @@ class Engine:
             )
         rng = random.Random(strategy.seed) if strategy.kind == "random" else None
 
-        active = [root]
+        active = deque([root])
         completed: list[CompletedPath] = []
         frontier: list[ExecState] = []
         suspended_new: list[ExecState] = []

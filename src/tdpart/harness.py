@@ -3,10 +3,10 @@
 The harness owns process and thread lifecycle; everything crossing a
 worker boundary goes through proto frames. Three modes share one report
 shape: `single` runs the whole tree as one in-process region (the oracle
-the distributed modes are checked against), `threads` runs workers as
-threads over in-process queues (deterministically replayable via a
-recorded message schedule), and `tcp` runs the same workers over loopback
-sockets, best-effort nondeterministic.
+the distributed modes are checked against); `threads` and `tcp` run one
+worker lifecycle over a proto hub, which makes its workers' transports:
+a QueueHub's in-process queues (replayable via a recorded message
+schedule) or a SocketHub's loopback sockets (best-effort nondeterministic).
 
 Worker threads outlive a run. A threads or tcp run takes idle threads
 from a module-level list (starting new ones only when it runs short) and
@@ -24,7 +24,6 @@ import io
 import os
 import queue
 import random
-import socket
 import sys
 import threading
 import time
@@ -328,15 +327,13 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _run_distributed(
-    program: Program, cfg: RunConfig, mode: str, hub, transports: list
-) -> RunOutput:
+def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) -> RunOutput:
     """The worker lifecycle shared by threads and tcp, which differ only in
-    `hub` and in `transports`, one per worker id, all made before any
-    worker starts. The run takes cfg.workers parked threads (starting new
-    ones only when too few are parked) and hands thread k the job of
-    worker id k. On a coordinator failure every worker is told to
-    terminate. Either way the hub is closed and every job awaited, all
+    `hub` and in `transports`, the hub's, one per worker id, all made
+    before any worker starts. The run takes cfg.workers parked threads
+    (starting new ones only when too few are parked) and hands thread k
+    the job of worker id k. On a coordinator failure every worker is told
+    to terminate. Either way the hub is closed and every job awaited, all
     against one deadline of proto.RECV_TIMEOUT, before the run returns or
     its error propagates. A run that succeeds parks its threads again; one
     that fails stops and joins them, so it leaves no worker thread behind.
@@ -409,31 +406,7 @@ def _run_distributed(
         raise errors[0]
     if cfg.record_schedule:
         Path(cfg.record_schedule).write_text(schedule.to_json(), encoding="utf-8")
-    return RunOutput(program, cfg, mode, tallies, pool_size, undispatched, t0)
-
-
-def run_threads(program: Program, cfg: RunConfig) -> RunOutput:
-    hub = proto.QueueHub(cfg.workers)
-    transports = [hub.transport_for(w) for w in range(cfg.workers)]
-    return _run_distributed(program, cfg, "threads", hub, transports)
-
-
-def run_tcp(program: Program, cfg: RunConfig) -> RunOutput:
-    hub = proto.SocketHub(cfg.workers)
-    transports: list[proto.SocketTransport] = []
-    try:
-        # in worker-id order, before the hub accepts: hub id k is tdpart-worker-k
-        for _ in range(cfg.workers):
-            s = socket.create_connection(hub.address, timeout=10)
-            transports.append(proto.SocketTransport(s))
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hub.accept_all()
-    except BaseException:
-        for t in transports:
-            t.close()
-        hub.close()
-        raise
-    return _run_distributed(program, cfg, "tcp", hub, transports)
+    return RunOutput(program, cfg, cfg.mode, tallies, pool_size, undispatched, t0)
 
 
 def run_program(program: Program, cfg: RunConfig) -> RunOutput:
@@ -443,17 +416,20 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     kind, seed = cfg.strategy.kind, cfg.strategy.seed
     if kind not in ("dfs", "bfs", "random"):
         raise ValueError(f"unknown strategy {kind}")
-    if kind == "random" and (seed is None or not 0 <= seed < 2**64):
-        raise ValueError(f"--seed must be in [0, 2**64) for random search, got {seed}")
-    if not 0 <= cfg.final_depth < 2**32:
-        raise ValueError(f"--max-depth must be in [0, 2**32), got {cfg.final_depth}")
+    if kind == "random" and (seed is None or not 0 <= seed < proto.SEED.hi):
+        raise ValueError(f"--seed must fit a {proto.SEED.width} for random search, got {seed}")
+    if not 0 <= cfg.final_depth < proto.FINAL_DEPTH.hi:
+        raise ValueError(f"--max-depth must fit a {proto.FINAL_DEPTH.width}, got {cfg.final_depth}")
+    try:
+        proto.encode_test(dict.fromkeys([d.name for d in program.inputs], 0))
+    except proto.ProtocolError as e:
+        raise ValueError(f"a Task cannot carry this program's inputs: {e}") from None
     # NaN compares false to everything: a NaN budget would never expire
     if cfg.time_budget is not None and not cfg.time_budget >= 0:
         raise ValueError(f"--time-budget must be at least 0, got {cfg.time_budget}")
     if not cfg.solver_delay >= 0:
         raise ValueError(f"--solver-delay-ms must be at least 0, got {cfg.solver_delay * 1000}")
-    run = {"single": run_single, "threads": run_threads, "tcp": run_tcp}.get(cfg.mode)
-    if run is None:
+    if cfg.mode not in ("single", "threads", "tcp"):
         raise ValueError(f"unknown mode {cfg.mode}")
     if cfg.mode != "single":
         # with no worker to take the pool, the coordinator would wait out
@@ -464,7 +440,10 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
         if cfg.offload_threshold < 1:
             raise ValueError(f"--offload-threshold must be at least 1, got {cfg.offload_threshold}")
     try:
-        return run(program, cfg)
+        if cfg.mode == "single":
+            return run_single(program, cfg)
+        hub = (proto.QueueHub if cfg.mode == "threads" else proto.SocketHub)(cfg.workers)
+        return _run_distributed(program, cfg, hub, hub.transports())
     except RecursionError:
         # a failed run has stopped and joined its worker threads by now
         raise ValueError(
@@ -487,7 +466,7 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
     eng = Engine(program)
     front = 0
 
-    def poll(active: list[ExecState]) -> None:
+    def poll(active: deque[ExecState]) -> None:
         nonlocal front
         front = active[0].depth
 

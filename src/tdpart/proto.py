@@ -3,10 +3,12 @@
 Every message is one frame: a u32 big-endian length (tag byte + payload,
 excluding the length field itself), the tag byte, then the payload. The
 same frame bytes travel over in-process queues and TCP sockets, so the
-codec is exercised identically in every run mode.
-
-Tags: Task=0x01 Finish=0x02 ProvideWork=0x03 Offload=0x04 NoWork=0x05
-Terminate=0x06. Layouts are documented field-by-field in docs/protocol.md.
+codec is exercised identically in every run mode. LAYOUTS maps each tag
+(Task=0x01 Finish=0x02 ProvideWork=0x03 Offload=0x04 NoWork=0x05
+Terminate=0x06) to its message class and that class's fields in wire
+order, each with its codec, and encode and decode both read it. A value
+too wide for its field raises ProtocolError naming the field. Each hub
+makes its workers' transports. docs/protocol.md has the layouts.
 """
 
 from __future__ import annotations
@@ -20,16 +22,6 @@ import time
 from .engine import EngineStats, Strategy
 from .record import Record
 from .solve import Test
-
-TAG_TASK = 0x01
-TAG_FINISH = 0x02
-TAG_PROVIDE_WORK = 0x03
-TAG_OFFLOAD = 0x04
-TAG_NO_WORK = 0x05
-TAG_TERMINATE = 0x06
-
-_STRATEGY_CODE = {"dfs": 0, "bfs": 1, "random": 2}
-_STRATEGY_NAME = {v: k for k, v in _STRATEGY_CODE.items()}
 
 # read at call time, so a test can shorten them
 RECV_TIMEOUT = 120.0  # seconds any one recv waits
@@ -103,15 +95,8 @@ Message = Task | Finish | ProvideWork | Offload | NoWork | Terminate
 
 
 # ---------------------------------------------------------------------------
-# Codec
+# Codec: one layout table, which encode and decode both read
 # ---------------------------------------------------------------------------
-
-
-def _enc_strategy(s: Strategy) -> bytes:
-    code = _STRATEGY_CODE[s.kind]
-    if s.kind == "random":
-        return struct.pack(">BQ", code, s.seed)
-    return struct.pack(">B", code)
 
 
 def _need(buf: bytes, off: int, n: int) -> None:
@@ -119,28 +104,80 @@ def _need(buf: bytes, off: int, n: int) -> None:
         raise TruncatedFrameError(f"frame payload short by {off + n - len(buf)} bytes")
 
 
+class _Codec:
+    """A field's enc(value) -> bytes and dec(buf, off) -> (value, next offset)."""
+
+    __slots__ = ("enc", "dec")
+
+    def __init__(self, enc, dec):
+        self.enc, self.dec = enc, dec
+
+
+class _Int(_Codec):
+    """A big-endian integer field of struct code `code`, the one place its
+    width is checked: encoding a value outside it raises ProtocolError
+    naming the field."""
+
+    __slots__ = ("hi", "width")
+
+    def __init__(self, name: str, code: str):
+        s = struct.Struct(">" + code)
+        pack, unpack, size, bits = s.pack, s.unpack_from, s.size, 8 * s.size
+        lo, hi = (-(1 << bits - 1), 1 << bits - 1) if code.islower() else (0, 1 << bits)
+        self.hi, self.width = hi, f"{'iu'[lo == 0]}{bits}"
+
+        def enc(v: int) -> bytes:
+            if not lo <= v < hi:
+                raise ProtocolError(f"{name} {v} does not fit its {self.width} field")
+            return pack(v)
+
+        def dec(buf: bytes, off: int) -> tuple[int, int]:
+            _need(buf, off, size)
+            return unpack(buf, off)[0], off + size
+
+        super().__init__(enc, dec)
+
+
+def _choice(what: str, values: tuple) -> _Codec:
+    """One byte, the index of the value in `values`."""
+
+    def dec(buf: bytes, off: int) -> tuple[object, int]:
+        _need(buf, off, 1)
+        if buf[off] >= len(values):
+            raise ProtocolError(f"{what} {buf[off]} is not one of 0..{len(values) - 1}")
+        return values[buf[off]], off + 1
+
+    return _Codec({v: bytes((i,)) for i, v in enumerate(values)}.__getitem__, dec)
+
+
+_COUNT, _NAME_LEN = _Int("test count", "H"), _Int("test name length", "H")
+_VALUE = _Int("test value", "q")
+_PATHS, _PATH_LEN = _Int("path count", "I"), _Int("path length", "H")
+SEED, FINAL_DEPTH = _Int("seed", "Q"), _Int("final_depth", "I")
+_KIND = _choice("strategy code", ("dfs", "bfs", "random"))
+
+
+def _enc_strategy(s: Strategy) -> bytes:
+    """The kind's code byte, then a random search's seed."""
+    code = _KIND.enc(s.kind)
+    return code + SEED.enc(s.seed) if s.kind == "random" else code
+
+
 def _dec_strategy(buf: bytes, off: int) -> tuple[Strategy, int]:
-    _need(buf, off, 1)
-    code = buf[off]
-    off += 1
-    if code not in _STRATEGY_NAME:
-        raise ProtocolError(f"unknown strategy code {code}")
-    if code == _STRATEGY_CODE["random"]:
-        _need(buf, off, 8)
-        (seed,) = struct.unpack_from(">Q", buf, off)
-        return Strategy("random", seed), off + 8
-    return Strategy(_STRATEGY_NAME[code]), off
+    kind, off = _KIND.dec(buf, off)
+    if kind != "random":
+        return Strategy(kind), off
+    seed, off = SEED.dec(buf, off)
+    return Strategy(kind, seed), off
 
 
 def encode_test(test: Test) -> bytes:
-    """count:u16 then (name_len:u16, name:utf8, value:i64) per entry,
+    """count: u16, then (name_len: u16, name: UTF-8, value: i64) per entry,
     entries in sorted name order, so names strictly increase."""
-    out = [struct.pack(">H", len(test))]
+    out = [_COUNT.enc(len(test))]
     for name in sorted(test):
         nb = name.encode("utf-8")
-        out.append(struct.pack(">H", len(nb)))
-        out.append(nb)
-        out.append(struct.pack(">q", test[name]))
+        out += (_NAME_LEN.enc(len(nb)), nb, _VALUE.enc(test[name]))
     return b"".join(out)
 
 
@@ -148,111 +185,99 @@ def decode_test(buf: bytes, off: int = 0) -> tuple[Test, int]:
     """Inverse of encode_test; returns (test, next offset). Raises
     TruncatedFrameError when buf is too short, and ProtocolError for a name
     that is not UTF-8 or does not follow the one before it in sorted order."""
-    _need(buf, off, 2)
-    (count,) = struct.unpack_from(">H", buf, off)
-    off += 2
+    count, off = _COUNT.dec(buf, off)
     test: Test = {}
     name = None
     for _ in range(count):
-        _need(buf, off, 2)
-        (nlen,) = struct.unpack_from(">H", buf, off)
-        off += 2
+        nlen, off = _NAME_LEN.dec(buf, off)
         _need(buf, off, nlen + 8)
-        prev = name
         try:
-            name = buf[off : off + nlen].decode("utf-8")
+            name, prev = buf[off : off + nlen].decode("utf-8"), name
         except UnicodeDecodeError:
             raise ProtocolError("test name is not UTF-8") from None
         if prev is not None and name <= prev:
             raise ProtocolError("test names are not in strictly increasing order")
-        off += nlen
-        (test[name],) = struct.unpack_from(">q", buf, off)
-        off += 8
+        test[name], off = _VALUE.dec(buf, off + nlen)
     return test, off
 
 
-def _enc_stats(st: EngineStats) -> bytes:
-    out = [
-        struct.pack(
-            ">QQQQQQBQ",
-            st.states_created,
-            st.states_suspended,
-            st.frontier,
-            st.solver_queries,
-            st.cache_hits,
-            st.instructions,
-            1 if st.truncated else 0,
-            st.wall_us,
-        ),
-        struct.pack(">I", len(st.paths)),
-    ]
-    for p in st.paths:
-        pb = p.encode("ascii")
-        out.append(struct.pack(">H", len(pb)))
-        out.append(pb)
+def _enc_paths(paths: list[str]) -> bytes:
+    """count: u32, then (path_len: u16, path: ASCII '0'/'1') per path."""
+    out = [_PATHS.enc(len(paths))]
+    for p in paths:
+        out += (_PATH_LEN.enc(len(p)), p.encode("ascii"))
     return b"".join(out)
 
 
-def _dec_stats(buf: bytes, off: int) -> tuple[EngineStats, int]:
-    _need(buf, off, 61)
-    created, susp, fr, q, h, instr, trunc, wall = struct.unpack_from(">QQQQQQBQ", buf, off)
-    if trunc > 1:
-        raise ProtocolError("Finish truncated byte is not 0 or 1")
-    off += 57
-    (n,) = struct.unpack_from(">I", buf, off)
-    off += 4
+def _dec_paths(buf: bytes, off: int) -> tuple[list[str], int]:
+    count, off = _PATHS.dec(buf, off)
     paths = []
-    for _ in range(n):
-        _need(buf, off, 2)
-        (plen,) = struct.unpack_from(">H", buf, off)
-        off += 2
+    for _ in range(count):
+        plen, off = _PATH_LEN.dec(buf, off)
         _need(buf, off, plen)
         path = buf[off : off + plen]
         if path.strip(b"01"):  # some byte is neither '0' nor '1'
             raise ProtocolError("Finish path byte is not ASCII '0' or '1'")
         paths.append(path.decode("ascii"))
         off += plen
-    st = EngineStats(
-        states_created=created,
-        states_suspended=susp,
-        frontier=fr,
-        solver_queries=q,
-        cache_hits=h,
-        instructions=instr,
-        truncated=bool(trunc),
-        wall_us=wall,
-        paths=paths,
-    )
-    return st, off
+    return paths, off
+
+
+class _Layout:
+    """A record's fields in wire order, each (attribute, codec): its
+    class's constructor takes their values in that order."""
+
+    __slots__ = ("cls", "fields")
+
+    def __init__(self, cls: type, fields: tuple):
+        self.cls, self.fields = cls, fields
+
+    def enc(self, rec) -> bytes:
+        return b"".join([codec.enc(getattr(rec, name)) for name, codec in self.fields])
+
+    def dec(self, buf: bytes, off: int):
+        values = []
+        for _, codec in self.fields:
+            v, off = codec.dec(buf, off)
+            values.append(v)
+        return self.cls(*values), off
+
+
+_TEST = _Codec(encode_test, decode_test)
+
+# a Finish's stats: six u64 counters, the truncated flag, then wall_us and the paths
+_STATS = _Layout(EngineStats, (
+    *[(name, _Int(name, "Q")) for name in ("states_created", "states_suspended", "frontier",
+                                          "solver_queries", "cache_hits", "instructions")],
+    ("truncated", _choice("Finish truncated byte", (False, True))),
+    ("wall_us", _Int("wall_us", "Q")), ("paths", _Codec(_enc_paths, _dec_paths)),
+))
+
+# tag -> the message's layout: a new message is a class and a row here
+LAYOUTS = {
+    0x01: _Layout(Task, (
+        ("strategy", _Codec(_enc_strategy, _dec_strategy)), ("test", _TEST),
+        ("test_depth", _Int("test_depth", "I")), ("final_depth", FINAL_DEPTH),
+    )),
+    0x02: _Layout(Finish, (("stats", _STATS),)),
+    0x03: _Layout(ProvideWork, ()),
+    0x04: _Layout(Offload, (("test", _TEST), ("depth", _Int("depth", "I")))),
+    0x05: _Layout(NoWork, ()),
+    0x06: _Layout(Terminate, ()),
+}
+_TAG_OF = {layout.cls: (tag, layout) for tag, layout in LAYOUTS.items()}
+_HEAD = struct.Struct(">IB")  # length (tag + payload), tag
 
 
 def encode(msg: Message) -> bytes:
-    """Full frame bytes for a message, length prefix included."""
-    if isinstance(msg, Task):
-        payload = (
-            _enc_strategy(msg.strategy)
-            + encode_test(msg.test)
-            + struct.pack(">II", msg.test_depth, msg.final_depth)
-        )
-        tag = TAG_TASK
-    elif isinstance(msg, Finish):
-        payload = _enc_stats(msg.stats)
-        tag = TAG_FINISH
-    elif isinstance(msg, ProvideWork):
-        payload = b""
-        tag = TAG_PROVIDE_WORK
-    elif isinstance(msg, Offload):
-        payload = encode_test(msg.test) + struct.pack(">I", msg.depth)
-        tag = TAG_OFFLOAD
-    elif isinstance(msg, NoWork):
-        payload = b""
-        tag = TAG_NO_WORK
-    elif isinstance(msg, Terminate):
-        payload = b""
-        tag = TAG_TERMINATE
-    else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    return struct.pack(">IB", len(payload) + 1, tag) + payload
+    """Full frame bytes for a message, length prefix included. A value too
+    wide for its field raises ProtocolError naming the field."""
+    try:
+        tag, layout = _TAG_OF[type(msg)]
+    except KeyError:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}") from None
+    payload = layout.enc(msg)
+    return _HEAD.pack(len(payload) + 1, tag) + payload
 
 
 def decode(frame: bytes) -> Message:
@@ -261,41 +286,15 @@ def decode(frame: bytes) -> Message:
     bytes its layout does not allow; a frame must be consumed exactly."""
     if len(frame) < 5:
         raise TruncatedFrameError("frame shorter than header")
-    (declared,) = struct.unpack_from(">I", frame, 0)
+    declared, tag = _HEAD.unpack_from(frame)
     if len(frame) - 4 < declared:
-        raise TruncatedFrameError(
-            f"frame declares {declared} bytes, only {len(frame) - 4} present"
-        )
+        raise TruncatedFrameError(f"frame declares {declared} bytes, only {len(frame) - 4} present")
     if len(frame) - 4 > declared:
-        raise TrailingBytesError(
-            f"frame declares {declared} bytes, got {len(frame) - 4}"
-        )
-    tag = frame[4]
-    off = 5
-    if tag == TAG_TASK:
-        strategy, off = _dec_strategy(frame, off)
-        test, off = decode_test(frame, off)
-        _need(frame, off, 8)
-        test_depth, final_depth = struct.unpack_from(">II", frame, off)
-        off += 8
-        msg: Message = Task(strategy, test, test_depth, final_depth)
-    elif tag == TAG_FINISH:
-        stats, off = _dec_stats(frame, off)
-        msg = Finish(stats)
-    elif tag == TAG_PROVIDE_WORK:
-        msg = ProvideWork()
-    elif tag == TAG_OFFLOAD:
-        test, off = decode_test(frame, off)
-        _need(frame, off, 4)
-        (depth,) = struct.unpack_from(">I", frame, off)
-        off += 4
-        msg = Offload(test, depth)
-    elif tag == TAG_NO_WORK:
-        msg = NoWork()
-    elif tag == TAG_TERMINATE:
-        msg = Terminate()
-    else:
+        raise TrailingBytesError(f"frame declares {declared} bytes, got {len(frame) - 4}")
+    layout = LAYOUTS.get(tag)
+    if layout is None:
         raise UnknownTagError(f"unknown tag 0x{tag:02x}")
+    msg, off = layout.dec(frame, 5)
     if off != len(frame):
         raise TrailingBytesError(f"{len(frame) - off} unconsumed payload bytes")
     return msg
@@ -327,11 +326,7 @@ class QueueTransport:
         return decode(frame)
 
     def poll(self) -> Message | None:
-        try:
-            frame = self._inbox.get_nowait()
-        except queue.Empty:
-            return None
-        return decode(frame)
+        return None if self._inbox.empty() else self.recv(RECV_TIMEOUT)
 
     def close(self) -> None:
         """Tell the coordinator this worker is gone, as a socket's EOF does."""
@@ -365,6 +360,7 @@ class SocketTransport:
     poll(2): select(2) fails on a descriptor past FD_SETSIZE."""
 
     def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._poller = select.poll()
         self._poller.register(sock, select.POLLIN)
@@ -383,13 +379,7 @@ class SocketTransport:
         return decode(frame)
 
     def poll(self) -> Message | None:
-        if not self._poller.poll(0):
-            return None
-        self._sock.settimeout(RECV_TIMEOUT)
-        frame = read_frame(self._sock)
-        if frame is None:
-            raise TransportClosed("coordinator closed the connection")
-        return decode(frame)
+        return self.recv(RECV_TIMEOUT) if self._poller.poll(0) else None
 
     def close(self) -> None:
         try:
@@ -419,6 +409,9 @@ class QueueHub:
     def transport_for(self, worker_id: int) -> QueueTransport:
         return QueueTransport(worker_id, self.to_workers[worker_id], self.inbox)
 
+    def transports(self) -> list[QueueTransport]:
+        return [self.transport_for(w) for w in range(len(self.to_workers))]
+
     def send(self, worker_id: int, msg: Message) -> None:
         if isinstance(msg, Terminate):
             self._terminated.add(worker_id)
@@ -446,11 +439,12 @@ class QueueHub:
 class SocketHub:
     """Coordinator end for tcp mode: a loopback listener for num_workers
     connections. Worker ids follow accept order, which is connect order
-    when the workers connect one at a time before accept_all. There is no
-    reader thread: recv waits with poll(2) (select(2) fails on a descriptor
-    past FD_SETSIZE) on the connections still open, first to last, and
-    reads one frame straight off the first ready one. A worker's close,
-    seen there as EOF, fails recv unless the worker was sent Terminate."""
+    when the workers connect one at a time before accept_all, as
+    transports() connects them. There is no reader thread: recv waits with
+    poll(2) (select(2) fails on a descriptor past FD_SETSIZE) on the
+    connections still open, first to last, and reads one frame straight
+    off the first ready one. A worker's close, seen there as EOF, fails
+    recv unless the worker was sent Terminate."""
 
     def __init__(self, num_workers: int, host: str = "127.0.0.1", port: int = 0):
         self.num_workers = num_workers
@@ -474,6 +468,22 @@ class SocketHub:
             self._open[conn.fileno()] = wid
             self._poller.register(conn, select.POLLIN)
         self._listener.close()
+
+    def transports(self) -> list[SocketTransport]:
+        """Each worker's transport, connected one at a time in worker-id
+        order and then accepted, so hub id k is transport k. On a failure
+        every socket made so far is closed, the hub's too, and it raises."""
+        made: list[SocketTransport] = []
+        try:
+            for _ in range(self.num_workers):
+                made.append(SocketTransport(socket.create_connection(self.address, timeout=10)))
+            self.accept_all()
+        except BaseException:
+            for t in made:
+                t.close()
+            self.close()
+            raise
+        return made
 
     def send(self, worker_id: int, msg: Message) -> None:
         if isinstance(msg, Terminate):

@@ -1340,28 +1340,33 @@ def _backtrack(
     """env with names[k:] set to the lex-min point of iv, names[:k] being
     pinned to points in it, that satisfies constraints; None if there is
     none. Each name but the last is pinned in turn and pc narrowed again;
-    the last is checked by concrete evaluation."""
-    name = names[k]
-    lo, hi = iv[name]
-    if k == len(names) - 1:
-        for n in names[:k]:
-            env[n] = iv[n][0]
-        for v in range(lo, hi + 1):
-            env[name] = v
-            if _all_hold(constraints, env):
-                return env
-        return None
-    readers = watch.get(name, ())
-    for v in range(lo, hi + 1):
-        sub = dict(iv)
-        sub[name] = (v, v)
-        try:
-            _fixpoint(pc.constraints, sub, readers, watch)
-        except _Unsat:
-            continue
-        found = _backtrack(pc, watch, names, constraints, env, sub, k + 1)
-        if found is not None:
-            return found
+    the last is checked by concrete evaluation. The pins are a stack, not
+    a recursion, so a component of any number of inputs can be searched."""
+    last, pins, box = len(names) - 1, [], iv
+    while box is not None:
+        j = k + len(pins)  # names[:j] are pinned in box
+        name = names[j]
+        lo, hi = box[name]
+        if j == last:
+            for n in names[:j]:
+                env[n] = box[n][0]
+            for env[name] in range(lo, hi + 1):
+                if _all_hold(constraints, env):
+                    return env
+        else:
+            pins.append((name, box, iter(range(lo, hi + 1))))
+        box = None
+        while box is None and pins:  # the deepest pin's next value that pc's narrowing allows
+            name, parent, values = pins[-1]
+            for v in values:
+                box = {**parent, name: (v, v)}
+                try:
+                    _fixpoint(pc.constraints, box, watch.get(name, ()), watch)
+                    break
+                except _Unsat:
+                    box = None
+            else:
+                pins.pop()
     return None
 
 

@@ -13,6 +13,7 @@ most proto.RECV_TIMEOUT.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from . import proto
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
     from .harness import RunConfig
 
 
-def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | None:
+def choose_offload(active: deque[ExecState], test_depth: int = 0) -> ExecState | None:
     """Shallowest active state at or below the region's test depth,
     earliest-created on ties: cheapest for the thief to re-replay and the
     largest subtree to hand over. A guided-phase state (depth < test_depth)
@@ -34,7 +35,7 @@ def choose_offload(active: list[ExecState], test_depth: int = 0) -> ExecState | 
 
 
 def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
-    def poll(active: list[ExecState]) -> None:
+    def poll(active: deque[ExecState]) -> None:
         msg = transport.poll()
         if msg is None:
             return

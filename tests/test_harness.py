@@ -386,6 +386,23 @@ def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
     assert recv_waits == [("worker", 0.5)]
 
 
+def test_a_tcp_run_whose_connect_fails_partway_leaves_no_socket_open(monkeypatch):
+    # the hub connects its workers' transports; the second connect fails
+    real = socket.create_connection
+    made = []
+
+    def connect(*args, **kw):
+        if made:
+            raise ConnectionRefusedError("refused")
+        made.append(real(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    with pytest.raises(ConnectionRefusedError):
+        fm_run(mode="tcp", workers=3)
+    assert len(made) == 1 and made[0].fileno() == -1
+
+
 
 # -- worker threads that outlive a run
 
@@ -1040,18 +1057,82 @@ def test_cli_rejects_values_the_wire_cannot_carry(capsys, mode, argv, flag):
     assert out.startswith("error:") and flag in out
 
 
+def no_run_starts(monkeypatch) -> None:
+    def start(*_):
+        raise AssertionError("a run started")
+
+    for run in ("run_single", "_run_distributed"):
+        monkeypatch.setattr(harness, run, start)
+
+
 @pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
 @pytest.mark.parametrize(
     "strategy", [Strategy("random", 2**64), Strategy("random", -1), Strategy("random")]
 )
 def test_run_program_rejects_a_seed_the_wire_cannot_carry(monkeypatch, mode, strategy):
-    def start(*_):
-        raise AssertionError("a run started")
-
-    for run in ("run_single", "run_threads", "run_tcp"):
-        monkeypatch.setattr(harness, run, start)
+    no_run_starts(monkeypatch)
     with pytest.raises(ValueError, match="seed"):
         fm_run(mode=mode, workers=2, strategy=strategy)
+
+
+# a Task carries at most 65,535 inputs, each named in at most 65,535 UTF-8 bytes
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+@pytest.mark.parametrize(
+    "names,field",
+    [
+        ([f"x{i}" for i in range(2**16)], "test count"),
+        (["x" * 2**16], "test name length"),
+        (["é" * 2**15], "test name length"),  # 32,768 characters, 65,536 bytes
+    ],
+    ids=["inputs", "name", "utf8-name"],
+)
+def test_run_program_rejects_inputs_a_task_cannot_carry(monkeypatch, mode, names, field):
+    no_run_starts(monkeypatch)
+    program = lang.Program("wide", tuple(lang.SymDecl(n, 0, 1) for n in names), FIND_MIDDLE.blocks)
+    with pytest.raises(ValueError, match=f"cannot carry this program's inputs: {field}"):
+        run_program(program, RunConfig(mode=mode, workers=2, final_depth=3))
+
+
+def branch_on(name: str, inputs: int = 1) -> str:
+    """A program of `inputs` inputs in [0, 1], the first named `name`,
+    and one branch on it."""
+    decls = "".join(f"sym {name if i == 0 else f'x{i}'} in [0, 1];\n" for i in range(inputs))
+    return f"program wide;\n{decls}if ({name} < 1) {{ exit(0); }}\nexit(1);\n"
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+def test_cli_rejects_an_input_name_the_wire_cannot_carry(tmp_path, capsys, mode):
+    prog = tmp_path / "long.tdp"
+    prog.write_text(branch_on("a" * 70_000), encoding="utf-8")
+    rc = run_cli("run", "--program", str(prog), "--max-depth", "2", "--mode", mode)
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and "test name length 70000" in out
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+def test_an_input_name_of_65535_bytes_runs_in_every_mode(mode):
+    program = lang.parse_program(branch_on("x" * 65_535))
+    out = run_program(program, RunConfig(mode=mode, workers=2, final_depth=2))
+    assert sorted(out.paths) == ["0", "1"]
+
+
+WIDE = lang.parse_program(branch_on("x0", 1200))
+
+
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+def test_a_program_of_1200_inputs_runs_in_every_mode(mode):
+    # with no model above it, the root's children are each solved as one
+    # component of all 1,200 inputs, which backtracking pins in turn
+    out = run_program(WIDE, RunConfig(mode=mode, workers=2, final_depth=2))
+    assert sorted(out.paths) == ["0", "1"]
+
+
+def test_the_witnesses_of_a_program_of_1200_inputs_are_lex_min():
+    eng = Engine(WIDE)
+    res = eng.start_execution(eng.initial_state(), {}, 0, 2, Strategy("dfs"))
+    zeros = {f"x{i}": 0 for i in range(1200)}
+    assert {c.path: c.test for c in res.completed} == {"1": zeros, "0": {**zeros, "x0": 1}}
 
 
 def test_cli_rejects_schedule_without_threads(tmp_path, capsys):

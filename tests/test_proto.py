@@ -493,3 +493,116 @@ def test_socket_transport_poll_sees_pending_frame():
     finally:
         tr.close()
         hub.close()
+
+
+# -- field widths: each field's codec checks its width
+
+
+@pytest.mark.parametrize(
+    "msg,field",
+    [
+        (Task(Strategy("dfs"), {f"x{i}": 0 for i in range(2**16)}, 0, 1), "test count"),
+        (Offload({"x" * 2**16: 0}, 1), "test name length"),
+        (Offload({"é" * 2**15: 0}, 1), "test name length"),  # 32,768 characters, 65,536 bytes
+        (Task(Strategy("dfs"), {"x": 2**63}, 0, 1), "test value"),
+        (Task(Strategy("dfs"), {"x": -(2**63) - 1}, 0, 1), "test value"),
+        (Task(Strategy("random", 2**64), {}, 0, 1), "seed"),
+        (Task(Strategy("random", -1), {}, 0, 1), "seed"),
+        (Task(Strategy("dfs"), {}, 2**32, 1), "test_depth"),
+        (Task(Strategy("dfs"), {}, 0, 2**32), "final_depth"),
+        (Task(Strategy("dfs"), {}, 0, -1), "final_depth"),
+        (Offload({}, 2**32), "depth"),
+        (Finish(EngineStats(paths=["0" * 2**16])), "path length"),
+        (Finish(EngineStats(instructions=2**64)), "instructions"),
+        (Finish(EngineStats(wall_us=-1)), "wall_us"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_a_value_too_wide_for_its_field_is_a_protocol_error_naming_the_field(msg, field):
+    with pytest.raises(ProtocolError, match=f"^{field} .* does not fit its [iu](16|32|64) field$") \
+            as err:
+        encode(msg)
+    assert type(err.value) is ProtocolError
+
+
+def test_the_widest_value_of_each_field_round_trips():
+    msgs = [
+        Task(Strategy("dfs"), {f"x{i:05d}": 0 for i in range(2**16 - 1)}, 0, 0),
+        Task(Strategy("random", 2**64 - 1), {"x" * (2**16 - 1): 2**63 - 1, "y": -(2**63)},
+             2**32 - 1, 2**32 - 1),
+        Offload({"é" * (2**15 - 1) + "x": -1}, 2**32 - 1),
+        Finish(EngineStats(instructions=2**64 - 1, wall_us=2**64 - 1, paths=["1" * (2**16 - 1)])),
+    ]
+    for msg in msgs:
+        assert decode(encode(msg)) == msg
+
+
+def test_encode_and_decode_read_one_layout_per_tag():
+    assert sorted(proto.LAYOUTS) == [1, 2, 3, 4, 5, 6]
+    for msg, frame in GOLDEN_PAIRS:
+        assert proto.LAYOUTS[frame[4]].cls is type(msg)
+
+
+# -- each hub makes its workers' transports
+
+
+def test_each_hub_makes_its_workers_transports_in_worker_id_order():
+    hub = QueueHub(3)
+    for wid, t in enumerate(hub.transports()):
+        t.send(NoWork())
+        assert hub.recv(timeout=1) == (wid, NoWork())
+    hub = SocketHub(3)
+    transports = hub.transports()
+    try:
+        for wid, t in enumerate(transports):
+            t.send(NoWork())
+            assert hub.recv(timeout=5) == (wid, NoWork())
+            hub.send(wid, Terminate())
+            assert t.recv(timeout=5) == Terminate()
+    finally:
+        for t in transports:
+            t.close()
+        hub.close()
+
+
+def connects_until(monkeypatch, fail_at: int) -> list:
+    """socket.create_connection patched to refuse its call number fail_at
+    (from 0); the sockets it made before."""
+    real = socket.create_connection
+    made = []
+
+    def connect(*args, **kw):
+        if len(made) == fail_at:
+            raise ConnectionRefusedError("refused")
+        made.append(real(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    return made
+
+
+def test_a_connect_that_fails_partway_closes_every_socket(monkeypatch):
+    made = connects_until(monkeypatch, 2)
+    hub = SocketHub(4)
+    with pytest.raises(ConnectionRefusedError):
+        hub.transports()
+    assert [s.fileno() for s in made] == [-1, -1]
+    assert hub._listener.fileno() == -1
+
+
+def test_an_accept_that_fails_partway_closes_every_socket(monkeypatch):
+    # the second worker's connection is made but never accepted
+    monkeypatch.setattr(proto, "ACCEPT_TIMEOUT", 0.2)
+    real = SocketHub.accept_all
+
+    def accept_one_too_many(self):
+        self.num_workers += 1
+        real(self)
+
+    monkeypatch.setattr(SocketHub, "accept_all", accept_one_too_many)
+    made = connects_until(monkeypatch, 3)
+    hub = SocketHub(2)
+    with pytest.raises(socket.timeout):
+        hub.transports()
+    assert [s.fileno() for s in made + hub._conns] == [-1] * 4
+    assert hub._listener.fileno() == -1

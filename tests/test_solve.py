@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_model, brute_force_sat, domain_cube, eval_expr
 from tdpart import lang
 from tdpart import solve as solve_mod
+from tdpart.engine import Engine, Strategy
 from tdpart.lang import INT64_MAX, INT64_MIN, Binary, Const, SymDecl, Unary, Var
 from tdpart.solve import (
     DomainCapError,
@@ -1750,3 +1751,25 @@ def test_model_satisfies_its_own_pc(a, b, c):
     if m is not None:
         assert pc.satisfied_by(m)
         assert eval_expr(pc.constraints[0].expr, dict(m)) in (0, 1)
+
+
+def test_a_sum_over_1024_inputs_in_one_comparison_gets_its_lex_min_witness():
+    # each side of the branch is one component of all 1,024 inputs, pinned
+    # in turn by backtracking, which must not recurse once per input
+    def balanced(lo, hi):
+        if hi - lo == 1:
+            return f"x{lo}"
+        mid = (lo + hi) // 2
+        return f"({balanced(lo, mid)} + {balanced(mid, hi)})"
+
+    decls = "".join(f"sym x{i} in [0, 1];\n" for i in range(1024))
+    prog = lang.parse_program(
+        f"program sum;\n{decls}if ({balanced(0, 1024)} < 3) {{ exit(0); }}\nexit(1);\n"
+    )
+    eng = Engine(prog)
+    res = eng.start_execution(eng.initial_state(), {}, 0, 1, Strategy("dfs"))
+    zeros = {f"x{i}": 0 for i in range(1024)}
+    # the sum reaches 3 first with the last three inputs at 1
+    assert {c.path: c.test for c in res.completed} == {
+        "1": zeros, "0": {**zeros, "x1021": 1, "x1022": 1, "x1023": 1},
+    }
