@@ -96,7 +96,6 @@ def run_coordinator(
 
     free: deque[int] = deque(range(n))
     busy: list[int] = []
-    exited: set[int] = set()
     outstanding: int | None = None  # worker owing a ProvideWork answer
     declined: set[int] = set()  # busy workers already asked this idle episode
 
@@ -126,7 +125,6 @@ def run_coordinator(
             declined.clear()  # busy set changed: new idle episode may re-poll
             if past_deadline():
                 hub.send(wid, proto.Terminate())
-                exited.add(wid)
             elif pool:
                 dispatch(pool.popleft(), wid)
             else:
@@ -150,7 +148,7 @@ def run_coordinator(
         else:
             raise proto.ProtocolError(f"unexpected {type(msg).__name__} at coordinator")
 
-    for w in range(n):
-        if w not in exited:
-            hub.send(w, proto.Terminate())
+    # busy is empty: every worker not terminated at the deadline is free
+    for w in sorted(free):
+        hub.send(w, proto.Terminate())
     return tallies, pool_size, len(pool)

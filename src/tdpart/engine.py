@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 from . import solve
 from .lang import (
     ARITH_OPS, CMP_OPS, INT64_MAX, INT64_MIN, LOGIC_OPS, BasicBlock, Binary, Branch,
-    Const, Exit, Expr, Jump, Program, Unary, Var, reads, successors,
+    Const, Error, Exit, Expr, Jump, Program, Unary, Var, reads, successors,
 )
 from .record import Record
 from .solve import PathCondition, QueryCache, Test, evaluate
@@ -70,30 +70,16 @@ class ReplayDivergenceError(Exception):
     """The dispatched test does not satisfy the region root's path condition."""
 
 
-class Outcome:
-    __slots__ = ("kind", "code", "label")
-
-    def __init__(self, kind: str, code: int = 0, label: str = ""):
-        self.kind = kind  # 'exit' | 'error'
-        self.code, self.label = code, label
-
-    def __str__(self) -> str:
-        return f"exit {self.code}" if self.kind == "exit" else f"error {self.label}"
-
-
 class ExecState:
     """One execution state. It is mutable and has a unique serial, so it
     compares by identity."""
 
     __slots__ = ("block", "instr", "env", "pc", "serial", "outcome")
 
-    def __init__(
-        self, block: int, instr: int, env: Store, pc: PathCondition, serial: int,
-        outcome: Outcome | None = None,
-    ):
+    def __init__(self, block: int, instr: int, env: Store, pc: PathCondition, serial: int):
         self.block, self.instr, self.env, self.pc = block, instr, env, pc
         self.serial = serial  # creation order, engine-wide
-        self.outcome = outcome
+        self.outcome: Exit | Error | None = None  # the terminator it stopped at
 
     @property
     def depth(self) -> int:
@@ -150,7 +136,7 @@ class EngineStats(Record):
 class CompletedPath:
     __slots__ = ("path", "outcome", "test", "constraints")
 
-    def __init__(self, path: str, outcome: Outcome, test: Test, constraints: tuple[str, ...]):
+    def __init__(self, path: str, outcome: Exit | Error, test: Test, constraints: tuple[str, ...]):
         self.path, self.outcome = path, outcome
         self.test = test  # emitted witness; replaying it reproduces `path`
         self.constraints = constraints  # pc texts in depth order, polarity applied
@@ -597,10 +583,7 @@ class Engine:
                     b = term.target
                     i = 0
                     continue
-                if isinstance(term, Exit):
-                    state.outcome = Outcome("exit", code=term.code)
-                else:
-                    state.outcome = Outcome("error", label=term.label)
+                state.outcome = term
                 return "term"
         finally:
             state.block, state.instr = b, i

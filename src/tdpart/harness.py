@@ -151,6 +151,24 @@ class Schedule(Record):
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             raise ValueError(f"malformed schedule: {e!r}") from None
 
+    def check(self, workers: int) -> None:
+        """Raises ValueError for a schedule no run of `workers` workers
+        records, where replay would wait on a message that never comes: one
+        from a worker the run lacks, or a poll hit with no NoWork or Offload
+        to answer it, or in a region after the worker's last Finish."""
+        for wid in [w for w, _ in self.coordinator] + list(self.polls):
+            if not 0 <= wid < workers:
+                raise ValueError(f"malformed schedule: worker {wid} in a run of {workers} workers")
+        for wid, polls in self.polls.items():
+            tags = Counter(t for w, t in self.coordinator if w == wid)
+            answers = tags["NoWork"] + tags["Offload"]
+            regions = sorted(r for r, _ in set(polls))
+            if len(regions) > answers or not all(0 <= r < tags["Finish"] for r in regions):
+                raise ValueError(
+                    f"malformed schedule: worker {wid} has poll hits in regions {regions}"
+                    f" but {answers} NoWork or Offload and {tags['Finish']} Finish entries"
+                )
+
 
 def _tag(msg: proto.Message) -> str:
     return type(msg).__name__
@@ -345,12 +363,7 @@ def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) ->
     schedule = None
     if replay:
         schedule = Schedule.from_json(Path(cfg.replay_schedule).read_text(encoding="utf-8"))
-        # a message from a worker the run does not have would never come
-        for wid in [w for w, _ in schedule.coordinator] + list(schedule.polls):
-            if not 0 <= wid < cfg.workers:
-                raise ValueError(
-                    f"malformed schedule: worker {wid} in a run of {cfg.workers} workers"
-                )
+        schedule.check(cfg.workers)
     elif cfg.record_schedule:
         schedule = Schedule([], {w: [] for w in range(cfg.workers)})
     coord_hub = hub if schedule is None else ScheduleHub(hub, schedule.coordinator, replay)
@@ -427,8 +440,12 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     # NaN compares false to everything: a NaN budget would never expire
     if cfg.time_budget is not None and not cfg.time_budget >= 0:
         raise ValueError(f"--time-budget must be at least 0, got {cfg.time_budget}")
-    if not cfg.solver_delay >= 0:
-        raise ValueError(f"--solver-delay-ms must be at least 0, got {cfg.solver_delay * 1000}")
+    # time.sleep overflows past threading.TIMEOUT_MAX seconds
+    if not 0 <= cfg.solver_delay <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"--solver-delay-ms must lie in [0, {threading.TIMEOUT_MAX * 1000:.0f}],"
+            f" got {cfg.solver_delay * 1000}"
+        )
     if cfg.mode not in ("single", "threads", "tcp"):
         raise ValueError(f"unknown mode {cfg.mode}")
     if cfg.mode != "single":

@@ -191,6 +191,9 @@ class Exit(Record):
     def __init__(self, code: int, line: int = 0):
         self.code, self.line = code, line
 
+    def __str__(self) -> str:
+        return f"exit {self.code}"
+
 
 class Error(Record):
     __slots__ = ("label", "line")
@@ -198,6 +201,9 @@ class Error(Record):
 
     def __init__(self, label: str, line: int = 0):
         self.label, self.line = label, line
+
+    def __str__(self) -> str:
+        return f"error {self.label}"
 
 
 Terminator = Branch | Jump | Exit | Error
@@ -451,62 +457,49 @@ class _Parser:
         cur = b.new_block()
         while self.toks[self.i][0] != "eof":
             cur = self.stmt(b, cur)
-        if cur is not None:
-            b.seal(cur, Exit(0))
+        b.seal(cur, Exit(0))
         return b.finish()
 
-    def stmt(self, b: _BlockBuilder, cur: int | None) -> int | None:
+    def stmt(self, b: _BlockBuilder, cur: int) -> int:
         """Parse one statement and lower it into block cur; returns the open
-        block after it, or None once control has left through exit or error.
-        A statement after that is dead: it is parsed and dropped."""
+        block after it. After exit or error that is a fresh block nothing
+        jumps to, so the statements lowered into it are dead and
+        _BlockBuilder.finish drops them with every other unreachable block."""
         kind, text, pos = self.toks[self.i]
         self.i += 1
         if kind == "ident":
-            a = self.assign(text, pos)
-            if cur is not None:
-                b.bodies[cur].append(a)
+            b.bodies[cur].append(self.assign(text, pos))
             return cur
         if kind == "exit" or kind == "error":
-            term = self.stop(kind, pos)
-            if cur is not None:
-                b.seal(cur, term)
-            return None
+            b.seal(cur, self.stop(kind, pos))
+            return b.new_block()
         if kind == "if":
             cond = self.cond()
-            tb = fb = None
-            if cur is not None:
-                tb, fb = b.new_block(), b.new_block()
-                b.seal(cur, Branch(cond, tb, fb, self.line(pos)))
+            line = self.line(pos)
+            tb, fb = b.new_block(), b.new_block()
+            b.seal(cur, Branch(cond, tb, fb, line))
             t_end = self.stmt_block(b, tb)
             f_end = fb
             if self.toks[self.i][0] == "else":
                 self.i += 1
                 f_end = self.stmt_block(b, fb)
-            if cur is None:
-                return None
             join = b.new_block()
-            for end in (t_end, f_end):
-                if end is not None:
-                    b.seal(end, Jump(join, self.line(pos)))
+            b.seal(t_end, Jump(join, line))
+            b.seal(f_end, Jump(join, line))
             return join
         if kind == "while":
             cond = self.cond()
-            if cur is None:
-                self.stmt_block(b, None)
-                return None
             line = self.line(pos)
             header = b.new_block()
             b.seal(cur, Jump(header, line))
             body, after = b.new_block(), b.new_block()
             b.seal(header, Branch(cond, body, after, line))
-            end = self.stmt_block(b, body)
-            if end is not None:
-                b.seal(end, Jump(header, line))
+            b.seal(self.stmt_block(b, body), Jump(header, line))
             return after
         self.i -= 1
         raise self.error(f"expected statement, got {text!r}")
 
-    def stmt_block(self, b: _BlockBuilder, cur: int | None) -> int | None:
+    def stmt_block(self, b: _BlockBuilder, cur: int) -> int:
         self.expect("{")
         while self.toks[self.i][0] != "}":
             cur = self.stmt(b, cur)
@@ -575,8 +568,9 @@ def successors(t: Terminator) -> tuple[int, ...]:
 
 
 class _BlockBuilder:
-    """Accumulates blocks during structured lowering, then prunes unreachable
-    ones and renumbers so the canonical print stays tidy."""
+    """Accumulates blocks during structured lowering, each sealed exactly
+    once, then prunes unreachable ones and renumbers so the canonical print
+    stays tidy."""
 
     def __init__(self):
         self.bodies: list[list[Assign]] = []
@@ -592,8 +586,7 @@ class _BlockBuilder:
         self.terms[idx] = term
 
     def finish(self) -> list[BasicBlock]:
-        # an open join block nothing jumps out of (e.g. both if arms exit)
-        terms = [Exit(0) if t is None else t for t in self.terms]
+        terms = self.terms
         # keep only blocks reachable from entry, preserving index order
         seen = {0}
         work = [0]

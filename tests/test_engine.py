@@ -16,7 +16,9 @@ from tdpart.engine import (
     evaluate,
 )
 from tdpart.harness import RunConfig, corpus_shape, gen_corpus, generate_program, run_program
-from tdpart.lang import ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Unary, Var, parse_program
+from tdpart.lang import (
+    ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Error, Exit, Unary, Var, parse_program,
+)
 from tdpart.solve import PathCondition, solve_model
 from tdpart.worker import choose_offload
 
@@ -380,6 +382,8 @@ def test_error_outcomes_are_reported():
     _, res = full_region(parse_program(src), 2)
     by_path = {c.path: str(c.outcome) for c in res.completed}
     assert by_path == {"1": "error boom", "0": "exit 4"}
+    # the outcome is the terminator the path reached
+    assert {c.path: c.outcome for c in res.completed} == {"1": Error("boom"), "0": Exit(4)}
 
 
 def test_poll_hook_sees_every_step():

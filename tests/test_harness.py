@@ -257,6 +257,42 @@ def test_replay_rejects_a_schedule_naming_a_worker_the_run_lacks(tmp_path, raw):
     assert time.perf_counter() - t0 < 1.0
 
 
+# a threads x2 run of find_middle at depth 3 recorded this; each poll hit
+# gets one NoWork or Offload, which arrives before the worker's Finish for
+# the hit's region
+RECORDED = {"coordinator": [[0, "Finish"], [1, "NoWork"], [1, "Finish"]],
+            "polls": {"0": [], "1": [[0, 0]]}}
+
+
+@pytest.mark.parametrize(
+    "polls,why",
+    [
+        ({"0": [[0, 1]], "1": [[0, 0]]}, "regions [0] but 0 NoWork or Offload and 1 Finish"),
+        ({"0": [], "1": [[0, 0], [0, 1]]}, "regions [0, 0] but 1 NoWork or Offload and 1 Finish"),
+        ({"0": [], "1": [[1, 0]]}, "regions [1] but 1 NoWork or Offload and 1 Finish"),
+        ({"0": [], "1": [[-1, 0]]}, "regions [-1] but 1 NoWork or Offload and 1 Finish"),
+    ],
+    ids=["extra-hit", "second-hit", "late-region", "no-region"],
+)
+def test_cli_rejects_a_schedule_whose_poll_hits_no_answer_meets(tmp_path, capsys, polls, why):
+    # replay would wait on a message that never comes: a worker blocks at a
+    # hit no NoWork or Offload answers, for a ProvideWork the coordinator
+    # never sends, while the coordinator waits for its Finish
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps({**RECORDED, "polls": polls}))
+    t0 = time.perf_counter()
+    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3", "--mode", "threads",
+                 "--workers", "2", "--replay-schedule", str(sched))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: malformed schedule") and why in out
+
+
+def test_a_recorded_schedule_passes_the_check():
+    Schedule.from_json(json.dumps(RECORDED)).check(2)
+
+
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
 @pytest.mark.parametrize("side", ["run_worker", "run_coordinator"])
 def test_a_recv_timeout_dumps_every_threads_stack(monkeypatch, capfd, mode, side):
@@ -1073,6 +1109,24 @@ def test_run_program_rejects_a_seed_the_wire_cannot_carry(monkeypatch, mode, str
     no_run_starts(monkeypatch)
     with pytest.raises(ValueError, match="seed"):
         fm_run(mode=mode, workers=2, strategy=strategy)
+
+
+# time.sleep overflows past threading.TIMEOUT_MAX seconds; no run starts,
+# so no query sleeps that long
+@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
+@pytest.mark.parametrize("delay_ms", ["inf", "1e300"])
+def test_cli_rejects_a_solver_delay_time_sleep_cannot_take(monkeypatch, capsys, mode, delay_ms):
+    no_run_starts(monkeypatch)
+    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3", "--mode", mode,
+                 "--workers", "2", "--solver-delay-ms", delay_ms)
+    assert rc == 2
+    assert capsys.readouterr().out.startswith("error: --solver-delay-ms must lie in")
+
+
+def test_the_solver_delay_bound_is_a_valid_delay(monkeypatch):
+    no_run_starts(monkeypatch)
+    with pytest.raises(AssertionError, match="a run started"):
+        fm_run(solver_delay=threading.TIMEOUT_MAX)
 
 
 # a Task carries at most 65,535 inputs, each named in at most 65,535 UTF-8 bytes

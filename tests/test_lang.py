@@ -67,6 +67,51 @@ def test_entry_is_block_zero_after_pruning():
     assert p.blocks[0].body == ()
 
 
+# a statement as a format: {k} is a constant, {0} and {1} are arms
+_DEAD_CODE_FORMS = (
+    ("t = t + x * {k};", 0),
+    ("while (t < {k}) {{ {0} }}", 1),
+    ("if (x < {k}) {{ {0} }}", 1),
+    ("if (x < {k}) {{ {0} }} else {{ {1} }}", 2),
+)
+
+
+def _dead_code_stmt(rng: random.Random, depth: int) -> tuple[str, str]:
+    form, n_arms = rng.choice(_DEAD_CODE_FORMS if depth else _DEAD_CODE_FORMS[:1])
+    arms = [_dead_code_stmts(rng, depth - 1) for _ in range(n_arms)]
+    k = rng.randint(0, 3)
+    return (form.format(*(a[0] for a in arms), k=k),
+            form.format(*(a[1] for a in arms), k=k))
+
+
+def _dead_code_stmts(rng: random.Random, depth: int) -> tuple[str, str]:
+    """A statement list as text twice: with statements after an exit or an
+    error, at every nesting level, and with those statements deleted."""
+    stmts = [_dead_code_stmt(rng, depth) for _ in range(rng.randint(0, 3))]
+    full, live = [s[0] for s in stmts], [s[1] for s in stmts]
+    if rng.random() < 0.6:
+        stop = rng.choice(("exit(1);", "exit(2);", 'error("e");'))
+        full.append(stop)
+        live.append(stop)
+        full.extend(_dead_code_stmt(rng, depth)[0] for _ in range(rng.randint(1, 3)))
+    return " ".join(full), " ".join(live)
+
+
+def test_statements_after_exit_or_error_are_dropped_at_every_level():
+    # the dead statements lower into blocks nothing reaches, which pruning
+    # drops: the program is the one parsed from the text without them
+    header = "program p;\nsym x in [0, 3];\nt = 0;\n"
+    rng = random.Random(2718)
+    differs = 0
+    for _ in range(400):
+        full, live = _dead_code_stmts(rng, 3)
+        p = parse_program(header + full)
+        assert p == parse_program(header + live), full
+        assert parse_program(print_program(p)) == p
+        differs += full != live
+    assert differs > 300
+
+
 def test_precedence_and_expr_text():
     p = parse_program(
         "program p;\nsym x in [-3, 3];\n"
