@@ -56,7 +56,8 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
     active is one layer) where the layer plus the finished states reach
     num_workers: a pair per finished, frontier or layer state, in (depth,
     path) order, with the lex-min model of its pc, so the pool is a pure
-    function of the arguments. A truncated region gives no pool."""
+    function of the arguments. A truncated region gives single's pool, the
+    root pair, so one worker meets the instruction budget as single does."""
     eng = Engine(program)
     layer: list[ExecState] = []
     front = -1
@@ -72,7 +73,7 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
 
     res = eng.start_execution(eng.initial_state(), {}, 0, final_depth, Strategy("bfs"), poll=poll)
     if res.stats.truncated:
-        return []
+        return [TestDepthPair({}, 0)]
     pool = [(len(c.path), c.path, c.test) for c in res.completed]
     pool += [(s.depth, s.path, eng.model_of(s.pc)) for s in res.frontier + layer]
     pool.sort(key=lambda p: p[:2])

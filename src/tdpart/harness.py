@@ -328,10 +328,12 @@ _parked: list[_WorkerThread] = []
 _parked_lock = threading.Lock()
 
 
-def _take_workers(n: int) -> list[_WorkerThread]:
+def _take_worker(wid: int) -> _WorkerThread:
+    """A parked thread, or a new one."""
     with _parked_lock:
-        taken = [_parked.pop() for _ in range(min(n, len(_parked)))]
-    return taken + [_WorkerThread(wid) for wid in range(len(taken), n)]
+        if _parked:
+            return _parked.pop()
+    return _WorkerThread(wid)
 
 
 def _forget_workers() -> None:
@@ -345,17 +347,18 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) -> RunOutput:
+def _run_distributed(program: Program, cfg: RunConfig) -> RunOutput:
     """The worker lifecycle shared by threads and tcp, which differ only in
-    `hub` and in `transports`, the hub's, one per worker id, all made
-    before any worker starts. The run takes cfg.workers parked threads
-    (starting new ones only when too few are parked) and hands thread k
-    the job of worker id k. On a coordinator failure every worker is told
-    to terminate. Either way the hub is closed and every job awaited, all
-    against one deadline of proto.RECV_TIMEOUT, before the run returns or
-    its error propagates. A run that succeeds parks its threads again; one
-    that fails stops and joins them, so it leaves no worker thread behind.
-    A worker that raises closes its transport, so the coordinator fails at
+    the hub cfg.mode picks. The run owns its hub, transports and threads:
+    inside one try the hub makes a transport per worker id, and thread k (a
+    parked one, or a new one) is taken and handed worker id k's job before
+    thread k+1 is taken. On a coordinator failure every worker is told to
+    terminate. Either way, once each running worker has been sent
+    Terminate, the finally awaits every job against one deadline of
+    proto.RECV_TIMEOUT and only then closes the hub, and with it every
+    socket it made. A run that succeeds parks its threads again; one that
+    fails stops and joins them, so it leaves no worker thread behind. A
+    worker that raises closes its transport, so the coordinator fails at
     once, and the run raises the worker's error."""
     t0 = time.perf_counter()
     # run_program allows schedules only in threads mode
@@ -366,7 +369,9 @@ def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) ->
         schedule.check(cfg.workers)
     elif cfg.record_schedule:
         schedule = Schedule([], {w: [] for w in range(cfg.workers)})
+    hub = (proto.QueueHub if cfg.mode == "threads" else proto.SocketHub)(cfg.workers)
     coord_hub = hub if schedule is None else ScheduleHub(hub, schedule.coordinator, replay)
+    workers: list[_WorkerThread] = []
     errors: list[BaseException] = []
 
     def body(wid: int) -> None:
@@ -382,16 +387,15 @@ def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) ->
             errors.append(e)
             transport.close()  # the coordinator's recv fails now
 
-    workers = _take_workers(cfg.workers)
-    for wid, w in enumerate(workers):
-        w.jobs.put((body, wid))
     failed = True
     try:
+        transports = hub.transports()
+        for wid in range(cfg.workers):
+            workers.append(_take_worker(wid))
+            workers[-1].jobs.put((body, wid))
         tallies, pool_size, undispatched = run_coordinator(coord_hub, program, cfg)
         if replay and coord_hub.due:
-            raise proto.ProtocolError(
-                f"replay schedule has {len(coord_hub.due)} unused entries"
-            )
+            raise proto.ProtocolError(f"replay schedule has {len(coord_hub.due)} unused entries")
         failed = False
     except BaseException as e:
         if isinstance(e, proto.RecvTimeout):
@@ -401,9 +405,9 @@ def _run_distributed(program: Program, cfg: RunConfig, hub, transports: list) ->
             raise errors[0] from e
         raise
     finally:
-        hub.close()
         deadline = time.monotonic() + proto.RECV_TIMEOUT
         ended = [w.wait(deadline) for w in workers]
+        hub.close()
         if failed or errors or not all(ended):
             for w, done in zip(workers, ended):
                 w.jobs.put(None)  # a thread still in its job stops after it
@@ -459,8 +463,7 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     try:
         if cfg.mode == "single":
             return run_single(program, cfg)
-        hub = (proto.QueueHub if cfg.mode == "threads" else proto.SocketHub)(cfg.workers)
-        return _run_distributed(program, cfg, hub, hub.transports())
+        return _run_distributed(program, cfg)
     except RecursionError:
         # a failed run has stopped and joined its worker threads by now
         raise ValueError(

@@ -115,8 +115,8 @@ class _Codec:
 
 class _Int(_Codec):
     """A big-endian integer field of struct code `code`, the one place its
-    width is checked: encoding a value outside it raises ProtocolError
-    naming the field."""
+    width is checked: encoding a value outside it, or one that is not an
+    int, raises ProtocolError naming the field."""
 
     __slots__ = ("hi", "width")
 
@@ -127,8 +127,8 @@ class _Int(_Codec):
         self.hi, self.width = hi, f"{'iu'[lo == 0]}{bits}"
 
         def enc(v: int) -> bytes:
-            if not lo <= v < hi:
-                raise ProtocolError(f"{name} {v} does not fit its {self.width} field")
+            if not (isinstance(v, int) and lo <= v < hi):
+                raise ProtocolError(f"{name} {v!r} does not fit its {self.width} field")
             return pack(v)
 
         def dec(buf: bytes, off: int) -> tuple[int, int]:
@@ -140,6 +140,13 @@ class _Int(_Codec):
 
 def _choice(what: str, values: tuple) -> _Codec:
     """One byte, the index of the value in `values`."""
+    codes = {v: bytes((i,)) for i, v in enumerate(values)}
+
+    def enc(v: object) -> bytes:
+        try:
+            return codes[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ProtocolError(f"{what} {v!r} is not one of {values}") from None
 
     def dec(buf: bytes, off: int) -> tuple[object, int]:
         _need(buf, off, 1)
@@ -147,7 +154,7 @@ def _choice(what: str, values: tuple) -> _Codec:
             raise ProtocolError(f"{what} {buf[off]} is not one of 0..{len(values) - 1}")
         return values[buf[off]], off + 1
 
-    return _Codec({v: bytes((i,)) for i, v in enumerate(values)}.__getitem__, dec)
+    return _Codec(enc, dec)
 
 
 _COUNT, _NAME_LEN = _Int("test count", "H"), _Int("test name length", "H")
@@ -205,6 +212,8 @@ def _enc_paths(paths: list[str]) -> bytes:
     """count: u32, then (path_len: u16, path: ASCII '0'/'1') per path."""
     out = [_PATHS.enc(len(paths))]
     for p in paths:
+        if p.strip("01"):  # some character is neither '0' nor '1'
+            raise ProtocolError(f"Finish path {p!r} is not ASCII '0' and '1'")
         out += (_PATH_LEN.enc(len(p)), p.encode("ascii"))
     return b"".join(out)
 
@@ -334,25 +343,20 @@ class QueueTransport:
 
 
 def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one full frame (prefix included) from a stream; None on EOF."""
-
-    def read_exact(n: int) -> bytes | None:
-        chunks = b""
-        while len(chunks) < n:
-            got = sock.recv(n - len(chunks))
-            if not got:
-                return None
-            chunks += got
-        return chunks
-
-    head = read_exact(4)
-    if head is None:
-        return None
-    (declared,) = struct.unpack(">I", head)
-    body = read_exact(declared)
-    if body is None:
-        raise TruncatedFrameError("stream ended inside a frame")
-    return head + body
+    """Read one full frame (prefix included) from a stream: None on EOF at
+    a frame boundary, TruncatedFrameError on EOF inside a frame, its length
+    prefix included."""
+    frame, need = b"", 4
+    while len(frame) < need:
+        got = sock.recv(need - len(frame))
+        if not got:
+            if frame:
+                raise TruncatedFrameError("stream ended inside a frame")
+            return None
+        frame += got
+        if need == 4 == len(frame):  # the prefix is in: the length of the rest
+            need += struct.unpack(">I", frame)[0]
+    return frame
 
 
 class SocketTransport:
@@ -444,7 +448,9 @@ class SocketHub:
     poll(2) (select(2) fails on a descriptor past FD_SETSIZE) on the
     connections still open, first to last, and reads one frame straight
     off the first ready one. A worker's close, seen there as EOF, fails
-    recv unless the worker was sent Terminate."""
+    recv unless the worker was sent Terminate. The hub owns every socket
+    it made, the worker ends it connected included, and close() closes
+    them all: its owner closes it once no worker uses its transport."""
 
     def __init__(self, num_workers: int, host: str = "127.0.0.1", port: int = 0):
         self.num_workers = num_workers
@@ -454,6 +460,7 @@ class SocketHub:
         self._listener.listen(num_workers)
         self.address: tuple[str, int] = self._listener.getsockname()
         self._conns: list[socket.socket] = []
+        self._ends: list[SocketTransport] = []  # the worker ends transports() connected
         self._open: dict[int, int] = {}  # descriptor -> worker id, not yet at EOF
         self._poller = select.poll()
         self._terminated: set[int] = set()
@@ -462,28 +469,21 @@ class SocketHub:
         self._listener.settimeout(ACCEPT_TIMEOUT)
         for wid in range(self.num_workers):
             conn, _ = self._listener.accept()
+            self._conns.append(conn)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(RECV_TIMEOUT)  # bounds a stall inside a frame
-            self._conns.append(conn)
             self._open[conn.fileno()] = wid
             self._poller.register(conn, select.POLLIN)
         self._listener.close()
 
     def transports(self) -> list[SocketTransport]:
         """Each worker's transport, connected one at a time in worker-id
-        order and then accepted, so hub id k is transport k. On a failure
-        every socket made so far is closed, the hub's too, and it raises."""
-        made: list[SocketTransport] = []
-        try:
-            for _ in range(self.num_workers):
-                made.append(SocketTransport(socket.create_connection(self.address, timeout=10)))
-            self.accept_all()
-        except BaseException:
-            for t in made:
-                t.close()
-            self.close()
-            raise
-        return made
+        order and then accepted, so hub id k is transport k. The hub keeps
+        each one, so close() closes what a failure partway leaves open."""
+        for _ in range(self.num_workers):
+            self._ends.append(SocketTransport(socket.create_connection(self.address, timeout=10)))
+        self.accept_all()
+        return self._ends[:]
 
     def send(self, worker_id: int, msg: Message) -> None:
         if isinstance(msg, Terminate):
@@ -525,7 +525,7 @@ class SocketHub:
                 pass
 
     def close(self) -> None:
-        for c in [self._listener] + self._conns:
+        for c in [self._listener, *self._conns, *self._ends]:
             try:
                 c.close()
             except OSError:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from oracles import enumerate_paths
-from tdpart import coord, harness, lang, proto, solve
+from tdpart import coord, engine, harness, lang, proto, solve
 from tdpart.coord import WorkerTally
 from tdpart.engine import Engine, EngineStats, Strategy
 from tdpart.harness import (
@@ -392,6 +392,71 @@ def test_a_failed_run_leaves_no_worker_thread_behind(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_worker_thread_past_the_deadline_fails_a_run_the_coordinator_finished(
+        monkeypatch, mode):
+    # worker 0 returns from run_worker 1 s after its Terminate, past the
+    # patched 0.3 s deadline of the run's wait for every job
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 0.3)
+    real_worker = harness.run_worker
+
+    def slow_to_stop(transport, program, cfg):
+        real_worker(transport, program, cfg)
+        if threading.current_thread().name == "tdpart-worker-0":
+            time.sleep(1.0)
+
+    monkeypatch.setattr(harness, "run_worker", slow_to_stop)
+    stop_parked_threads()  # so the run starts every thread it takes
+    before = set(threading.enumerate())
+    with pytest.raises(proto.ProtocolError, match="^worker thread tdpart-worker-0 failed to stop$"):
+        fm_run(mode=mode, workers=2)
+    for t in set(threading.enumerate()) - before:
+        t.join(timeout=10)  # the late thread stops once its job ends
+        assert not t.is_alive()
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_worker_error_after_the_coordinator_finished_fails_the_run(monkeypatch, mode):
+    real_worker = harness.run_worker
+
+    def fail_after_terminate(transport, program, cfg):
+        real_worker(transport, program, cfg)
+        if threading.current_thread().name == "tdpart-worker-1":
+            raise RuntimeError("worker 1 failed after Terminate")
+
+    monkeypatch.setattr(harness, "run_worker", fail_after_terminate)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="^worker 1 failed after Terminate$"):
+        fm_run(mode=mode, workers=2)
+    assert not live_worker_threads() - before  # the failed run joined its threads
+
+
+LONG_PREFIX = lang.parse_program("""
+program long_prefix;
+sym x in [0, 3];
+i = 0;
+while (i < 50) {
+  i = i + 1;
+}
+if (x > 1) {
+  exit(1);
+}
+exit(0);
+""")
+
+
+def test_a_truncated_seeding_region_seeds_the_root_pair(monkeypatch):
+    # the concrete prefix alone passes the instruction budget: seeding
+    # hands the root pair to one worker, which meets the budget as single does
+    monkeypatch.setattr(engine, "MAX_STEPS", 40)
+    single = run_program(LONG_PREFIX, RunConfig(final_depth=4))
+    assert single.truncated and single.pool_size == 1
+    for mode in ("threads", "tcp"):
+        out = run_program(LONG_PREFIX, RunConfig(mode=mode, workers=2, final_depth=4))
+        assert out.truncated and out.pool_size == 1 and out.undispatched == 0, mode
+        assert path_digest(out.paths) == path_digest(single.paths), mode
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
 def test_a_worker_sent_nothing_times_out_at_the_recv_timeout(recv_waits, mode):
     if mode == "threads":
         hub = proto.QueueHub(1)
@@ -462,12 +527,16 @@ def stop_parked_threads() -> None:
         w.thread.join()
 
 
-def worker_thread_count() -> int:
+def live_worker_threads() -> set[threading.Thread]:
     """Live worker threads, parked or in a job."""
-    return sum(
-        t.name == harness.PARKED or t.name.startswith("tdpart-worker-")
-        for t in threading.enumerate()
-    )
+    return {
+        t for t in threading.enumerate()
+        if t.name == harness.PARKED or t.name.startswith("tdpart-worker-")
+    }
+
+
+def worker_thread_count() -> int:
+    return len(live_worker_threads())
 
 
 def steady_rows(out: RunOutput) -> list[list[str]]:
@@ -512,6 +581,70 @@ def test_interleaved_runs_on_parked_threads_report_as_on_fresh_ones(tmp_path):
         assert steady_rows(out) == fresh[n], plan[n]
         assert path_digest(out.paths) == single[i], plan[n]
     assert 0 < most <= 4
+
+
+ACQUISITION_STEPS = [
+    (mode, step)
+    for mode, steps in (("threads", ()), ("tcp", ("connect", "accept")))
+    for step in (*steps, "first thread", "last thread", "coordinator")
+]
+
+
+@pytest.mark.parametrize("mode,step", ACQUISITION_STEPS)
+def test_a_failure_at_any_acquisition_step_leaves_no_socket_or_thread(monkeypatch, mode, step):
+    # two threads are parked and the run takes four workers, so worker ids
+    # 0 and 1 get parked threads and 2 and 3 new ones: "first thread" fails
+    # the first new thread's start and "last thread" the last worker's. A
+    # tcp run fails its third connect or its second accept
+    stop_parked_threads()
+    fm_run(mode="threads", workers=2)
+    parked = {w.thread for w in harness._parked}
+    strays = live_worker_threads() - parked  # left running by earlier tests
+    hubs, sockets, accepts = [], [], []
+
+    class Hub(proto.SocketHub):
+        def __init__(self, *args):
+            super().__init__(*args)
+            hubs.append(self)
+
+    def fail(at: str) -> None:
+        if step == at:
+            raise RuntimeError(f"{step} failed")
+
+    def connect(*args, real=socket.create_connection, **kw):
+        if len(sockets) == 2:
+            fail("connect")
+        sockets.append(real(*args, **kw))
+        return sockets[-1]
+
+    def accept(self, real=socket.socket.accept):
+        accepts.append(None)
+        if len(accepts) == 2:
+            fail("accept")
+        return real(self)
+
+    def start(wid: int, real=harness._WorkerThread):
+        fail({2: "first thread", 3: "last thread"}.get(wid))
+        return real(wid)
+
+    def coordinate(*_):
+        fail("coordinator")
+
+    with monkeypatch.context() as m:
+        m.setattr(proto, "SocketHub", Hub)
+        m.setattr(socket, "create_connection", connect)
+        m.setattr(socket.socket, "accept", accept)
+        m.setattr(harness, "_WorkerThread", start)
+        m.setattr(harness, "run_coordinator", coordinate)
+        with pytest.raises(RuntimeError, match=f"^{step} failed$"):
+            fm_run(mode=mode, workers=4)
+    assert len(hubs) == (mode == "tcp")
+    for hub in hubs:
+        sockets += [hub._listener, *hub._conns]
+    assert sockets or mode == "threads"
+    assert [s.fileno() for s in sockets] == [-1] * len(sockets)
+    assert live_worker_threads() - strays == {w.thread for w in harness._parked}
+    assert sorted(fm_run(mode=mode, workers=4).paths) == FM_PATHS
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])

@@ -477,6 +477,60 @@ def test_a_frame_split_inside_its_header_arrives_as_one_message():
         hub.close()
 
 
+CUT_FRAME = encode(Offload({"x": -3}, 2))  # 22 bytes
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 3, 4, 7, 21, 22])
+def test_a_stream_reads_as_closed_only_at_a_frame_boundary(cut):
+    a, b = socket.socketpair()
+    try:
+        a.sendall(CUT_FRAME + CUT_FRAME[:cut])
+        a.close()
+        assert proto.read_frame(b) == CUT_FRAME
+        if cut in (0, len(CUT_FRAME)):
+            assert proto.read_frame(b) == (None if cut == 0 else CUT_FRAME)
+        else:  # the stream ends inside the second frame
+            with pytest.raises(TruncatedFrameError, match="^stream ended inside a frame$"):
+                proto.read_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_a_worker_transport_tells_a_cut_frame_from_a_close():
+    hub = SocketHub(2)
+    transports = hub.transports()
+    try:
+        # worker 0's stream ends 2 bytes into a frame, worker 1's between frames
+        hub._conns[0].sendall(CUT_FRAME[:2])
+        for conn in hub._conns:
+            conn.close()
+        with pytest.raises(TruncatedFrameError):
+            transports[0].recv(timeout=5)
+        with pytest.raises(TransportClosed):
+            transports[1].recv(timeout=5)
+    finally:
+        hub.close()
+
+
+def test_a_worker_stalled_inside_a_frame_times_out_the_hub_recv(monkeypatch):
+    # read at accept time: a connection's timeout bounds a stall in a frame
+    monkeypatch.setattr(proto, "RECV_TIMEOUT", 0.3)
+    hub = SocketHub(1)
+    s = socket.create_connection(hub.address, timeout=5)
+    s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    hub.accept_all()
+    t0 = time.perf_counter()
+    try:
+        s.sendall(CUT_FRAME[:7])
+        with pytest.raises(RecvTimeout, match="^worker 0 stalled inside a frame$"):
+            hub.recv(timeout=5)
+        assert 0.3 <= time.perf_counter() - t0 < 5.0
+    finally:
+        s.close()
+        hub.close()
+
+
 def test_socket_transport_poll_sees_pending_frame():
     hub = SocketHub(1)
     host, port = hub.address
@@ -521,6 +575,23 @@ def test_socket_transport_poll_sees_pending_frame():
 def test_a_value_too_wide_for_its_field_is_a_protocol_error_naming_the_field(msg, field):
     with pytest.raises(ProtocolError, match=f"^{field} .* does not fit its [iu](16|32|64) field$") \
             as err:
+        encode(msg)
+    assert type(err.value) is ProtocolError
+
+
+@pytest.mark.parametrize(
+    "msg,error",
+    [
+        (Task(Strategy("random"), {}, 0, 0), "seed None does not fit its u64 field"),
+        (Task(Strategy("xyz"), {}, 0, 0), "strategy code 'xyz' is not one of"),
+        (Offload({"x": "a"}, 0), "test value 'a' does not fit its i64 field"),
+        (Finish(EngineStats(paths=["012"])), "Finish path '012' is not ASCII '0' and '1'"),
+    ],
+    ids=["no seed", "unknown strategy", "str test value", "path byte"],
+)
+def test_a_value_a_field_cannot_carry_is_a_protocol_error_naming_the_field(msg, error):
+    # the path once encoded into a frame that decode rejects
+    with pytest.raises(ProtocolError, match=f"^{error}") as err:
         encode(msg)
     assert type(err.value) is ProtocolError
 
@@ -586,6 +657,7 @@ def test_a_connect_that_fails_partway_closes_every_socket(monkeypatch):
     hub = SocketHub(4)
     with pytest.raises(ConnectionRefusedError):
         hub.transports()
+    hub.close()  # the hub's owner releases it
     assert [s.fileno() for s in made] == [-1, -1]
     assert hub._listener.fileno() == -1
 
@@ -604,5 +676,6 @@ def test_an_accept_that_fails_partway_closes_every_socket(monkeypatch):
     hub = SocketHub(2)
     with pytest.raises(socket.timeout):
         hub.transports()
+    hub.close()  # the hub's owner releases it
     assert [s.fileno() for s in made + hub._conns] == [-1] * 4
     assert hub._listener.fileno() == -1

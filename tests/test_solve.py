@@ -1773,3 +1773,55 @@ def test_a_sum_over_1024_inputs_in_one_comparison_gets_its_lex_min_witness():
     assert {c.path: c.test for c in res.completed} == {
         "1": zeros, "0": {**zeros, "x1021": 1, "x1022": 1, "x1023": 1},
     }
+
+
+# -- conditions that are not comparisons, and comparisons as values
+
+
+def _random_mixed(rng, names, depth):
+    """An expression mixing + - * and neg with comparisons and `!` used as
+    0/1 values, over inputs and small constants."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Var(rng.choice(names)) if rng.random() < 0.7 else Const(rng.randint(-3, 3))
+    if r < 0.45:
+        return Unary(rng.choice(["not", "neg"]), _random_mixed(rng, names, depth - 1))
+    op = rng.choice(["<", "<=", ">", ">=", "==", "!=", "+", "-", "*", "+", "-"])
+    return Binary(op, _random_mixed(rng, names, depth - 1), _random_mixed(rng, names, depth - 1))
+
+
+def _random_mixed_condition(rng, names):
+    """A bare input, arithmetic or `!` as a condition, or a comparison
+    whose operands hold comparisons and `!` inside arithmetic."""
+    r = rng.random()
+    if r < 0.25:
+        return Var(rng.choice(names))
+    if r < 0.5:
+        return Binary(rng.choice(["+", "-", "*"]), _random_mixed(rng, names, 2),
+                      _random_mixed(rng, names, 2))
+    if r < 0.6:
+        return Unary("not", _random_mixed(rng, names, 2))
+    return Binary(rng.choice(["<", "<=", ">", ">=", "==", "!="]),
+                  _random_mixed(rng, names, 2), _random_mixed(rng, names, 2))
+
+
+def test_mixed_conditions_give_the_lex_min_model_with_the_cache_on_and_off_seeded():
+    # domains ending at 0 reach the bare-input branches that pin an input
+    # to its negative or positive part
+    rng = random.Random(20261021)
+    sats = 0
+    for _ in range(400):
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        decls = tuple(
+            SymDecl(n, *rng.choice([(-3, 0), (0, 3), (-2, 2), (-3, -1), (0, 0)])) for n in names
+        )
+        pairs = [(_random_mixed_condition(rng, names), rng.random() < 0.5)
+                 for _ in range(rng.randint(1, 4))]
+        cache, pc = QueryCache(), PathCondition()
+        for i, (e, taken) in enumerate(pairs, 1):
+            expect = brute_force_model(pairs[:i], decls)
+            assert solve_model(_pc_of(pairs[:i]), decls) == expect, pairs[:i]
+            pc = pc.extend(e, taken)  # the cache's chain keeps its parents' models
+            assert cache.query(pc, decls) == expect, pairs[:i]
+            sats += expect is not None
+    assert sats > 200  # the generator must not be degenerate
