@@ -36,6 +36,20 @@ both. A function bails, leaving the store untouched, when a name the loop
 uses is not a plain int, and the evaluator runs the block instead. The
 evaluator stays the reference; both tiers count every instruction and
 truncate at the same one.
+
+A loop's function is pure in the ints it loads (a name every member
+assigns before reading it is an output only), and sibling states under a
+fork, like regions replaying one prefix, enter a loop with the same ints
+again and again. So each engine keeps a memo, loop_memo, that every
+function it runs shares: a run that left its loop is recorded under its
+entry block and loaded ints, with the exit block, the instruction count
+and the values it wrote back, and a later entry with that key whose
+count fits the room writes those values back in the same order and
+returns at once. A run the room cut short stops inside its loop and is
+never recorded, so an answer never spans a budget or deadline check. The
+memo is per-run state, like the query cache: it lives as long as its
+engine (a worker's across its regions) and is kept on neither the
+Program nor a function, so no run reuses another's entries.
 """
 
 from __future__ import annotations
@@ -64,6 +78,9 @@ MAX_STEPS = 10_000_000
 
 # a variable store: an int when concrete, an Expr when input-dependent
 Store = dict[str, int | Expr]
+# a loop run that left its loop: (entry block, loaded ints) -> (exit block,
+# instructions, written values)
+LoopMemo = dict[tuple[int, ...], tuple[int, ...]]
 
 
 class ReplayDivergenceError(Exception):
@@ -350,12 +367,16 @@ class _LoopSource:
 
 def generate_block(
     members: Mapping[int, BasicBlock], concrete: Set[str]
-) -> Callable[[Store, int, int], tuple[int, int]] | None:
-    """A function run(env, b, room) that runs whole member blocks (index ->
-    block) from block b on a store of plain ints, for as long as the next
-    one's len(body) + 1 instructions fit in `room`. It returns the block
-    where it stopped, the first outside the members or the one that did not
-    fit, with the instructions it ran. When the members form one simple
+) -> Callable[[Store, int, int, LoopMemo], tuple[int, int]] | None:
+    """A function run(env, b, room, memo) that runs whole member blocks
+    (index -> block) from block b on a store of plain ints, for as long as
+    the next one's len(body) + 1 instructions fit in `room`. It returns the
+    block where it stopped, the first outside the members or the one that
+    did not fit, with the instructions it ran. A run that stopped outside
+    the members is recorded in the caller's dict `memo` under (b, the ints
+    it loaded) as (that block, the count, the values it wrote back), and a
+    call with a recorded key whose count fits `room` returns the record,
+    writing the values back as the run did. When the members form one simple
     cycle from the first, its head (each member has exactly one successor
     among them, and following those visits them all), run takes a whole
     iteration from the head at a time as straight-line code, with one
@@ -418,13 +439,22 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
     # names every entry block binds before reading them may be unbound
     fresh = firsts[0] if all(f == firsts[0] for f in firsts) else []
     loads = [(name, v) for name, v in src.names.items() if name not in fresh]
-    out = ["def run(env, b, room):"]
+    out = ["def run(env, b, room, memo):"]
     if loads:
         out.append("    try:")
         out += [f"        {v} = env[{name!r}]" for name, v in loads]
         out.append("    except KeyError:\n        return b, 0")
         types = " or ".join(f"type({v}) is not int" for _, v in loads)
         out.append(f"    if {types}:\n        return b, 0")
+    # a run that left the loop, recorded under its entry block and loads:
+    # the exit, the count and the written names' values
+    record = ", ".join(["b", "n"] + [src.names[name] for name in written])
+    store = [f"    env[{name!r}] = {src.names[name]}" for name in written]
+    out.append(f"    key = ({', '.join(['b'] + [v for _, v in loads])},)")
+    out.append("    hit = memo.get(key)")
+    out.append(f"    if hit is not None and hit[1] <= room:\n        {record} = hit")
+    out += [f"    {line}" for line in store]
+    out.append("        return b, n")
     out.append("    left = room")
     if cycle:
         # the whole iterations from the head that fit: a branch leaves the
@@ -457,18 +487,21 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
             out.append(f"            b = {term.on_true} if {cond} else {term.on_false}")
     out.append("        else:\n            break")
     out.append("    if left == room:\n        return b, 0")
+    out.append("    n = room - left")
+    # a run the room cut short stopped at a member, and is not recorded
+    out.append(f"    if b not in {set(members)}:\n        memo[key] = {record}")
     # new names are fresh ones, which every member assigns in one order
-    out += [f"    env[{name!r}] = {src.names[name]}" for name in written]
-    out.append("    return b, room - left")
+    out += store
+    out.append("    return b, n")
     return "\n".join(out) + "\n"
 
 
 class Engine:
-    """Per-worker execution engine; the query cache and creation-order serial
-    numbers live for the engine's lifetime, spanning all its regions, and
-    `stats` is the running region's EngineStats. It reads the run's
-    cache_enabled and solver_delay from cfg; with no cfg, as in seeding and
-    calibration, the cache is on and there is no delay."""
+    """Per-worker execution engine; the query cache, the loop memo and
+    creation-order serial numbers live for the engine's lifetime, spanning
+    all its regions, and `stats` is the running region's EngineStats. It
+    reads the run's cache_enabled and solver_delay from cfg; with no cfg,
+    as in seeding and calibration, the cache is on and there is no delay."""
 
     def __init__(self, program: Program, cfg: RunConfig | None = None):
         self.program = program
@@ -479,6 +512,7 @@ class Engine:
         )
         self._serial = itertools.count()
         self.stats = EngineStats()
+        self.loop_memo: LoopMemo = {}
 
     # -- states
 
@@ -533,6 +567,7 @@ class Engine:
         time check runs in the evaluator, which makes it.
         Returns 'term' | 'frontier' | 'trunc' | ('fork', symbolic_cond)."""
         blocks, runs = self.program.blocks, self.program._engine_runs
+        memo = self.loop_memo
         env = state.env
         limit = MAX_STEPS
         count = stats.instructions
@@ -550,7 +585,7 @@ class Engine:
                     room = limit - count
                     if deadline is not None:
                         room = min(room, -count % 1024)
-                    b, n = run(env, b, room)
+                    b, n = run(env, b, room, memo)
                     if n == 0:
                         break
                     count += n

@@ -466,10 +466,15 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
         return _run_distributed(program, cfg)
     except RecursionError:
         # a failed run has stopped and joined its worker threads by now
-        raise ValueError(
-            f"a symbolic expression nests past the recursion limit ({sys.getrecursionlimit()}),"
-            " as one a loop builds up from an input over many iterations can"
-        ) from None
+        raise _too_deep() from None
+
+
+def _too_deep() -> ValueError:
+    """The error for an expression that nests past the recursion limit."""
+    return ValueError(
+        f"a symbolic expression nests past the recursion limit ({sys.getrecursionlimit()}),"
+        " as one a loop builds up from an input over many iterations can"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +487,8 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
     pair's region explored breadth-first (final depth -1 censors nothing)
     under the deadline, with a poll noting the front's depth. When the
     deadline cuts the front layer, the one above it is the deepest
-    completed. Monotone nondecreasing in the timeout; ~0 yields 0."""
+    completed. Monotone nondecreasing in the timeout; ~0 yields 0.
+    ValueError when an expression nests past the recursion limit."""
     eng = Engine(program)
     front = 0
 
@@ -490,10 +496,13 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
         nonlocal front
         front = active[0].depth
 
-    res = eng.start_execution(
-        eng.initial_state(), {}, 0, -1, Strategy("bfs"), poll=poll,
-        deadline=time.monotonic() + timeout_s,
-    )
+    try:
+        res = eng.start_execution(
+            eng.initial_state(), {}, 0, -1, Strategy("bfs"), poll=poll,
+            deadline=time.monotonic() + timeout_s,
+        )
+    except RecursionError:
+        raise _too_deep() from None
     return max(front - 1, 0) if res.stats.truncated else front
 
 
@@ -908,7 +917,11 @@ def _cmd_run(args) -> int:
         if not args.calibrate_timeout >= 0:  # a NaN timeout would never expire
             print(f"error: --calibrate-timeout must be at least 0, got {args.calibrate_timeout}")
             return 2
-        final_depth = calibrate_depth(program, args.calibrate_timeout)
+        try:
+            final_depth = calibrate_depth(program, args.calibrate_timeout)
+        except ValueError as e:
+            print(f"error: {e}")
+            return 2
         print(f"calibrated final depth: {final_depth}")
 
     workers = args.workers

@@ -184,6 +184,23 @@ def test_a_value_a_loop_builds_too_deep_is_a_clear_error(mode, tmp_path, capsys)
     assert capsys.readouterr().out.startswith("error: a symbolic expression nests past")
 
 
+def test_calibrating_on_a_value_a_loop_builds_too_deep_is_a_clear_error(tmp_path, capsys):
+    # 5,000 iterations add one to an input-derived value: calibration's
+    # region builds it past the recursion limit before any branch
+    path = tmp_path / "deep.tdp"
+    path.write_text(
+        "program deep;\nsym x in [0, 1];\ni = 0;\ny = x;\n"
+        "while (i < 5000) { y = y + 1; i = i + 1; }\n"
+        "if (y > 3) { exit(1); }\nexit(0);\n"
+    )
+    for depth in (["--max-depth", "3"], ["--calibrate-timeout", "1"]):
+        assert main(["run", "--program", str(path), *depth]) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: a symbolic expression nests past the recursion limit"), depth
+    with pytest.raises(ValueError, match="nests past the recursion limit"):
+        calibrate_depth(lang.parse_program(path.read_text()), 1.0)
+
+
 def test_a_tcp_run_works_with_descriptors_past_fd_setsize():
     # select() refuses a descriptor past FD_SETSIZE (1,024); with 1,100
     # files open, the run's sockets all lie past it

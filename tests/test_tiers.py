@@ -12,7 +12,9 @@ import pytest
 
 from tdpart import engine, solve
 from tdpart.engine import Engine, Strategy, evaluate, find_loops, generate_block
-from tdpart.harness import RunConfig, gen_corpus, path_digest, program_digest, run_program
+from tdpart.harness import (
+    RunConfig, gen_corpus, path_digest, program_digest, run_program, write_report,
+)
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Assign, BasicBlock, Binary, Branch, Const, Error, Exit,
     Jump, Program, Unary, Var, expr_text, parse_program, reads,
@@ -95,7 +97,7 @@ def test_generated_blocks_match_the_evaluator_seeded():
         want = _evaluator_run(blk, want_env)
         got_env = dict(store)
         steps = len(blk.body) + 1
-        assert run(got_env, 0, steps) == (want, steps), blk
+        assert run(got_env, 0, steps, {}) == (want, steps), blk
         assert list(got_env.items()) == list(want_env.items()), blk
         assert all(type(v) is int and _LO <= v <= _HI for v in got_env.values())
         new_names += len(got_env) > len(store)
@@ -114,7 +116,7 @@ def test_generated_blocks_wrap_at_the_int64_edges():
     def run(expr, **store):
         blk = BasicBlock((Assign("r", expr),), Jump(0))
         env = dict(store)
-        assert generate_block({0: blk}, frozenset(store) | {"r"})(env, 0, 2) == (0, 2)
+        assert generate_block({0: blk}, frozenset(store) | {"r"})(env, 0, 2, {}) == (0, 2)
         return env["r"]
 
     m, n = Var("m"), Var("n")
@@ -137,10 +139,10 @@ def test_a_block_reading_a_non_int_bails_with_env_untouched():
     symbolic = Binary("+", Var("x"), Const(1))
     for store in ({"a": 1}, {"a": 1, "c": symbolic}, {"a": symbolic, "c": 3}, {}):
         env = dict(store)
-        assert run(env, 0, 3) == (0, 0)
+        assert run(env, 0, 3, {}) == (0, 0)
         assert env == store and all(env[k] is store[k] for k in store)
     env = {"a": 1, "c": 3}
-    assert run(env, 0, 3) == (1, 3) and env == {"a": 2, "c": 3, "b": 2}
+    assert run(env, 0, 3, {}) == (1, 3) and env == {"a": 2, "c": 3, "b": 2}
 
 
 def test_blocks_that_get_no_function():
@@ -206,14 +208,26 @@ def _evaluator_loop(blocks, env, b, room):
     return b, n
 
 
+def _run_twice(run, store, b, room, memo):
+    """run from block b on a copy of store, then again on another copy with
+    the same memo (answered from it when the first run left the loop): the
+    first result and env, after checking that the second gave the same."""
+    got_env, again_env = dict(store), dict(store)
+    got = run(got_env, b, room, memo)
+    assert run(again_env, b, room, memo) == got
+    assert list(again_env.items()) == list(got_env.items())
+    return got, got_env
+
+
 def test_generated_loops_match_the_evaluator_seeded():
     rng = random.Random(12)
     assigned = frozenset(_LOOP_NAMES)
     symbolic = Binary("*", Var("x"), Const(3))
-    ran = bails = multi = new_names = stopped = 0
+    ran = bails = multi = new_names = stopped = recorded = 0
     for _ in range(1500):
         blocks = _random_loop(rng)
         run = generate_block(blocks, assigned)
+        memo = {}  # one per function, across its stores
         used = set()
         for blk in blocks.values():
             used |= {a.name for a in blk.body}.union(*(reads(a.expr) for a in blk.body))
@@ -228,8 +242,14 @@ def test_generated_loops_match_the_evaluator_seeded():
                     store[name] = symbolic
             b = rng.randrange(len(blocks))
             room = rng.choice((0, rng.randint(0, 12), rng.randint(0, 300)))
-            got_env = dict(store)
-            got = run(got_env, b, room)
+            before = dict(memo)
+            got, got_env = _run_twice(run, store, b, room, memo)
+            # only a run that left the loop is recorded, under its entry
+            new = {k: v for k, v in memo.items() if k not in before}
+            assert all(before[k] == v for k, v in before.items() if k in memo)
+            assert len(new) == len(memo) - len(before) <= (got[0] not in blocks and got[1] > 0)
+            assert all(k[0] == b and v[:2] == got for k, v in new.items())
+            recorded += len(new)
             if got[1] == 0:
                 bails += 1
                 assert got == (b, 0)
@@ -251,6 +271,7 @@ def test_generated_loops_match_the_evaluator_seeded():
             new_names += len(got_env) > len(store)
             stopped += got[0] in blocks
     assert min(ran, bails) > 1500 and multi > 1000 and new_names > 20 and stopped > 1000
+    assert recorded > 500
 
 
 # -- whole iterations: a loop whose blocks form one simple cycle
@@ -295,25 +316,59 @@ def test_a_simple_cycle_runs_whole_iterations_like_the_evaluator_from_every_memb
         members = {j: blocks[j] for j in range(1, m + 1)}
         assert engine._cycle(members) == list(members)
         run = generate_block(members, frozenset("ist"))
+        memo = {}
         size = sum(len(blk.body) + 1 for blk in members.values())
         for b in members:
-            for room in range(3 * size + 2):
+            # from the greatest room down, so the memo holds a run that left
+            # the loop before every smaller room, which it must not answer
+            for room in reversed(range(6 * size + 2)):
                 for i in (0, 3, 4, 5):  # i = 0 leaves after five iterations, the rest sooner
                     store = {"i": i, "s": 7, "t": _HI}
-                    got_env, want_env = dict(store), dict(store)
-                    got = run(got_env, b, room)
+                    want_env = dict(store)
+                    got, got_env = _run_twice(run, store, b, room, memo)
                     assert got == _evaluator_loop(members, want_env, b, room), (blocks, b, room)
                     assert list(got_env.items()) == list(want_env.items()), (blocks, b, room)
                     fused += b == 1 and room >= size
+        # a run from each member and i that left the loop
+        assert {k[0] for k in memo} == set(members) and len(memo) <= 4 * m
     assert fused > 1000
 
 
+def test_a_recorded_run_answers_only_its_entry_within_its_count():
+    # k counts to 5 in block 2; block 1 tests it, and block 3 follows
+    members = {
+        1: BasicBlock((), Branch(Binary("<", Var("k"), Const(5)), 2, 3)),
+        2: BasicBlock((Assign("k", Binary("+", Var("k"), Const(1))),
+                       Assign("s", Binary("+", Var("s"), Var("k")))), Jump(1)),
+    }
+    run = generate_block(members, frozenset("ks"))
+    memo = {}
+    assert run({"k": 0, "s": 0}, 1, 10**6, memo) == (3, 21)
+    (key, record), = memo.items()
+    assert record == (3, 21, 5, 15)  # the exit, the count and k and s
+    # a different record under the same key shows when the memo answers
+    memo[key] = (3, 21, 50, 150)
+    env = {"s": 0, "k": 0}
+    assert run(env, 1, 21, memo) == (3, 21) and list(env.items()) == [("s", 150), ("k", 50)]
+    # one instruction less: the run stops inside the loop where the
+    # evaluator does, and a run cut there records nothing
+    for room in (20, 13, 1):
+        env, want_env = {"k": 0, "s": 0}, {"k": 0, "s": 0}
+        assert run(env, 1, room, memo) == _evaluator_loop(members, want_env, 1, room)
+        assert env == want_env and memo == {key: (3, 21, 50, 150)}
+    # entering the loop at its other member with the same values
+    env, want_env = {"k": 0, "s": 0}, {"k": 0, "s": 0}
+    assert run(env, 2, 10**6, memo) == _evaluator_loop(members, want_env, 2, 10**6) == (3, 20)
+    assert env == want_env == {"k": 5, "s": 15} and len(memo) == 2
+
+
 def _cuts(monkeypatch, blocks, generated, m, size):
-    """From each member of the cycle, with every room up to three
+    """From each member of the cycle, with every room up to five
     iterations before a passed deadline's check at the next multiple of
     1024 and then before the instruction budget: what _advance returned and
     left the state and the count at, on a program whose loop block 0
-    entered first."""
+    entered first, and on an engine whose memo a whole run from each member
+    has warmed (only a room the recorded run fits takes it)."""
     out = []
     with monkeypatch.context() as mp:
         _generating(mp, generated)
@@ -321,7 +376,12 @@ def _cuts(monkeypatch, blocks, generated, m, size):
         eng = Engine(prog)
         assert eng._advance(eng.initial_state(), 3, engine.EngineStats()) == "term"
         for entry in range(1, m + 1):
-            for room in range(3 * size + 2):
+            state = eng.initial_state()
+            state.block, state.env = entry, {"i": 1, "s": 7, "t": _HI}
+            assert eng._advance(state, 3, engine.EngineStats()) == "term"
+        assert len(eng.loop_memo) == (m + 1 if generated else 0)
+        for entry in range(1, m + 1):
+            for room in range(5 * size + 2):
                 for start, deadline, limit in (
                     (2048 - room, time.monotonic() - 1, engine.MAX_STEPS),
                     (5000, None, 5000 + room),
@@ -682,6 +742,34 @@ def test_a_second_engine_runs_the_programs_function_from_the_loops_first_entry(
     # loop and the branch after it
     assert all(r is s for r, s in zip(prog._engine_runs, runs))
     assert len(evaluated) == 3 and second.stats.solver_queries > 0
+
+
+def test_each_engine_starts_with_an_empty_memo_of_its_own():
+    prog = parse_program(Path("perfbench/programs/interp.tdp").read_text())
+    assert Engine(prog).loop_memo == {}
+    first = Engine(prog)
+    first.start_execution(first.initial_state(), {}, 0, 12, Strategy("dfs"))
+    assert first.loop_memo
+    # the program keeps its functions, not a memo, and neither do they
+    second = Engine(prog)
+    assert second.loop_memo == {} and second.loop_memo is not first.loop_memo
+    runs = [run for run in prog._engine_runs if run]
+    assert runs and all(set(run.__globals__) == {"wrap", "__builtins__"} for run in runs)
+    assert set(generate_block({0: BasicBlock((), Jump(0))}, frozenset()).__globals__) == {
+        "wrap", "__builtins__"}
+
+
+def test_two_runs_of_one_program_give_one_report(tmp_path):
+    # the second run's engines start with empty memos, and an answer from
+    # a memo counts the instructions of the run it recorded, so the second
+    # run reports what the first did
+    prog = parse_program(Path("perfbench/programs/interp.tdp").read_text())
+    reports = []
+    for k in range(2):
+        write_report(run_program(prog, RunConfig(final_depth=12)), tmp_path / f"{k}.csv")
+        lines = (tmp_path / f"{k}.csv").read_text().splitlines()
+        reports.append([line for line in lines if ",wall_ms," not in line])
+    assert reports[0] == reports[1] and len(reports[0]) > 10
 
 
 def test_a_program_that_ran_keeps_its_value():
