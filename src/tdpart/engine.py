@@ -47,9 +47,12 @@ and the values it wrote back, and a later entry with that key whose
 count fits the room writes those values back in the same order and
 returns at once. A run the room cut short stops inside its loop and is
 never recorded, so an answer never spans a budget or deadline check. The
-memo is per-run state, like the query cache: it lives as long as its
-engine (a worker's across its regions) and is kept on neither the
-Program nor a function, so no run reuses another's entries.
+memo stops recording at LOOP_MEMO_SIZE entries, so a loop whose entries
+never repeat (an inner loop reading an outer counter) costs a lookup per
+entry and bounded memory. The memo is per-run state, like the query
+cache: it lives as long as its engine (a worker's across its regions)
+and is kept on neither the Program nor a function, so no run reuses
+another's entries.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ if TYPE_CHECKING:
 
 # one region's instruction budget, read at call time so a test can lower it
 MAX_STEPS = 10_000_000
+# the most loop runs an engine's memo records: an entry of three names
+# takes ~330 bytes, so a full memo adds ~0.3 MB however many entries miss
+LOOP_MEMO_SIZE = 1024
 
 # a variable store: an int when concrete, an Expr when input-dependent
 Store = dict[str, int | Expr]
@@ -374,9 +380,10 @@ def generate_block(
     block where it stopped, the first outside the members or the one that
     did not fit, with the instructions it ran. A run that stopped outside
     the members is recorded in the caller's dict `memo` under (b, the ints
-    it loaded) as (that block, the count, the values it wrote back), and a
-    call with a recorded key whose count fits `room` returns the record,
-    writing the values back as the run did. When the members form one simple
+    it loaded) as (that block, the count, the values it wrote back), while
+    memo holds fewer than LOOP_MEMO_SIZE entries, and a call with a
+    recorded key whose count fits `room` returns the record, writing the
+    values back as the run did. When the members form one simple
     cycle from the first, its head (each member has exactly one successor
     among them, and following those visits them all), run takes a whole
     iteration from the head at a time as straight-line code, with one
@@ -488,8 +495,10 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
     out.append("        else:\n            break")
     out.append("    if left == room:\n        return b, 0")
     out.append("    n = room - left")
-    # a run the room cut short stopped at a member, and is not recorded
-    out.append(f"    if b not in {set(members)}:\n        memo[key] = {record}")
+    # a run the room cut short stopped at a member, and is not recorded;
+    # nor is any run once the memo is full
+    out.append(f"    if b not in {set(members)} and len(memo) < {LOOP_MEMO_SIZE}:")
+    out.append(f"        memo[key] = {record}")
     # new names are fresh ones, which every member assigns in one order
     out += store
     out.append("    return b, n")

@@ -227,7 +227,6 @@ def test_generated_loops_match_the_evaluator_seeded():
     for _ in range(1500):
         blocks = _random_loop(rng)
         run = generate_block(blocks, assigned)
-        memo = {}  # one per function, across its stores
         used = set()
         for blk in blocks.values():
             used |= {a.name for a in blk.body}.union(*(reads(a.expr) for a in blk.body))
@@ -242,14 +241,12 @@ def test_generated_loops_match_the_evaluator_seeded():
                     store[name] = symbolic
             b = rng.randrange(len(blocks))
             room = rng.choice((0, rng.randint(0, 12), rng.randint(0, 300)))
-            before = dict(memo)
+            memo = {}
             got, got_env = _run_twice(run, store, b, room, memo)
             # only a run that left the loop is recorded, under its entry
-            new = {k: v for k, v in memo.items() if k not in before}
-            assert all(before[k] == v for k, v in before.items() if k in memo)
-            assert len(new) == len(memo) - len(before) <= (got[0] not in blocks and got[1] > 0)
-            assert all(k[0] == b and v[:2] == got for k, v in new.items())
-            recorded += len(new)
+            assert len(memo) == (got[0] not in blocks and got[1] > 0)
+            assert all(k[0] == b and v[:2] == got for k, v in memo.items())
+            recorded += len(memo)
             if got[1] == 0:
                 bails += 1
                 assert got == (b, 0)
@@ -311,27 +308,34 @@ def _cycle_cases():
 
 
 def test_a_simple_cycle_runs_whole_iterations_like_the_evaluator_from_every_member():
-    fused = 0
+    fused = answered = 0
     for m, exit_at, blocks in _cycle_cases():
         members = {j: blocks[j] for j in range(1, m + 1)}
         assert engine._cycle(members) == list(members)
         run = generate_block(members, frozenset("ist"))
-        memo = {}
         size = sum(len(blk.body) + 1 for blk in members.values())
         for b in members:
-            # from the greatest room down, so the memo holds a run that left
-            # the loop before every smaller room, which it must not answer
-            for room in reversed(range(6 * size + 2)):
-                for i in (0, 3, 4, 5):  # i = 0 leaves after five iterations, the rest sooner
-                    store = {"i": i, "s": 7, "t": _HI}
+            for i in (0, 3, 4, 5):  # i = 0 leaves after five iterations, the rest sooner
+                store = {"i": i, "s": 7, "t": _HI}
+                for room in range(3 * size + 2):
                     want_env = dict(store)
-                    got, got_env = _run_twice(run, store, b, room, memo)
+                    got, got_env = _run_twice(run, store, b, room, {})
                     assert got == _evaluator_loop(members, want_env, b, room), (blocks, b, room)
                     assert list(got_env.items()) == list(want_env.items()), (blocks, b, room)
                     fused += b == 1 and room >= size
-        # a run from each member and i that left the loop
-        assert {k[0] for k in memo} == set(members) and len(memo) <= 4 * m
-    assert fused > 1000
+                # a memo warmed by a run that left the loop answers a room
+                # its count fits, and no smaller one
+                warm = {}
+                whole = run(dict(store), b, 10**6, warm)
+                assert whole[0] not in members and len(warm) == 1
+                for room in range(whole[1] + size + 1):
+                    memo, want_env = dict(warm), dict(store)
+                    got, got_env = _run_twice(run, store, b, room, memo)
+                    assert got == _evaluator_loop(members, want_env, b, room), (blocks, b, room)
+                    assert list(got_env.items()) == list(want_env.items()), (blocks, b, room)
+                    assert memo == warm
+                    answered += room >= whole[1]
+    assert fused > 1000 and answered > 3000
 
 
 def test_a_recorded_run_answers_only_its_entry_within_its_count():
@@ -360,6 +364,32 @@ def test_a_recorded_run_answers_only_its_entry_within_its_count():
     env, want_env = {"k": 0, "s": 0}, {"k": 0, "s": 0}
     assert run(env, 2, 10**6, memo) == _evaluator_loop(members, want_env, 2, 10**6) == (3, 20)
     assert env == want_env == {"k": 5, "s": 15} and len(memo) == 2
+    # a full memo records nothing more, and the run is the evaluator's
+    full = {(-j,): () for j in range(engine.LOOP_MEMO_SIZE)}
+    env, want_env = {"k": 1, "s": 0}, {"k": 1, "s": 0}
+    assert run(env, 1, 10**6, full) == _evaluator_loop(members, want_env, 1, 10**6) == (3, 17)
+    assert env == want_env and len(full) == engine.LOOP_MEMO_SIZE and (1, 1, 0) not in full
+
+
+# an inner loop reading the outer one's counter, inside a loop that gets no
+# function (it reads x): each of its 3,000 entries loads new ints
+_NESTED_LOOP = (
+    "program p;\nsym x in [0, 1];\ni = 0; s = 0; y = x;\n"
+    "while (i < 3000) { j = 0; while (j < 2) { j = j + 1; s = s + i; } y = x + i; i = i + 1; }\n"
+    "if (y > 3) { exit(1); }\nexit(0);\n"
+)
+
+
+def test_a_memo_stops_recording_at_its_size(monkeypatch):
+    prog = parse_program(_NESTED_LOOP)
+    got, made = _explore(monkeypatch, prog, True, 4, "dfs")
+    want, _ = _explore(monkeypatch, prog, False, 4, "dfs")
+    assert got == want and made == 2
+    eng = Engine(prog)
+    eng.start_execution(eng.initial_state(), {}, 0, 4, Strategy("dfs"))
+    # every entry missed; the first LOOP_MEMO_SIZE were recorded
+    assert len(eng.loop_memo) == engine.LOOP_MEMO_SIZE < 3000
+    assert sorted(key[3] for key in eng.loop_memo) == list(range(engine.LOOP_MEMO_SIZE))
 
 
 def _cuts(monkeypatch, blocks, generated, m, size):
