@@ -78,6 +78,8 @@ if TYPE_CHECKING:
 
 # one region's instruction budget, read at call time so a test can lower it
 MAX_STEPS = 10_000_000
+# seconds each uncached solver query waits, read at call time like MAX_STEPS
+SOLVER_DELAY = 0.0
 # the most loop runs an engine's memo records: an entry of three names
 # takes ~330 bytes, so a full memo adds ~0.3 MB however many entries miss
 LOOP_MEMO_SIZE = 1024
@@ -508,14 +510,13 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
 class Engine:
     """Per-worker execution engine; the query cache, the loop memo and
     creation-order serial numbers live for the engine's lifetime, spanning
-    all its regions, and `stats` is the running region's EngineStats. It
-    reads the run's cache_enabled and solver_delay from cfg; with no cfg,
-    as in seeding and calibration, the cache is on and there is no delay."""
+    all its regions, and `stats` is the running region's EngineStats. Its
+    cache is on when cfg (none in seeding and calibration) does not turn it
+    off; every engine, seeding's too, waits SOLVER_DELAY per uncached query."""
 
     def __init__(self, program: Program, cfg: RunConfig | None = None):
         self.program = program
         self.decls = program.inputs
-        self.solver_delay = 0.0 if cfg is None else cfg.solver_delay
         self.cache: QueryCache | None = (
             QueryCache() if cfg is None or cfg.cache_enabled else None
         )
@@ -536,7 +537,7 @@ class Engine:
     def _query(self, pc: PathCondition) -> Test | None:
         """pc's lex-min model, or None when pc is unsat. A cache hit returns
         at once; a miss, and every solve with the cache off, then waits
-        solver_delay."""
+        SOLVER_DELAY."""
         self.stats.solver_queries += 1
         cache = self.cache
         if cache is None:
@@ -547,8 +548,8 @@ class Engine:
             if cache.misses == misses:
                 self.stats.cache_hits += 1
                 return model
-        if self.solver_delay > 0:
-            time.sleep(self.solver_delay)
+        if SOLVER_DELAY > 0:
+            time.sleep(SOLVER_DELAY)
         return model
 
     def model_of(self, pc: PathCondition) -> Test:

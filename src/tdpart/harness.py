@@ -28,6 +28,7 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict, deque
+from collections.abc import Iterable
 from operator import attrgetter
 from pathlib import Path
 
@@ -43,28 +44,23 @@ from .worker import run_worker
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_OFFLOAD_THRESHOLD = 4
-
-
 class RunConfig:
-    """The run's settings: the harness, the coordinator and every worker
-    read this one object."""
+    """The run's settings, one object the harness, the coordinator and every
+    worker read; what no run varies is a module constant read at call time."""
 
     __slots__ = (
-        "mode", "workers", "strategy", "final_depth", "offload_threshold", "cache_enabled",
-        "solver_delay", "time_budget", "record_schedule", "replay_schedule",
+        "mode", "workers", "strategy", "final_depth", "cache_enabled", "time_budget",
+        "record_schedule", "replay_schedule",
     )
 
     def __init__(
         self, mode: str = "single", workers: int = 1, strategy: Strategy = Strategy("dfs"),
-        final_depth: int = 0, offload_threshold: int = DEFAULT_OFFLOAD_THRESHOLD,
-        cache_enabled: bool = True, solver_delay: float = 0.0, time_budget: float | None = None,
+        final_depth: int = 0, cache_enabled: bool = True, time_budget: float | None = None,
         record_schedule: str | None = None, replay_schedule: str | None = None,
     ):
         self.mode = mode  # 'single' | 'threads' | 'tcp'
         self.workers, self.strategy, self.final_depth = workers, strategy, final_depth
-        self.offload_threshold, self.cache_enabled = offload_threshold, cache_enabled
-        self.solver_delay = solver_delay  # seconds per uncached solver query
+        self.cache_enabled = cache_enabled
         self.time_budget = time_budget  # soft deadline, seconds
         self.record_schedule, self.replay_schedule = record_schedule, replay_schedule
 
@@ -301,7 +297,10 @@ class _WorkerThread:
         self.thread = threading.Thread(
             target=self._serve, name=f"tdpart-worker-{wid}", daemon=True
         )
-        self.thread.start()
+        try:
+            self.thread.start()
+        except RuntimeError as e:  # "can't start new thread"
+            raise OSError(f"cannot start worker thread tdpart-worker-{wid}: {e}") from e
 
     def _serve(self) -> None:
         me = threading.current_thread()
@@ -329,7 +328,7 @@ _parked_lock = threading.Lock()
 
 
 def _take_worker(wid: int) -> _WorkerThread:
-    """A parked thread, or a new one."""
+    """A parked thread, or a new one; OSError when none can start."""
     with _parked_lock:
         if _parked:
             return _parked.pop()
@@ -444,22 +443,11 @@ def run_program(program: Program, cfg: RunConfig) -> RunOutput:
     # NaN compares false to everything: a NaN budget would never expire
     if cfg.time_budget is not None and not cfg.time_budget >= 0:
         raise ValueError(f"--time-budget must be at least 0, got {cfg.time_budget}")
-    # time.sleep overflows past threading.TIMEOUT_MAX seconds
-    if not 0 <= cfg.solver_delay <= threading.TIMEOUT_MAX:
-        raise ValueError(
-            f"--solver-delay-ms must lie in [0, {threading.TIMEOUT_MAX * 1000:.0f}],"
-            f" got {cfg.solver_delay * 1000}"
-        )
     if cfg.mode not in ("single", "threads", "tcp"):
         raise ValueError(f"unknown mode {cfg.mode}")
-    if cfg.mode != "single":
-        # with no worker to take the pool, the coordinator would wait out
-        # its recv timeout
-        if cfg.workers < 1:
-            raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
-        # at 0 a lone region root could be handed off whole, and back again
-        if cfg.offload_threshold < 1:
-            raise ValueError(f"--offload-threshold must be at least 1, got {cfg.offload_threshold}")
+    # with no worker to take the pool, the coordinator would wait out its recv timeout
+    if cfg.mode != "single" and cfg.workers < 1:
+        raise ValueError(f"--workers must be at least 1 in {cfg.mode} mode, got {cfg.workers}")
     try:
         if cfg.mode == "single":
             return run_single(program, cfg)
@@ -584,9 +572,13 @@ class ReportData(Record):
         self.paths: Counter = Counter()
 
 
-def _data_from_rows(rows: list[list[str]]) -> ReportData:
+def _data_from_rows(rows: Iterable[list[str]]) -> ReportData:
+    """ValueError on a row of the wrong width, kind or integer field."""
     data = ReportData()
-    for kind, wid, fieldname, value in rows:
+    for row in rows:
+        if len(row) != len(REPORT_HEADER):
+            raise ValueError(f"a row has {len(row)} fields, not {len(REPORT_HEADER)}")
+        kind, wid, fieldname, value = row
         if kind == "meta":
             data.meta[fieldname] = value
         elif kind == "worker":
@@ -605,13 +597,19 @@ def report_data(out: RunOutput) -> ReportData:
 
 
 def load_report(path: str | Path) -> ReportData:
+    """ValueError, naming the file and the line, when it is no report."""
     import csv
 
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != REPORT_HEADER:
-        raise ValueError(f"{path}: not a report CSV")
-    return _data_from_rows(rows[1:])
+        rows = csv.reader(f)
+        try:
+            if next(rows, None) == REPORT_HEADER:
+                return _data_from_rows(rows)
+        except UnicodeDecodeError as e:  # in a chunk past the rows read so far
+            raise ValueError(f"{path}: {e}") from None
+        except (csv.Error, ValueError) as e:  # a malformed row, or past csv's field limit
+            raise ValueError(f"{path}, line {rows.line_num}: {e}") from None
+    raise ValueError(f"{path}: not a report CSV")
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +873,10 @@ def _build_parser():
     depth = run.add_mutually_exclusive_group(required=True)
     depth.add_argument("--max-depth", type=int)
     depth.add_argument("--calibrate-timeout", type=float)
-    run.add_argument("--offload-threshold", type=int,
-                     default=DEFAULT_OFFLOAD_THRESHOLD)
     run.add_argument("--report", default=None)
     run.add_argument("--verify", default=None)
     run.add_argument("--time-budget", type=float, default=None)
     run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--solver-delay-ms", type=float, default=0.0)
     run.add_argument("--record-schedule", default=None)
     run.add_argument("--replay-schedule", default=None)
 
@@ -936,9 +931,7 @@ def _cmd_run(args) -> int:
         workers=workers,
         strategy=strategy,
         final_depth=final_depth,
-        offload_threshold=args.offload_threshold,
         cache_enabled=not args.no_cache,
-        solver_delay=args.solver_delay_ms / 1000.0,
         time_budget=args.time_budget,
         record_schedule=args.record_schedule,
         replay_schedule=args.replay_schedule,

@@ -4,11 +4,11 @@ A worker keeps its engine (query cache, serial counter) and its suspended
 states across tasks. On a new task it first tries to resume a suspended
 state the test satisfies; otherwise it replays from the program root.
 Between select steps it polls for ProvideWork and either hands off its
-shallowest active state below the guided phase or answers NoWork.
+shallowest active state below the guided phase, while it holds more than
+OFFLOAD_THRESHOLD active states, or answers NoWork.
 
-The worker reads the run's RunConfig (offload_threshold, cache_enabled,
-solver_delay), the same object the coordinator reads; each recv waits at
-most proto.RECV_TIMEOUT.
+Its engine reads the run's RunConfig, the same object the coordinator
+reads; each recv waits at most proto.RECV_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from .lang import Program
 if TYPE_CHECKING:
     from .harness import RunConfig
 
+# offload only while holding more active states than this, read at each
+# poll; at 0 a lone region root could be handed off whole, and back again
+OFFLOAD_THRESHOLD = 4
+
 
 def choose_offload(active: deque[ExecState], test_depth: int = 0) -> ExecState | None:
     """Shallowest active state at or below the region's test depth,
@@ -34,7 +38,7 @@ def choose_offload(active: deque[ExecState], test_depth: int = 0) -> ExecState |
     return min(below, key=lambda s: (s.depth, s.serial)) if below else None
 
 
-def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
+def _make_poll(transport, eng: Engine, test_depth: int):
     def poll(active: deque[ExecState]) -> None:
         msg = transport.poll()
         if msg is None:
@@ -44,7 +48,7 @@ def _make_poll(transport, eng: Engine, threshold: int, test_depth: int):
                 f"unexpected {type(msg).__name__} during a region"
             )
         victim = None
-        if len(active) > threshold:
+        if len(active) > OFFLOAD_THRESHOLD:
             victim = choose_offload(active, test_depth)
         if victim is not None:
             active.remove(victim)
@@ -75,7 +79,7 @@ def run_worker(transport, program: Program, cfg: RunConfig) -> None:
             suspended.remove(root)
         else:
             root = eng.initial_state()
-        poll = _make_poll(transport, eng, cfg.offload_threshold, msg.test_depth)
+        poll = _make_poll(transport, eng, msg.test_depth)
         result = eng.start_execution(
             root, msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
         )

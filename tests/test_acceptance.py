@@ -13,7 +13,7 @@ from oracles import brute_force_model, decision_sequence, enumerate_paths
 from test_proto import GOLDEN_PAIRS, GOLDEN_TERMINATE, random_message
 from test_solve import random_system
 
-from tdpart import lang
+from tdpart import engine, lang, worker
 from tdpart.engine import Engine, Strategy
 from tdpart.harness import (
     RunConfig,
@@ -195,16 +195,17 @@ def test_criterion_05_solver_agrees_with_exhaustive_enumeration(capsys):
         notes.append(f"({sats} sat / {1000 - sats} unsat in {elapsed:.1f}s)")
 
 
-def run_forced_steal(program, final_depth: int, step: int, threshold: int):
+def run_forced_steal(monkeypatch, program, final_depth: int, step: int, threshold: int):
     """One worker, one full region, one steal request scheduled mid-region.
     Returns (victim paths, Offload or None if the worker declined)."""
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", threshold)
     hub = QueueHub(1)
     box: dict = {}
 
     def body():
         try:
             transport = ScheduleTransport(hub.transport_for(0), {(0, step)}, replay=True)
-            run_worker(transport, program, RunConfig(offload_threshold=threshold))
+            run_worker(transport, program, RunConfig())
         except BaseException as e:  # surfaced by the caller
             box["error"] = e
 
@@ -233,7 +234,7 @@ def run_forced_steal(program, final_depth: int, step: int, threshold: int):
     return fin.stats.paths, offload
 
 
-def test_criterion_06_offloads_partition_the_region(capsys, corpus_programs):
+def test_criterion_06_offloads_partition_the_region(monkeypatch, capsys, corpus_programs):
     with verdict(capsys, 6, "50 forced steals: victim plus oracle-expanded "
                             "offload exactly partition the region") as notes:
         rng = random.Random(606)
@@ -246,7 +247,7 @@ def test_criterion_06_offloads_partition_the_region(capsys, corpus_programs):
             assert attempts <= 250, f"only {steals} steals after {attempts} tries"
             program, fd = rng.choice(pool)
             victim_paths, off = run_forced_steal(
-                program, fd, step=rng.randrange(6), threshold=rng.randint(1, 2)
+                monkeypatch, program, fd, step=rng.randrange(6), threshold=rng.randint(1, 2)
             )
             if program.name not in oracle_cache:
                 completed, frontier = enumerate_paths(program, fd)
@@ -312,7 +313,7 @@ def test_criterion_09_replayed_runs_produce_identical_reports(capsys, tmp_path):
             sched = tmp_path / f"{name}.json"
             base = dict(
                 mode="threads", workers=3, strategy=Strategy("random", 5),
-                final_depth=fd, offload_threshold=4,
+                final_depth=fd,
             )
             recorded = run_program(prog, RunConfig(**base, record_schedule=str(sched)))
 
@@ -328,7 +329,7 @@ def test_criterion_09_replayed_runs_produce_identical_reports(capsys, tmp_path):
                 assert stable(replayed) == want, name
 
 
-def test_criterion_10_smoke_scaling_with_solver_delay(capsys):
+def test_criterion_10_smoke_scaling_with_solver_delay(monkeypatch, capsys):
     with verdict(capsys, 10, "wide-tree smoke scaling under per-query solver "
                              "delay (reported, non-gating)") as notes:
         prog = lang.parse_program(
@@ -338,10 +339,10 @@ def test_criterion_10_smoke_scaling_with_solver_delay(capsys):
         single = run_program(prog, RunConfig(final_depth=CORPUS_DEPTH))
         want = path_digest(single.paths)
         timed = {}
+        monkeypatch.setattr(engine, "SOLVER_DELAY", 0.001)
         for workers in (1, 4):
             out = run_program(prog, RunConfig(
                 mode="threads", workers=workers, final_depth=CORPUS_DEPTH,
-                solver_delay=0.001,
             ))
             assert path_digest(out.paths) == want
             assert not out.truncated

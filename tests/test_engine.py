@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import decision_sequence, enumerate_paths
-from tdpart import engine, solve
+from tdpart import engine, solve, worker
 from tdpart.coord import seed_pool
 from tdpart.engine import (
     Engine,
@@ -452,6 +452,7 @@ def test_select_takes_the_state_a_scan_over_depth_and_serial_takes(
         return got
 
     monkeypatch.setattr(Engine, "_select", checked)
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
     paths = [Path("programs/find_middle.tdp")] + gen_corpus(11, 30, tmp_path)
     paths += sorted(Path("perfbench/programs").glob("*.tdp"))
     offloads = 0
@@ -477,7 +478,7 @@ def test_select_takes_the_state_a_scan_over_depth_and_serial_takes(
             eng.start_execution(eng.initial_state(), tests[-1], 2, depth, Strategy(search),
                                 poll=poll)
             threads = RunConfig(mode="threads", workers=2, strategy=Strategy(search),
-                                final_depth=depth, offload_threshold=1)
+                                final_depth=depth)
             assert sorted(run_program(prog, threads).paths) == sorted(single.paths)
     assert wrong == [] and len(picks) > 5000 and offloads > 20
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from oracles import enumerate_paths
-from tdpart import coord, engine, harness, lang, proto, solve
+from tdpart import coord, engine, harness, lang, proto, solve, worker
 from tdpart.coord import WorkerTally
 from tdpart.engine import Engine, EngineStats, Strategy
 from tdpart.harness import (
@@ -44,6 +44,7 @@ FM_PATH = Path("programs/find_middle.tdp")
 FIND_MIDDLE = lang.parse_program(FM_PATH.read_text())
 FM_PATHS = ["000", "001", "01", "100", "101", "11"]
 LOOPS = lang.parse_program(Path("perfbench/programs/loops.tdp").read_text())
+PROG_05 = lang.parse_program(Path("programs/corpus/prog_05.tdp").read_text())
 
 
 def fm_run(**kw) -> RunOutput:
@@ -101,15 +102,6 @@ def test_distributed_run_without_workers_fails_at_once(mode):
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
-def test_distributed_run_rejects_offload_threshold_zero_at_once(mode):
-    # at 0 a worker would hand off its lone region root, re-offered forever
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="offload-threshold"):
-        fm_run(mode=mode, workers=2, offload_threshold=0)
-    assert time.perf_counter() - t0 < 1.0
-
-
-@pytest.mark.parametrize("mode", ["threads", "tcp"])
 def test_a_raising_worker_fails_the_run_at_once(monkeypatch, mode):
     # the worker closes its transport, so the coordinator does not wait out
     # its 120 s recv timeout, and the run reports the worker's own error
@@ -129,13 +121,14 @@ def test_a_raising_worker_fails_the_run_at_once(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["threads", "tcp"])
-def test_a_deadline_mid_run_stops_workers_cleanly(mode):
+def test_a_deadline_mid_run_stops_workers_cleanly(monkeypatch, mode):
     # past the deadline a worker that finishes is terminated while the other
     # is still busy; its closing transport is no failure
     single = set(run_program(LOOPS, RunConfig(final_depth=15)).paths)
+    monkeypatch.setattr(engine, "SOLVER_DELAY", 0.0005)
     for _ in range(2):
         out = run_program(LOOPS, RunConfig(mode=mode, workers=2, final_depth=15,
-                                           time_budget=0.02, solver_delay=0.0005))
+                                           time_budget=0.02))
         assert len(set(out.paths)) == len(out.paths) and set(out.paths) <= single
 
 
@@ -250,16 +243,58 @@ def test_each_tally_counts_the_regions_its_worker_thread_ran(monkeypatch, mode):
         return real(self, *args, **kw)
 
     monkeypatch.setattr(Engine, "start_execution", start_execution)
+    # steals under a solver delay spread the regions unevenly
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
+    monkeypatch.setattr(engine, "SOLVER_DELAY", 0.0005)
     for _ in range(3):
         ran.clear()
-        # steals under a solver delay spread the regions unevenly
-        out = run_program(LOOPS, RunConfig(mode=mode, workers=4, final_depth=15,
-                                           offload_threshold=1, solver_delay=0.0005))
+        out = run_program(LOOPS, RunConfig(mode=mode, workers=4, final_depth=15))
         # seeding runs one bfs region on the coordinator's thread
         assert ran.pop(threading.current_thread().name) == 1
         names = [f"tdpart-worker-{k}" for k in range(4)]
         assert set(ran) <= set(names)
         assert [t.regions for t in out.tallies] == [ran[n] for n in names]
+
+
+# -- the module constants a run reads at call time
+
+
+@pytest.mark.parametrize("mode, workers", [("single", 1), ("threads", 2), ("tcp", 2)])
+def test_each_uncached_query_waits_the_solver_delay(monkeypatch, mode, workers):
+    # every miss waits engine.SOLVER_DELAY and no hit does; seeding's engine,
+    # on the caller's thread, waits too, but its queries are in no tally
+    want = path_digest(run_program(PROG_05, RunConfig(final_depth=26)).paths)
+    delay, slept, real_sleep = 1e-6, [], time.sleep
+
+    def sleep(secs):
+        if secs == delay:
+            slept.append(threading.current_thread().name)
+        real_sleep(secs)
+
+    monkeypatch.setattr(engine, "SOLVER_DELAY", delay)
+    monkeypatch.setattr(time, "sleep", sleep)
+    out = run_program(PROG_05, RunConfig(mode=mode, workers=workers, final_depth=26))
+    assert path_digest(out.paths) == want
+    assert sum(t.cache_hits for t in out.tallies) > 0
+    in_regions = slept
+    if mode != "single":
+        in_regions = [name for name in slept if name.startswith("tdpart-worker-")]
+        assert threading.current_thread().name in slept
+    assert len(in_regions) == sum(t.solver_queries - t.cache_hits for t in out.tallies)
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+@pytest.mark.parametrize("threshold, moves", [(1, True), (10**6, False)])
+def test_the_offload_threshold_decides_whether_work_moves(monkeypatch, mode, threshold, moves):
+    # under a solver delay the worker that runs dry asks the busy one for
+    # work many times: at 1 some ask is granted, and no active set of
+    # prog_05 outgrows 10**6
+    want = path_digest(run_program(PROG_05, RunConfig(final_depth=26)).paths)
+    monkeypatch.setattr(engine, "SOLVER_DELAY", 0.0002)
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", threshold)
+    out = run_program(PROG_05, RunConfig(mode=mode, workers=2, final_depth=26))
+    assert path_digest(out.paths) == want
+    assert (sum(t.transfers_in for t in out.tallies) > 0) == moves
 
 
 @pytest.mark.parametrize(
@@ -445,6 +480,32 @@ def test_a_worker_error_after_the_coordinator_finished_fails_the_run(monkeypatch
     with pytest.raises(RuntimeError, match="^worker 1 failed after Terminate$"):
         fm_run(mode=mode, workers=2)
     assert not live_worker_threads() - before  # the failed run joined its threads
+
+
+@pytest.mark.parametrize("mode", ["threads", "tcp"])
+def test_a_worker_thread_that_cannot_start_exits_2(monkeypatch, capsys, mode):
+    # thread 0 takes worker 0's job, and thread 1 fails to start as when the
+    # system has no thread to give: an error line, not a traceback (exit 1)
+    stop_parked_threads()  # so the run starts every thread it takes
+    real, started = threading.Thread.start, []
+
+    def start(self):
+        if self.name.startswith("tdpart-worker-"):
+            started.append(self.name)
+            if len(started) == 2:
+                raise RuntimeError("can't start new thread")
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = set(threading.enumerate())
+    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3",
+                 "--mode", mode, "--workers", "2")
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out == "error: cannot start worker thread tdpart-worker-1: can't start new thread\n"
+    assert started == ["tdpart-worker-0", "tdpart-worker-1"]
+    assert not set(threading.enumerate()) - before  # worker 0's thread was joined
+    assert not harness._parked
 
 
 LONG_PREFIX = lang.parse_program("""
@@ -1000,10 +1061,12 @@ def test_record_then_replay_reproduces_the_report(tmp_path):
 REPLAY_DIR = Path(__file__).parent / "replay"
 
 
-def test_a_schedule_recorded_earlier_replays_byte_identically(tmp_path, capsys):
+def test_a_schedule_recorded_earlier_replays_byte_identically(monkeypatch, tmp_path, capsys):
     # recorded with an earlier build of this code: a threads x2 run of prog_05
     # whose workers found a steal request at four polls, one of them in a
-    # later region, with the report minus its wall_ms rows
+    # later region, with the report minus its wall_ms rows; the run offloaded
+    # above one active state
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
     sched = REPLAY_DIR / "prog_05_threads2.schedule.json"
     assert any(r > 0 for hits in Schedule.from_json(sched.read_text()).polls.values()
                for r, _ in hits)
@@ -1012,7 +1075,7 @@ def test_a_schedule_recorded_earlier_replays_byte_identically(tmp_path, capsys):
         report = tmp_path / f"r{i}.csv"
         rc = run_cli(
             "run", "--program", "programs/corpus/prog_05.tdp", "--max-depth", "26",
-            "--mode", "threads", "--workers", "2", "--offload-threshold", "1",
+            "--mode", "threads", "--workers", "2",
             "--replay-schedule", str(sched), "--report", str(report),
         )
         assert rc == 0, capsys.readouterr().out
@@ -1130,8 +1193,6 @@ def test_cli_run_takes_one_depth_source(capsys):
     [
         (("--max-depth", "3", "--time-budget", "-1"), "--time-budget"),
         (("--max-depth", "3", "--time-budget", "nan"), "--time-budget"),
-        (("--max-depth", "3", "--solver-delay-ms", "-1"), "--solver-delay-ms"),
-        (("--max-depth", "3", "--solver-delay-ms", "nan"), "--solver-delay-ms"),
         (("--calibrate-timeout", "-1"), "--calibrate-timeout"),
         (("--calibrate-timeout", "nan"), "--calibrate-timeout"),
     ],
@@ -1142,6 +1203,30 @@ def test_cli_rejects_a_negative_or_nan_time(capsys, argv, flag):
     assert rc == 2
     out = capsys.readouterr().out
     assert out.startswith("error:") and flag in out
+
+
+# exit 1 means the path multisets differ: a report --verify cannot read is 2
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        (b"worker,0,paths", ", line 6: a row has 3 fields, not 4"),
+        (b"path,,000,1,1", ", line 6: a row has 5 fields, not 4"),
+        (b"worker,w,paths,6", ", line 6: invalid literal for int() with base 10: 'w'"),
+        (b"path,,000,one", ", line 6: invalid literal for int() with base 10: 'one'"),
+        (b"path,," + b"0" * 131_073 + b",1", ", line 6: field larger than field limit (131072)"),
+        (b"path,,caf\xe9,1", ": 'utf-8' codec can't decode byte 0xe9 in position "),
+    ],
+    ids=["3-fields", "5-fields", "worker-id", "path-count", "field-limit", "not-utf8"],
+)
+def test_cli_verify_exits_2_on_a_malformed_report(tmp_path, capsys, row, error):
+    oracle = tmp_path / "oracle.csv"
+    run = ("run", "--program", str(FM_PATH), "--max-depth", "3")
+    assert run_cli(*run, "--report", str(oracle)) == 0
+    lines = oracle.read_bytes().splitlines()
+    oracle.write_bytes(b"\n".join(lines[:5] + [row] + lines[5:]) + b"\n")
+    capsys.readouterr()
+    assert run_cli(*run, "--verify", str(oracle)) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"error: {oracle}{error}")
 
 
 @pytest.mark.parametrize("mode, pool", [("single", 1), ("threads", 2), ("tcp", 2)])
@@ -1259,24 +1344,6 @@ def test_run_program_rejects_a_seed_the_wire_cannot_carry(monkeypatch, mode, str
     no_run_starts(monkeypatch)
     with pytest.raises(ValueError, match="seed"):
         fm_run(mode=mode, workers=2, strategy=strategy)
-
-
-# time.sleep overflows past threading.TIMEOUT_MAX seconds; no run starts,
-# so no query sleeps that long
-@pytest.mark.parametrize("mode", ["single", "threads", "tcp"])
-@pytest.mark.parametrize("delay_ms", ["inf", "1e300"])
-def test_cli_rejects_a_solver_delay_time_sleep_cannot_take(monkeypatch, capsys, mode, delay_ms):
-    no_run_starts(monkeypatch)
-    rc = run_cli("run", "--program", str(FM_PATH), "--max-depth", "3", "--mode", mode,
-                 "--workers", "2", "--solver-delay-ms", delay_ms)
-    assert rc == 2
-    assert capsys.readouterr().out.startswith("error: --solver-delay-ms must lie in")
-
-
-def test_the_solver_delay_bound_is_a_valid_delay(monkeypatch):
-    no_run_starts(monkeypatch)
-    with pytest.raises(AssertionError, match="a run started"):
-        fm_run(solver_delay=threading.TIMEOUT_MAX)
 
 
 # a Task carries at most 65,535 inputs, each named in at most 65,535 UTF-8 bytes

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tdpart import proto
+from tdpart import proto, worker
 from tdpart.coord import run_coordinator, seed_pool
 from tdpart.engine import Engine, ExecState, Strategy
 from tdpart.harness import RunConfig, ScheduleTransport, run_program
@@ -135,20 +135,18 @@ def lookups(monkeypatch):
     return seen
 
 
-def test_a_dispatched_test_matches_at_most_one_suspended_state(lookups):
+def test_a_dispatched_test_matches_at_most_one_suspended_state(monkeypatch, lookups):
     # A worker's suspended list stays prefix-free: a state is only suspended
     # while replaying past its sibling, and any listed ancestor would have
     # been resumed (and removed) by that same replay first. A test therefore
     # matches at most one listed state, so the deepest match is the only one.
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
     strategies = (Strategy("dfs"), Strategy("bfs"), Strategy("random", 5))
     for path in sorted(Path("programs/corpus").glob("*.tdp")):
         program = parse_program(path.read_text())
         for workers in (2, 4):
             for strategy in strategies:
-                cfg = RunConfig(
-                    mode="threads", workers=workers, strategy=strategy,
-                    final_depth=26, offload_threshold=1,
-                )
+                cfg = RunConfig(mode="threads", workers=workers, strategy=strategy, final_depth=26)
                 assert not run_program(program, cfg).truncated
     assert max(n for n, _ in lookups) <= 1
 
@@ -175,8 +173,9 @@ def test_serving_a_pool_in_order_resumes_suspended_states(lookups):
     assert max(n for n, _ in lookups) <= 1
 
 
-def test_worker_offloads_above_threshold_at_forced_poll():
-    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(0, 2)})
+def test_worker_offloads_above_threshold_at_forced_poll(monkeypatch):
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 2)
+    h = WorkerHarness(FIND_MIDDLE, polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())  # consumed by the scheduled poll at step 3
     off = h.recv()
@@ -187,11 +186,12 @@ def test_worker_offloads_above_threshold_at_forced_poll():
     assert h.finish()["Offload"] == 1
 
 
-def test_a_forced_poll_lands_in_the_region_its_index_names():
+def test_a_forced_poll_lands_in_the_region_its_index_names(monkeypatch):
     # the transport numbers regions by the Tasks it receives: a poll forced
     # at (1, 2) happens in the second Task's region, so the first region runs
     # without polling (a recv there would take Task 2 as a steal request)
-    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(1, 2)})
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 2)
+    h = WorkerHarness(FIND_MIDDLE, polls={(1, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
@@ -201,8 +201,9 @@ def test_a_forced_poll_lands_in_the_region_its_index_names():
     assert h.finish()["Offload"] == 1
 
 
-def test_worker_answers_no_work_at_or_below_threshold():
-    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=4), polls={(0, 0)})
+def test_worker_answers_no_work_at_or_below_threshold(monkeypatch):
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 4)
+    h = WorkerHarness(FIND_MIDDLE, polls={(0, 0)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     assert h.recv() == NoWork()
@@ -211,8 +212,9 @@ def test_worker_answers_no_work_at_or_below_threshold():
     assert h.finish()["Offload"] == 0
 
 
-def test_offloaded_subtree_is_exactly_the_missing_part():
-    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=2), polls={(0, 2)})
+def test_offloaded_subtree_is_exactly_the_missing_part(monkeypatch):
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 2)
+    h = WorkerHarness(FIND_MIDDLE, polls={(0, 2)})
     h.send(Task(Strategy("dfs"), {}, 0, 3))
     h.send(ProvideWork())
     off = h.recv()
@@ -228,11 +230,12 @@ def test_offloaded_subtree_is_exactly_the_missing_part():
     assert victim_paths | thief_paths == {"000", "001", "01", "100", "101", "11"}
 
 
-def test_forced_polls_in_the_guided_phase_never_widen_the_region():
+def test_forced_polls_in_the_guided_phase_never_widen_the_region(monkeypatch):
     # even at threshold 0, the guided-phase states at steps 0 and 1 (depths
     # 0 and 1 < test depth 2) stay put: an Offload of one would name the
     # whole tree, or the "0" subtree, instead of the task's "01" region
-    h = WorkerHarness(FIND_MIDDLE, RunConfig(offload_threshold=0), polls={(0, 0), (0, 1)})
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 0)
+    h = WorkerHarness(FIND_MIDDLE, polls={(0, 0), (0, 1)})
     h.send(Task(Strategy("dfs"), T01, 2, 3))
     h.send(ProvideWork())
     h.send(ProvideWork())
@@ -275,10 +278,11 @@ class SelfServedPolls:
 
 def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozenset):
     """A threads-style run whose workers poll exactly at `polls`
-    ((region, step) pairs, as in a replayed schedule), offloading at
-    threshold 1. Returns (completed paths, frontier count, offloads)."""
+    ((region, step) pairs, as in a replayed schedule), offloading above
+    worker.OFFLOAD_THRESHOLD. Returns (completed paths, frontier count,
+    offloads)."""
     hub = QueueHub(workers)
-    cfg = RunConfig(mode="threads", workers=workers, final_depth=final_depth, offload_threshold=1)
+    cfg = RunConfig(mode="threads", workers=workers, final_depth=final_depth)
     errors = []
 
     def body(wid: int) -> None:
@@ -304,11 +308,12 @@ def run_with_forced_polls(program, workers: int, final_depth: int, polls: frozen
     return paths, frontier, sum(t.transfers_out for t in tallies)
 
 
-def test_forced_polls_keep_the_path_multiset():
+def test_forced_polls_keep_the_path_multiset(monkeypatch):
     # polls at step 0 and through the guided phase of every region (and a
     # few steps past it, where offloads happen) over threads x2/x4: each
     # Offload must name a sub-pair of its task, so the completed paths and
     # the frontier equal single mode's
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
     polls = frozenset((r, s) for r in range(2000) for s in range(6))
     programs = sorted(Path("programs/corpus").glob("*.tdp")) + sorted(
         Path("perfbench/programs").glob("*.tdp")
