@@ -1,13 +1,6 @@
 """Distributed symbolic execution with test-depth region partitioning."""
 
-from .engine import (
-    Engine,
-    EngineStats,
-    RegionResult,
-    ReplayDivergenceError,
-    Strategy,
-    TestDepthPair,
-)
+from .engine import Engine, EngineStats, RegionResult, Strategy, TestDepthPair
 from .harness import (
     RunConfig,
     RunOutput,
@@ -31,7 +24,6 @@ __all__ = [
     "Program",
     "QueryCache",
     "RegionResult",
-    "ReplayDivergenceError",
     "RunConfig",
     "RunOutput",
     "Strategy",

@@ -71,7 +71,7 @@ def seed_pool(program: Program, num_workers: int, final_depth: int) -> list[Test
                 layer.extend(active)
                 active.clear()
 
-    res = eng.start_execution(eng.initial_state(), {}, 0, final_depth, Strategy("bfs"), poll=poll)
+    res = eng.start_execution({}, 0, final_depth, Strategy("bfs"), poll=poll)
     if res.stats.truncated:
         return [TestDepthPair({}, 0)]
     pool = [(len(c.path), c.path, c.test) for c in res.completed]

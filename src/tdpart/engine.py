@@ -5,7 +5,10 @@ pins the first test_depth symbolic decisions (not-taken siblings are
 suspended without solving), and everything below is explored symbolically
 until each state terminates or reaches final_depth. Only branches whose
 condition stays non-constant after substitution through the symbolic store
-count toward depth; a fully concrete branch just follows its edge.
+count toward depth; a fully concrete branch just follows its edge. The
+pair is all a region is given: the engine keeps the siblings it suspended
+across its regions, and a region of test depth above 0 starts at the
+deepest one its test satisfies, else at the initial state.
 Engine.start_execution is the only exploration loop: seeding and depth
 calibration run the root pair's region breadth-first under a poll.
 
@@ -91,10 +94,6 @@ Store = dict[str, int | Expr]
 LoopMemo = dict[tuple[int, ...], tuple[int, ...]]
 
 
-class ReplayDivergenceError(Exception):
-    """The dispatched test does not satisfy the region root's path condition."""
-
-
 class ExecState:
     """One execution state. It is mutable and has a unique serial, so it
     compares by identity."""
@@ -168,14 +167,12 @@ class CompletedPath:
 
 
 class RegionResult:
-    __slots__ = ("completed", "frontier", "suspended_new", "stats")
+    __slots__ = ("completed", "frontier", "stats")
 
     def __init__(
-        self, completed: list[CompletedPath], frontier: list[ExecState],
-        suspended_new: list[ExecState], stats: EngineStats,
+        self, completed: list[CompletedPath], frontier: list[ExecState], stats: EngineStats
     ):
-        self.completed, self.frontier = completed, frontier
-        self.suspended_new, self.stats = suspended_new, stats
+        self.completed, self.frontier, self.stats = completed, frontier, stats
 
 
 _analysis_lock = threading.Lock()  # so threads analyse a program's loops once
@@ -508,11 +505,12 @@ def _loop_source(members: Mapping[int, BasicBlock], concrete: Set[str]) -> str |
 
 
 class Engine:
-    """Per-worker execution engine; the query cache, the loop memo and
-    creation-order serial numbers live for the engine's lifetime, spanning
-    all its regions, and `stats` is the running region's EngineStats. Its
-    cache is on when cfg (none in seeding and calibration) does not turn it
-    off; every engine, seeding's too, waits SOLVER_DELAY per uncached query."""
+    """Per-worker execution engine; the query cache, the loop memo, the
+    suspended states and creation-order serial numbers live for the
+    engine's lifetime, spanning all its regions, and `stats` is the running
+    region's EngineStats. Its cache is on when cfg (none in seeding and
+    calibration) does not turn it off; every engine, seeding's too, waits
+    SOLVER_DELAY per uncached query."""
 
     def __init__(self, program: Program, cfg: RunConfig | None = None):
         self.program = program
@@ -523,6 +521,8 @@ class Engine:
         self._serial = itertools.count()
         self.stats = EngineStats()
         self.loop_memo: LoopMemo = {}
+        # guided-phase siblings, each a region root a later test may resume
+        self.suspended: list[ExecState] = []
 
     # -- states
 
@@ -722,7 +722,6 @@ class Engine:
 
     def start_execution(
         self,
-        root: ExecState,
         test: Test,
         test_depth: int,
         final_depth: int,
@@ -731,8 +730,10 @@ class Engine:
         poll=None,
         deadline: float | None = None,
     ) -> RegionResult:
-        """Explore the region (test, test_depth) from `root` (either the
-        initial state or a resumed suspended state on the test's path).
+        """Explore the region (test, test_depth). A guided region (test_depth
+        > 0) starts at find_resumable(test), which it takes off `suspended`,
+        and otherwise at the initial state; each sibling its guided phase
+        makes joins `suspended`.
 
         `poll`, when given, is called as poll(active), `active` being the
         deque of active states, before each select step: a work-stealing
@@ -742,17 +743,16 @@ class Engine:
         budget cuts short is truncated."""
         t0 = time.perf_counter()
         stats = self.stats = EngineStats()
-
-        if not root.pc.satisfied_by(test):
-            raise ReplayDivergenceError(
-                f"test {test} does not satisfy region root pc {root.pc.texts()}"
-            )
+        root = self.find_resumable(test) if test_depth > 0 else None
+        if root is None:
+            root = self.initial_state()
+        else:
+            self.suspended.remove(root)
         rng = random.Random(strategy.seed) if strategy.kind == "random" else None
 
         active = deque([root])
         completed: list[CompletedPath] = []
         frontier: list[ExecState] = []
-        suspended_new: list[ExecState] = []
         while active:
             if poll is not None:
                 poll(active)
@@ -780,19 +780,22 @@ class Engine:
                 actives, susp = self.step_branch(state, cond, test, test_depth)
                 active.extend(actives)
                 if susp is not None:
-                    suspended_new.append(susp)
+                    self.suspended.append(susp)
                     stats.states_suspended += 1
 
         stats.wall_us = int((time.perf_counter() - t0) * 1e6)
-        return RegionResult(completed, frontier, suspended_new, stats)
+        return RegionResult(completed, frontier, stats)
 
     # -- resume matching
 
-    def find_resumable(self, suspended: list[ExecState], test: Test) -> ExecState | None:
-        """Suspended state to reuse for a new pair instead of replaying from
-        the root. States satisfying the test form a chain along its replay
-        path, so the deepest one minimizes re-replay."""
-        candidates = [s for s in suspended if s.pc.satisfied_by(test)]
+    def find_resumable(self, test: Test) -> ExecState | None:
+        """The suspended state to start a guided region of `test` from
+        instead of replaying from the root, or None. The states the test
+        satisfies form a chain along its replay path, so the deepest one
+        minimizes re-replay. A run's pairs partition the tree, so a
+        suspended state a later test satisfies lies on that test's guided
+        path; nothing checks it."""
+        candidates = [s for s in self.suspended if s.pc.satisfied_by(test)]
         if not candidates:
             return None
         return max(candidates, key=lambda s: (s.depth, -s.serial))

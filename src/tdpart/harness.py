@@ -276,7 +276,7 @@ def run_single(program: Program, cfg: RunConfig) -> RunOutput:
     if deadline is not None and time.monotonic() >= deadline:
         return RunOutput(program, cfg, "single", [tally], 1, 1, t0)
     eng = Engine(program, cfg)
-    res = eng.start_execution(eng.initial_state(), {}, 0, cfg.final_depth, cfg.strategy)
+    res = eng.start_execution({}, 0, cfg.final_depth, cfg.strategy)
     tally.add(res.stats)
     return RunOutput(program, cfg, "single", [tally], 1, 0, t0)
 
@@ -426,6 +426,10 @@ def _run_distributed(program: Program, cfg: RunConfig) -> RunOutput:
 
 
 def run_program(program: Program, cfg: RunConfig) -> RunOutput:
+    """Explore `program` as cfg says. The program must be one lang.validate
+    accepts, as the CLI checks before it runs one: a run of a program that
+    reads a name it never binds fails with a bare KeyError. ValueError when
+    cfg asks for a run that cannot be made, before any run starts."""
     if cfg.mode != "threads" and (cfg.record_schedule or cfg.replay_schedule):
         raise ValueError("schedule record/replay is a threads-mode feature")
     # in every mode, what a Task carries must fit its wire fields
@@ -476,7 +480,11 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
     under the deadline, with a poll noting the front's depth. When the
     deadline cuts the front layer, the one above it is the deepest
     completed. Monotone nondecreasing in the timeout; ~0 yields 0.
-    ValueError when an expression nests past the recursion limit."""
+    ValueError when the timeout is negative or NaN, or when an expression
+    nests past the recursion limit."""
+    # NaN compares false to everything: a NaN timeout would never expire
+    if not timeout_s >= 0:
+        raise ValueError(f"--calibrate-timeout must be at least 0, got {timeout_s}")
     eng = Engine(program)
     front = 0
 
@@ -486,8 +494,7 @@ def calibrate_depth(program: Program, timeout_s: float) -> int:
 
     try:
         res = eng.start_execution(
-            eng.initial_state(), {}, 0, -1, Strategy("bfs"), poll=poll,
-            deadline=time.monotonic() + timeout_s,
+            {}, 0, -1, Strategy("bfs"), poll=poll, deadline=time.monotonic() + timeout_s
         )
     except RecursionError:
         raise _too_deep() from None
@@ -909,9 +916,6 @@ def _cmd_run(args) -> int:
 
     final_depth = args.max_depth
     if args.calibrate_timeout is not None:
-        if not args.calibrate_timeout >= 0:  # a NaN timeout would never expire
-            print(f"error: --calibrate-timeout must be at least 0, got {args.calibrate_timeout}")
-            return 2
         try:
             final_depth = calibrate_depth(program, args.calibrate_timeout)
         except ValueError as e:

@@ -156,51 +156,42 @@ def reads(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-# An instruction's line is not part of its value: parse(print(p)) == p
-# although printing renumbers the lines.
-
-
 class Assign(Record):
-    __slots__ = ("name", "expr", "line")
-    _fields = ("name", "expr")
+    __slots__ = ("name", "expr")
 
-    def __init__(self, name: str, expr: Expr, line: int = 0):
-        self.name, self.expr, self.line = name, expr, line
+    def __init__(self, name: str, expr: Expr):
+        self.name, self.expr = name, expr
 
 
 class Branch(Record):
-    __slots__ = ("cond", "on_true", "on_false", "line")
-    _fields = ("cond", "on_true", "on_false")
+    __slots__ = ("cond", "on_true", "on_false")
 
-    def __init__(self, cond: Expr, on_true: int, on_false: int, line: int = 0):
-        self.cond, self.on_true, self.on_false, self.line = cond, on_true, on_false, line
+    def __init__(self, cond: Expr, on_true: int, on_false: int):
+        self.cond, self.on_true, self.on_false = cond, on_true, on_false
 
 
 class Jump(Record):
-    __slots__ = ("target", "line")
-    _fields = ("target",)
+    __slots__ = ("target",)
 
-    def __init__(self, target: int, line: int = 0):
-        self.target, self.line = target, line
+    def __init__(self, target: int):
+        self.target = target
 
 
 class Exit(Record):
-    __slots__ = ("code", "line")
-    _fields = ("code",)
+    __slots__ = ("code",)
 
-    def __init__(self, code: int, line: int = 0):
-        self.code, self.line = code, line
+    def __init__(self, code: int):
+        self.code = code
 
     def __str__(self) -> str:
         return f"exit {self.code}"
 
 
 class Error(Record):
-    __slots__ = ("label", "line")
-    _fields = ("label",)
+    __slots__ = ("label",)
 
-    def __init__(self, label: str, line: int = 0):
-        self.label, self.line = label, line
+    def __init__(self, label: str):
+        self.label = label
 
     def __str__(self) -> str:
         return f"error {self.label}"
@@ -333,9 +324,6 @@ class _Parser:
 
     # -- token helpers
 
-    def line(self, pos: int) -> int:
-        return bisect_right(self.starts, pos)
-
     def error(self, msg: str, pos: int | None = None) -> ParseError:
         """A ParseError at pos, by default at the current token."""
         if pos is None:
@@ -432,20 +420,20 @@ class _Parser:
         self.expect(")")
         return e
 
-    def assign(self, name: str, pos: int) -> Assign:
+    def assign(self, name: str) -> Assign:
         """The rest of `<name> = <expr>;`."""
         self.expect("=")
         e = self.expr()
         self.expect(";")
-        return Assign(name, e, self.line(pos))
+        return Assign(name, e)
 
-    def stop(self, kind: str, pos: int) -> Exit | Error:
+    def stop(self, kind: str) -> Exit | Error:
         """The rest of `exit(<int>);` or `error("<label>");`."""
         self.expect("(")
         if kind == "exit":
-            term = Exit(self.int_literal(), self.line(pos))
+            term = Exit(self.int_literal())
         else:
-            term = Error(self.expect("string")[1][1:-1], self.line(pos))
+            term = Error(self.expect("string")[1][1:-1])
         self.expect(")")
         self.expect(";")
         return term
@@ -465,36 +453,34 @@ class _Parser:
         block after it. After exit or error that is a fresh block nothing
         jumps to, so the statements lowered into it are dead and
         _BlockBuilder.finish drops them with every other unreachable block."""
-        kind, text, pos = self.toks[self.i]
+        kind, text, _ = self.toks[self.i]
         self.i += 1
         if kind == "ident":
-            b.bodies[cur].append(self.assign(text, pos))
+            b.bodies[cur].append(self.assign(text))
             return cur
         if kind == "exit" or kind == "error":
-            b.seal(cur, self.stop(kind, pos))
+            b.seal(cur, self.stop(kind))
             return b.new_block()
         if kind == "if":
             cond = self.cond()
-            line = self.line(pos)
             tb, fb = b.new_block(), b.new_block()
-            b.seal(cur, Branch(cond, tb, fb, line))
+            b.seal(cur, Branch(cond, tb, fb))
             t_end = self.stmt_block(b, tb)
             f_end = fb
             if self.toks[self.i][0] == "else":
                 self.i += 1
                 f_end = self.stmt_block(b, fb)
             join = b.new_block()
-            b.seal(t_end, Jump(join, line))
-            b.seal(f_end, Jump(join, line))
+            b.seal(t_end, Jump(join))
+            b.seal(f_end, Jump(join))
             return join
         if kind == "while":
             cond = self.cond()
-            line = self.line(pos)
             header = b.new_block()
-            b.seal(cur, Jump(header, line))
+            b.seal(cur, Jump(header))
             body, after = b.new_block(), b.new_block()
-            b.seal(header, Branch(cond, body, after, line))
-            b.seal(self.stmt_block(b, body), Jump(header, line))
+            b.seal(header, Branch(cond, body, after))
+            b.seal(self.stmt_block(b, body), Jump(header))
             return after
         self.i -= 1
         raise self.error(f"expected statement, got {text!r}")
@@ -521,20 +507,20 @@ class _Parser:
             self.expect(":")
             body: list[Assign] = []
             while True:
-                kind, text, pos = toks[self.i]
+                kind, text, _ = toks[self.i]
                 self.i += 1
                 if kind == "ident":
-                    body.append(self.assign(text, pos))
+                    body.append(self.assign(text))
                     continue
                 if kind == "branch":
                     cond = self.expr()
-                    term = (cond, self.expect("ident"), self.expect("ident"), self.line(pos))
+                    term = (cond, self.expect("ident"), self.expect("ident"))
                     self.expect(";")
                 elif kind == "jump":
-                    term = (None, self.expect("ident"), None, self.line(pos))
+                    term = (None, self.expect("ident"), None)
                     self.expect(";")
                 elif kind == "exit" or kind == "error":
-                    term = self.stop(kind, pos)
+                    term = self.stop(kind)
                 else:
                     self.i -= 1
                     raise self.error(f"expected instruction, got {text!r}")
@@ -549,11 +535,11 @@ class _Parser:
         blocks = []
         for body, term in raw:
             if type(term) is tuple:
-                cond, on_true, on_false, line = term
+                cond, on_true, on_false = term
                 if cond is None:
-                    term = Jump(resolve(on_true), line)
+                    term = Jump(resolve(on_true))
                 else:
-                    term = Branch(cond, resolve(on_true), resolve(on_false), line)
+                    term = Branch(cond, resolve(on_true), resolve(on_false))
             blocks.append(BasicBlock(tuple(body), term))
         return blocks
 
@@ -601,9 +587,9 @@ class _BlockBuilder:
             for old in order:
                 t = terms[old]
                 if isinstance(t, Branch):
-                    terms[old] = Branch(t.cond, remap[t.on_true], remap[t.on_false], t.line)
+                    terms[old] = Branch(t.cond, remap[t.on_true], remap[t.on_false])
                 elif isinstance(t, Jump):
-                    terms[old] = Jump(remap[t.target], t.line)
+                    terms[old] = Jump(remap[t.target])
         return [BasicBlock(tuple(self.bodies[old]), terms[old]) for old in order]
 
 

@@ -1,11 +1,11 @@
 """Worker loop: execute dispatched regions, answer work-stealing requests.
 
-A worker keeps its engine (query cache, serial counter) and its suspended
-states across tasks. On a new task it first tries to resume a suspended
-state the test satisfies; otherwise it replays from the program root.
-Between select steps it polls for ProvideWork and either hands off its
-shallowest active state below the guided phase, while it holds more than
-OFFLOAD_THRESHOLD active states, or answers NoWork.
+A worker keeps one engine across tasks and hands it each task's
+test-depth pair; the engine resumes a state an earlier region suspended
+where the test allows. Between select steps the worker polls for
+ProvideWork and either hands off its shallowest active state below the
+guided phase, while it holds more than OFFLOAD_THRESHOLD active states,
+or answers NoWork.
 
 Its engine reads the run's RunConfig, the same object the coordinator
 reads; each recv waits at most proto.RECV_TIMEOUT.
@@ -62,7 +62,6 @@ def _make_poll(transport, eng: Engine, test_depth: int):
 def run_worker(transport, program: Program, cfg: RunConfig) -> None:
     """Serve tasks until Terminate, then close the transport."""
     eng = Engine(program, cfg)
-    suspended: list[ExecState] = []
     while True:
         msg = transport.recv(proto.RECV_TIMEOUT)
         if isinstance(msg, proto.Terminate):
@@ -73,16 +72,9 @@ def run_worker(transport, program: Program, cfg: RunConfig) -> None:
             continue
         if not isinstance(msg, proto.Task):
             raise proto.ProtocolError(f"unexpected {type(msg).__name__} while idle")
-
-        root = eng.find_resumable(suspended, msg.test)
-        if root is not None:
-            suspended.remove(root)
-        else:
-            root = eng.initial_state()
         poll = _make_poll(transport, eng, msg.test_depth)
         result = eng.start_execution(
-            root, msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
+            msg.test, msg.test_depth, msg.final_depth, msg.strategy, poll=poll
         )
-        suspended.extend(result.suspended_new)
         transport.send(proto.Finish(result.stats))
     transport.close()

@@ -100,9 +100,7 @@ def test_criterion_01_ground_truth_paths_constraints_and_witnesses(capsys):
                             "every emitted test replays its path"):
         t0 = time.perf_counter()
         eng = Engine(FIND_MIDDLE)
-        res = eng.start_execution(
-            eng.initial_state(), {}, 0, 3, Strategy("dfs")
-        )
+        res = eng.start_execution({}, 0, 3, Strategy("dfs"))
         assert {c.path for c in res.completed} == FM_PATHS
         for c in res.completed:
             assert list(c.constraints) == FM_CONSTRAINTS[c.path]
@@ -127,7 +125,7 @@ def test_criterion_02_depth_two_regions_complete_their_claimed_pairs(capsys):
         assert t5 == {"x": -8, "y": -7, "z": -8}
         for test, want in ((t3, {"000", "001"}), (t5, {"100", "101"})):
             eng = Engine(FIND_MIDDLE)
-            res = eng.start_execution(eng.initial_state(), test, 2, 3, Strategy("dfs"))
+            res = eng.start_execution(test, 2, 3, Strategy("dfs"))
             assert {c.path for c in res.completed} == want
         assert time.perf_counter() - t0 < 1.0
 

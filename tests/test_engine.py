@@ -9,12 +9,7 @@ import pytest
 from oracles import decision_sequence, enumerate_paths
 from tdpart import engine, solve, worker
 from tdpart.coord import seed_pool
-from tdpart.engine import (
-    Engine,
-    ReplayDivergenceError,
-    Strategy,
-    evaluate,
-)
+from tdpart.engine import Engine, Strategy, evaluate
 from tdpart.harness import RunConfig, corpus_shape, gen_corpus, generate_program, run_program
 from tdpart.lang import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS, Binary, Const, Error, Exit, Unary, Var, parse_program,
@@ -40,14 +35,14 @@ T5 = {"x": -8, "y": -7, "z": -8}  # lex-min model of the 10 prefix
 
 def full_region(program, final_depth, strategy=Strategy("dfs"), **kw):
     eng = Engine(program, **kw)
-    res = eng.start_execution(eng.initial_state(), {}, 0, final_depth, strategy)
+    res = eng.start_execution({}, 0, final_depth, strategy)
     return eng, res
 
 
 def test_find_middle_full_exploration():
     eng, res = full_region(FIND_MIDDLE, 3)
     assert {c.path for c in res.completed} == FM_PATHS
-    assert res.frontier == [] and res.suspended_new == []
+    assert res.frontier == [] and eng.suspended == []
     for c in res.completed:
         assert list(c.constraints) == FM_CONSTRAINTS[c.path]
         assert str(c.outcome) == "exit 0"
@@ -91,7 +86,7 @@ def bfs_region(program, final_depth):
         if active[0].depth == len(layers):
             layers.append(list(active))
 
-    eng.start_execution(eng.initial_state(), {}, 0, final_depth, Strategy("bfs"), poll=poll)
+    eng.start_execution({}, 0, final_depth, Strategy("bfs"), poll=poll)
     return eng, layers
 
 
@@ -103,8 +98,8 @@ def test_solver_checked_children_keep_their_lex_min_model():
     assert [s.pc._model for s in depth2] == [
         solve_model(_fresh(s.pc), FIND_MIDDLE.inputs) for s in depth2
     ]
-    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
-    assert [s.pc._model for s in res.suspended_new] == [None, None]
+    eng.start_execution(T3, 2, 3, Strategy("dfs"))
+    assert [s.pc._model for s in eng.suspended] == [None, None]
 
 
 def test_witness_tests_replay_their_paths():
@@ -125,9 +120,9 @@ def test_censoring_at_final_depth_two():
 
 def test_guided_region_t3_completes_000_001():
     eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
+    res = eng.start_execution(T3, 2, 3, Strategy("dfs"))
     assert {c.path for c in res.completed} == {"000", "001"}
-    assert {(s.path, s.depth) for s in res.suspended_new} == {("1", 1), ("01", 2)}
+    assert {(s.path, s.depth) for s in eng.suspended} == {("1", 1), ("01", 2)}
     # the guided phase never touches the solver: one symbolic fork below the
     # pinned prefix (2 checks) plus 2 terminal witnesses
     assert res.stats.solver_queries == 2 + 2
@@ -136,9 +131,9 @@ def test_guided_region_t3_completes_000_001():
 
 def test_guided_region_t5_completes_100_101():
     eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), T5, 2, 3, Strategy("dfs"))
+    res = eng.start_execution(T5, 2, 3, Strategy("dfs"))
     assert {c.path for c in res.completed} == {"100", "101"}
-    assert {(s.path, s.depth) for s in res.suspended_new} == {("0", 1), ("11", 2)}
+    assert {(s.path, s.depth) for s in eng.suspended} == {("0", 1), ("11", 2)}
 
 
 def test_regions_partition_the_tree():
@@ -148,43 +143,33 @@ def test_regions_partition_the_tree():
     all_paths = []
     for pair in pairs:
         worker_eng = Engine(FIND_MIDDLE)
-        res = worker_eng.start_execution(
-            worker_eng.initial_state(), pair.test, pair.depth, 3, Strategy("dfs"),
-        )
+        res = worker_eng.start_execution(pair.test, pair.depth, 3, Strategy("dfs"))
         all_paths.extend(c.path for c in res.completed)
     assert sorted(all_paths) == sorted(FM_PATHS)  # no duplicates, no gaps
 
 
-def test_replay_divergence_detected():
-    eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
-    wrong_side = next(s for s in res.suspended_new if s.path == "1")
-    with pytest.raises(ReplayDivergenceError):
-        eng.start_execution(wrong_side, T3, 2, 3, Strategy("dfs"))
-
-
 def test_resume_prefers_deepest_then_list_order():
     eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
-    suspended = list(res.suspended_new)
+    eng.start_execution(T3, 2, 3, Strategy("dfs"))
     t_01 = {"x": -8, "y": -8, "z": -7}  # drives 0 then 1
-    pick = eng.find_resumable(suspended, t_01)
+    pick = eng.find_resumable(t_01)
     assert pick is not None and pick.path == "01"
     # T5 drives 1 at depth 1: only the "1" sibling matches
-    assert eng.find_resumable(suspended, T5).path == "1"
-    assert eng.find_resumable(suspended, {"x": -8, "y": -8, "z": -8}) is None
+    assert eng.find_resumable(T5).path == "1"
+    assert eng.find_resumable({"x": -8, "y": -8, "z": -8}) is None
 
 
 def test_resumed_state_finishes_the_region():
     eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), T3, 2, 3, Strategy("dfs"))
-    suspended = list(res.suspended_new)
+    eng.start_execution(T3, 2, 3, Strategy("dfs"))
     t_01 = {"x": -8, "y": -8, "z": -7}
-    pick = eng.find_resumable(suspended, t_01)
-    suspended.remove(pick)
-    res2 = eng.start_execution(pick, t_01, 2, 3, Strategy("dfs"))
+    pick = eng.find_resumable(t_01)
+    res2 = eng.start_execution(t_01, 2, 3, Strategy("dfs"))
     assert {c.path for c in res2.completed} == {"01"}
-    assert res2.suspended_new == []
+    # the region started at the resumed state, took it off the list and
+    # suspended nothing: the "1" sibling is all that is left
+    assert pick.path == "01" and res2.stats.states_created == 0
+    assert [s.path for s in eng.suspended] == ["1"]
 
 
 def test_single_worker_path_set_invariant_across_strategies():
@@ -354,7 +339,7 @@ def test_concrete_assignments_store_plain_ints():
         "if (u < 7) { exit(1); } else { exit(2); }\n"
     )
     eng = Engine(parse_program(src))
-    res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
+    res = eng.start_execution({}, 0, 0, Strategy("dfs"))
     (state,) = res.frontier
     assert type(state.env["t"]) is int and state.env["t"] == 5
     assert state.env["u"] == Binary("+", Var("x"), Const(5))
@@ -398,7 +383,7 @@ def test_poll_hook_sees_every_step():
 
     eng._select = select
     eng.start_execution(
-        eng.initial_state(), {}, 0, 3, Strategy("dfs"),
+        {}, 0, 3, Strategy("dfs"),
         poll=lambda active: seen.append(len(active)),
     )
     # one call before each select step, none after the last
@@ -418,13 +403,10 @@ def test_poll_can_steal_a_state_mid_region():
             stolen.append(victim)
 
     eng = Engine(FIND_MIDDLE)
-    res = eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"), poll=poll)
+    res = eng.start_execution({}, 0, 3, Strategy("dfs"), poll=poll)
     assert len(stolen) == 1
     thief = Engine(FIND_MIDDLE)
-    tres = thief.start_execution(
-        thief.initial_state(), thief.model_of(stolen[0].pc), stolen[0].depth, 3,
-        Strategy("dfs"),
-    )
+    tres = thief.start_execution(thief.model_of(stolen[0].pc), stolen[0].depth, 3, Strategy("dfs"))
     victim_paths = {c.path for c in res.completed}
     thief_paths = {c.path for c in tres.completed}
     assert victim_paths | thief_paths == FM_PATHS
@@ -463,7 +445,7 @@ def test_select_takes_the_state_a_scan_over_depth_and_serial_takes(
             single = run_program(prog, cfg)
             # a region below a test of a path at least two decisions deep
             eng = Engine(prog)
-            res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(search))
+            res = eng.start_execution({}, 0, depth, Strategy(search))
             tests = [c.test for c in res.completed if len(c.path) >= 2]
             tests += [eng.model_of(st.pc) for st in res.frontier if st.depth >= 2]
             polls = itertools.count(1)
@@ -475,8 +457,7 @@ def test_select_takes_the_state_a_scan_over_depth_and_serial_takes(
                     active.remove(victim)
                     offloads += 1
 
-            eng.start_execution(eng.initial_state(), tests[-1], 2, depth, Strategy(search),
-                                poll=poll)
+            eng.start_execution(tests[-1], 2, depth, Strategy(search), poll=poll)
             threads = RunConfig(mode="threads", workers=2, strategy=Strategy(search),
                                 final_depth=depth)
             assert sorted(run_program(prog, threads).paths) == sorted(single.paths)

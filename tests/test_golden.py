@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).with_name("golden_engine.json")
 
 def engine_digest(path: Path, depth: int, strategy: str) -> str:
     eng = Engine(parse_program(path.read_text()))
-    res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
+    res = eng.start_execution({}, 0, depth, Strategy(strategy))
     lines = []
     for c in res.completed:
         witness = ",".join(f"{k}={v}" for k, v in sorted(c.test.items()))

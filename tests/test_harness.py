@@ -930,6 +930,19 @@ def test_calibrate_deadline_cuts_a_long_concrete_run():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+def test_calibrate_rejects_a_negative_or_nan_timeout(monkeypatch, timeout):
+    # a NaN deadline never expires, so the region would run to its end
+    def start_execution(*args, **kw):
+        raise AssertionError("a region started")
+
+    monkeypatch.setattr(Engine, "start_execution", start_execution)
+    want = f"--calibrate-timeout must be at least 0, got {timeout}"
+    with pytest.raises(ValueError) as info:
+        calibrate_depth(FIND_MIDDLE, timeout)
+    assert str(info.value) == want
+
+
 # -- CSV report
 
 
@@ -1401,7 +1414,7 @@ def test_a_program_of_1200_inputs_runs_in_every_mode(mode):
 
 def test_the_witnesses_of_a_program_of_1200_inputs_are_lex_min():
     eng = Engine(WIDE)
-    res = eng.start_execution(eng.initial_state(), {}, 0, 2, Strategy("dfs"))
+    res = eng.start_execution({}, 0, 2, Strategy("dfs"))
     zeros = {f"x{i}": 0 for i in range(1200)}
     assert {c.path: c.test for c in res.completed} == {"1": zeros, "0": {**zeros, "x0": 1}}
 

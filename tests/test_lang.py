@@ -268,18 +268,6 @@ def test_loop_carried_assignment_is_definite():
     assert validate(parse_program(src)) == []
 
 
-def test_instructions_carry_their_source_line():
-    p = parse_program(
-        "program p;\nsym x in [0, 3];\nt =\n  x;\n"
-        "while (x < 3) {\n  x = x + 1;\n}\nif (x < 2) { exit(1); }\nerror(\"e\");\n"
-    )
-    lines = [([a.line for a in b.body], type(b.term).__name__, b.term.line) for b in p.blocks]
-    assert lines == [
-        ([3], "Jump", 5), ([], "Branch", 5), ([6], "Jump", 5),
-        ([], "Branch", 8), ([], "Exit", 8), ([], "Jump", 8), ([], "Error", 9),
-    ]
-
-
 def test_expr_equality_ignores_source_line():
     a = parse_program("program p;\nsym x in [0, 1];\nexit(0);\n")
     b = parse_program("program p;\n\n\nsym x in [0, 1];\n\nexit(0);\n")

@@ -1767,7 +1767,7 @@ def test_a_sum_over_1024_inputs_in_one_comparison_gets_its_lex_min_witness():
         f"program sum;\n{decls}if ({balanced(0, 1024)} < 3) {{ exit(0); }}\nexit(1);\n"
     )
     eng = Engine(prog)
-    res = eng.start_execution(eng.initial_state(), {}, 0, 1, Strategy("dfs"))
+    res = eng.start_execution({}, 0, 1, Strategy("dfs"))
     zeros = {f"x{i}": 0 for i in range(1024)}
     # the sum reaches 3 first with the last three inputs at 1
     assert {c.path: c.test for c in res.completed} == {

@@ -168,7 +168,7 @@ def test_program_names_that_are_python_identifiers_of_the_generated_code(monkeyp
             _generating(m, generated)
             prog = parse_program(src)  # a program keeps its functions
             eng = Engine(prog)
-            res = eng.start_execution(eng.initial_state(), {}, 0, 0, Strategy("dfs"))
+            res = eng.start_execution({}, 0, 0, Strategy("dfs"))
         (state,) = res.frontier
         assert state.env == {"env": 100, "wrap": 5, "v0": 500, "a0": 1, "t0": _LO + 99}
         assert (True in _marks(prog)) == generated
@@ -386,7 +386,7 @@ def test_a_memo_stops_recording_at_its_size(monkeypatch):
     want, _ = _explore(monkeypatch, prog, False, 4, "dfs")
     assert got == want and made == 2
     eng = Engine(prog)
-    eng.start_execution(eng.initial_state(), {}, 0, 4, Strategy("dfs"))
+    eng.start_execution({}, 0, 4, Strategy("dfs"))
     # every entry missed; the first LOOP_MEMO_SIZE were recorded
     assert len(eng.loop_memo) == engine.LOOP_MEMO_SIZE < 3000
     assert sorted(key[3] for key in eng.loop_memo) == list(range(engine.LOOP_MEMO_SIZE))
@@ -667,7 +667,7 @@ def _explore(monkeypatch, prog, generated, depth, strategy):
     with monkeypatch.context() as m:
         _generating(m, generated)
         eng = Engine(prog)
-        res = eng.start_execution(eng.initial_state(), {}, 0, depth, Strategy(strategy))
+        res = eng.start_execution({}, 0, depth, Strategy(strategy))
     st = res.stats
     return (
         [(c.path, str(c.outcome), sorted(c.test.items()), c.constraints) for c in res.completed],
@@ -726,18 +726,18 @@ def test_a_loop_is_generated_on_its_first_entry_once_per_program(monkeypatch):
         for p, want in ((prog, 1), (prog, 0), (loop(n), 1)):
             calls.clear()
             eng = Engine(p)
-            eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+            eng.start_execution({}, 0, 3, Strategy("dfs"))
             assert len(calls) == want, n
             assert _marks(p).count(True) == 2, n  # the header and the body
     # the same engine's next region reuses its program's functions
     calls.clear()
-    eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("bfs"))
+    eng.start_execution({}, 0, 3, Strategy("bfs"))
     assert calls == []
 
 
 def _run_region(prog):
     eng = Engine(prog)
-    eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+    eng.start_execution({}, 0, 3, Strategy("dfs"))
     return eng
 
 
@@ -778,7 +778,7 @@ def test_each_engine_starts_with_an_empty_memo_of_its_own():
     prog = parse_program(Path("perfbench/programs/interp.tdp").read_text())
     assert Engine(prog).loop_memo == {}
     first = Engine(prog)
-    first.start_execution(first.initial_state(), {}, 0, 12, Strategy("dfs"))
+    first.start_execution({}, 0, 12, Strategy("dfs"))
     assert first.loop_memo
     # the program keeps its functions, not a memo, and neither do they
     second = Engine(prog)
@@ -968,7 +968,7 @@ def test_nonlinear_runs_its_searches_to_the_backtracking_results_in_every_order_
 
     def witnesses(strategy):
         eng = Engine(parse_program(text))
-        res = eng.start_execution(eng.initial_state(), {}, 0, 8, strategy)
+        res = eng.start_execution({}, 0, 8, strategy)
         return [(c.path, str(c.outcome), sorted(c.test.items())) for c in res.completed]
 
     real = solve._generated_search
@@ -1042,7 +1042,7 @@ def test_a_program_with_no_loop_is_analysed_once_and_marks_every_block(monkeypat
     for _ in range(3):
         eng = Engine(prog)
         for _ in range(3):
-            eng.start_execution(eng.initial_state(), {}, 0, 3, Strategy("dfs"))
+            eng.start_execution({}, 0, 3, Strategy("dfs"))
     assert analysed == [prog.blocks] and calls == []
     assert _marks(prog) == [False] * len(prog.blocks)
 

@@ -9,7 +9,7 @@ import pytest
 from tdpart import proto, worker
 from tdpart.coord import run_coordinator, seed_pool
 from tdpart.engine import Engine, ExecState, Strategy
-from tdpart.harness import RunConfig, ScheduleTransport, run_program
+from tdpart.harness import RunConfig, ScheduleTransport, calibrate_depth, run_program
 from tdpart.lang import Binary, Const, Var, parse_program
 from tdpart.proto import Finish, NoWork, Offload, ProvideWork, QueueHub, Task, Terminate
 from tdpart.solve import PathCondition
@@ -126,9 +126,9 @@ def lookups(monkeypatch):
     seen = []
     real = Engine.find_resumable
 
-    def counting(self, suspended, test):
-        picked = real(self, suspended, test)
-        seen.append((sum(s.pc.satisfied_by(test) for s in suspended), picked))
+    def counting(self, test):
+        picked = real(self, test)
+        seen.append((sum(s.pc.satisfied_by(test) for s in self.suspended), picked))
         return picked
 
     monkeypatch.setattr(Engine, "find_resumable", counting)
@@ -171,6 +171,39 @@ def test_serving_a_pool_in_order_resumes_suspended_states(lookups):
     assert len(lookups) == 120
     assert sum(picked is not None for _, picked in lookups) == 80
     assert max(n for n, _ in lookups) <= 1
+
+
+def test_a_root_is_looked_up_once_per_guided_region(monkeypatch):
+    # the engine looks up a suspended state for each region of test depth
+    # above 0, on the thread that runs it, and for no other region: single
+    # mode, seeding and calibration run only the root pair
+    finds, guided = Counter(), Counter()
+    real_find, real_start = Engine.find_resumable, Engine.start_execution
+
+    def find_resumable(self, test):
+        finds[threading.current_thread().name] += 1
+        return real_find(self, test)
+
+    def start_execution(self, test, test_depth, *args, **kw):
+        if test_depth > 0:
+            guided[threading.current_thread().name] += 1
+        return real_start(self, test, test_depth, *args, **kw)
+
+    monkeypatch.setattr(Engine, "find_resumable", find_resumable)
+    monkeypatch.setattr(Engine, "start_execution", start_execution)
+    monkeypatch.setattr(worker, "OFFLOAD_THRESHOLD", 1)
+    program = parse_program(Path("programs/corpus/prog_05.tdp").read_text())
+    assert not run_program(program, RunConfig(final_depth=26)).truncated
+    # every seeded pair lies below the root, and each run dispatches them all
+    pairs = [seed_pool(program, workers, 26) for workers in (2, 3)]
+    assert all(pair.depth > 0 for pool in pairs for pair in pool)
+    assert calibrate_depth(program, 5.0) > 0
+    assert not finds and not guided
+    for mode in ("threads", "tcp"):
+        for workers in (2, 3):
+            run_program(program, RunConfig(mode=mode, workers=workers, final_depth=26))
+    assert finds == guided
+    assert sum(guided.values()) >= 2 * sum(map(len, pairs))
 
 
 def test_worker_offloads_above_threshold_at_forced_poll(monkeypatch):
